@@ -61,7 +61,6 @@ from .inertia import (  # noqa: F401
     CapacitorBusModel,
     CapacitorSweepResult,
     EstimationError,
-    GeneralizedInertiaEstimate,
     capacitor_voltage_inertia,
     estimate_frequency_inertia,
     estimate_voltage_inertia,

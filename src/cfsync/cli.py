@@ -19,9 +19,11 @@ from .cf_estimator import estimate_complex_frequency
 from .dynamics import SimConfig, SimulationError, simulate
 from .fileio import (
     build_manifest,
+    format_number,
     load_case,
     read_generator_csv,
     read_trajectory_csv,
+    write_csv,
     write_generator_csv,
     write_json,
     write_trajectory_csv,
@@ -45,8 +47,6 @@ EXIT_NUMERICAL = 4
 
 PLOT_KINDS = ("eps", "omega", "subnet_spread", "damping", "hv_sweep")
 
-_FMT = "{:.17g}"
-
 
 class InputError(Exception):
     pass
@@ -62,13 +62,6 @@ def _outdir(args) -> Path:
     path = Path(base)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            f.write(",".join(_FMT.format(x) for x in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +269,8 @@ def cmd_inertia(args) -> int:
             raise ConfigError(str(exc)) from exc
         sweep_out = Path(args.sweep_out) if args.sweep_out \
             else outdir / "hv_sweep.csv"
-        header = ["t"] + [f"eps_hv_{_FMT.format(h)}" for h in h_values]
-        _write_csv(sweep_out, header,
-                   [sweep.times] + [sweep.eps[:, j]
-                                    for j in range(len(h_values))])
+        header = ["t"] + [f"eps_hv_{format_number(h)}" for h in h_values]
+        write_csv(sweep_out, header, [sweep.times, sweep.eps])
         result["sweep"] = {
             "h_v_values": h_values,
             "model": {"c_eq": model.c_eq, "s_base": model.s_base,
@@ -319,11 +310,9 @@ def cmd_plotdata(args) -> int:
         sweep = simulate_capacitor_bus(model, [1.0, 2.0, 4.0],
                                        t_end=5.0, dt=1e-3)
         out = outdir / "hv_sweep.csv"
-        header = ["t"] + [f"eps_hv_{_FMT.format(h)}"
+        header = ["t"] + [f"eps_hv_{format_number(h)}"
                           for h in sweep.h_v_values]
-        _write_csv(out, header,
-                   [sweep.times] + [sweep.eps[:, j]
-                                    for j in range(len(sweep.h_v_values))])
+        write_csv(out, header, [sweep.times, sweep.eps])
         print(f"wrote {out}")
         return EXIT_OK
 
@@ -343,9 +332,7 @@ def cmd_plotdata(args) -> int:
         data = series.eps if args.kind == "eps" else series.omega
         out = outdir / f"{args.kind}.csv"
         header = ["t"] + [f"{args.kind}_{b}" for b in series.bus_ids]
-        _write_csv(out, header,
-                   [series.times] + [data[:, k]
-                                     for k in range(series.n_bus)])
+        write_csv(out, header, [series.times, data])
     elif args.kind == "subnet_spread":
         out = outdir / "subnet_spread.csv"
         names = sorted(report["subnets"])
@@ -356,7 +343,7 @@ def cmd_plotdata(args) -> int:
             z = series.eps[:, idx] + 1j * series.omega[:, idx]
             spread = np.abs(z[:, :, None] - z[:, None, :]).max(axis=(1, 2))
             cols.append(spread)
-        _write_csv(out, ["t"] + names, [series.times] + cols)
+        write_csv(out, ["t"] + names, [series.times] + cols)
     else:  # damping
         out = outdir / "damping.csv"
         header, cols = ["t"], [series.times]
@@ -371,7 +358,7 @@ def cmd_plotdata(args) -> int:
             else:
                 cols.append(fit["amplitude"]
                             * np.exp(-fit["sigma"] * series.times))
-        _write_csv(out, header, cols)
+        write_csv(out, header, cols)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -56,14 +56,6 @@ class SimConfig:
             )
 
 
-@dataclass
-class GeneratorState:
-    delta: float  # rotor angle, rad
-    omega: float  # electrical speed, rad/s
-    e_q: float    # internal EMF magnitude, p.u.
-    p_m: float    # mechanical power, p.u.
-
-
 class DynamicNetwork:
     """Algebraic network plus machine parameters for the dynamic phase.
 
@@ -255,13 +247,6 @@ class Trajectory:
     omega_s: float
     frame: str = "synchronous"
     max_residual: float = 0.0
-
-    def gen_states(self, k: int) -> list[GeneratorState]:
-        return [
-            GeneratorState(self.delta[i, k], self.omega[i, k],
-                           self.e_q[i, k], self.p_m[i, k])
-            for i in range(len(self.times))
-        ]
 
 
 def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:

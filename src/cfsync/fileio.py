@@ -30,12 +30,32 @@ from .grid_model import (
     LoadSpec,
     NetworkCase,
 )
+from .sync_detector import uniform_step
 
-_FMT = "{:.17g}"
+_FMT = "%.17g"  # 17 significant digits: every double round-trips
+_CHUNK_ROWS = 4096  # rows formatted per write, bounding the text in memory
 
 
-def _num(x: float) -> str:
-    return _FMT.format(x)
+def format_number(x: float) -> str:
+    return _FMT % x
+
+
+def write_csv(path: str | Path, header: list[str],
+              columns: list[np.ndarray], comment: str | None = None) -> None:
+    """Write equal-length columns as CSV rows under a header line.
+
+    Each column is a 1-D array (one CSV column) or a 2-D array (one CSV
+    column per array column); all values are written with ``_FMT``. A
+    ``comment`` becomes a leading ``# comment`` line."""
+    data = np.column_stack(columns)
+    row = ",".join([_FMT] * data.shape[1])
+    with Path(path).open("w") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(data), _CHUNK_ROWS):
+            chunk = data[start:start + _CHUNK_ROWS].tolist()
+            f.write("".join([row % tuple(r) + "\n" for r in chunk]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +170,20 @@ def save_case(case: NetworkCase, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # trajectory CSV
 
+def _interleave(arrays: list[np.ndarray]) -> np.ndarray:
+    """(n, m) arrays a, b, ... as the (n, m * len(arrays)) array whose
+    columns run a[:, 0], b[:, 0], ..., a[:, 1], b[:, 1], ..."""
+    stacked = np.stack(arrays, axis=2)
+    return stacked.reshape(stacked.shape[0], -1)
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    path = Path(path)
-    cols = []
+    header = ["t"]
     for b in traj.bus_ids:
-        cols += [f"v_{b}", f"theta_{b}"]
-    with path.open("w") as f:
-        f.write("# events: " + ",".join(_num(t) for t in traj.event_times)
-                + "\n")
-        f.write("t," + ",".join(cols) + "\n")
-        for i, t in enumerate(traj.times):
-            row = [_num(t)]
-            for k in range(len(traj.bus_ids)):
-                row.append(_num(traj.v[i, k]))
-                row.append(_num(traj.theta[i, k]))
-            f.write(",".join(row) + "\n")
+        header += [f"v_{b}", f"theta_{b}"]
+    events = ",".join(format_number(t) for t in traj.event_times)
+    write_csv(path, header, [traj.times, _interleave([traj.v, traj.theta])],
+              comment=f"events: {events}")
 
 
 def read_trajectory_csv(path: str | Path, omega_s: float,
@@ -191,6 +210,10 @@ def read_trajectory_csv(path: str | Path, omega_s: float,
             bus_ids.append(int(names[j][2:]))
         data = np.loadtxt(f, delimiter=",", ndmin=2)
     times = data[:, 0]
+    try:
+        uniform_step(times)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     v = data[:, 1::2]
     theta = data[:, 2::2]
     return Trajectory(
@@ -204,19 +227,12 @@ def read_trajectory_csv(path: str | Path, omega_s: float,
 def write_generator_csv(traj: Trajectory, path: str | Path) -> None:
     if traj.delta is None:
         raise ValueError("trajectory carries no generator state series")
-    path = Path(path)
-    cols = []
+    header = ["t"]
     for b in traj.gen_buses:
-        cols += [f"delta_{b}", f"omega_{b}", f"eq_{b}", f"pm_{b}",
-                 f"pe_{b}", f"qe_{b}"]
+        header += [f"delta_{b}", f"omega_{b}", f"eq_{b}", f"pm_{b}",
+                   f"pe_{b}", f"qe_{b}"]
     arrays = [traj.delta, traj.omega, traj.e_q, traj.p_m, traj.p_e, traj.q_e]
-    with path.open("w") as f:
-        f.write("t," + ",".join(cols) + "\n")
-        for i, t in enumerate(traj.times):
-            row = [_num(t)]
-            for k in range(len(traj.gen_buses)):
-                row += [_num(a[i, k]) for a in arrays]
-            f.write(",".join(row) + "\n")
+    write_csv(path, header, [traj.times, _interleave(arrays)])
 
 
 def read_generator_csv(path: str | Path) -> dict:

@@ -194,10 +194,7 @@ def _line_stamp(ln: LineSpec, i: int, j: int, n: int) -> np.ndarray:
     return stamp
 
 
-def build_ybus(
-    case: NetworkCase,
-    in_service_override: dict[tuple[int, int], bool] | None = None,
-) -> AdmittanceMatrix:
+def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
     """Assemble the bus admittance matrix from in-service lines."""
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
@@ -205,12 +202,10 @@ def build_ybus(
     idx = case.bus_index()
     n = case.n_bus
     y = np.zeros((n, n), dtype=complex)
-    override = in_service_override or {}
     for ln in case.lines:
         if ln.from_bus not in idx or ln.to_bus not in idx:
             raise CaseError(f"line {ln.key}: endpoint not in bus list")
-        status = override.get(ln.key, ln.in_service)
-        if not status:
+        if not ln.in_service:
             continue
         y += _line_stamp(ln, idx[ln.from_bus], idx[ln.to_bus], n)
     return AdmittanceMatrix(n=n, entries=y)

@@ -20,17 +20,6 @@ class EstimationError(ValueError):
 
 
 @dataclass
-class GeneralizedInertiaEstimate:
-    bus_or_region: str
-    m: float | None
-    h_v: float | None
-    residual_p: float | None
-    residual_q: float | None
-    window: tuple[float, float] | None
-    zeta_series: np.ndarray | None = None  # complex, p.u. power
-
-
-@dataclass
 class CapacitorBusModel:
     c_eq: float          # equivalent capacitance, p.u.
     s_base: float

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .sync_detector import NodeVerdict, SyncConfig
 
@@ -78,6 +77,24 @@ def overshoot(times: np.ndarray, x: np.ndarray, t_start: float,
     return float(seg.max() - seg.min())
 
 
+def local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of a 1-D array.
+
+    A maximum is a sample, or a run of equal samples, strictly above both
+    neighbouring samples; a run counts once, at its midpoint rounded down.
+    The first and last samples are never maxima. These are the rules of
+    ``scipy.signal.find_peaks`` without conditions."""
+    x = np.asarray(x)
+    if len(x) < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:], len(x)) - 1
+    level = x[starts]
+    peak = np.zeros(len(starts), dtype=bool)
+    peak[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    return (starts[peak] + ends[peak]) // 2
+
+
 def _log_linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Fit ln y = ln A - sigma t; returns (sigma, A, R^2 of the line)."""
     ln_y = np.log(y)
@@ -104,7 +121,7 @@ def fit_damping(times: np.ndarray, x: np.ndarray, limit: float,
     if dev.max(initial=0.0) <= _ZERO_DEV:
         return DampingFit(sigma=math.inf, amplitude=0.0, r_squared=1.0,
                           method="fully_damped")
-    peaks, _ = find_peaks(dev)
+    peaks = local_maxima(dev)
     peaks = peaks[dev[peaks] > _ZERO_DEV]
     if len(peaks) >= 3:
         sigma, amp, r2 = _log_linear_fit(t[peaks], dev[peaks])

@@ -8,14 +8,18 @@ the converged limits agree pairwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial import ConvexHull, QhullError
 
 from .cf_estimator import ComplexFrequencySample, ComplexFrequencySeries
 
 _T_SLACK = 1e-9
+_GRID_RTOL = 1e-6  # allowed deviation of a sample spacing, relative to dt
+# Up to this many points the all-pairs matrix costs less than a convex hull.
+_BRUTE_FORCE_MAX = 128
 
 
 @dataclass
@@ -95,6 +99,43 @@ def coarse_limit(
     )
 
 
+def uniform_step(times: np.ndarray) -> float:
+    """Sample spacing of a strictly increasing, uniform time grid.
+
+    Raises ValueError when there are fewer than two samples or when any
+    spacing differs from the first by more than _GRID_RTOL of it."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError("time grid needs at least two samples")
+    steps = np.diff(times)
+    dt = float(steps[0])
+    if not dt > 0.0:
+        raise ValueError("time grid is not strictly increasing")
+    bad = np.flatnonzero(~(np.abs(steps - dt) <= _GRID_RTOL * dt))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"non-uniform time grid: step {steps[i]!r} at t = {times[i]!r} "
+            f"differs from dt = {dt!r}")
+    return dt
+
+
+def trailing_max(x: np.ndarray, w: int) -> np.ndarray:
+    """max(x[i:i + w]) along axis 0 for i = 0 .. len(x) - w.
+
+    Exact, O(n log w) time and O(n) memory: pairwise maxima double the span
+    covered until it reaches the largest power of two <= w, then two
+    overlapping spans cover each window."""
+    m = np.asarray(x)
+    if not 1 <= w <= len(m):
+        raise ValueError(f"window of {w} samples does not fit {len(m)}")
+    span = 1
+    while 2 * span <= w:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[:len(m) - w + span], m[w - span:])
+
+
 def find_convergence_time(
     times: np.ndarray,
     x: np.ndarray,
@@ -107,12 +148,11 @@ def find_convergence_time(
     [t - window, t] keeps |x - target| below tol; None if never."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
-    dt = times[1] - times[0]
+    dt = uniform_step(times)
     w = int(round(window / dt)) + 1
     if w > len(times):
         raise ValueError("window exceeds series span")
-    dev = np.abs(x - target)
-    wmax = sliding_window_view(dev, w).max(axis=-1)
+    wmax = trailing_max(np.abs(x - target), w)
     end_times = times[w - 1:]
     ok = (wmax < tol) & (end_times >= t_event + window - _T_SLACK)
     hits = np.nonzero(ok)[0]
@@ -121,10 +161,61 @@ def find_convergence_time(
     return float(end_times[hits[0]])
 
 
-def _pairwise_max(z: np.ndarray) -> float:
+def _brute_force_max(z: np.ndarray) -> float:
     if len(z) < 2:
         return 0.0
     return float(np.max(np.abs(z[:, None] - z[None, :])))
+
+
+def _antipodal_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs into the counter-clockwise convex polygon ``p`` (h x 2)
+    that include every antipodal pair, hence the diameter's endpoints.
+
+    Rotating calipers without the pointer walk: edge k's direction angle,
+    turned by pi, falls between the angles of the two edges at the vertex
+    farthest from edge k. Both endpoints of each edge are paired with that
+    vertex and its two neighbours, which absorbs rounding in the angles."""
+    h = len(p)
+    edge = np.roll(p, -1, axis=0) - p
+    ang = np.arctan2(edge[:, 1], edge[:, 0])
+    ang = np.mod(ang - ang[0], 2 * np.pi)
+    far = np.searchsorted(ang, np.mod(ang + np.pi, 2 * np.pi)) % h
+    k = np.arange(h)
+    i = np.concatenate([k, (k + 1) % h] * 3)
+    j = np.concatenate([(far + d) % h for d in (-1, -1, 0, 0, 1, 1)])
+    return i, j
+
+
+def _pairwise_max(z: np.ndarray) -> float:
+    """Largest |z_i - z_j| (the diameter of the point set), bit-equal to the
+    brute-force maximum over all pairs, in O(n log n) time and O(n) memory.
+
+    The diameter's endpoints are antipodal vertices of the convex hull, so
+    only those pairs are measured, in the same numpy arithmetic as brute
+    force. The hull is taken of the points scaled to unit covariance (hull
+    vertices do not change under that linear map), so that Qhull's
+    tolerances do not merge away the ends of a thin point set. Pairs among
+    the per-axis extremes are always measured too: they hold the diameter
+    of collinear or identical points, which have no 2-D hull."""
+    z = np.asarray(z, dtype=complex)
+    if len(z) <= _BRUTE_FORCE_MAX:
+        return _brute_force_max(z)
+    if not np.isfinite(z).all():
+        return math.nan  # brute force gives nan: z_i - z_i is nan
+    pts = np.column_stack([z.real - z.real.mean(), z.imag - z.imag.mean()])
+    ext = _brute_force_max(z[np.unique([
+        pts[:, 0].argmin(), pts[:, 0].argmax(),
+        pts[:, 1].argmin(), pts[:, 1].argmax()])])
+    lam, vec = np.linalg.eigh(pts.T @ pts)
+    if not lam[0] > 0.0:
+        return ext
+    try:
+        hull = ConvexHull(pts @ ((vec / np.sqrt(lam)) @ vec.T))
+    except QhullError:
+        return ext
+    v = hull.vertices
+    i, j = _antipodal_pairs(pts[v])
+    return max(float(np.max(np.abs(z[v[i]] - z[v[j]]))), ext)
 
 
 def node_verdict(

@@ -128,6 +128,18 @@ class TestAnalyze:
         assert rc == 3
         assert "window" in capsys.readouterr().err
 
+    def test_non_uniform_time_grid_exits_2(self, simdir, tmp_path, capsys):
+        traj = read_trajectory_csv(simdir / "trajectory.csv",
+                                   omega_s=load_case(SHED).omega_s)
+        traj.times = traj.times.copy()
+        traj.times[3000:] += 0.5e-3  # one step of 1.5 ms in a 1 ms grid
+        write_trajectory_csv(traj, tmp_path / "uneven.csv")
+        rc = main(["analyze", "--traj", str(tmp_path / "uneven.csv"),
+                   "--case", SHED, "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "non-uniform time grid" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_wrong_case_for_trajectory_exits_2(self, simdir, tmp_path):
         case = load_case(CASE)
         case.buses = case.buses[:-1]

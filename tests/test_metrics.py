@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
+import cfsync
 from cfsync.cf_estimator import ComplexFrequencySample
 from cfsync.metrics import (
     disturbance_region,
     fit_damping,
+    local_maxima,
     node_metrics,
     overshoot,
     subnet_metrics,
@@ -66,6 +73,29 @@ class TestOvershoot:
         t = np.arange(0, 2, 0.01)
         x = rng.standard_normal(len(t)).cumsum()
         assert overshoot(t, x, 0.0, 1.0) <= overshoot(t, x, 0.0, 2.0)
+
+
+class TestLocalMaxima:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=30))
+    def test_matches_scipy_find_peaks(self, values):
+        # small integer ranges make plateaus, edge plateaus and ties common
+        x = np.array(values, dtype=float)
+        np.testing.assert_array_equal(local_maxima(x), find_peaks(x)[0])
+
+    def test_plateau_midpoint_rounds_down(self):
+        x = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 0.0])
+        np.testing.assert_array_equal(local_maxima(x), [2, 7])
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal (and scipy.stats with it) dominated the start-up time
+        src = str(Path(cfsync.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cfsync.cli; print('scipy.signal' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestFitDamping:

@@ -1,19 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cfsync.cf_estimator import ComplexFrequencySample, ComplexFrequencySeries
 from cfsync.sync_detector import (
+    _BRUTE_FORCE_MAX,
     SyncConfig,
+    _pairwise_max,
     coarse_limit,
     evaluate,
     find_convergence_time,
     global_verdict,
     node_verdict,
     subnet_verdict,
+    trailing_max,
+    uniform_step,
 )
 
 WS = 2 * math.pi * 60
@@ -42,6 +48,152 @@ def settle_signal(rng, n=2000, dt=0.01):
     noise = rng.normal(0, rng.uniform(0, 0.02), n)
     x = target + amp * np.exp(-sigma * t) * np.cos(freq * t) + noise
     return t, x, target
+
+
+def brute_force_diameter(z, rows=256):
+    """max |z_i - z_j| over all pairs, in the arithmetic of the former
+    all-pairs matrix; built a block of rows at a time to bound memory."""
+    z = np.asarray(z, dtype=complex)
+    if len(z) < 2:
+        return 0.0
+    return float(max(np.max(np.abs(z[i:i + rows, None] - z[None, :]))
+                     for i in range(0, len(z), rows)))
+
+
+def point_cloud(rng, kind, n):
+    """Point sets for the diameter tests, each stressing the hull path."""
+    if kind == "gaussian":
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "anisotropic":  # rotated, scaled, far from the origin
+        z = rng.normal(size=n) + 1j * rng.normal(size=n) * 10 ** rng.uniform(
+            -12, 0)
+        return z * np.exp(1j * rng.uniform(0, 2 * np.pi)) \
+            * 10 ** rng.uniform(-6, 6) + (rng.normal() + 377j)
+    if kind == "axis_needle":  # width 1e-14 of the length, along an axis
+        return (1e3 + rng.normal(size=n) * 1e-9) + 1j * rng.normal(size=n) * 1e5
+    if kind == "spiral":  # a damped mode in the (eps, omega) plane
+        t = rng.uniform(0, 5) + np.arange(n) * 1e-3
+        decay = np.exp(-rng.uniform(0.1, 2) * t)
+        return decay * 1e-3 * np.sin(30 * t) \
+            + 1j * (377 + 0.1 * decay * np.cos(30 * t + 1))
+    if kind == "polygon_ties":  # repeated vertices of a regular polygon
+        m = int(rng.integers(3, 40))
+        return np.exp(2j * np.pi * rng.integers(0, m, n) / m) \
+            * rng.uniform(0.1, 1e3) + (1 + 2j)
+    if kind == "ulp_noise":  # a constant disturbed in its last bits
+        base = rng.normal() + 377j
+        return base + (rng.integers(-3, 4, n)
+                       + 1j * rng.integers(-3, 4, n)) * np.spacing(377.0)
+    raise ValueError(kind)
+
+
+class TestPairwiseMax:
+    """The node fluctuation is bit-equal to the all-pairs maximum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["gaussian", "anisotropic", "axis_needle",
+                            "spiral", "polygon_ties", "ulp_noise"]),
+           st.integers(_BRUTE_FORCE_MAX + 1, 4 * _BRUTE_FORCE_MAX))
+    def test_random_clouds(self, seed, kind, n):
+        z = point_cloud(np.random.default_rng(seed), kind, n)
+        assert _pairwise_max(z) == brute_force_diameter(z)
+
+    def test_circle_every_point_on_hull(self):
+        z = 3.0 * np.exp(2j * np.pi * np.arange(4001) / 4001) + (1 - 2j)
+        assert _pairwise_max(z) == brute_force_diameter(z)
+
+    @pytest.mark.parametrize("direction", [1.0, 1j, 3 + 7j, -1e-8 + 1e3j])
+    def test_collinear(self, direction):
+        t = np.linspace(-1.0, 2.0, 3 * _BRUTE_FORCE_MAX)
+        z = direction * t + (0.3 + 377j)
+        np.random.default_rng(0).shuffle(z)
+        assert _pairwise_max(z) == brute_force_diameter(z)
+
+    def test_identical(self):
+        z = np.full(2 * _BRUTE_FORCE_MAX, 0.25 + 377j)
+        assert _pairwise_max(z) == brute_force_diameter(z) == 0.0
+
+    def test_integer_grid_with_ties(self):
+        rng = np.random.default_rng(1)
+        n = 3 * _BRUTE_FORCE_MAX
+        z = rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)
+        assert _pairwise_max(z) == brute_force_diameter(z)
+
+    @pytest.mark.parametrize("z", [[], [1 + 1j], [1 + 1j, -2 + 0.5j],
+                                   [0j, 0j]])
+    def test_fewer_than_three_points(self, z):
+        assert _pairwise_max(np.array(z, dtype=complex)) == \
+            brute_force_diameter(z)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_is_nan(self, bad):
+        z = point_cloud(np.random.default_rng(2), "gaussian",
+                        2 * _BRUTE_FORCE_MAX)
+        z[7] = bad
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(_pairwise_max(z))
+            assert math.isnan(brute_force_diameter(z))
+
+    def test_node_verdict_memory_is_linear_in_window(self):
+        # 1 s final window at 0.25 ms: 4,001 samples, 16M pairs. An
+        # all-pairs matrix needs about 384 MB here; the hull needs O(w).
+        t = np.arange(12001) * 2.5e-4
+        eps = 1e-3 * np.exp(-t) * np.sin(30 * t)
+        omega = WS + 0.1 * np.exp(-t) * np.cos(30 * t)
+        cfg = SyncConfig(t_end=float(t[-1]))
+        tracemalloc.start()
+        try:
+            v = node_verdict(1, t, eps, omega, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        final = t >= cfg.t_end - cfg.window - 1e-9
+        assert v.fluctuation == brute_force_diameter(
+            eps[final] + 1j * omega[final])
+
+
+class TestTrailingMax:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_sliding_window_1d(self, seed, n, frac):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 5, n).astype(float)  # ties are common
+        x[rng.random(n) < 0.02] = np.nan
+        w = 1 + int(frac * (n - 1))
+        np.testing.assert_array_equal(
+            trailing_max(x, w), sliding_window_view(x, w).max(axis=-1))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_sliding_window_axis0(self, seed, n, frac):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 4))
+        w = 1 + int(frac * (n - 1))
+        np.testing.assert_array_equal(
+            trailing_max(x, w),
+            sliding_window_view(x, w, axis=0).max(axis=-1))
+
+    @pytest.mark.parametrize("w", [0, 11])
+    def test_window_must_fit(self, w):
+        with pytest.raises(ValueError, match="window"):
+            trailing_max(np.zeros(10), w)
+
+
+class TestUniformStep:
+    def test_accumulated_rounding_accepted(self):
+        t = np.cumsum(np.full(20001, 1e-3)) - 1e-3
+        assert uniform_step(t) == t[1] - t[0]
+
+    @pytest.mark.parametrize("times", [
+        [0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.1, 0.2, 0.4],
+    ])
+    def test_rejected(self, times):
+        with pytest.raises(ValueError, match="time grid"):
+            uniform_step(np.array(times))
 
 
 class TestCoarseLimit:
@@ -95,6 +247,14 @@ class TestFindConvergenceTime:
         t = np.arange(0, 1, 0.01)
         with pytest.raises(ValueError, match="window"):
             find_convergence_time(t, np.zeros_like(t), 0.0, 0.1, 5.0, 0.0)
+
+    def test_non_uniform_grid_rejected(self):
+        # one late sample shifts every later instant; the window would be
+        # counted in samples of the first step and the time come out wrong
+        t = np.arange(0, 10, 0.01)
+        t[500:] += 0.004
+        with pytest.raises(ValueError, match="non-uniform time grid"):
+            find_convergence_time(t, np.exp(-t), 0.0, 0.01, 1.0, 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
