@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_GRID_RTOL = 1e-6  # allowed deviation of a sample spacing, relative to dt
+
 
 @dataclass(frozen=True)
 class ComplexFrequencySample:
@@ -46,6 +48,27 @@ class ComplexFrequencySeries:
     def node(self, bus_id: int) -> tuple[np.ndarray, np.ndarray]:
         k = self.column(bus_id)
         return self.eps[:, k], self.omega[:, k]
+
+
+def uniform_step(times: np.ndarray) -> float:
+    """Sample spacing of a strictly increasing, uniform time grid.
+
+    Raises ValueError when there are fewer than two samples or when any
+    spacing differs from the first by more than _GRID_RTOL of it."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError("time grid needs at least two samples")
+    steps = np.diff(times)
+    dt = float(steps[0])
+    if not dt > 0.0:
+        raise ValueError("time grid is not strictly increasing")
+    bad = np.flatnonzero(~(np.abs(steps - dt) <= _GRID_RTOL * dt))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"non-uniform time grid: step {steps[i]!r} at t = {times[i]!r} "
+            f"differs from dt = {dt!r}")
+    return dt
 
 
 def unwrap_angles(theta: np.ndarray) -> np.ndarray:

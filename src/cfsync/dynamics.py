@@ -50,6 +50,12 @@ class SimConfig:
             raise ValueError("t_end must be > 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        n_steps = int(round(self.t_end / self.dt))
+        if n_steps % self.record_every:
+            raise ValueError(
+                f"record_every={self.record_every} does not divide the "
+                f"{n_steps} steps to t_end: the recorded time grid would "
+                "end in a short step")
         if self.integrator not in INTEGRATORS:
             raise ValueError(
                 f"unknown integrator {self.integrator!r}; choose from {INTEGRATORS}"
@@ -270,8 +276,7 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
             continue
         pending.append((i_ev, ev))
 
-    rec_idx = [i for i in range(n_steps + 1)
-               if i % config.record_every == 0 or i == n_steps]
+    rec_idx = range(0, n_steps + 1, config.record_every)
     n_rec = len(rec_idx)
     nb, ng = case.n_bus, net.n_gen
     times = np.empty(n_rec)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cf_estimator import ComplexFrequencySample
+from .cf_estimator import ComplexFrequencySample, uniform_step
 from .dynamics import Trajectory
 from .grid_model import (
     BusSpec,
@@ -30,7 +30,6 @@ from .grid_model import (
     LoadSpec,
     NetworkCase,
 )
-from .sync_detector import uniform_step
 
 _FMT = "%.17g"  # 17 significant digits: every double round-trips
 _CHUNK_ROWS = 4096  # rows formatted per write, bounding the text in memory

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cfsync.cf_estimator import (
     estimate_complex_frequency,
     moving_average,
+    uniform_step,
     unwrap_angles,
 )
 from cfsync.dynamics import Trajectory
@@ -141,3 +142,16 @@ class TestProperties:
         e1 = interior_err(2e-3)
         e2 = interior_err(1e-3)
         assert e1 / e2 > 3.5  # ~4x for a second-order scheme
+
+
+class TestUniformStep:
+    def test_accumulated_rounding_accepted(self):
+        t = np.cumsum(np.full(20001, 1e-3)) - 1e-3
+        assert uniform_step(t) == t[1] - t[0]
+
+    @pytest.mark.parametrize("times", [
+        [0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.1, 0.2, 0.4],
+    ])
+    def test_rejected(self, times):
+        with pytest.raises(ValueError, match="time grid"):
+            uniform_step(np.array(times))

@@ -87,6 +87,24 @@ class TestSimulate:
                    "--dt", "0.5", "--outdir", str(tmp_path)])
         assert rc == 3
 
+    def test_record_every_not_dividing_the_steps_exits_3(self, tmp_path,
+                                                         capsys):
+        # 5 s at 1 ms is 5000 steps: every 3rd sample would end the
+        # trajectory in a 2 ms step, which analyze rejects
+        rc = main(["simulate", "--case", SHED, "--t-end", "5.0",
+                   "--record-every", "3", "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert "record_every" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_strided_trajectory_is_analyzable(self, tmp_path):
+        rc = main(["simulate", "--case", SHED, "--t-end", "5.0",
+                   "--record-every", "4", "--outdir", str(tmp_path)])
+        assert rc == 0
+        rc = main(["analyze", "--traj", str(tmp_path / "trajectory.csv"),
+                   "--case", SHED, "--outdir", str(tmp_path)])
+        assert rc == 0
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CFSYNC_OUTDIR", str(tmp_path / "envout"))
         rc = main(["simulate", "--case", CASE, "--t-end", "0.1"])

@@ -50,6 +50,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="integrator"):
             SimConfig(t_end=1.0, integrator="euler").validate()
 
+    @pytest.mark.parametrize("record_every", [3, 7, 2001])
+    def test_record_every_must_divide_the_steps(self, record_every):
+        # 2 s at 1 ms: 2000 steps; a last recorded step would be short
+        with pytest.raises(ValueError, match="record_every"):
+            SimConfig(t_end=2.0, record_every=record_every).validate()
+
+    def test_strided_record_is_uniform(self, wscc9):
+        traj = simulate(wscc9, SimConfig(t_end=0.2, dt=1e-3,
+                                         record_every=8))
+        np.testing.assert_allclose(np.diff(traj.times), 8e-3, rtol=1e-9)
+        assert traj.times[-1] == pytest.approx(0.2)
+
 
 class TestInitialization:
     def test_no_flow_equilibrium(self):

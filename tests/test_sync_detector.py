@@ -19,7 +19,6 @@ from cfsync.sync_detector import (
     node_verdict,
     subnet_verdict,
     trailing_max,
-    uniform_step,
 )
 
 WS = 2 * math.pi * 60
@@ -84,16 +83,44 @@ def point_cloud(rng, kind, n):
         base = rng.normal() + 377j
         return base + (rng.integers(-3, 4, n)
                        + 1j * rng.integers(-3, 4, n)) * np.spacing(377.0)
+    if kind == "dense_end_needle":  # turned, width 1e-10 of the length
+        m = n // 3
+        s = np.concatenate([1 - rng.uniform(0, 1e-3, m),
+                            -1 + rng.uniform(0, 1e-3, m),
+                            rng.uniform(-1, 1, n - 2 * m)])
+        return (s + 1j * rng.uniform(-1e-10, 1e-10, n)) \
+            * np.exp(1j * rng.uniform(0, 2 * np.pi)) \
+            * 10 ** rng.uniform(-6, 6) + (rng.normal() + 377j)
+    if kind == "two_level":  # a square wave along a line, noisy in last bits
+        s = np.where(rng.random(n) < 0.5, 1.0, -1.0) + rng.normal(0, 1e-15, n)
+        return (s + 1j * rng.normal(0, 1e-15, n)) \
+            * np.exp(1j * rng.uniform(0, 2 * np.pi)) + (rng.normal() + 377j)
     raise ValueError(kind)
+
+
+def needle_with_offset_ends(n, delta):
+    """A needle turned by 45 degrees whose ends are not the x or y extremes.
+
+    In the needle's own frame (s along, t across) each end holds a point at
+    s = +-1, t = 0 and two at s = +-(1 - delta/2), t = -+delta; the latter
+    win the x and y extremes. The body fills |s| < 1, |t| <= delta."""
+    rng = np.random.default_rng(3)
+    s = np.concatenate([[1.0, 1 - delta / 2, 1 - delta / 2,
+                         -1.0, -1 + delta / 2, -1 + delta / 2],
+                        rng.uniform(-1, 1, n - 6)])
+    t = np.concatenate([[0.0, -delta, delta, 0.0, -delta, delta],
+                        rng.uniform(-delta, delta, n - 6)])
+    return (s + 1j * t) * np.exp(1j * np.pi / 4) + (0.5 + 377j)
 
 
 class TestPairwiseMax:
     """The node fluctuation is bit-equal to the all-pairs maximum."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from(["gaussian", "anisotropic", "axis_needle",
-                            "spiral", "polygon_ties", "ulp_noise"]),
+                            "spiral", "polygon_ties", "ulp_noise",
+                            "dense_end_needle", "two_level"]),
            st.integers(_BRUTE_FORCE_MAX + 1, 4 * _BRUTE_FORCE_MAX))
     def test_random_clouds(self, seed, kind, n):
         z = point_cloud(np.random.default_rng(seed), kind, n)
@@ -108,6 +135,11 @@ class TestPairwiseMax:
         t = np.linspace(-1.0, 2.0, 3 * _BRUTE_FORCE_MAX)
         z = direction * t + (0.3 + 377j)
         np.random.default_rng(0).shuffle(z)
+        assert _pairwise_max(z) == brute_force_diameter(z)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-7, 1e-5])
+    def test_needle_ends_off_the_axis_extremes(self, delta):
+        z = needle_with_offset_ends(4 * _BRUTE_FORCE_MAX, delta)
         assert _pairwise_max(z) == brute_force_diameter(z)
 
     def test_identical(self):
@@ -181,19 +213,6 @@ class TestTrailingMax:
     def test_window_must_fit(self, w):
         with pytest.raises(ValueError, match="window"):
             trailing_max(np.zeros(10), w)
-
-
-class TestUniformStep:
-    def test_accumulated_rounding_accepted(self):
-        t = np.cumsum(np.full(20001, 1e-3)) - 1e-3
-        assert uniform_step(t) == t[1] - t[0]
-
-    @pytest.mark.parametrize("times", [
-        [0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.1, 0.2, 0.4],
-    ])
-    def test_rejected(self, times):
-        with pytest.raises(ValueError, match="time grid"):
-            uniform_step(np.array(times))
 
 
 class TestCoarseLimit:
