@@ -23,6 +23,7 @@ from .fileio import (
     load_case,
     read_generator_csv,
     read_trajectory_csv,
+    sha256_file,
     write_csv,
     write_generator_csv,
     write_json,
@@ -45,7 +46,7 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-PLOT_KINDS = ("eps", "omega", "subnet_spread", "damping", "hv_sweep")
+PLOT_KINDS = ("eps", "omega", "subnet_spread", "damping")
 
 
 class InputError(Exception):
@@ -87,6 +88,13 @@ def cmd_simulate(args) -> int:
                            integrator=args.integrator,
                            record_every=args.record_every)
     case = load_case(case_path)
+    if args.from_manifest:
+        recorded = manifest_in.get("case_sha256")
+        actual = sha256_file(case_path)
+        if recorded != actual:
+            raise InputError(
+                f"case file {case_path} has changed since the manifest was "
+                f"written: sha256 {actual}, manifest records {recorded}")
     try:
         config.validate()
     except ValueError as exc:
@@ -303,18 +311,6 @@ def cmd_plotdata(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read report: {exc}") from exc
     est_cfg = report["config"]["estimator"]
-
-    if args.kind == "hv_sweep":
-        model = CapacitorBusModel(c_eq=4.0, s_base=1.0, v0=1.0, q_step=0.1,
-                                  t_step=0.0, q_load_coeff=1.0)
-        sweep = simulate_capacitor_bus(model, [1.0, 2.0, 4.0],
-                                       t_end=5.0, dt=1e-3)
-        out = outdir / "hv_sweep.csv"
-        header = ["t"] + [f"eps_hv_{format_number(h)}"
-                          for h in sweep.h_v_values]
-        write_csv(out, header, [sweep.times, sweep.eps])
-        print(f"wrote {out}")
-        return EXIT_OK
 
     if not args.traj:
         raise InputError(f"--traj is required for kind {args.kind!r}")

@@ -2,13 +2,21 @@
 the algebraic network.
 
 Machines are classical (constant-magnitude EMF behind x'd) with an optional
-first-order exciter and droop governor. Loads are constant admittances, so at
-every integration stage the network reduces to a linear solve for bus voltages.
+first-order exciter and droop governor. Loads are constant admittances, so
+the network is linear in the machine EMFs. Each network state (the initial
+one and each one after an event) is Kron-reduced once to the machines'
+internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the machine
+currents and the terminal voltages, and each derivative evaluation is one
+small matvec on it. The integration loop stores only machine states. Bus
+voltages, electrical powers and the residual against the full augmented
+admittance matrix are computed afterwards, for every recorded row, by one
+record pass per network segment in blocks of ``_RECORD_BLOCK`` rows.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,6 +25,7 @@ import numpy as np
 
 from .grid_model import (
     AdmittanceMatrix,
+    CaseError,
     Event,
     NetworkCase,
     PowerFlowSolution,
@@ -30,6 +39,9 @@ INTEGRATORS = ("rk4", "trapezoidal")
 
 # state vector columns
 _DELTA, _OMEGA, _EQ, _PM = 0, 1, 2, 3
+
+_TRAP_MAX_ITER = 100  # fixed-point iterations per trapezoidal step
+_RECORD_BLOCK = 512   # rows per record-pass block: bounds its temporaries
 
 
 class SimulationError(RuntimeError):
@@ -65,10 +77,15 @@ class SimConfig:
 class DynamicNetwork:
     """Algebraic network plus machine parameters for the dynamic phase.
 
-    The augmented admittance matrix folds in constant-admittance loads and the
-    machine Norton shunts 1/(j x'd); internal EMFs inject currents at the
-    generator buses only, so bus voltages come from a precomputed (n x n_gen)
-    transfer matrix.
+    The augmented admittance matrix ``y_aug`` folds in constant-admittance
+    loads and the machine Norton shunts yd = 1/(j x'd); internal EMFs inject
+    currents yd * E at the generator buses only. ``zg`` (n_bus x n_gen)
+    maps those currents to bus voltages. ``k_red`` stacks the Kron-reduced
+    internal-node admittance Y_int (machine currents from EMFs) over the
+    terminal-voltage transfer Z[gen, gen] diag(yd).
+
+    ``rebuild`` and ``apply_event`` replace these arrays rather than write
+    into them, so a shallow copy keeps the network state it was taken in.
     """
 
     def __init__(self, case: NetworkCase, ybus: AdmittanceMatrix,
@@ -80,55 +97,86 @@ class DynamicNetwork:
         self.n_gen = len(gens)
         self.gen_bus = np.array([idx[g.bus] for g in gens])
         self.xdp = np.array([g.xdp for g in gens])
-        # H referred to the system base; M = 2 H_sys / omega_s
-        self.h_sys = np.array([g.h * g.s_machine / case.s_base for g in gens])
+        self.yd = 1.0 / (1j * self.xdp)
         self.d = np.array([g.d for g in gens])
-        self.has_gov = np.array([g.governor is not None for g in gens])
-        self.r_gov = np.array(
-            [g.governor.r_gov if g.governor else 1.0 for g in gens])
-        self.t_gov = np.array(
-            [g.governor.t_gov if g.governor else 1.0 for g in gens])
-        self.has_exc = np.array([g.exciter is not None for g in gens])
-        self.k_ex = np.array([g.exciter.k_ex if g.exciter else 0.0 for g in gens])
-        self.t_ex = np.array([g.exciter.t_ex if g.exciter else 1.0 for g in gens])
+        # derivative coefficients, zero where a machine lacks the controller:
+        # omega_s / (2 H) with H referred to the system base (M = 2 H / ws),
+        # k_ex / t_ex and 1 / t_ex of the exciter, 1 / t_gov and 1 / r_gov
+        # of the governor
+        self.c_swing = np.array([self.ws / (2.0 * g.h * g.s_machine
+                                            / case.s_base) for g in gens])
+        self.any_exc = any(g.exciter is not None for g in gens)
+        self.c_vref = np.array([g.exciter.k_ex / g.exciter.t_ex
+                                if g.exciter else 0.0 for g in gens])
+        self.c_eq = np.array([1.0 / g.exciter.t_ex if g.exciter else 0.0
+                              for g in gens])
+        self.c_gov = np.array([1.0 / g.governor.t_gov if g.governor else 0.0
+                               for g in gens])
+        self.inv_r_gov = np.array([1.0 / g.governor.r_gov if g.governor
+                                   else 0.0 for g in gens])
         # filled by initialize_dynamics
         self.pm0 = np.zeros(self.n_gen)
         self.e0 = np.ones(self.n_gen)
         self.v_ref = np.ones(self.n_gen)
         self.ybus = ybus
         self.load_adm = load_adm
+        self.tripped: frozenset[frozenset[int]] = frozenset()
         self.y_aug: np.ndarray | None = None
         self.zg: np.ndarray | None = None
+        self.k_red: np.ndarray | None = None
         self.rebuild()
 
     def rebuild(self) -> None:
+        n, ng = self.case.n_bus, self.n_gen
         y = self.ybus.entries + np.diag(self.load_adm)
-        y[self.gen_bus, self.gen_bus] += 1.0 / (1j * self.xdp)
+        y[self.gen_bus, self.gen_bus] += self.yd
         self.y_aug = y
+        unit = np.zeros((n, ng), dtype=complex)
+        unit[self.gen_bus, np.arange(ng)] = 1.0
         try:
-            yinv = np.linalg.inv(y)
+            self.zg = np.linalg.solve(y, unit)  # generator columns of y^-1
         except np.linalg.LinAlgError as exc:
             raise SimulationError("singular augmented network matrix") from exc
-        self.zg = yinv[:, self.gen_bus]
+        z_term = self.zg[self.gen_bus] * self.yd  # Z[gen, gen] diag(yd)
+        y_int = np.diag(self.yd) - self.yd[:, None] * z_term
+        self.k_red = np.vstack([y_int, z_term])
 
     def apply_event(self, event: Event) -> None:
+        line = None
+        if event.kind == "line_trip":
+            line = frozenset((event.params["from"], event.params["to"]))
+            if line in self.tripped:
+                raise CaseError(
+                    f"line ({event.params['from']}, {event.params['to']}) "
+                    "is already tripped")
         self.ybus, self.load_adm = apply_event(
             self.ybus, self.load_adm, event, self.case)
+        if line is not None:
+            self.tripped = self.tripped | {line}
         self.rebuild()
 
+    def reduced(self, e_cplx: np.ndarray, terminal: bool = True):
+        """Machine electrical power and terminal-voltage phasors from the
+        Kron-reduced network; without ``terminal`` the second is empty."""
+        ng = self.n_gen
+        out = (self.k_red if terminal else self.k_red[:ng]) @ e_cplx
+        return (e_cplx * np.conj(out[:ng])).real, out[ng:]
+
     def solve(self, e_cplx: np.ndarray) -> np.ndarray:
-        """Bus voltage phasors given the machine internal EMF phasors."""
-        return self.zg @ (e_cplx / (1j * self.xdp))
+        """Bus voltage phasors given the machine internal EMF phasors; a
+        leading row axis is kept."""
+        return (e_cplx * self.yd) @ self.zg.T
 
     def machine_power(self, e_cplx: np.ndarray, v: np.ndarray):
-        i_out = (e_cplx - v[self.gen_bus]) / (1j * self.xdp)
+        i_out = (e_cplx - v[..., self.gen_bus]) * self.yd
         s = e_cplx * np.conj(i_out)
         return s.real, s.imag
 
     def residual(self, e_cplx: np.ndarray, v: np.ndarray) -> float:
-        i_inj = np.zeros(self.case.n_bus, dtype=complex)
-        i_inj[self.gen_bus] = e_cplx / (1j * self.xdp)
-        return float(np.max(np.abs(self.y_aug @ v - i_inj)))
+        """Largest |y_aug v - i_inj| over all buses (and rows)."""
+        i_inj = np.zeros(v.shape, dtype=complex)
+        i_inj[..., self.gen_bus] = e_cplx * self.yd
+        return float(np.max(np.abs(v @ self.y_aug.T - i_inj)))
 
 
 def initialize_dynamics(
@@ -167,8 +215,7 @@ def initialize_dynamics(
     state[:, _EQ] = np.abs(e_bar)
 
     e_cplx = state[:, _EQ] * np.exp(1j * state[:, _DELTA])
-    v0 = net.solve(e_cplx)
-    pe0, _ = net.machine_power(e_cplx, v0)
+    pe0, v_term = net.reduced(e_cplx)
     if np.max(np.abs(pe0 - s_gen.real)) > 1e-6:
         raise SimulationError(
             "generator terminal power inconsistent with the power flow "
@@ -177,7 +224,7 @@ def initialize_dynamics(
     state[:, _PM] = pe0  # exact fixed point of the dynamic equations
     net.pm0 = pe0.copy()
     net.e0 = state[:, _EQ].copy()
-    v_term = np.abs(v0[gb])
+    v_term = np.abs(v_term)
     net.v_ref = np.array([
         (g.exciter.v_ref if (g.exciter and g.exciter.v_ref is not None)
          else v_term[k])
@@ -188,25 +235,17 @@ def initialize_dynamics(
 
 def _derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
     e_cplx = state[:, _EQ] * np.exp(1j * state[:, _DELTA])
-    v = net.solve(e_cplx)
-    pe, _ = net.machine_power(e_cplx, v)
-    slip = (state[:, _OMEGA] - net.ws) / net.ws
-    dx = np.zeros_like(state)
+    pe, v_term = net.reduced(e_cplx, net.any_exc)
+    dx = np.empty_like(state)
     dx[:, _DELTA] = state[:, _OMEGA] - net.ws
-    dx[:, _OMEGA] = net.ws / (2.0 * net.h_sys) * (
-        state[:, _PM] - pe - net.d * slip)
-    if net.has_exc.any():
-        v_term = np.abs(v[net.gen_bus])
-        dx[:, _EQ] = np.where(
-            net.has_exc,
-            (net.k_ex * (net.v_ref - v_term) - (state[:, _EQ] - net.e0))
-            / net.t_ex,
-            0.0,
-        )
-    if net.has_gov.any():
-        pm_ref = net.pm0 - slip / net.r_gov
-        dx[:, _PM] = np.where(
-            net.has_gov, (pm_ref - state[:, _PM]) / net.t_gov, 0.0)
+    slip = dx[:, _DELTA] / net.ws
+    dx[:, _OMEGA] = net.c_swing * (state[:, _PM] - pe - net.d * slip)
+    if net.any_exc:
+        dx[:, _EQ] = (net.c_vref * (net.v_ref - np.abs(v_term))
+                      - net.c_eq * (state[:, _EQ] - net.e0))
+    else:
+        dx[:, _EQ] = 0.0
+    dx[:, _PM] = net.c_gov * (net.pm0 - slip * net.inv_r_gov - state[:, _PM])
     return dx
 
 
@@ -222,13 +261,19 @@ def step(state: np.ndarray, net: DynamicNetwork, dt: float,
     elif integrator == "trapezoidal":
         f0 = _derivs(state, net)
         nxt = state + dt * f0
-        for _ in range(100):
+        for _ in range(_TRAP_MAX_ITER):
             f1 = _derivs(nxt, net)
             cand = state + 0.5 * dt * (f0 + f1)
-            if np.max(np.abs(cand - nxt)) < 1e-13 * (1.0 + np.max(np.abs(nxt))):
-                nxt = cand
-                break
+            change = np.max(np.abs(cand - nxt))
+            tol = 1e-13 * (1.0 + np.max(np.abs(nxt)))
             nxt = cand
+            if change < tol:
+                break
+        else:
+            raise SimulationError(
+                f"trapezoidal step did not converge in {_TRAP_MAX_ITER} "
+                f"iterations (last change {change:.3e}, dt={dt}); "
+                "reduce dt")
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
     if not np.all(np.isfinite(nxt)):
@@ -255,6 +300,40 @@ class Trajectory:
     max_residual: float = 0.0
 
 
+def _record_pass(segments: list[tuple[int, DynamicNetwork]],
+                 times: np.ndarray, delta: np.ndarray, e_q: np.ndarray):
+    """Bus voltage magnitudes and angles, machine p_e and q_e, and the
+    largest residual against the full augmented admittance matrix, for
+    every recorded row.
+
+    ``segments`` lists (first row, network) in row order; each network
+    holds up to the next segment's first row. Rows are processed in blocks
+    of ``_RECORD_BLOCK``, so temporaries do not grow with the row count.
+    """
+    n_rec, ng = delta.shape
+    nb = segments[0][1].case.n_bus
+    v = np.empty((n_rec, nb))
+    theta = np.empty((n_rec, nb))
+    p_e = np.empty((n_rec, ng))
+    q_e = np.empty((n_rec, ng))
+    max_res = 0.0
+    stops = [first for first, _ in segments[1:]] + [n_rec]
+    for (first, net), stop in zip(segments, stops):
+        for lo in range(first, stop, _RECORD_BLOCK):
+            rows = slice(lo, min(lo + _RECORD_BLOCK, stop))
+            e_cplx = e_q[rows] * np.exp(1j * delta[rows])
+            vbus = net.solve(e_cplx)
+            finite = np.isfinite(vbus).all(axis=1)
+            if not finite.all():
+                t_bad = times[lo + int(np.argmin(finite))]
+                raise SimulationError(f"non-finite bus voltage at t={t_bad}")
+            v[rows] = np.abs(vbus)
+            theta[rows] = np.angle(vbus)
+            p_e[rows], q_e[rows] = net.machine_power(e_cplx, vbus)
+            max_res = max(max_res, net.residual(e_cplx, vbus))
+    return v, theta, p_e, q_e, max_res
+
+
 def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     """Run power flow, initialize machines, and integrate to t_end with timed
     events snapped to the step grid."""
@@ -276,47 +355,32 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
             continue
         pending.append((i_ev, ev))
 
-    rec_idx = range(0, n_steps + 1, config.record_every)
-    n_rec = len(rec_idx)
-    nb, ng = case.n_bus, net.n_gen
-    times = np.empty(n_rec)
-    v_rec = np.empty((n_rec, nb))
-    th_rec = np.empty((n_rec, nb))
-    delta = np.empty((n_rec, ng))
-    omega = np.empty((n_rec, ng))
-    e_q = np.empty((n_rec, ng))
-    p_m = np.empty((n_rec, ng))
-    p_e = np.empty((n_rec, ng))
-    q_e = np.empty((n_rec, ng))
+    every = config.record_every
+    times = np.arange(0, n_steps + 1, every) * dt
+    n_rec = len(times)
+    # machine states per recorded row: delta, omega, e_q, p_m
+    rec = np.empty((4, n_rec, net.n_gen))
+    # (first recorded row, network in force from that row on)
+    segments: list[tuple[int, DynamicNetwork]] = []
     event_times: list[float] = []
-    max_res = 0.0
 
-    rec_pos = 0
     ev_pos = 0
     for i in range(n_steps + 1):
+        ev_start = ev_pos
         while ev_pos < len(pending) and pending[ev_pos][0] == i:
             net.apply_event(pending[ev_pos][1])
             event_times.append(i * dt)
             ev_pos += 1
-        if rec_pos < n_rec and rec_idx[rec_pos] == i:
-            e_cplx = state[:, _EQ] * np.exp(1j * state[:, _DELTA])
-            vbus = net.solve(e_cplx)
-            pe, qe = net.machine_power(e_cplx, vbus)
-            if not np.all(np.isfinite(vbus)):
-                raise SimulationError(f"non-finite bus voltage at t={i * dt}")
-            times[rec_pos] = i * dt
-            v_rec[rec_pos] = np.abs(vbus)
-            th_rec[rec_pos] = np.angle(vbus)
-            delta[rec_pos] = state[:, _DELTA]
-            omega[rec_pos] = state[:, _OMEGA]
-            e_q[rec_pos] = state[:, _EQ]
-            p_m[rec_pos] = state[:, _PM]
-            p_e[rec_pos] = pe
-            q_e[rec_pos] = qe
-            max_res = max(max_res, net.residual(e_cplx, vbus))
-            rec_pos += 1
+        if i == 0 or ev_pos > ev_start:
+            segments.append(((i + every - 1) // every, copy.copy(net)))
+        if i % every == 0:
+            rec[:, i // every] = state.T
         if i < n_steps:
             state = step(state, net, dt, config.integrator)
+
+    delta, omega, e_q, p_m = rec
+    v_rec, th_rec, p_e, q_e, max_res = _record_pass(
+        segments, times, delta, e_q)
 
     return Trajectory(
         times=times, bus_ids=[b.id for b in case.buses],

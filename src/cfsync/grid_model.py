@@ -158,6 +158,8 @@ class NetworkCase:
             missing = sorted(known - covered)
             raise CaseError(f"subnets do not cover buses {missing}")
         line_keys = {frozenset(ln.key) for ln in self.lines}
+        in_service = {frozenset(ln.key) for ln in self.lines if ln.in_service}
+        tripped: set[frozenset] = set()
         for ev in self.events:
             if ev.time < 0:
                 raise CaseError("event time must be >= 0")
@@ -173,6 +175,15 @@ class NetworkCase:
                         f"event references unknown line "
                         f"({ev.params['from']}, {ev.params['to']})"
                     )
+                if k not in in_service:
+                    raise CaseError(
+                        f"event trips line ({ev.params['from']}, "
+                        f"{ev.params['to']}), which is out of service")
+                if k in tripped:
+                    raise CaseError(
+                        f"line ({ev.params['from']}, {ev.params['to']}) "
+                        "is tripped twice")
+                tripped.add(k)
 
 
 @dataclass
@@ -181,17 +192,20 @@ class AdmittanceMatrix:
     entries: np.ndarray  # dense complex (n, n)
 
 
-def _line_stamp(ln: LineSpec, i: int, j: int, n: int) -> np.ndarray:
-    """Additive Y-bus contribution of a single line."""
-    stamp = np.zeros((n, n), dtype=complex)
+def _stamp_line(y: np.ndarray, ln: LineSpec, i: int, j: int,
+                remove: bool = False) -> None:
+    """Add (or remove) a single line's Y-bus contribution in place: four
+    entries, at rows and columns ``i`` (from) and ``j`` (to)."""
     ys = 1.0 / complex(ln.r, ln.x)
     ysh = 0.5j * ln.b_sh
     t = ln.tap
-    stamp[i, i] += ys / (t * t) + ysh
-    stamp[j, j] += ys + ysh
-    stamp[i, j] -= ys / t
-    stamp[j, i] -= ys / t
-    return stamp
+    y_ii, y_jj, y_ij = ys / (t * t) + ysh, ys + ysh, ys / t
+    if remove:
+        y_ii, y_jj, y_ij = -y_ii, -y_jj, -y_ij
+    y[i, i] += y_ii
+    y[j, j] += y_jj
+    y[i, j] -= y_ij
+    y[j, i] -= y_ij
 
 
 def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
@@ -207,7 +221,7 @@ def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
             raise CaseError(f"line {ln.key}: endpoint not in bus list")
         if not ln.in_service:
             continue
-        y += _line_stamp(ln, idx[ln.from_bus], idx[ln.to_bus], n)
+        _stamp_line(y, ln, idx[ln.from_bus], idx[ln.to_bus])
     return AdmittanceMatrix(n=n, entries=y)
 
 
@@ -272,6 +286,7 @@ def solve_power_flow(
 
     npq = len(pq)
     npvpq = len(pvpq)
+    diag = np.diag_indices(n)
     max_mis = math.inf
     for it in range(1, max_iter + 1):
         vc = vm * np.exp(1j * va)
@@ -287,12 +302,14 @@ def solve_power_flow(
                 p_inj=s.real.copy(), q_inj=s.imag.copy(),
                 iterations=it, max_mismatch=max_mis,
             )
-        # complex power derivatives (dense, standard polar forms)
-        diag_v = np.diag(vc)
-        diag_i = np.diag(ibus)
-        diag_e = np.diag(vc / vm)
-        ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
-        ds_dvm = diag_e @ np.conj(diag_i) + diag_v @ np.conj(y @ diag_e)
+        # complex power derivatives (standard polar forms); diag(a) @ M is
+        # a row scaling and M @ diag(a) a column scaling, so no n x n
+        # product is formed
+        e_dir = vc / vm
+        ds_dva = -1j * vc[:, None] * np.conj(y * vc)
+        ds_dva[diag] += 1j * vc * np.conj(ibus)
+        ds_dvm = vc[:, None] * np.conj(y * e_dir)
+        ds_dvm[diag] += e_dir * np.conj(ibus)
         j11 = ds_dva[np.ix_(pvpq, pvpq)].real
         j12 = ds_dvm[np.ix_(pvpq, pq)].real
         j21 = ds_dva[np.ix_(pq, pvpq)].imag
@@ -352,9 +369,8 @@ def apply_event(
                 break
         if match is None:
             raise CaseError(f"unknown line ({fb}, {tb})")
-        y_new.entries -= _line_stamp(
-            match, idx[match.from_bus], idx[match.to_bus], ybus.n
-        )
+        _stamp_line(y_new.entries, match, idx[match.from_bus],
+                    idx[match.to_bus], remove=True)
     elif event.kind == "q_injection_step":
         bus = event.params["bus"]
         if bus not in idx:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from cfsync.fileio import (
     load_case,
     read_trajectory_csv,
     save_case,
+    sha256_file,
     write_trajectory_csv,
 )
+from cfsync.grid_model import Event
 
 CASE = str(bundled_case_path("wscc9"))
 SHED = str(bundled_case_path("wscc9_loadshed"))
@@ -66,6 +70,48 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "trajectory.csv").read_bytes() == \
             (simdir / "trajectory.csv").read_bytes()
+
+    def test_replay_of_an_edited_case_exits_2(self, tmp_path, capsys):
+        case_path = tmp_path / "case.json"
+        case_path.write_text(Path(CASE).read_text())
+        run1 = tmp_path / "run1"
+        assert main(["simulate", "--case", str(case_path), "--t-end", "0.5",
+                     "--outdir", str(run1)]) == 0
+        recorded = sha256_file(case_path)
+        case = load_case(case_path)
+        case.loads[0] = dataclasses.replace(case.loads[0], p=1.3)
+        save_case(case, case_path)
+        capsys.readouterr()
+        rc = main(["simulate", "--from-manifest",
+                   str(run1 / "trajectory_manifest.json"),
+                   "--outdir", str(tmp_path / "run2")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert recorded in err and sha256_file(case_path) in err
+        assert not (tmp_path / "run2" / "trajectory.csv").exists()
+
+    def test_repeated_line_trip_exits_2(self, tmp_path, capsys):
+        case = load_case(CASE)
+        case.events = [Event(1.0, "line_trip", {"from": 5, "to": 7}),
+                       Event(2.0, "line_trip", {"from": 5, "to": 7})]
+        path = tmp_path / "twice.json"
+        save_case(case, path)
+        rc = main(["simulate", "--case", str(path), "--t-end", "3.0",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "tripped twice" in capsys.readouterr().err
+
+    def test_unconverged_trapezoidal_step_exits_4(self, tmp_path, capsys):
+        case = load_case(SHED)
+        case.generators = [dataclasses.replace(g, h=0.02 * g.h)
+                           for g in case.generators]
+        path = tmp_path / "stiff.json"
+        save_case(case, path)
+        rc = main(["simulate", "--case", str(path), "--t-end", "3.0",
+                   "--dt", "0.02", "--integrator", "trapezoidal",
+                   "--outdir", str(tmp_path)])
+        assert rc == 4
+        assert "did not converge" in capsys.readouterr().err
 
     def test_missing_case_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--case", str(tmp_path / "nope.json"),
@@ -233,11 +279,12 @@ class TestPlotdata:
         assert out.exists()
         assert out.read_text().splitlines()[0].startswith("t,")
 
-    def test_hv_sweep_needs_no_trajectory(self, reportdir, tmp_path):
+    def test_hv_sweep_kind_exits_2(self, reportdir, tmp_path):
+        # the H_v sweep has one path: inertia --sweep
         rc = main(["plotdata", "--report", str(reportdir / "report.json"),
                    "--kind", "hv_sweep", "--outdir", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "hv_sweep.csv").exists()
+        assert rc == 2
+        assert not (tmp_path / "hv_sweep.csv").exists()
 
     def test_unknown_kind_lists_valid_ones(self, reportdir, tmp_path,
                                            capsys):
@@ -245,8 +292,7 @@ class TestPlotdata:
                    "--kind", "bogus", "--outdir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        for kind in ("eps", "omega", "subnet_spread", "damping",
-                     "hv_sweep"):
+        for kind in ("eps", "omega", "subnet_spread", "damping"):
             assert kind in err
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cfsync import dynamics
 from cfsync.dynamics import (
     SimConfig,
     SimulationError,
@@ -13,10 +15,12 @@ from cfsync.dynamics import (
 )
 from cfsync.grid_model import (
     BusSpec,
+    CaseError,
     Event,
     ExciterSpec,
     GeneratorSpec,
     LineSpec,
+    LoadSpec,
     NetworkCase,
     solve_power_flow,
 )
@@ -39,6 +43,32 @@ def smib_case(x_line=0.5, h=3.0, d=0.0, xdp=0.3, p_set=0.0):
         loads=[],
         subnets={"A": [1, 2]},
     )
+
+
+def two_area_case(wscc9):
+    """Two WSCC-9 copies (buses 1-9 and 11-19) joined by two tie lines: six
+    machines on a meshed 18-bus network, the second copy's with exciters."""
+    def shift(b):
+        return b + 10
+    buses = list(wscc9.buses) + [
+        dataclasses.replace(b, id=shift(b.id),
+                            kind="pv" if b.kind == "slack" else b.kind)
+        for b in wscc9.buses]
+    lines = list(wscc9.lines) + [
+        dataclasses.replace(ln, from_bus=shift(ln.from_bus),
+                            to_bus=shift(ln.to_bus)) for ln in wscc9.lines
+    ] + [LineSpec(5, 19, 0.01, 0.1, 0.1), LineSpec(8, 14, 0.01, 0.1, 0.1)]
+    gens = list(wscc9.generators) + [
+        dataclasses.replace(g, bus=shift(g.bus),
+                            exciter=ExciterSpec(k_ex=20.0, t_ex=0.2))
+        for g in wscc9.generators]
+    loads = list(wscc9.loads) + [
+        LoadSpec(shift(ld.bus), 1.1 * ld.p, 1.1 * ld.q) for ld in wscc9.loads]
+    return NetworkCase(
+        s_base=wscc9.s_base, f_nominal=wscc9.f_nominal, buses=buses,
+        lines=lines, generators=gens, loads=loads,
+        subnets={"A": [b.id for b in wscc9.buses],
+                 "B": [shift(b.id) for b in wscc9.buses]})
 
 
 class TestConfigValidation:
@@ -118,6 +148,16 @@ class TestStep:
         w_meas = 2.0 * math.pi * periods / ((t_cross[-1] - t_cross[0]) * dt)
         assert w_meas == pytest.approx(w_th, rel=0.01)
 
+    def test_unconverged_trapezoidal_step_raises(self, wscc9_loadshed):
+        # H scaled by 1/50: at dt = 20 ms the fixed-point iteration of the
+        # trapezoidal rule diverges after the load shed
+        case = dataclasses.replace(wscc9_loadshed, generators=[
+            dataclasses.replace(g, h=0.02 * g.h)
+            for g in wscc9_loadshed.generators])
+        with pytest.raises(SimulationError, match="did not converge"):
+            simulate(case, SimConfig(t_end=3.0, dt=0.02,
+                                     integrator="trapezoidal"))
+
     def test_rk4_vs_trapezoidal(self, wscc9_loadshed):
         case = dataclasses.replace(
             wscc9_loadshed,
@@ -186,3 +226,121 @@ class TestSimulate:
         traj = simulate(case, SimConfig(t_end=1.0, dt=1e-3))
         assert np.max(np.abs(traj.v - traj.v[0])) < 1e-9
         assert np.max(np.abs(traj.e_q - traj.e_q[0])) < 1e-9
+
+
+class TestReducedNetwork:
+    """The Kron-reduced machine quantities against the bus-level solve."""
+
+    @pytest.mark.parametrize("which", ["wscc9", "two_area"])
+    def test_reduced_matches_bus_level(self, wscc9, which):
+        case = wscc9 if which == "wscc9" else two_area_case(wscc9)
+        state, net = initialize_dynamics(case, solve_power_flow(case))
+        rng = np.random.default_rng(0)
+        for trip in (None, Event(0.0, "line_trip", {"from": 5, "to": 7})):
+            if trip is not None:
+                net.apply_event(trip)
+            for _ in range(5):
+                delta = state[:, 0] + rng.normal(0.0, 0.3, net.n_gen)
+                e_q = state[:, 2] * rng.uniform(0.9, 1.1, net.n_gen)
+                e = e_q * np.exp(1j * delta)
+                pe, v_term = net.reduced(e)
+                v = net.solve(e)
+                pe_bus, _ = net.machine_power(e, v)
+                np.testing.assert_allclose(pe, pe_bus, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(np.abs(v_term),
+                                           np.abs(v[net.gen_bus]),
+                                           rtol=0, atol=1e-12)
+
+    def test_second_trip_of_a_line_is_refused(self, wscc9):
+        _, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
+        net.apply_event(Event(1.0, "line_trip", {"from": 5, "to": 7}))
+        y_once = net.ybus.entries.copy()
+        with pytest.raises(CaseError, match="already tripped"):
+            net.apply_event(Event(2.0, "line_trip", {"from": 7, "to": 5}))
+        np.testing.assert_array_equal(net.ybus.entries, y_once)
+
+
+def per_row_oracle(case, config):
+    """The recorded quantities computed row by row on the live network, as
+    the integration reaches each recorded step."""
+    state, net = initialize_dynamics(case, solve_power_flow(case))
+    n_steps = int(round(config.t_end / config.dt))
+    pending = sorted(case.events, key=lambda e: e.time)
+    rows = []
+    for i in range(n_steps + 1):
+        for ev in pending:
+            if int(math.ceil(ev.time / config.dt - 1e-9)) == i:
+                net.apply_event(ev)
+        if i % config.record_every == 0:
+            e = state[:, 2] * np.exp(1j * state[:, 0])
+            v = net.solve(e)
+            pe, qe = net.machine_power(e, v)
+            rows.append((state.copy(), np.abs(v), np.angle(v), pe, qe,
+                         net.residual(e, v)))
+        if i < n_steps:
+            state = step(state, net, config.dt, config.integrator)
+    states, v, theta, pe, qe, res = zip(*rows)
+    return (np.array(states), np.array(v), np.array(theta), np.array(pe),
+            np.array(qe), max(res))
+
+
+SHED = {"bus": 6, "p_factor": 0.5, "q_factor": 0.5}
+TRIP = {"from": 5, "to": 7}
+
+
+class TestRecordPass:
+    @pytest.mark.parametrize("events,record_every", [
+        ([Event(0.0, "load_scale", SHED)], 1),                 # step 0
+        ([Event(0.2, "load_scale", SHED)], 1),                 # last step
+        ([Event(0.0495, "load_scale", SHED),
+          Event(0.05, "line_trip", TRIP)], 1),                 # one step
+        ([Event(0.102, "load_scale", SHED)], 4),               # between rows
+    ], ids=["first_step", "last_step", "two_on_one_step", "between_rows"])
+    def test_matches_per_row_oracle(self, wscc9, monkeypatch, events,
+                                    record_every):
+        # a small block, so that each segment spans several blocks and
+        # ends in a short one
+        monkeypatch.setattr(dynamics, "_RECORD_BLOCK", 7)
+        case = dataclasses.replace(wscc9, events=events)
+        config = SimConfig(t_end=0.2, dt=1e-3, record_every=record_every)
+        traj = simulate(case, config)
+        states, v, theta, pe, qe, res = per_row_oracle(case, config)
+        assert len(traj.times) == len(states)
+        for k, got in enumerate((traj.delta, traj.omega, traj.e_q,
+                                 traj.p_m)):
+            np.testing.assert_array_equal(got, states[:, :, k])
+        for got, want in ((traj.v, v), (traj.theta, theta),
+                          (traj.p_e, pe), (traj.q_e, qe)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert traj.max_residual == pytest.approx(res, abs=1e-14)
+        assert traj.max_residual < 1e-10
+
+    def test_non_finite_voltage_names_the_first_bad_time(self, wscc9,
+                                                         monkeypatch):
+        monkeypatch.setattr(dynamics, "_RECORD_BLOCK", 7)
+        state, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
+        times = np.arange(40) * 1e-3
+        delta = np.tile(state[:, 0], (40, 1))
+        e_q = np.tile(state[:, 2], (40, 1))
+        delta[[23, 31], 1] = np.nan
+        with pytest.raises(SimulationError,
+                           match=f"non-finite bus voltage at t={times[23]}$"):
+            dynamics._record_pass([(0, net), (20, net)], times, delta, e_q)
+
+    def test_peak_memory_does_not_grow_with_rows(self, wscc9):
+        state, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
+        rng = np.random.default_rng(1)
+        excess = []
+        for n_rows in (2048, 32768):
+            times = np.arange(n_rows) * 1e-3
+            delta = state[:, 0] + rng.normal(0.0, 0.1, (n_rows, net.n_gen))
+            e_q = np.broadcast_to(state[:, 2], delta.shape).copy()
+            tracemalloc.start()
+            try:
+                out = dynamics._record_pass([(0, net)], times, delta, e_q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - sum(a.nbytes for a in out[:4]))
+        # 16x the rows: the temporaries beyond the outputs stay put
+        assert excess[1] < 1.25 * excess[0] + 65536

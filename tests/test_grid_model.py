@@ -276,3 +276,22 @@ class TestValidation:
         case.events = [Event(1.0, "line_trip", {"from": 1, "to": 3})]
         with pytest.raises(CaseError, match="unknown line"):
             case.validate()
+
+    @pytest.mark.parametrize("second", [(5, 7), (7, 5)])
+    def test_second_trip_of_a_line_rejected(self, wscc9, second):
+        case = dataclasses.replace(
+            wscc9, events=[Event(1.0, "line_trip", {"from": 5, "to": 7})])
+        case.validate()
+        case.events.append(Event(2.0, "line_trip",
+                                 {"from": second[0], "to": second[1]}))
+        with pytest.raises(CaseError, match="tripped twice"):
+            case.validate()
+
+    def test_trip_of_out_of_service_line_rejected(self, wscc9):
+        lines = [dataclasses.replace(ln, in_service=False)
+                 if ln.key == (5, 7) else ln for ln in wscc9.lines]
+        case = dataclasses.replace(
+            wscc9, lines=lines,
+            events=[Event(1.0, "line_trip", {"from": 7, "to": 5})])
+        with pytest.raises(CaseError, match="out of service"):
+            case.validate()
