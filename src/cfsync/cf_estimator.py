@@ -71,26 +71,62 @@ def uniform_step(times: np.ndarray) -> float:
     return dt
 
 
+def _largest_step(x: np.ndarray) -> float:
+    """max |x[i + 1] - x[i]| along axis 0; nan if a step is nan."""
+    step = np.diff(x, axis=0)
+    return np.abs(step, out=step).max()
+
+
 def unwrap_angles(theta: np.ndarray) -> np.ndarray:
     """Remove 2*pi jumps so consecutive differences stay below pi in magnitude.
 
     Assumes successive samples genuinely differ by less than pi, which holds
-    for grid trajectories sampled at dt <= 20 ms."""
-    return np.unwrap(np.asarray(theta, dtype=float), axis=0)
+    for grid trajectories sampled at dt <= 20 ms. Bit-equal to
+    ``np.unwrap(theta, axis=0)``; when no step reaches pi that adds 0.0 to
+    rows 1 onward (turning -0.0 into +0.0), which is all this does then."""
+    theta = np.asarray(theta, dtype=float)
+    if len(theta) < 2 or not _largest_step(theta) < np.pi:  # or a nan step
+        return np.unwrap(theta, axis=0)
+    out = np.empty_like(theta)
+    out[0] = theta[0]
+    np.add(theta[1:], 0.0, out=out[1:])
+    return out
+
+
+# np.convolve's dot products sum fewer terms than this in index order from
+# 0.0 (the BLAS ddot tail loop), which the shifted sums below reproduce.
+_SHIFTED_SUM_MAX = 16
 
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with edge truncation; window 1 is the identity."""
+    """Centered moving average with edge truncation; window 1 is the identity.
+
+    Sample i averages x[i - window // 2 : i + (window - 1) // 2 + 1], cut to
+    the series. Columns are summed together, one shifted in-place add per
+    kernel offset, bit-equal to a per-column ``np.convolve`` with a kernel
+    of ones. Windows of _SHIFTED_SUM_MAX or more, and series shorter than
+    the window (where np.convolve sums in reverse), use np.convolve."""
     if window <= 1:
         return x
     x = np.asarray(x, dtype=float)
-    kernel = np.ones(window)
     flat = x.ndim == 1
     cols = x[:, None] if flat else x
-    out = np.empty_like(cols, dtype=float)
-    norm = np.convolve(np.ones(cols.shape[0]), kernel, mode="same")
-    for j in range(cols.shape[1]):
-        out[:, j] = np.convolve(cols[:, j], kernel, mode="same") / norm
+    n = cols.shape[0]
+    kernel = np.ones(window)
+    first = (window - 1) // 2  # of the full convolution's centred n values
+    norm = np.convolve(np.ones(n), kernel)[first:first + n]
+    if window < _SHIFTED_SUM_MAX and n >= window:
+        out = np.zeros_like(cols)
+        for shift in range(-(window // 2), (window - 1) // 2 + 1):
+            if shift < 0:
+                out[-shift:] += cols[:n + shift]
+            else:
+                out[:n - shift] += cols[shift:]
+    else:
+        out = np.empty_like(cols)
+        for j in range(cols.shape[1]):
+            out[:, j] = np.convolve(cols[:, j], kernel)[first:first + n]
+    out /= norm[:, None]
     return out[:, 0] if flat else out
 
 

@@ -7,10 +7,12 @@ the network is linear in the machine EMFs. Each network state (the initial
 one and each one after an event) is Kron-reduced once to the machines'
 internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the machine
 currents and the terminal voltages, and each derivative evaluation is one
-small matvec on it. The integration loop stores only machine states. Bus
-voltages, electrical powers and the residual against the full augmented
-admittance matrix are computed afterwards, for every recorded row, by one
-record pass per network segment in blocks of ``_RECORD_BLOCK`` rows.
+small matvec on it. The integration loop stores only machine states, and
+skips the steps from a bit-exact fixed point (the initial state is one) up
+to the next event. Bus voltages, electrical powers and the residual against
+the full augmented admittance matrix are computed afterwards, for every
+recorded row, by one record pass per network segment in blocks of
+``_RECORD_BLOCK`` rows.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
@@ -22,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .grid_model import (
     AdmittanceMatrix,
@@ -79,7 +82,8 @@ class DynamicNetwork:
 
     The augmented admittance matrix ``y_aug`` folds in constant-admittance
     loads and the machine Norton shunts yd = 1/(j x'd); internal EMFs inject
-    currents yd * E at the generator buses only. ``zg`` (n_bus x n_gen)
+    currents yd * E at the generator buses only. ``y_sparse`` is its CSR
+    copy, for the residual of the record pass. ``zg`` (n_bus x n_gen)
     maps those currents to bus voltages. ``k_red`` stacks the Kron-reduced
     internal-node admittance Y_int (machine currents from EMFs) over the
     terminal-voltage transfer Z[gen, gen] diag(yd).
@@ -122,6 +126,7 @@ class DynamicNetwork:
         self.load_adm = load_adm
         self.tripped: frozenset[frozenset[int]] = frozenset()
         self.y_aug: np.ndarray | None = None
+        self.y_sparse: csr_array | None = None
         self.zg: np.ndarray | None = None
         self.k_red: np.ndarray | None = None
         self.rebuild()
@@ -131,6 +136,7 @@ class DynamicNetwork:
         y = self.ybus.entries + np.diag(self.load_adm)
         y[self.gen_bus, self.gen_bus] += self.yd
         self.y_aug = y
+        self.y_sparse = csr_array(y)
         unit = np.zeros((n, ng), dtype=complex)
         unit[self.gen_bus, np.arange(ng)] = 1.0
         try:
@@ -173,10 +179,11 @@ class DynamicNetwork:
         return s.real, s.imag
 
     def residual(self, e_cplx: np.ndarray, v: np.ndarray) -> float:
-        """Largest |y_aug v - i_inj| over all buses (and rows)."""
+        """Largest |y_aug v - i_inj| over all buses (and rows), multiplied
+        through the CSR copy of ``y_aug``."""
         i_inj = np.zeros(v.shape, dtype=complex)
         i_inj[..., self.gen_bus] = e_cplx * self.yd
-        return float(np.max(np.abs(v @ self.y_aug.T - i_inj)))
+        return float(np.max(np.abs((self.y_sparse @ v.T).T - i_inj)))
 
 
 def initialize_dynamics(
@@ -336,7 +343,11 @@ def _record_pass(segments: list[tuple[int, DynamicNetwork]],
 
 def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     """Run power flow, initialize machines, and integrate to t_end with timed
-    events snapped to the step grid."""
+    events snapped to the step grid.
+
+    A step that returns its input bit for bit has reached a fixed point of
+    the current network; the steps up to the next event are not taken, and
+    their recorded rows repeat that state."""
     config.validate()
     case.validate()
     pf = solve_power_flow(case)
@@ -365,7 +376,8 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     event_times: list[float] = []
 
     ev_pos = 0
-    for i in range(n_steps + 1):
+    i = 0
+    while True:
         ev_start = ev_pos
         while ev_pos < len(pending) and pending[ev_pos][0] == i:
             net.apply_event(pending[ev_pos][1])
@@ -375,8 +387,18 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
             segments.append(((i + every - 1) // every, copy.copy(net)))
         if i % every == 0:
             rec[:, i // every] = state.T
-        if i < n_steps:
-            state = step(state, net, dt, config.integrator)
+        if i == n_steps:
+            break
+        nxt = step(state, net, dt, config.integrator)
+        if nxt.tobytes() == state.tobytes():
+            # a fixed point (the initial state is one): every step up to
+            # the next event returns it again, so record it and jump there
+            stop = pending[ev_pos][0] if ev_pos < len(pending) else n_steps
+            rec[:, i // every + 1:(stop - 1) // every + 1] = state.T[:, None]
+            i = stop
+        else:
+            state = nxt
+            i += 1
 
     delta, omega, e_q, p_m = rec
     v_rec, th_rec, p_e, q_e, max_res = _record_pass(

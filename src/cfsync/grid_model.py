@@ -134,9 +134,13 @@ class NetworkCase:
             for end in ln.key:
                 if end not in known:
                     raise CaseError(f"line {ln.key}: unknown bus {end}")
+        gen_buses: set[int] = set()
         for g in self.generators:
             if g.bus not in known:
                 raise CaseError(f"generator at unknown bus {g.bus}")
+            if g.bus in gen_buses:
+                raise CaseError(f"bus {g.bus}: more than one generator")
+            gen_buses.add(g.bus)
             if g.h <= 0:
                 raise CaseError(f"generator at bus {g.bus}: H must be > 0")
             if g.d < 0:

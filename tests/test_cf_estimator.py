@@ -155,3 +155,83 @@ class TestUniformStep:
     def test_rejected(self, times):
         with pytest.raises(ValueError, match="time grid"):
             uniform_step(np.array(times))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() \
+        == np.ascontiguousarray(b).tobytes()
+
+
+def signed_zero_cloud(rng, shape):
+    """Values over many magnitudes, with -0.0 and +0.0 sprinkled in."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+def convolve_oracle(x, window):
+    """The former per-column loop: np.convolve with a kernel of ones over
+    each column, divided by the same convolution of ones. Mode "full" cut
+    to the centred len(x) values equals mode "same" and also covers series
+    shorter than the window."""
+    cols = x[:, None] if x.ndim == 1 else x
+    n = len(cols)
+    kernel = np.ones(window)
+    first = (window - 1) // 2
+    norm = np.convolve(np.ones(n), kernel)[first:first + n]
+    out = np.empty_like(cols)
+    for j in range(cols.shape[1]):
+        out[:, j] = np.convolve(cols[:, j], kernel)[first:first + n] / norm
+        if n >= window:
+            assert same_bits(np.convolve(cols[:, j], kernel, mode="same")
+                             / norm, out[:, j])
+    return out[:, 0] if x.ndim == 1 else out
+
+
+class TestBitEqualOracles:
+    """unwrap_angles and moving_average reproduce np.unwrap and the
+    per-column np.convolve loop bit for bit, signed zeros included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.integers(1, 20), st.booleans())
+    def test_moving_average(self, seed, n, window, flat):
+        rng = np.random.default_rng(seed)
+        x = signed_zero_cloud(rng, (n,) if flat else (n, 4))
+        if not flat:
+            x[:, 3] = -0.0
+        want = x if window == 1 else convolve_oracle(x, window)
+        assert same_bits(moving_average(x, window), want)
+
+    def test_moving_average_long_series(self):
+        x = signed_zero_cloud(np.random.default_rng(5), (5001, 7))
+        for window in (2, 5, 15, 16, 31):
+            assert same_bits(moving_average(x, window),
+                             convolve_oracle(x, window))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.sampled_from(["small_steps", "wraps", "nan", "flat"]))
+    def test_unwrap(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        theta = signed_zero_cloud(rng, (n, 3)) * 0.01
+        if kind == "wraps":
+            theta = np.angle(np.exp(1j * rng.uniform(-2.5, 2.5,
+                                                      (n, 3)).cumsum(0)))
+        elif kind == "nan":
+            theta[rng.random((n, 3)) < 0.2] = np.nan
+        if kind == "flat":
+            theta = theta[:, 0]
+        assert same_bits(unwrap_angles(theta), np.unwrap(theta, axis=0))
+
+    def test_unwrap_turns_negative_zero_positive_after_row_0(self):
+        theta = np.array([[-0.0, 0.5], [-0.0, -0.0], [0.1, -0.0]])
+        out = unwrap_angles(theta)
+        assert same_bits(out, np.unwrap(theta, axis=0))
+        assert np.signbit(out[0, 0]) and not np.signbit(out[1:]).any()
+
+    def test_unwrap_step_of_exactly_pi_is_unwrapped(self):
+        theta = np.array([0.0, math.pi, 0.0])
+        assert same_bits(unwrap_angles(theta), np.unwrap(theta))

@@ -101,6 +101,22 @@ class TestSimulate:
         assert rc == 2
         assert "tripped twice" in capsys.readouterr().err
 
+    def test_two_generators_on_one_bus_exits_2(self, tmp_path, capsys):
+        # the network model holds one Norton shunt per generator bus, so
+        # the case is an input error, not a numerical failure (exit 4)
+        case = load_case(CASE)
+        g2 = next(g for g in case.generators if g.bus == 2)
+        half = dataclasses.replace(g2, s_machine=g2.s_machine / 2,
+                                   p_set=g2.p_set / 2)
+        case.generators = [g for g in case.generators if g.bus != 2] \
+            + [half, half]
+        path = tmp_path / "split.json"
+        save_case(case, path)
+        rc = main(["simulate", "--case", str(path), "--t-end", "1.0",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "bus 2: more than one generator" in capsys.readouterr().err
+
     def test_unconverged_trapezoidal_step_exits_4(self, tmp_path, capsys):
         case = load_case(SHED)
         case.generators = [dataclasses.replace(g, h=0.02 * g.h)

@@ -344,3 +344,72 @@ class TestRecordPass:
             excess.append(peak - sum(a.nbytes for a in out[:4]))
         # 16x the rows: the temporaries beyond the outputs stay put
         assert excess[1] < 1.25 * excess[0] + 65536
+
+
+class TestFixedPointSkip:
+    """Steps from a bit-exact fixed point up to the next event are not
+    taken; the trajectory is the one of a loop that calls step every
+    time, bit for bit."""
+
+    @pytest.mark.parametrize("integrator", ["rk4", "trapezoidal"])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("t_event", [0.099, 0.1],
+                             ids=["on_record", "off_record"])  # for 3
+    def test_matches_stepping_every_step(self, wscc9, monkeypatch,
+                                         integrator, record_every, t_event):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, "step", counted)
+        case = dataclasses.replace(
+            wscc9, events=[Event(t_event, "load_scale", SHED)])
+        config = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator,
+                           record_every=record_every)
+        traj = simulate(case, config)
+        i_event = int(round(t_event / config.dt))  # 99 or 100
+        # one step finds the fixed point, then the steps from the event on
+        assert len(calls) == 1 + 300 - i_event
+        states = per_row_oracle(case, config)[0]
+        for k, got in enumerate((traj.delta, traj.omega, traj.e_q,
+                                 traj.p_m)):
+            assert got.tobytes() == np.ascontiguousarray(
+                states[:, :, k]).tobytes()
+
+    def test_no_event_takes_one_step(self, wscc9, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "step",
+                            lambda *args: calls.append(1) or step(*args))
+        traj = simulate(wscc9, SimConfig(t_end=1.0, dt=1e-3,
+                                         record_every=4))
+        assert len(calls) == 1
+        assert len(traj.times) == 251
+        assert np.all(traj.delta == traj.delta[0])
+
+
+class TestSparseResidual:
+    @pytest.mark.parametrize("which", ["wscc9", "two_area"])
+    def test_csr_product_matches_dense(self, wscc9, which):
+        case = wscc9 if which == "wscc9" else two_area_case(wscc9)
+        state, net = initialize_dynamics(case, solve_power_flow(case))
+        rng = np.random.default_rng(2)
+        for trip in (None, Event(0.0, "line_trip", {"from": 5, "to": 7})):
+            if trip is not None:
+                net.apply_event(trip)
+            assert net.y_sparse.nnz == np.count_nonzero(net.y_aug)
+            delta = state[:, 0] + rng.normal(0.0, 0.3, (64, net.n_gen))
+            e = state[:, 2] * np.exp(1j * delta)
+            v = net.solve(e)
+            dense = v @ net.y_aug.T
+            sparse = (net.y_sparse @ v.T).T
+            # relative to the size of the summed terms: the products
+            # cancel to ~1e-14 at buses without a machine
+            scale = np.abs(v) @ np.abs(net.y_aug).T
+            assert np.all(np.abs(sparse - dense) <= 1e-15 * scale)
+            i_inj = np.zeros_like(v)
+            i_inj[:, net.gen_bus] = e * net.yd
+            assert abs(net.residual(e, v) - np.max(np.abs(dense - i_inj))) \
+                <= 1e-15 * scale.max()
+            assert net.residual(e, v) < 1e-10

@@ -295,3 +295,15 @@ class TestValidation:
             events=[Event(1.0, "line_trip", {"from": 7, "to": 5})])
         with pytest.raises(CaseError, match="out of service"):
             case.validate()
+
+
+class TestGeneratorBuses:
+    def test_two_generators_on_one_bus_rejected(self, wscc9):
+        g2 = next(g for g in wscc9.generators if g.bus == 2)
+        half = dataclasses.replace(g2, s_machine=g2.s_machine / 2,
+                                   p_set=g2.p_set / 2)
+        case = dataclasses.replace(
+            wscc9, generators=[g for g in wscc9.generators if g.bus != 2]
+            + [half, half])
+        with pytest.raises(CaseError, match="bus 2: more than one generator"):
+            case.validate()

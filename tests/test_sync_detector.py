@@ -7,11 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from cfsync.cf_estimator import ComplexFrequencySample, ComplexFrequencySeries
+from cfsync import sync_detector
+from cfsync.cf_estimator import (
+    ComplexFrequencySample,
+    ComplexFrequencySeries,
+    estimate_complex_frequency,
+)
+from cfsync.dynamics import SimConfig, simulate
+from cfsync.grid_model import Event
 from cfsync.sync_detector import (
     _BRUTE_FORCE_MAX,
+    NodeVerdict,
     SyncConfig,
     _pairwise_max,
+    _window_diameters,
     coarse_limit,
     evaluate,
     find_convergence_time,
@@ -157,6 +166,14 @@ class TestPairwiseMax:
     def test_fewer_than_three_points(self, z):
         assert _pairwise_max(np.array(z, dtype=complex)) == \
             brute_force_diameter(z)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e305])
+    def test_huge_magnitudes(self, scale):
+        # squared coordinates overflow beyond about 1e154, so the
+        # principal axes must come from scaled points
+        z = point_cloud(np.random.default_rng(6), "spiral",
+                        3 * _BRUTE_FORCE_MAX) * scale
+        assert _pairwise_max(z) == brute_force_diameter(z)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_is_nan(self, bad):
@@ -361,7 +378,6 @@ class TestNodeVerdict:
 
 def make_verdict(bus, eps, omega, converged=True):
     lim = ComplexFrequencySample(eps, omega)
-    from cfsync.sync_detector import NodeVerdict
     return NodeVerdict(bus=bus, converged=converged, t_eps=2.0, t_omega=3.0,
                        t_end_k=3.0, limit=lim, fluctuation=0.0, coarse=lim)
 
@@ -453,3 +469,214 @@ class TestEvaluate:
         assert report.subnets["A"].internally_synced
         assert not report.subnets["B"].internally_synced
         assert report.global_verdict.status == "not_synchronized"
+
+
+def record_calls(monkeypatch, name):
+    """Wrap sync_detector.<name> for the test; returns the list of the
+    argument tuples it is called with."""
+    calls = []
+    fn = getattr(sync_detector, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(sync_detector, name, recorded)
+    return calls
+
+
+def window_row(rng, kind, w):
+    """One node's final window for the batched diameter tests."""
+    if kind == "constant":
+        return np.full(w, rng.normal() + 377j)
+    if kind == "nan":
+        z = point_cloud(rng, "spiral", w)
+        z[rng.integers(w)] = complex(np.nan, 377.0)
+        return z
+    return point_cloud(rng, kind, w)
+
+
+def settling_window(rng, w, dt=1e-3):
+    """The final window of a node settling after a disturbance: a damped
+    electromechanical swing of 0.5-2 Hz on a slow drift."""
+    t = 4.0 + np.arange(w) * dt
+    decay = np.exp(-rng.uniform(0.3, 1.5) * t)
+    f = 2 * np.pi * rng.uniform(0.5, 2.0)
+    return decay * 1e-2 * np.sin(f * t) \
+        + 1j * (377 + 0.05 * np.exp(-0.5 * t) + 0.3 * decay * np.cos(f * t))
+
+
+class TestWindowDiameters:
+    """The batched diameter of a (n_bus, w) stack is bit-equal to the
+    all-pairs maximum of every row."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(["spiral", "gaussian", "axis_needle",
+                                     "dense_end_needle", "two_level",
+                                     "constant", "nan"]),
+                    min_size=1, max_size=6),
+           st.integers(2, 700))
+    def test_random_stacks(self, seed, kinds, w):
+        rng = np.random.default_rng(seed)
+        z = np.array([window_row(rng, kind, w) for kind in kinds])
+        with np.errstate(invalid="ignore"):
+            want = [brute_force_diameter(row) for row in z]
+            got = _window_diameters(z)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("w", [_BRUTE_FORCE_MAX + 1, 501, 1000, 1001])
+    def test_smooth_windows_need_no_fallback(self, monkeypatch, w):
+        calls = record_calls(monkeypatch, "_pairwise_max")
+        rng = np.random.default_rng(w)
+        z = np.array([settling_window(rng, w) for _ in range(12)]
+                     + [point_cloud(rng, "gaussian", w)])
+        got = _window_diameters(z)
+        assert [len(args[0]) for args in calls] == [w]  # the gaussian one
+        np.testing.assert_array_equal(
+            got, [brute_force_diameter(row) for row in z])
+
+    def test_huge_values_take_the_fallback(self):
+        rng = np.random.default_rng(4)
+        z = np.array([point_cloud(rng, "spiral", 400) * 1e305,
+                      point_cloud(rng, "spiral", 400)])
+        with np.errstate(over="ignore"):
+            want = [brute_force_diameter(row) for row in z]
+            got = _window_diameters(z)
+        np.testing.assert_array_equal(got, want)
+
+    def test_no_rows(self):
+        assert _window_diameters(np.empty((0, 300), dtype=complex)).shape \
+            == (0,)
+
+
+def per_node_verdict(bus, times, eps, omega, config):
+    """A node's verdict from per-node formulas, independent of the batched
+    pass: 1-D means, a sliding-window max and an all-pairs diameter."""
+    seg = (times >= config.resolved_t_coarse() - config.window - 1e-9) \
+        & (times <= config.t_end + 1e-9)
+    coarse = ComplexFrequencySample(float(np.mean(eps[seg])),
+                                    float(np.mean(omega[seg])))
+    w = int(round(config.window / (times[1] - times[0]))) + 1
+    end = times[w - 1:]
+
+    def settle(x, target, tol):
+        wmax = sliding_window_view(np.abs(x - target), w).max(axis=-1)
+        hits = np.flatnonzero(
+            (wmax < tol) & (end >= config.t_event + config.window - 1e-9))
+        return float(end[hits[0]]) if hits.size else None
+
+    t_eps = settle(eps, coarse.eps, config.tol_eps)
+    t_omega = settle(omega, coarse.omega, config.tol_omega)
+    final = (times >= config.t_end - config.window - 1e-9) \
+        & (times <= config.t_end + 1e-9)
+    fluctuation = brute_force_diameter(eps[final] + 1j * omega[final])
+    if config.limit_mode == "endpoint":
+        i_end = int(np.searchsorted(times, config.t_end + 1e-9) - 1)
+        limit = ComplexFrequencySample(float(eps[i_end]),
+                                       float(omega[i_end]))
+    else:
+        limit = ComplexFrequencySample(float(np.mean(eps[final])),
+                                       float(np.mean(omega[final])))
+    return NodeVerdict(
+        bus=bus, converged=bool(fluctuation < config.tol_node),
+        t_eps=t_eps, t_omega=t_omega,
+        t_end_k=None if t_eps is None or t_omega is None
+        else max(t_eps, t_omega),
+        limit=limit, fluctuation=fluctuation, coarse=coarse)
+
+
+def two_area_trip_series(wscc9, record_every):
+    from test_dynamics import two_area_case
+    case = two_area_case(wscc9)
+    case.events = [Event(1.0, "line_trip", {"from": 5, "to": 7})]
+    traj = simulate(case, SimConfig(t_end=5.0, dt=2e-3,
+                                    record_every=record_every))
+    return case, estimate_complex_frequency(traj)
+
+
+class TestEvaluateMatchesPerNodeOracle:
+    """evaluate's node verdicts equal, field for field, the per-node
+    formulas, on the load shed and on the 18-bus two-area case."""
+
+    @staticmethod
+    def check(series, subnets, config):
+        report = evaluate(series, subnets, config)
+        assert list(report.nodes) == series.bus_ids
+        for k, bus in enumerate(series.bus_ids):
+            want = per_node_verdict(bus, series.times, series.eps[:, k],
+                                       series.omega[:, k], config)
+            assert report.nodes[bus] == want
+            assert node_verdict(bus, series.times, series.eps[:, k],
+                                series.omega[:, k], config) == want
+        return report
+
+    @pytest.mark.parametrize("limit_mode", ["endpoint", "window_mean"])
+    def test_load_shed(self, loadshed_traj, wscc9_loadshed, limit_mode,
+                       monkeypatch):
+        calls = record_calls(monkeypatch, "_pairwise_max")
+        series = estimate_complex_frequency(loadshed_traj)
+        report = self.check(series, wscc9_loadshed.subnets,
+                            SyncConfig(t_end=20.0, t_event=2.0,
+                                       limit_mode=limit_mode))
+        assert report.global_verdict.status == "synchronized"
+        # no node window (1,001 samples) left the batched path; the short
+        # calls are the subnet and global limit spreads
+        assert max(len(args[0]) for args in calls) < _BRUTE_FORCE_MAX
+
+    @pytest.mark.parametrize("record_every", [1, 5])
+    def test_two_area_trip(self, wscc9, record_every):
+        case, series = two_area_trip_series(wscc9, record_every)
+        self.check(series, case.subnets, SyncConfig(t_end=5.0, t_event=1.0))
+        # a tolerance that leaves some nodes unconverged or unsettled
+        self.check(series, case.subnets,
+                   SyncConfig(t_end=5.0, t_event=1.0, tol_eps=1e-6,
+                              tol_omega=1e-5, tol_node=1e-5))
+
+
+class TestEvaluatePass:
+    def test_one_convergence_sweep_per_component(self, monkeypatch):
+        sweeps = record_calls(monkeypatch, "find_convergence_time")
+        verdicts = record_calls(monkeypatch, "node_verdict")
+        t = np.arange(0, 10.001, 0.01)
+        series = ComplexFrequencySeries(
+            times=t, bus_ids=[4, 5, 6], eps=np.zeros((len(t), 3)),
+            omega=np.full((len(t), 3), WS), smoothing_window=1)
+        evaluate(series, {"A": [4, 5, 6]}, SyncConfig(t_end=10.0))
+        assert len(sweeps) == 2 and not verdicts
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_convergence_times_per_column(self, seed, n_bus):
+        rng = np.random.default_rng(seed)
+        cols = [settle_signal(rng, n=600) for _ in range(n_bus)]
+        t = cols[0][0]
+        x = np.column_stack([c[1] for c in cols])
+        target = np.array([c[2] for c in cols])
+        got = find_convergence_time(t, x, target, 0.1, 1.0, 0.5)
+        assert got == [find_convergence_time(t, x[:, k], target[k], 0.1,
+                                              1.0, 0.5)
+                       for k in range(n_bus)]
+
+    def test_peak_memory_is_linear_in_buses_times_window(self):
+        # damped spirals, one per bus; (buses, dt) grows the series 4x
+        # along each axis in turn. A per-node w x w matrix would need
+        # 256 MB at 4,001 samples per window; the 2 MiB constant covers
+        # the fixed-size chunk of block pairs.
+        for n_bus, dt in ((8, 1e-3), (32, 1e-3), (8, 2.5e-4)):
+            t = np.arange(int(round(4.0 / dt)) + 1) * dt
+            phase = np.linspace(0.0, 3.0, n_bus)
+            decay = np.exp(-np.outer(t, 1.0 + 0.1 * phase))
+            series = ComplexFrequencySeries(
+                times=t, bus_ids=list(range(n_bus)),
+                eps=1e-3 * decay * np.sin(30 * t[:, None] + phase),
+                omega=WS + 0.1 * decay * np.cos(30 * t[:, None] + phase),
+                smoothing_window=1)
+            tracemalloc.start()
+            try:
+                evaluate(series, {"A": list(range(n_bus))},
+                         SyncConfig(t_end=4.0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * series.eps.nbytes + 2**21, (n_bus, dt, peak)
