@@ -38,7 +38,12 @@ from .inertia import (
     generalized_inertia_series,
     simulate_capacitor_bus,
 )
-from .metrics import disturbance_region, node_metrics, subnet_metrics
+from .metrics import (
+    disturbance_region,
+    node_metrics,
+    row_spread,
+    subnet_metrics,
+)
 from .sync_detector import SyncConfig, evaluate
 
 EXIT_OK = 0
@@ -207,6 +212,12 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # inertia
 
+def _grid(times: np.ndarray) -> str:
+    step = f"step {float(times[1] - times[0])!r}" if len(times) > 1 \
+        else "no step"
+    return f"{len(times)} rows, {step}"
+
+
 def cmd_inertia(args) -> int:
     outdir = _outdir(args)
     case = load_case(args.case)
@@ -229,9 +240,14 @@ def cmd_inertia(args) -> int:
             traj = read_trajectory_csv(args.traj, omega_s=case.omega_s)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read generator series: {exc}") from exc
+        times = gen["times"]
+        if not np.array_equal(times, traj.times):
+            raise InputError(
+                f"generator series {gen_path} and trajectory {args.traj} "
+                f"are on different time grids: {_grid(times)} against "
+                f"{_grid(traj.times)}")
         series = estimate_complex_frequency(
             traj, smoothing_window=args.smoothing_window)
-        times = gen["times"]
         if args.window:
             window = tuple(args.window)
         else:
@@ -336,9 +352,8 @@ def cmd_plotdata(args) -> int:
         for name in names:
             members = report["subnets"][name]["member_buses"]
             idx = [series.bus_ids.index(b) for b in members]
-            z = series.eps[:, idx] + 1j * series.omega[:, idx]
-            spread = np.abs(z[:, :, None] - z[:, None, :]).max(axis=(1, 2))
-            cols.append(spread)
+            cols.append(row_spread(series.eps[:, idx]
+                                   + 1j * series.omega[:, idx]))
         write_csv(out, ["t"] + names, [series.times] + cols)
     else:  # damping
         out = outdir / "damping.csv"

@@ -12,7 +12,9 @@ skips the steps from a bit-exact fixed point (the initial state is one) up
 to the next event. Bus voltages, electrical powers and the residual against
 the full augmented admittance matrix are computed afterwards, for every
 recorded row, by one record pass per network segment in blocks of
-``_RECORD_BLOCK`` rows.
+``_RECORD_BLOCK`` rows. The residual goes through a CSR copy of that
+matrix; ``scipy.sparse`` is imported when the first network is built, not
+with this module, so commands that never simulate do not load it.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
@@ -22,9 +24,9 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .grid_model import (
     AdmittanceMatrix,
@@ -37,6 +39,9 @@ from .grid_model import (
     load_admittances,
     solve_power_flow,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 INTEGRATORS = ("rk4", "trapezoidal")
 
@@ -132,6 +137,8 @@ class DynamicNetwork:
         self.rebuild()
 
     def rebuild(self) -> None:
+        from scipy.sparse import csr_array  # only simulate pays its import
+
         n, ng = self.case.n_bus, self.n_gen
         y = self.ybus.entries + np.diag(self.load_adm)
         y[self.gen_bus, self.gen_bus] += self.yd

@@ -5,6 +5,13 @@ impedances per-unit on s_base, H in seconds on machine base). Trajectories are
 CSV with header ``t,v_1,theta_1,...,v_n,theta_n``, one row per sample, values
 at 17 significant digits so doubles round-trip exactly; event times live in a
 leading ``# events:`` comment line.
+
+The last trajectory CSV and the last generator CSV this process wrote are
+kept in memory, with their size and the SHA-256 of their bytes, when all
+their values are finite. Reading a file of that size hashes it, streamed;
+if the digest matches, the kept array is returned as a copy instead of
+parsing the text, which gives the same doubles because every finite double
+round-trips through ``%.17g``. Any other file is parsed.
 """
 from __future__ import annotations
 
@@ -40,21 +47,68 @@ def format_number(x: float) -> str:
 
 
 def write_csv(path: str | Path, header: list[str],
-              columns: list[np.ndarray], comment: str | None = None) -> None:
-    """Write equal-length columns as CSV rows under a header line.
+              columns: list[np.ndarray], comment: str | None = None,
+              sha=None) -> np.ndarray:
+    """Write equal-length columns as CSV rows under a header line, and
+    return the (n_rows, n_cols) array written.
 
     Each column is a 1-D array (one CSV column) or a 2-D array (one CSV
     column per array column); all values are written with ``_FMT``. A
-    ``comment`` becomes a leading ``# comment`` line."""
+    ``comment`` becomes a leading ``# comment`` line. A hashlib object
+    passed as ``sha`` is updated with the bytes of every chunk written."""
     data = np.column_stack(columns)
     row = ",".join([_FMT] * data.shape[1])
     with Path(path).open("w") as f:
+        def write(text: str) -> None:
+            f.write(text)
+            if sha is not None:
+                sha.update(text.encode(f.encoding))
+
         if comment is not None:
-            f.write(f"# {comment}\n")
-        f.write(",".join(header) + "\n")
+            write(f"# {comment}\n")
+        write(",".join(header) + "\n")
         for start in range(0, len(data), _CHUNK_ROWS):
             chunk = data[start:start + _CHUNK_ROWS].tolist()
-            f.write("".join([row % tuple(r) + "\n" for r in chunk]))
+            write("".join([row % tuple(r) + "\n" for r in chunk]))
+    return data
+
+
+@dataclasses.dataclass
+class _Written:
+    size: int
+    digest: bytes
+    data: np.ndarray
+
+
+# The last trajectory and generator CSV written by this process, by kind,
+# so that later commands in the same process (scripts/run_load_shed.py runs
+# six on the trajectory it simulates) read them back without parsing.
+_written: dict[str, _Written] = {}
+
+
+def _write_kept(kind: str, path: str | Path, header: list[str],
+                columns: list[np.ndarray], comment: str | None = None) -> None:
+    """``write_csv``, keeping the written array for ``_kept`` when every
+    value is finite (only then does the text round-trip bit for bit)."""
+    _written.pop(kind, None)
+    sha = hashlib.sha256()
+    data = write_csv(path, header, columns, comment=comment, sha=sha)
+    if np.isfinite(data).all():
+        _written[kind] = _Written(Path(path).stat().st_size, sha.digest(),
+                                  data)
+
+
+def _kept(kind: str, path: Path) -> np.ndarray | None:
+    """A copy of the array kept for ``kind`` if ``path`` holds exactly the
+    bytes written for it, else None. Only a file of the kept size is
+    hashed."""
+    entry = _written.get(kind)
+    if entry is None or path.stat().st_size != entry.size:
+        return None
+    with path.open("rb") as f:
+        if hashlib.file_digest(f, "sha256").digest() != entry.digest:
+            return None
+    return entry.data.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +235,15 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     for b in traj.bus_ids:
         header += [f"v_{b}", f"theta_{b}"]
     events = ",".join(format_number(t) for t in traj.event_times)
-    write_csv(path, header, [traj.times, _interleave([traj.v, traj.theta])],
-              comment=f"events: {events}")
+    _write_kept("trajectory", path, header,
+                [traj.times, _interleave([traj.v, traj.theta])],
+                comment=f"events: {events}")
 
 
 def read_trajectory_csv(path: str | Path, omega_s: float,
                         frame: str = "synchronous") -> Trajectory:
     path = Path(path)
+    kept = _kept("trajectory", path)
     event_times: list[float] = []
     with path.open() as f:
         line = f.readline().strip()
@@ -207,7 +263,8 @@ def read_trajectory_csv(path: str | Path, omega_s: float,
                     and names[j + 1].startswith("theta_")):
                 raise ValueError(f"{path}: malformed trajectory header")
             bus_ids.append(int(names[j][2:]))
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        data = kept if kept is not None \
+            else np.loadtxt(f, delimiter=",", ndmin=2)
     times = data[:, 0]
     try:
         uniform_step(times)
@@ -231,14 +288,16 @@ def write_generator_csv(traj: Trajectory, path: str | Path) -> None:
         header += [f"delta_{b}", f"omega_{b}", f"eq_{b}", f"pm_{b}",
                    f"pe_{b}", f"qe_{b}"]
     arrays = [traj.delta, traj.omega, traj.e_q, traj.p_m, traj.p_e, traj.q_e]
-    write_csv(path, header, [traj.times, _interleave(arrays)])
+    _write_kept("generator", path, header, [traj.times, _interleave(arrays)])
 
 
 def read_generator_csv(path: str | Path) -> dict:
     path = Path(path)
+    kept = _kept("generator", path)
     with path.open() as f:
         names = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        data = kept if kept is not None \
+            else np.loadtxt(f, delimiter=",", ndmin=2)
     gen_buses = [int(n.split("_", 1)[1]) for n in names[1::6]]
     out = {"times": data[:, 0], "gen_buses": gen_buses}
     for j, key in enumerate(("delta", "omega", "e_q", "p_m", "p_e", "q_e")):

@@ -14,7 +14,9 @@ blocks of about sqrt(w) samples and measures only the block pairs whose
 anchor-and-radius bound reaches the largest anchor-to-anchor distance; a
 window that keeps too many block pairs, or holds a non-finite or huge
 value, falls back to the per-node ``_pairwise_max``. Every fluctuation is
-bit-equal to the all-pairs maximum.
+bit-equal to the all-pairs maximum. Only ``_pairwise_max``'s convex-hull
+branch (more than ``_BRUTE_FORCE_MAX`` points, not thin) uses
+``scipy.spatial``, and it imports it on first use.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .cf_estimator import (
     ComplexFrequencySample,
@@ -278,6 +279,8 @@ def _pairwise_max(z: np.ndarray) -> float:
     if not width > _THIN * length:
         return _end_bands_max(z, s, t)
     unit = np.column_stack([s / length, t / width])
+    from scipy.spatial import ConvexHull, QhullError  # loaded only here
+
     try:
         v = ConvexHull(unit).vertices
     except QhullError:

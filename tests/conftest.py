@@ -1,9 +1,33 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfsync
 from cfsync import SimConfig, bundled_case_path, simulate
 from cfsync.fileio import load_case
+
+SRC = Path(cfsync.__file__).resolve().parents[1]
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """The names in ``sys.modules`` after running ``code`` in a fresh
+    interpreter with PYTHONPATH=src."""
+    script = code + "\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="session")
+def fresh_modules():
+    return _fresh_modules
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from cfsync.fileio import (
     read_trajectory_csv,
     save_case,
     sha256_file,
+    write_csv,
     write_trajectory_csv,
 )
 from cfsync.grid_model import Event
@@ -261,6 +263,27 @@ class TestInertia:
             # is loose; the dedicated no-governor check lives elsewhere
             assert est["m"] == pytest.approx(2 * g.h / ws, rel=0.25)
 
+    @pytest.mark.parametrize("t_end, dt, rows", [
+        ("10.0", "2e-3", 5001),  # as many rows, twice the step
+        ("3.0", "1e-3", 3001),   # fewer rows, the same step
+    ], ids=["same_length", "shorter"])
+    def test_generator_series_on_another_grid_exits_2(
+            self, simdir, tmp_path, capsys, t_end, dt, rows):
+        rc = main(["simulate", "--case", SHED, "--t-end", t_end, "--dt", dt,
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--gen", str(tmp_path / "trajectory_gen.csv"),
+                   "--window", "2.005", "2.3", "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "different time grids" in err
+        assert f"{rows} rows, step {float(dt)!r}" in err
+        assert "5001 rows, step 0.001" in err
+        assert not (tmp_path / "inertia.json").exists()
+
     def test_no_inputs_exits_2(self, tmp_path, capsys):
         rc = main(["inertia", "--case", CASE, "--outdir", str(tmp_path)])
         assert rc == 2
@@ -294,6 +317,36 @@ class TestPlotdata:
         out = tmp_path / f"{kind}.csv"
         assert out.exists()
         assert out.read_text().splitlines()[0].startswith("t,")
+
+    def test_subnet_spread_memory_stays_linear(self, tmp_path):
+        # one subnet of 40 buses over 2,001 samples: the difference cube of
+        # all member pairs at all samples alone would take
+        # 2001 * 40 * 40 * 16 bytes = 51 MB
+        n, m = 2001, 40
+        rng = np.random.default_rng(0)
+        buses = list(range(1, m + 1))
+        v = 1.0 + 1e-3 * rng.normal(size=(n, m))
+        theta = 1e-2 * rng.normal(size=(n, m))
+        header = ["t"] + [f"{k}_{b}" for b in buses for k in ("v", "theta")]
+        write_csv(tmp_path / "traj.csv", header,
+                  [np.arange(n) * 1e-3,
+                   np.stack([v, theta], axis=2).reshape(n, -1)],
+                  comment="events: ")
+        report = {"config": {"estimator": {"omega_s": 376.99111843077515,
+                                           "smoothing_window": 5}},
+                  "nodes": {str(b): {} for b in buses},
+                  "subnets": {"S1": {"member_buses": buses}}}
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        tracemalloc.start()
+        try:
+            rc = main(["plotdata", "--report", str(tmp_path / "report.json"),
+                       "--traj", str(tmp_path / "traj.csv"),
+                       "--kind", "subnet_spread", "--outdir", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_hv_sweep_kind_exits_2(self, reportdir, tmp_path):
         # the H_v sweep has one path: inertia --sweep

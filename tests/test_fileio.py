@@ -1,13 +1,24 @@
+import dataclasses
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cfsync import cli, fileio
+from cfsync.dynamics import Trajectory
 from cfsync.fileio import (
     format_number,
+    read_generator_csv,
     read_trajectory_csv,
     write_csv,
     write_generator_csv,
     write_trajectory_csv,
 )
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_load_shed.py"
 
 SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
             -1e300, 2.2250738585072014e-308, 0.1, 1 / 3, 377.0, 2.0 ** 53]
@@ -84,3 +95,154 @@ class TestReadTrajectory:
                   [t, np.ones_like(t), np.zeros_like(t)], comment="events: ")
         with pytest.raises(ValueError, match="non-uniform time grid"):
             read_trajectory_csv(out, omega_s=377.0)
+
+
+@pytest.fixture
+def kept_reads(monkeypatch):
+    """A fresh, empty read-back store, and a list that records for each
+    lookup whether it was served from memory."""
+    monkeypatch.setattr(fileio, "_written", {})
+    hits = []
+    lookup = fileio._kept
+
+    def counting(kind, path):
+        out = lookup(kind, path)
+        hits.append(out is not None)
+        return out
+
+    monkeypatch.setattr(fileio, "_kept", counting)
+    return hits
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def hand_built_trajectory():
+    n = 6
+    v = np.array([[1.0, -0.0], [5e-324, 1e300], [0.1, -5e-324],
+                  [1 / 3, 2.0 ** 53], [-1e300, 0.0], [377.0, 1.0]])
+    theta = -v[::-1] * 0.5
+    return Trajectory(
+        times=np.arange(n) * 1e-3, bus_ids=[4, 7], v=v, theta=theta,
+        gen_buses=[], delta=None, omega=None, e_q=None, p_m=None, p_e=None,
+        q_e=None, event_times=[0.002], omega_s=377.0)
+
+
+class TestReadBack:
+    """A trajectory or generator CSV this process wrote is read back from
+    memory while its bytes are unchanged, bit-equal to parsing it."""
+
+    def test_trajectory_hit_is_bit_equal_to_loadtxt(self, loadshed_traj,
+                                                    tmp_path, kept_reads):
+        for traj in (loadshed_traj, hand_built_trajectory()):
+            out = tmp_path / "t.csv"
+            write_trajectory_csv(traj, out)
+            back = read_trajectory_csv(out, omega_s=traj.omega_s)
+            ref = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)
+            assert bits(back.times) == bits(ref[:, 0])
+            assert bits(back.v) == bits(ref[:, 1::2])
+            assert bits(back.theta) == bits(ref[:, 2::2])
+            assert back.bus_ids == traj.bus_ids
+            assert back.event_times == traj.event_times
+        assert kept_reads == [True, True]
+
+    def test_generator_hit_is_bit_equal_to_loadtxt(self, loadshed_traj,
+                                                   tmp_path, kept_reads):
+        out = tmp_path / "g.csv"
+        write_generator_csv(loadshed_traj, out)
+        back = read_generator_csv(out)
+        ref = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert bits(back["times"]) == bits(ref[:, 0])
+        for j, key in enumerate(("delta", "omega", "e_q", "p_m", "p_e",
+                                 "q_e")):
+            assert bits(back[key]) == bits(ref[:, 1 + j::6])
+        assert back["gen_buses"] == loadshed_traj.gen_buses
+        assert kept_reads == [True]
+
+    def test_same_size_edit_is_parsed(self, tmp_path, kept_reads):
+        out = tmp_path / "t.csv"
+        write_trajectory_csv(hand_built_trajectory(), out)
+        text = out.read_text()
+        edited = text.replace("0.33333333333333331", "0.33333333333333341")
+        assert len(edited) == len(text) and edited != text
+        out.write_text(edited)
+        back = read_trajectory_csv(out, omega_s=377.0)
+        assert kept_reads == [False]
+        assert back.v[3, 0] == 0.33333333333333341
+
+    def test_returned_arrays_are_copies(self, tmp_path, kept_reads):
+        out = tmp_path / "t.csv"
+        traj = hand_built_trajectory()
+        write_trajectory_csv(traj, out)
+        first = read_trajectory_csv(out, omega_s=377.0)
+        first.v[:] = 7.0
+        first.times[:] = 7.0
+        again = read_trajectory_csv(out, omega_s=377.0)
+        assert bits(again.v) == bits(traj.v)
+        assert bits(again.times) == bits(traj.times)
+        assert kept_reads == [True, True]
+
+    def test_non_finite_values_are_not_kept(self, tmp_path, kept_reads):
+        traj = hand_built_trajectory()
+        traj = dataclasses.replace(traj, v=traj.v.copy())
+        traj.v[2, 1] = np.nan
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert fileio._written == {}
+        back = read_trajectory_csv(tmp_path / "t.csv", omega_s=377.0)
+        assert np.isnan(back.v[2, 1])
+
+    def test_no_hash_without_a_kept_entry_of_that_size(
+            self, loadshed_traj, tmp_path, kept_reads, monkeypatch):
+        digests = []
+        file_digest = hashlib.file_digest
+
+        def counting(*args, **kwargs):
+            digests.append(args)
+            return file_digest(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "file_digest", counting)
+        # no entry for generator CSVs; one of another size for trajectories
+        write_generator_csv(loadshed_traj, tmp_path / "g.csv")
+        fileio._written.pop("generator")
+        write_trajectory_csv(loadshed_traj, tmp_path / "kept.csv")
+        read_generator_csv(tmp_path / "g.csv")
+        write_csv(tmp_path / "other.csv", ["t", "v_1", "theta_1"],
+                  [np.arange(4) * 0.5, np.ones(4), np.zeros(4)],
+                  comment="events: ")
+        read_trajectory_csv(tmp_path / "other.csv", omega_s=377.0)
+        assert digests == []
+        read_trajectory_csv(tmp_path / "kept.csv", omega_s=377.0)
+        assert len(digests) == 1
+        assert kept_reads == [False, False, True]
+
+    def test_load_shed_script_output_does_not_depend_on_read_back(
+            self, tmp_path, monkeypatch, kept_reads):
+        spec = importlib.util.spec_from_file_location("run_load_shed", SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def run(where):
+            # the same relative --outdir, so the manifests agree too
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)
+            monkeypatch.setattr(sys, "argv", ["run_load_shed.py",
+                                              "--t-end", "4",
+                                              "--outdir", "out"])
+            assert script.run() == 0
+            return {p.name: p.read_bytes()
+                    for p in (tmp_path / where / "out").iterdir()}
+
+        kept = run("kept")
+        # analyze, four plotdata kinds, and inertia's two reads
+        assert kept_reads == [True] * 7
+        for name in ("read_trajectory_csv", "read_generator_csv"):
+            def cleared(*args, read=getattr(cli, name), **kwargs):
+                fileio._written.clear()
+                return read(*args, **kwargs)
+            monkeypatch.setattr(cli, name, cleared)
+        parsed = run("parsed")
+        assert kept_reads[7:] == [False] * 7
+        assert sorted(parsed) == sorted(kept)
+        for name in kept:
+            assert parsed[name] == kept[name], name

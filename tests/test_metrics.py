@@ -1,8 +1,5 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-import cfsync
+from cfsync import metrics
 from cfsync.cf_estimator import ComplexFrequencySample
 from cfsync.metrics import (
     disturbance_region,
@@ -18,6 +15,7 @@ from cfsync.metrics import (
     local_maxima,
     node_metrics,
     overshoot,
+    row_spread,
     subnet_metrics,
 )
 from cfsync.sync_detector import NodeVerdict, SyncConfig
@@ -87,15 +85,9 @@ class TestLocalMaxima:
         x = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 0.0])
         np.testing.assert_array_equal(local_maxima(x), [2, 7])
 
-    def test_cli_import_leaves_out_scipy_signal(self):
+    def test_cli_import_leaves_out_scipy_signal(self, fresh_modules):
         # scipy.signal (and scipy.stats with it) dominated the start-up time
-        src = str(Path(cfsync.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cfsync.cli; print('scipy.signal' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        assert "scipy.signal" not in fresh_modules("import cfsync.cli")
 
 
 class TestFitDamping:
@@ -305,3 +297,28 @@ class TestDisturbanceRegion:
                 self.t, eps, omega, list(range(1, n + 1)),
                 np.zeros(n), np.full(n, 377.0), cfg)
         assert out[tol_hi].s_inf <= out[tol_lo].s_inf
+
+
+class TestRowSpread:
+    @pytest.mark.parametrize("m", [1, 2, 5, 40])
+    def test_matches_the_full_difference_cube(self, monkeypatch, m):
+        # a block size that leaves a short last block
+        monkeypatch.setattr(metrics, "_SPREAD_PAIRS", 7 * m * m - 1)
+        rng = np.random.default_rng(m)
+        z = rng.normal(size=(101, m)) + 1j * rng.normal(size=(101, m))
+        z[3, 0] = -0.0
+        full = np.abs(z[:, :, None] - z[:, None, :]).max(axis=(1, 2))
+        assert row_spread(z).tobytes() == full.tobytes()
+
+    def test_memory_stays_bounded_in_the_subnet_size(self):
+        n, m = 2001, 40
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        tracemalloc.start()
+        try:
+            out = row_spread(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full (n, m, m) cube would take n * m * m * 16 = 51 MB
+        assert peak - out.nbytes < 4 * metrics._SPREAD_PAIRS * 16
