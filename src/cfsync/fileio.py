@@ -7,11 +7,12 @@ at 17 significant digits so doubles round-trip exactly; event times live in a
 leading ``# events:`` comment line.
 
 The last trajectory CSV and the last generator CSV this process wrote are
-kept in memory, with their size and the SHA-256 of their bytes, when all
-their values are finite. Reading a file of that size hashes it, streamed;
-if the digest matches, the kept array is returned as a copy instead of
-parsing the text, which gives the same doubles because every finite double
-round-trips through ``%.17g``. Any other file is parsed.
+kept in memory when all their values are finite, with the file's size and
+the SHA-256 of its bytes, read back from the file just after writing it.
+Reading a file of that size hashes it, streamed; if the digest matches, the
+kept array is returned as a copy instead of parsing the text, which gives
+the same doubles because every finite double round-trips through
+``%.17g``. Any other file is parsed.
 """
 from __future__ import annotations
 
@@ -47,36 +48,30 @@ def format_number(x: float) -> str:
 
 
 def write_csv(path: str | Path, header: list[str],
-              columns: list[np.ndarray], comment: str | None = None,
-              sha=None) -> np.ndarray:
+              columns: list[np.ndarray], comment: str | None = None
+              ) -> np.ndarray:
     """Write equal-length columns as CSV rows under a header line, and
     return the (n_rows, n_cols) array written.
 
     Each column is a 1-D array (one CSV column) or a 2-D array (one CSV
     column per array column); all values are written with ``_FMT``. A
-    ``comment`` becomes a leading ``# comment`` line. A hashlib object
-    passed as ``sha`` is updated with the bytes of every chunk written."""
+    ``comment`` becomes a leading ``# comment`` line."""
     data = np.column_stack(columns)
     row = ",".join([_FMT] * data.shape[1])
     with Path(path).open("w") as f:
-        def write(text: str) -> None:
-            f.write(text)
-            if sha is not None:
-                sha.update(text.encode(f.encoding))
-
         if comment is not None:
-            write(f"# {comment}\n")
-        write(",".join(header) + "\n")
+            f.write(f"# {comment}\n")
+        f.write(",".join(header) + "\n")
         for start in range(0, len(data), _CHUNK_ROWS):
             chunk = data[start:start + _CHUNK_ROWS].tolist()
-            write("".join([row % tuple(r) + "\n" for r in chunk]))
+            f.write("".join([row % tuple(r) + "\n" for r in chunk]))
     return data
 
 
 @dataclasses.dataclass
 class _Written:
     size: int
-    digest: bytes
+    digest: str
     data: np.ndarray
 
 
@@ -91,10 +86,10 @@ def _write_kept(kind: str, path: str | Path, header: list[str],
     """``write_csv``, keeping the written array for ``_kept`` when every
     value is finite (only then does the text round-trip bit for bit)."""
     _written.pop(kind, None)
-    sha = hashlib.sha256()
-    data = write_csv(path, header, columns, comment=comment, sha=sha)
+    data = write_csv(path, header, columns, comment=comment)
     if np.isfinite(data).all():
-        _written[kind] = _Written(Path(path).stat().st_size, sha.digest(),
+        path = Path(path)
+        _written[kind] = _Written(path.stat().st_size, sha256_file(path),
                                   data)
 
 
@@ -103,11 +98,9 @@ def _kept(kind: str, path: Path) -> np.ndarray | None:
     bytes written for it, else None. Only a file of the kept size is
     hashed."""
     entry = _written.get(kind)
-    if entry is None or path.stat().st_size != entry.size:
+    if entry is None or path.stat().st_size != entry.size \
+            or sha256_file(path) != entry.digest:
         return None
-    with path.open("rb") as f:
-        if hashlib.file_digest(f, "sha256").digest() != entry.digest:
-            return None
     return entry.data.copy()
 
 
@@ -342,7 +335,12 @@ def write_json(obj, path: str | Path) -> None:
 
 
 def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The hex SHA-256 of a file, read in 1 MiB blocks."""
+    h = hashlib.sha256()
+    with Path(path).open("rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
 def build_manifest(case_path: str | Path, sim_config,

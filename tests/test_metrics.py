@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,16 +308,3 @@ class TestRowSpread:
         z[3, 0] = -0.0
         full = np.abs(z[:, :, None] - z[:, None, :]).max(axis=(1, 2))
         assert row_spread(z).tobytes() == full.tobytes()
-
-    def test_memory_stays_bounded_in_the_subnet_size(self):
-        n, m = 2001, 40
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-        tracemalloc.start()
-        try:
-            out = row_spread(z)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the full (n, m, m) cube would take n * m * m * 16 = 51 MB
-        assert peak - out.nbytes < 4 * metrics._SPREAD_PAIRS * 16
