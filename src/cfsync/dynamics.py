@@ -12,9 +12,8 @@ skips the steps from a bit-exact fixed point (the initial state is one) up
 to the next event. Bus voltages, electrical powers and the residual against
 the full augmented admittance matrix are computed afterwards, for every
 recorded row, by one record pass per network segment in blocks of
-``_RECORD_BLOCK`` rows. The residual goes through a CSR copy of that
-matrix; ``scipy.sparse`` is imported when the first network is built, not
-with this module, so commands that never simulate do not load it.
+``_RECORD_BLOCK`` rows. The residual multiplies through padded neighbour
+lists of that matrix (its nonzeros, bus by bus), in numpy alone.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
@@ -24,7 +23,6 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,9 +38,6 @@ from .grid_model import (
     solve_power_flow,
 )
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
-
 INTEGRATORS = ("rk4", "trapezoidal")
 
 # state vector columns
@@ -50,10 +45,29 @@ _DELTA, _OMEGA, _EQ, _PM = 0, 1, 2, 3
 
 _TRAP_MAX_ITER = 100  # fixed-point iterations per trapezoidal step
 _RECORD_BLOCK = 512   # rows per record-pass block: bounds its temporaries
+# Bus voltages per residual chunk (256 KiB): its temporaries then stay in
+# cache. On the 270-bus ring (60 rows a chunk) a 512-row block took 3.3 ms,
+# against 9.7 ms in one piece (2-vCPU VM, one BLAS thread).
+_RESIDUAL_CHUNK = 1 << 14
 
 
 class SimulationError(RuntimeError):
     """Initialization or integration failure."""
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """The number of dt steps to t_end. Raises ValueError unless both are
+    positive and t_end is a whole number of steps, to within float noise
+    (1e-9 of t_end)."""
+    if not (t_end > 0 and dt > 0):
+        raise ValueError(f"need t_end > 0 and dt > 0 (t_end={t_end}, "
+                         f"dt={dt})")
+    n = round(t_end / dt)
+    if not abs(n * dt - t_end) <= 1e-9 * t_end:
+        raise ValueError(
+            f"t_end={t_end} is not a whole number of dt={dt} steps "
+            f"({t_end / dt:.6g} steps)")
+    return n
 
 
 @dataclass
@@ -70,7 +84,7 @@ class SimConfig:
             raise ValueError("t_end must be > 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        n_steps = int(round(self.t_end / self.dt))
+        n_steps = step_count(self.t_end, self.dt)
         if n_steps % self.record_every:
             raise ValueError(
                 f"record_every={self.record_every} does not divide the "
@@ -87,11 +101,16 @@ class DynamicNetwork:
 
     The augmented admittance matrix ``y_aug`` folds in constant-admittance
     loads and the machine Norton shunts yd = 1/(j x'd); internal EMFs inject
-    currents yd * E at the generator buses only. ``y_sparse`` is its CSR
-    copy, for the residual of the record pass. ``zg`` (n_bus x n_gen)
-    maps those currents to bus voltages. ``k_red`` stacks the Kron-reduced
-    internal-node admittance Y_int (machine currents from EMFs) over the
-    terminal-voltage transfer Z[gen, gen] diag(yd).
+    currents yd * E at the generator buses only. Its nonzeros are also held
+    as padded neighbour lists, for the residual of the record pass: list r
+    belongs to bus ``nbr_bus[r]``, and its slot k holds the column
+    ``nbr_idx[k, r]`` and value ``nbr_w[k, r]`` of that row's k-th nonzero,
+    with zero weights past the last. Lists go in decreasing order of their
+    length, so the buses with a k-th nonzero are the first ``nbr_len[k]``;
+    ``nbr_gen`` gives the list of each generator bus. ``zg`` (n_bus x
+    n_gen) maps those currents to bus voltages. ``k_red`` stacks the
+    Kron-reduced internal-node admittance Y_int (machine currents from
+    EMFs) over the terminal-voltage transfer Z[gen, gen] diag(yd).
 
     ``rebuild`` and ``apply_event`` replace these arrays rather than write
     into them, so a shallow copy keeps the network state it was taken in.
@@ -131,19 +150,30 @@ class DynamicNetwork:
         self.load_adm = load_adm
         self.tripped: frozenset[frozenset[int]] = frozenset()
         self.y_aug: np.ndarray | None = None
-        self.y_sparse: csr_array | None = None
+        self.nbr_bus: np.ndarray | None = None
+        self.nbr_idx: np.ndarray | None = None
+        self.nbr_w: np.ndarray | None = None
+        self.nbr_len: list[int] = []
+        self.nbr_gen: np.ndarray | None = None
         self.zg: np.ndarray | None = None
         self.k_red: np.ndarray | None = None
         self.rebuild()
 
     def rebuild(self) -> None:
-        from scipy.sparse import csr_array  # only simulate pays its import
-
         n, ng = self.case.n_bus, self.n_gen
         y = self.ybus.entries + np.diag(self.load_adm)
         y[self.gen_bus, self.gen_bus] += self.yd
         self.y_aug = y
-        self.y_sparse = csr_array(y)
+        nonzero = y != 0
+        count = nonzero.sum(axis=1)
+        self.nbr_bus = np.argsort(-count, kind="stable")
+        # per bus, the nonzero columns in increasing order, then the others
+        cols = np.argsort(~nonzero[self.nbr_bus], axis=1, kind="stable")
+        self.nbr_idx = cols[:, :count.max()].T.copy()
+        self.nbr_w = y[self.nbr_bus, self.nbr_idx]
+        self.nbr_len = [int(np.count_nonzero(count > k))
+                        for k in range(count.max())]
+        self.nbr_gen = np.argsort(self.nbr_bus)[self.gen_bus]
         unit = np.zeros((n, ng), dtype=complex)
         unit[self.gen_bus, np.arange(ng)] = 1.0
         try:
@@ -186,11 +216,25 @@ class DynamicNetwork:
         return s.real, s.imag
 
     def residual(self, e_cplx: np.ndarray, v: np.ndarray) -> float:
-        """Largest |y_aug v - i_inj| over all buses (and rows), multiplied
-        through the CSR copy of ``y_aug``."""
-        i_inj = np.zeros(v.shape, dtype=complex)
-        i_inj[..., self.gen_bus] = e_cplx * self.yd
-        return float(np.max(np.abs((self.y_sparse @ v.T).T - i_inj)))
+        """Largest |y_aug v - i_inj| over all buses (and rows).
+
+        y_aug v is summed over the neighbour lists on the (n_bus, rows)
+        transpose, about ``_RESIDUAL_CHUNK`` voltages at a time: slot k
+        adds, for each bus that has a k-th nonzero, its weight times the
+        gathered voltages of that neighbour."""
+        v = np.atleast_2d(v)
+        i_gen = np.atleast_2d(e_cplx * self.yd)
+        rows = max(1, _RESIDUAL_CHUNK // v.shape[1])
+        worst = np.zeros(())
+        for lo in range(0, len(v), rows):
+            vt = v[lo:lo + rows].T
+            acc = self.nbr_w[0, :, None] * vt[self.nbr_idx[0]]
+            for k in range(1, len(self.nbr_len)):
+                n = self.nbr_len[k]
+                acc[:n] += self.nbr_w[k, :n, None] * vt[self.nbr_idx[k, :n]]
+            acc[self.nbr_gen] -= i_gen[lo:lo + rows].T
+            worst = np.maximum(worst, np.max(np.abs(acc)))
+        return float(worst)
 
 
 def initialize_dynamics(
@@ -361,7 +405,7 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     state, net = initialize_dynamics(case, pf)
 
     dt = config.dt
-    n_steps = int(round(config.t_end / dt))
+    n_steps = step_count(config.t_end, dt)
     events = sorted(case.events, key=lambda e: e.time)
     pending: list[tuple[int, Event]] = []
     for ev in events:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import step_count
+
 
 class EstimationError(ValueError):
     """Input series unsuitable for an inertia fit."""
@@ -133,13 +135,14 @@ def simulate_capacitor_bus(
     dv/dt = v * (Q_m(t) - B v^2) / (2 s_base h_v), with Q_m stepping by
     q_step at t_step from the pre-step equilibrium B v0^2. The returned eps
     equals the instantaneous reactive imbalance over h_v, so eps right after
-    the step is q_step / (2 s_base h_v)."""
+    the step is q_step / (2 s_base h_v). t_end must be a whole number of
+    dt steps."""
     model.validate()
     if any(h <= 0 for h in h_v_values):
         raise ValueError("h_v values must be > 0")
     b = model.q_load_coeff
     q0 = b * model.v0 ** 2
-    n = int(round(t_end / dt))
+    n = step_count(t_end, dt)
     times = np.arange(n + 1) * dt
     # snap the step to the grid; a whole RK4 step sees one q_m value so the
     # pre-step equilibrium is preserved exactly up to the step instant

@@ -14,9 +14,10 @@ blocks of about sqrt(w) samples and measures only the block pairs whose
 anchor-and-radius bound reaches the largest anchor-to-anchor distance; a
 window that keeps too many block pairs, or holds a non-finite or huge
 value, falls back to the per-node ``_pairwise_max``. Every fluctuation is
-bit-equal to the all-pairs maximum. Only ``_pairwise_max``'s convex-hull
-branch (more than ``_BRUTE_FORCE_MAX`` points, not thin) uses
-``scipy.spatial``, and it imports it on first use.
+bit-equal to the all-pairs maximum. ``_pairwise_max`` measures a set of
+more than ``_BRUTE_FORCE_MAX`` points that is not thin over antipodal
+vertices of its convex hull, found by a monotone chain in numpy and Python
+alone.
 """
 from __future__ import annotations
 
@@ -37,6 +38,12 @@ _T_SLACK = 1e-9
 # hull path (gaussian and damped-spiral sets), and lost from 256 on.
 _BRUTE_FORCE_MAX = 192
 _THIN = 1e-6  # width / length below which a set is measured end to end
+# Directions whose extreme points span the polygon that _convex_hull's
+# prefilter drops the points inside of. On the five 4,001-point final
+# windows that take the hull on the 0.25 ms synthetic trajectory (seeds 42,
+# 44, 46), 32 directions left 31 to 403 points to the chain, 16 up to 513
+# and 8 up to 2,103.
+_HULL_DIRECTIONS = 32
 _PAIR_BLOCK = 1 << 16  # pairs per block in _cross_max and _window_diameters
 # A window keeping more than this many block pairs per bit of its length
 # (an unstructured cloud) goes to _pairwise_max, so the pairs measured stay
@@ -92,7 +99,7 @@ class NodeVerdict:
 class SubnetVerdict:
     subnet: str
     internally_synced: bool
-    spread: float
+    spread: float | None  # None when no member converged
     limit: ComplexFrequencySample
     member_buses: list[int]
     synced_with_global: bool | None = None
@@ -226,6 +233,57 @@ def _antipodal_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _convex_hull(p: np.ndarray, margin: float) -> np.ndarray:
+    """Indices of the convex hull vertices of the points ``p`` (n x 2),
+    counter-clockwise, collinear points left out: Andrew's monotone chain.
+
+    Points more than ``margin`` inside the polygon of the extreme points in
+    ``_HULL_DIRECTIONS`` directions are dropped first, in numpy: they are
+    no vertices, and on settling windows most points are among them."""
+    ang = np.arange(_HULL_DIRECTIONS) * (2 * np.pi / _HULL_DIRECTIONS)
+    ext = p[np.argmax(np.column_stack([np.cos(ang), np.sin(ang)]) @ p.T,
+                      axis=1)]
+    ext = ext[(ext != np.roll(ext, -1, axis=0)).any(axis=1)]
+    edge = np.roll(ext, -1, axis=0) - ext
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]])  # outward
+    normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+    offset = (ext * normal).sum(axis=1) - margin
+    inner = (normal @ p.T < offset[:, None]).all(axis=0)
+    keep = np.flatnonzero(~inner)
+    keep = keep[np.lexsort((p[keep, 1], p[keep, 0]))]
+    x, y = p[keep, 0].tolist(), p[keep, 1].tolist()
+
+    def chain(ks) -> list[int]:  # keeps left turns only
+        h: list[int] = []
+        for k in ks:
+            while len(h) > 1 and ((x[h[-1]] - x[h[-2]]) * (y[k] - y[h[-2]])
+                                  - (y[h[-1]] - y[h[-2]]) * (x[k] - x[h[-2]])
+                                  <= 0.0):
+                h.pop()
+            h.append(k)
+        return h
+
+    n = len(keep)
+    return keep[chain(range(n))[:-1] + chain(range(n - 1, -1, -1))[:-1]]
+
+
+def _near_vertices(z: np.ndarray, x: np.ndarray, v: np.ndarray,
+                   rho: float, rho_x: float) -> np.ndarray:
+    """Indices of the points other than the vertices ``v`` that lie within
+    ``rho`` of one of them. ``x`` is a coordinate of the points that
+    changes by at most ``rho_x`` over a distance of ``rho``: each vertex
+    is compared only with the points within ``rho_x`` of it in ``x``."""
+    order = np.argsort(x, kind="stable")
+    lo = np.searchsorted(x[order], x[v] - rho_x)
+    count = np.searchsorted(x[order], x[v] + rho_x, side="right") - lo
+    owner = np.repeat(v, count)
+    k = order[np.arange(count.sum())
+              + np.repeat(lo - (np.cumsum(count) - count), count)]
+    vertex = np.zeros(len(z), dtype=bool)
+    vertex[v] = True
+    return k[(np.abs(z[k] - z[owner]) <= rho) & ~vertex[k]]
+
+
 def _end_bands_max(z: np.ndarray, s: np.ndarray, t: np.ndarray) -> float:
     """Diameter of ``z`` from the points near the two ends of its axis.
 
@@ -250,7 +308,8 @@ def _pairwise_max(z: np.ndarray) -> float:
     """Largest |z_i - z_j| (the diameter of the point set), bit-equal to the
     brute-force maximum over all pairs, in O(n) memory and O(n log n) time.
     Only a thin set with many distinct points at both ends of its axis
-    costs more time, the product of the two counts.
+    costs more time, the product of the two counts, and so does a set
+    with many distinct points within ``rho`` of its hull vertices.
 
     The points are centred and rotated onto their principal axes. A thin
     set (width below _THIN of its length, collinear and identical points
@@ -258,8 +317,20 @@ def _pairwise_max(z: np.ndarray) -> float:
     the diameter's endpoints are antipodal vertices of the convex hull, so
     only those pairs are measured, in the same numpy arithmetic as brute
     force. Hull and calipers work on the axes scaled to unit extent: hull
-    vertices and antipodal pairs do not change under that map, and Qhull's
-    tolerances then cannot merge away the ends of an elongated set."""
+    vertices and antipodal pairs do not change under that map, and the
+    chain's turn tests see a set of unit length and width.
+
+    Rounding in the unit coordinates and in the turn tests (a few ulp of
+    the set's extent) decides which of several points within rounding of
+    a hull vertex the chain keeps, and the dropped one can be an end of
+    the largest computed distance. So every point within ``rho``, 2^-20 of
+    the extent, of a vertex is also measured against all vertices and
+    those points. A point more than that away from the vertices, but
+    within rounding of the hull, lies near the middle of an edge, where
+    the distance to any point falls short of the edge's ends by far more
+    than rounding. The hull's prefilter drops only points more than
+    ``margin`` inside it, enough above that rounding that a dropped point
+    cannot be an end either."""
     z = np.asarray(z, dtype=complex)
     if len(z) <= _BRUTE_FORCE_MAX:
         return _brute_force_max(z)
@@ -279,14 +350,15 @@ def _pairwise_max(z: np.ndarray) -> float:
     if not width > _THIN * length:
         return _end_bands_max(z, s, t)
     unit = np.column_stack([s / length, t / width])
-    from scipy.spatial import ConvexHull, QhullError  # loaded only here
-
-    try:
-        v = ConvexHull(unit).vertices
-    except QhullError:
-        return _end_bands_max(z, s, t)
+    margin = 64 * np.finfo(float).eps * (length + width) / min(length, width)
+    v = _convex_hull(unit, margin)
     i, j = _antipodal_pairs(unit[v])
-    return float(np.max(np.abs(z[v[i]] - z[v[j]])))
+    best = float(np.max(np.abs(z[v[i]] - z[v[j]])))
+    rho = (length + width) * 2.0 ** -20
+    near = _near_vertices(z, unit[:, 0], v, rho, 2 * rho / length)
+    if near.size:
+        best = max(best, _cross_max(z[near], z[np.concatenate([v, near])]))
+    return best
 
 
 def _window_diameters(z: np.ndarray) -> np.ndarray:
@@ -412,7 +484,8 @@ def subnet_verdict(
     # non-converged members are excluded from the spread but veto sync
     pool = converged if converged else members
     limits = np.array([m.limit.as_complex for m in pool])
-    spread = _pairwise_max(np.array([m.limit.as_complex for m in converged]))
+    spread = _pairwise_max(np.array([m.limit.as_complex for m in converged])) \
+        if converged else None
     rep = ComplexFrequencySample(
         float(limits.real.mean()), float(limits.imag.mean()))
     synced = bool(len(converged) == len(members) and spread < config.tol_eq)

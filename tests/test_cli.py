@@ -92,6 +92,14 @@ class TestSimulate:
         assert recorded in err and sha256_file(case_path) in err
         assert not (tmp_path / "run2" / "trajectory.csv").exists()
 
+    def test_t_end_off_the_step_grid_exits_3(self, tmp_path, capsys):
+        rc = main(["simulate", "--case", SHED, "--t-end", "0.0135",
+                   "--dt", "0.002", "--outdir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "t_end=0.0135" in err and "dt=0.002" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_repeated_line_trip_exits_2(self, tmp_path, capsys):
         case = load_case(CASE)
         case.events = [Event(1.0, "line_trip", {"from": 5, "to": 7}),
@@ -288,6 +296,18 @@ class TestInertia:
         rc = main(["inertia", "--case", CASE, "--outdir", str(tmp_path)])
         assert rc == 2
         assert "--traj and/or --sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_end, dt", [("0.0105", "0.002"),
+                                           ("5.0", "0"), ("-1", "1e-3")])
+    def test_sweep_off_the_step_grid_exits_3(self, tmp_path, capsys,
+                                             t_end, dt):
+        # a zero step used to raise ZeroDivisionError out of the command
+        rc = main(["inertia", "--case", CASE, "--sweep", "1",
+                   "--sweep-t-end", t_end, "--sweep-dt", dt,
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"t_end={float(t_end)}" in err and f"dt={float(dt)}" in err
 
     def test_collapsing_sweep_exits_3(self, tmp_path):
         rc = main(["inertia", "--case", CASE, "--sweep", "0.0001",

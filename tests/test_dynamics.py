@@ -86,6 +86,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="record_every"):
             SimConfig(t_end=2.0, record_every=record_every).validate()
 
+    @pytest.mark.parametrize("t_end", [0.0135, 0.0105])
+    def test_t_end_must_be_whole_steps(self, t_end):
+        # 6.75 and 5.25 steps of 2 ms: the run would end at 0.014 or 0.010
+        with pytest.raises(ValueError, match=rf"t_end={t_end} .* dt=0.002"):
+            SimConfig(t_end=t_end, dt=0.002).validate()
+
+    @pytest.mark.parametrize("t_end, dt", [(20.0, 1e-3), (0.3, 3e-3),
+                                           (2.005, 1e-3), (0.014, 0.002)])
+    def test_float_noise_in_the_step_count_is_accepted(self, t_end, dt):
+        SimConfig(t_end=t_end, dt=dt).validate()
+
     def test_strided_record_is_uniform(self, wscc9):
         traj = simulate(wscc9, SimConfig(t_end=0.2, dt=1e-3,
                                          record_every=8))
@@ -389,27 +400,51 @@ class TestFixedPointSkip:
         assert np.all(traj.delta == traj.delta[0])
 
 
-class TestSparseResidual:
+class TestNeighbourResidual:
+    @pytest.mark.parametrize("chunk", [dynamics._RESIDUAL_CHUNK, 70])
     @pytest.mark.parametrize("which", ["wscc9", "two_area"])
-    def test_csr_product_matches_dense(self, wscc9, which):
+    def test_matches_dense_product(self, wscc9, monkeypatch, which, chunk):
+        # 70 values make chunks of 7 (wscc9) or 3 (two_area) rows, the
+        # last one short
+        monkeypatch.setattr(dynamics, "_RESIDUAL_CHUNK", chunk)
         case = wscc9 if which == "wscc9" else two_area_case(wscc9)
         state, net = initialize_dynamics(case, solve_power_flow(case))
         rng = np.random.default_rng(2)
-        for trip in (None, Event(0.0, "line_trip", {"from": 5, "to": 7})):
-            if trip is not None:
-                net.apply_event(trip)
-            assert net.y_sparse.nnz == np.count_nonzero(net.y_aug)
+        for event in (None, Event(0.0, "line_trip", {"from": 5, "to": 7}),
+                      Event(0.0, "q_injection_step", {"bus": 8, "dq": 0.2})):
+            if event is not None:
+                net.apply_event(event)
+            # the lists hold exactly the nonzeros of y_aug, zeros past them
+            rebuilt = np.zeros_like(net.y_aug)
+            for k, n in enumerate(net.nbr_len):
+                rebuilt[net.nbr_bus[:n], net.nbr_idx[k, :n]] = \
+                    net.nbr_w[k, :n]
+                assert not net.nbr_w[k, n:].any()
+            np.testing.assert_array_equal(rebuilt, net.y_aug)
+            assert len(net.nbr_len) == np.count_nonzero(net.y_aug, 1).max()
+            np.testing.assert_array_equal(net.nbr_bus[net.nbr_gen],
+                                          net.gen_bus)
+
             delta = state[:, 0] + rng.normal(0.0, 0.3, (64, net.n_gen))
             e = state[:, 2] * np.exp(1j * delta)
             v = net.solve(e)
-            dense = v @ net.y_aug.T
-            sparse = (net.y_sparse @ v.T).T
+            i_inj = np.zeros_like(v)
+            i_inj[:, net.gen_bus] = e * net.yd
+            dense = np.abs(v @ net.y_aug.T - i_inj)
             # relative to the size of the summed terms: the products
             # cancel to ~1e-14 at buses without a machine
             scale = np.abs(v) @ np.abs(net.y_aug).T
-            assert np.all(np.abs(sparse - dense) <= 1e-15 * scale)
-            i_inj = np.zeros_like(v)
-            i_inj[:, net.gen_bus] = e * net.yd
-            assert abs(net.residual(e, v) - np.max(np.abs(dense - i_inj))) \
+            assert abs(net.residual(e, v) - dense.max()) \
                 <= 1e-15 * scale.max()
+            for r in (0, 37, 63):  # a single 1-D row, as per_row_oracle
+                assert abs(net.residual(e[r], v[r]) - dense[r].max()) \
+                    <= 1e-15 * scale[r].max()
             assert net.residual(e, v) < 1e-10
+            # off the network solution the residual is of order one, so a
+            # dropped or misplaced term shows
+            w = v + rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+            off = np.abs(w @ net.y_aug.T - i_inj)
+            scale = np.abs(w) @ np.abs(net.y_aug).T
+            assert abs(net.residual(e, w) - off.max()) <= 1e-15 * scale.max()
+            assert abs(net.residual(e[5], w[5]) - off[5].max()) \
+                <= 1e-15 * scale[5].max()

@@ -207,6 +207,11 @@ class TestCapacitorBus:
                                              window=(0.6, 4.0))
         assert fitted == pytest.approx(h_v, rel=0.01)
 
+    @pytest.mark.parametrize("t_end", [0.0135, 0.0105])
+    def test_t_end_must_be_whole_steps(self, t_end):
+        with pytest.raises(ValueError, match=rf"t_end={t_end} .* dt=0.002"):
+            simulate_capacitor_bus(default_model(), [1.0], t_end, 0.002)
+
     def test_nonpositive_h_v_rejected(self):
         with pytest.raises(ValueError, match="h_v"):
             simulate_capacitor_bus(default_model(), [1.0, -2.0], 1.0, 1e-3)

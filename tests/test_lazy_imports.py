@@ -1,12 +1,15 @@
-"""Each command loads only the scipy modules its work needs: importing the
-package loads none of the heavy ones, and only the convex-hull branch of
-the node diameter loads scipy.spatial."""
+"""cfsync runs on numpy alone. Importing the package loads none of the heavy
+scipy modules even where scipy is installed, and in a fresh interpreter
+where ``import scipy`` fails the command line, both experiment scripts and
+the convex-hull branch of the node diameter still work."""
 from pathlib import Path
 
 import pytest
 
 HEAVY = ("scipy.sparse", "scipy.spatial", "scipy.signal", "scipy.stats")
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_load_shed.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# None in sys.modules makes every later import of scipy raise ImportError
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 
 
 @pytest.mark.parametrize("module", ["cfsync", "cfsync.cli"])
@@ -15,26 +18,45 @@ def test_import_loads_no_heavy_scipy_module(fresh_modules, module):
     assert not loaded & set(HEAVY)
 
 
-def test_load_shed_commands_never_load_scipy_spatial(fresh_modules,
-                                                     tmp_path):
-    # simulate, analyze, the four plotdata kinds and inertia, at the
-    # script's default 20 s horizon
-    loaded = fresh_modules(
-        "import runpy, sys\n"
-        f"sys.argv = ['run_load_shed.py', '--outdir', {str(tmp_path)!r}]\n"
-        f"assert runpy.run_path({str(SCRIPT)!r})['run']() == 0\n")
-    assert (tmp_path / "inertia.json").exists()
-    assert "scipy.sparse" in loaded  # the residual of simulate
-    assert "scipy.spatial" not in loaded
+def test_scripts_run_without_scipy(fresh_modules, tmp_path):
+    # the load shed: simulate, analyze, the four plotdata kinds, inertia
+    fresh_modules(
+        NO_SCIPY
+        + "import runpy\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('scipy imported')\n"
+        "import cfsync.cli\n"
+        f"sys.argv = ['run_load_shed.py', '--t-end', '4', "
+        f"'--outdir', {str(tmp_path / 'shed')!r}]\n"
+        f"assert runpy.run_path({str(SCRIPTS / 'run_load_shed.py')!r})"
+        "['run']() == 0\n"
+        f"sys.argv = ['run_hv_sweep.py', "
+        f"'--outdir', {str(tmp_path / 'sweep')!r}]\n"
+        f"assert runpy.run_path({str(SCRIPTS / 'run_hv_sweep.py')!r})"
+        "['run']() == 0\n")
+    assert (tmp_path / "shed" / "inertia.json").exists()
+    assert (tmp_path / "shed" / "damping.csv").exists()
+    assert (tmp_path / "sweep" / "hv_sweep.csv").exists()
 
 
-def test_hull_branch_loads_scipy_spatial_on_first_use(fresh_modules):
-    loaded = fresh_modules(
-        "import sys\n"
-        "import numpy as np\n"
-        "from cfsync.sync_detector import _brute_force_max, _pairwise_max\n"
-        "assert 'scipy.spatial' not in sys.modules\n"
-        "rng = np.random.default_rng(0)\n"
-        "z = rng.normal(size=500) + 1j * rng.normal(size=500)\n"
-        "assert _pairwise_max(z) == _brute_force_max(z)\n")
-    assert "scipy.spatial" in loaded
+def test_hull_diameter_runs_without_scipy(fresh_modules):
+    # a 4,001-point damped spiral: not thin, so it takes the convex hull
+    fresh_modules(
+        NO_SCIPY
+        + "import numpy as np\n"
+        "from cfsync import sync_detector\n"
+        "calls = []\n"
+        "hull = sync_detector._convex_hull\n"
+        "sync_detector._convex_hull = "
+        "lambda p, m: calls.append(len(p)) or hull(p, m)\n"
+        "t = np.arange(4001) * 2.5e-4\n"
+        "z = 1e-3 * np.exp(-t) * np.sin(30 * t) \\\n"
+        "    + 1j * (377 + 0.1 * np.exp(-t) * np.cos(30 * t))\n"
+        "brute = max(float(np.max(np.abs(z[i:i + 256, None] - z[None, :])))\n"
+        "            for i in range(0, len(z), 256))\n"
+        "assert sync_detector._pairwise_max(z) == brute\n"
+        "assert calls == [4001], calls\n")

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -14,11 +15,14 @@ from cfsync.cf_estimator import (
     estimate_complex_frequency,
 )
 from cfsync.dynamics import SimConfig, simulate
+from cfsync.fileio import write_json
 from cfsync.grid_model import Event
 from cfsync.sync_detector import (
     _BRUTE_FORCE_MAX,
+    _THIN,
     NodeVerdict,
     SyncConfig,
+    _brute_force_max,
     _pairwise_max,
     _window_diameters,
     coarse_limit,
@@ -104,6 +108,30 @@ def point_cloud(rng, kind, n):
         s = np.where(rng.random(n) < 0.5, 1.0, -1.0) + rng.normal(0, 1e-15, n)
         return (s + 1j * rng.normal(0, 1e-15, n)) \
             * np.exp(1j * rng.uniform(0, 2 * np.pi)) + (rng.normal() + 377j)
+    if kind == "circle":  # an undamped orbit: every point a hull vertex
+        phase = rng.uniform(0, 2 * np.pi) \
+            + np.arange(n) * rng.uniform(1e-3, 1.0)
+        return rng.uniform(1e-3, 1e3) * np.exp(1j * phase) \
+            + (rng.normal() + 377j)
+    if kind == "hull_runs":  # collinear runs and exact repeats on the hull
+        if rng.random() < 0.5:  # a rectangle on an integer grid
+            a, b = rng.integers(1, 9, 2)
+            corners = np.array([0, a, a + 1j * b, 1j * b])
+        else:
+            m = int(rng.integers(3, 8))
+            corners = np.exp(2j * np.pi * (np.arange(m) + rng.random()) / m)
+        k = rng.integers(0, len(corners), n)
+        u = rng.integers(0, 9, n) / 8
+        z = corners[k] + u * (corners[(k + 1) % len(corners)] - corners[k])
+        return z * 2.0 ** int(rng.integers(-20, 20)) + (0.5 + 377j)
+    if kind == "just_thick":  # width about 1 to 1.5 times _THIN the length
+        s = rng.uniform(-1, 1, n)
+        t = rng.uniform(-1, 1, n) * _THIN * rng.uniform(1.0, 1.5)
+        return (s + 1j * t) * np.exp(1j * rng.uniform(0, 2 * np.pi)) \
+            * 10 ** rng.uniform(-3, 3) + (rng.normal() + 377j)
+    if kind == "few_distinct":  # two or three points, repeated
+        pts = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return pts[rng.integers(0, int(rng.integers(2, 4)), n)]
     raise ValueError(kind)
 
 
@@ -129,11 +157,21 @@ class TestPairwiseMax:
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from(["gaussian", "anisotropic", "axis_needle",
                             "spiral", "polygon_ties", "ulp_noise",
-                            "dense_end_needle", "two_level"]),
+                            "dense_end_needle", "two_level", "circle",
+                            "hull_runs", "just_thick", "few_distinct"]),
            st.integers(_BRUTE_FORCE_MAX + 1, 4 * _BRUTE_FORCE_MAX))
     def test_random_clouds(self, seed, kind, n):
         z = point_cloud(np.random.default_rng(seed), kind, n)
-        assert _pairwise_max(z) == brute_force_diameter(z)
+        assert _pairwise_max(z) == brute_force_diameter(z) \
+            == _brute_force_max(z)
+
+    @pytest.mark.parametrize("seed", [39, 252, 268, 884, 885])
+    def test_points_within_rounding_of_a_hull_vertex(self, seed):
+        # a corner met from two edges comes out twice, a few ulp apart; a
+        # hull keeps one of the two, on these sets not the one that ends
+        # the largest computed distance
+        z = point_cloud(np.random.default_rng(seed), "hull_runs", 400)
+        assert _pairwise_max(z) == _brute_force_max(z)
 
     def test_circle_every_point_on_hull(self):
         z = 3.0 * np.exp(2j * np.pi * np.arange(4001) / 4001) + (1 - 2j)
@@ -412,6 +450,17 @@ class TestSubnetAndGlobal:
         assert not sv.internally_synced
         assert sv.spread == 0.0  # non-converged excluded from the spread
 
+    def test_no_converged_member_has_no_spread(self, tmp_path):
+        # a spread of 0.0 would read as a perfectly synchronized subnet
+        vs = [make_verdict(1, 0.0, WS, converged=False),
+              make_verdict(2, 0.5, WS + 1.0, converged=False)]
+        sv = subnet_verdict("S", vs, self.cfg)
+        assert sv.spread is None
+        assert not sv.internally_synced
+        write_json(sv, tmp_path / "sv.json")
+        assert json.loads((tmp_path / "sv.json").read_text())["spread"] \
+            is None
+
     def test_empty_subnet(self):
         with pytest.raises(ValueError, match="empty subnet"):
             subnet_verdict("S", [], self.cfg)
@@ -514,7 +563,9 @@ class TestWindowDiameters:
     @given(st.integers(0, 2**32 - 1),
            st.lists(st.sampled_from(["spiral", "gaussian", "axis_needle",
                                      "dense_end_needle", "two_level",
-                                     "constant", "nan"]),
+                                     "constant", "nan", "circle",
+                                     "hull_runs", "just_thick",
+                                     "few_distinct"]),
                     min_size=1, max_size=6),
            st.integers(2, 700))
     def test_random_stacks(self, seed, kinds, w):
