@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .grid_model import (  # noqa: F401
-    AdmittanceMatrix,
     BusSpec,
     CaseError,
     Event,

@@ -133,12 +133,11 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
 def estimate_complex_frequency(
     traj,
     smoothing_window: int = 5,
-    absolute_omega: bool = True,
 ) -> ComplexFrequencySeries:
     """Differentiate a Trajectory into its per-bus complex-frequency series.
 
-    With absolute_omega, trajectories recorded in the synchronous frame get
-    the nominal speed added back so omega is in absolute rad/s.
+    Trajectories recorded in the synchronous frame get the nominal speed
+    added back, so omega is in absolute rad/s.
     """
     times = np.asarray(traj.times, dtype=float)
     v = np.asarray(traj.v, dtype=float)
@@ -156,11 +155,8 @@ def estimate_complex_frequency(
 
     eps = np.gradient(np.log(v), times, axis=0, edge_order=2)
     omega = np.gradient(unwrap_angles(theta), times, axis=0, edge_order=2)
-    convention = "deviation"
-    if absolute_omega:
-        if getattr(traj, "frame", "synchronous") == "synchronous":
-            omega = omega + traj.omega_s
-        convention = "absolute"
+    if getattr(traj, "frame", "synchronous") == "synchronous":
+        omega = omega + traj.omega_s
 
     eps = moving_average(eps, smoothing_window)
     omega = moving_average(omega, smoothing_window)
@@ -168,6 +164,5 @@ def estimate_complex_frequency(
         times=times, bus_ids=list(traj.bus_ids),
         eps=eps, omega=omega,
         smoothing_window=smoothing_window,
-        omega_convention=convention,
         omega_s=getattr(traj, "omega_s", 0.0),
     )

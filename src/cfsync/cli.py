@@ -123,18 +123,20 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
+def _t_event(args, traj) -> float:
+    """--t-event, else the first event recorded in the trajectory, else 0."""
+    if args.t_event is not None:
+        return args.t_event
+    return min(traj.event_times) if traj.event_times else 0.0
+
+
 def _sync_config_from_args(args, traj) -> SyncConfig:
     t_end = args.t_end if args.t_end is not None else float(traj.times[-1])
-    if args.t_event is not None:
-        t_event = args.t_event
-    elif traj.event_times:
-        t_event = min(traj.event_times)
-    else:
-        t_event = 0.0
     return SyncConfig(
         t_end=t_end, window=args.window, t_coarse=args.t_coarse,
         tol_eps=args.tol_eps, tol_omega=args.tol_omega,
-        tol_node=args.tol_node, tol_eq=args.tol_eq, t_event=t_event,
+        tol_node=args.tol_node, tol_eq=args.tol_eq,
+        t_event=_t_event(args, traj),
         limit_mode=args.limit_mode,
     )
 
@@ -251,7 +253,7 @@ def cmd_inertia(args) -> int:
         if args.window:
             window = tuple(args.window)
         else:
-            t_event = args.t_event if args.t_event is not None else 0.0
+            t_event = _t_event(args, traj)
             window = (t_event, min(t_event + 2.0, float(times[-1])))
         result["window"] = list(window)
         for k, bus in enumerate(gen["gen_buses"]):

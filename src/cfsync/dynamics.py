@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_model import (
-    AdmittanceMatrix,
     CaseError,
     Event,
     NetworkCase,
@@ -116,7 +115,7 @@ class DynamicNetwork:
     into them, so a shallow copy keeps the network state it was taken in.
     """
 
-    def __init__(self, case: NetworkCase, ybus: AdmittanceMatrix,
+    def __init__(self, case: NetworkCase, ybus: np.ndarray,
                  load_adm: np.ndarray):
         self.case = case
         self.ws = case.omega_s
@@ -161,7 +160,7 @@ class DynamicNetwork:
 
     def rebuild(self) -> None:
         n, ng = self.case.n_bus, self.n_gen
-        y = self.ybus.entries + np.diag(self.load_adm)
+        y = self.ybus + np.diag(self.load_adm)
         y[self.gen_bus, self.gen_bus] += self.yd
         self.y_aug = y
         nonzero = y != 0

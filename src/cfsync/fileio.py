@@ -233,8 +233,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
                 comment=f"events: {events}")
 
 
-def read_trajectory_csv(path: str | Path, omega_s: float,
-                        frame: str = "synchronous") -> Trajectory:
+def read_trajectory_csv(path: str | Path, omega_s: float) -> Trajectory:
     path = Path(path)
     kept = _kept("trajectory", path)
     event_times: list[float] = []
@@ -269,7 +268,7 @@ def read_trajectory_csv(path: str | Path, omega_s: float,
         times=times, bus_ids=bus_ids, v=v, theta=theta,
         gen_buses=[], delta=None, omega=None, e_q=None, p_m=None,
         p_e=None, q_e=None, event_times=event_times,
-        omega_s=omega_s, frame=frame,
+        omega_s=omega_s,
     )
 
 

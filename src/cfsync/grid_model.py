@@ -190,12 +190,6 @@ class NetworkCase:
                 tripped.add(k)
 
 
-@dataclass
-class AdmittanceMatrix:
-    n: int
-    entries: np.ndarray  # dense complex (n, n)
-
-
 def _stamp_line(y: np.ndarray, ln: LineSpec, i: int, j: int,
                 remove: bool = False) -> None:
     """Add (or remove) a single line's Y-bus contribution in place: four
@@ -212,8 +206,9 @@ def _stamp_line(y: np.ndarray, ln: LineSpec, i: int, j: int,
     y[j, i] -= y_ij
 
 
-def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
-    """Assemble the bus admittance matrix from in-service lines."""
+def build_ybus(case: NetworkCase) -> np.ndarray:
+    """Assemble the bus admittance matrix, dense complex (n_bus, n_bus),
+    from in-service lines."""
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         raise CaseError("duplicate bus ids")
@@ -226,7 +221,7 @@ def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
         if not ln.in_service:
             continue
         _stamp_line(y, ln, idx[ln.from_bus], idx[ln.to_bus])
-    return AdmittanceMatrix(n=n, entries=y)
+    return y
 
 
 @dataclass
@@ -263,8 +258,7 @@ def solve_power_flow(
 ) -> PowerFlowSolution:
     """Newton-Raphson power flow on polar mismatch equations, flat start."""
     case.validate()
-    ybus = build_ybus(case)
-    y = ybus.entries
+    y = build_ybus(case)
     _check_connected(case, y)
     idx = case.bus_index()
     n = case.n_bus
@@ -344,18 +338,18 @@ def load_admittances(case: NetworkCase, pf: PowerFlowSolution) -> np.ndarray:
 
 
 def apply_event(
-    ybus: AdmittanceMatrix,
+    ybus: np.ndarray,
     load_adm: np.ndarray,
     event: Event,
     case: NetworkCase,
-) -> tuple[AdmittanceMatrix, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply a timed event, returning updated (Y-bus, per-bus load admittance).
 
     Inputs are not mutated. q_injection_step adds a shunt reactive injection
     evaluated at 1 p.u. voltage.
     """
     idx = case.bus_index()
-    y_new = AdmittanceMatrix(n=ybus.n, entries=ybus.entries.copy())
+    y_new = ybus.copy()
     adm = load_adm.copy()
     if event.kind == "load_scale":
         bus = event.params["bus"]
@@ -373,7 +367,7 @@ def apply_event(
                 break
         if match is None:
             raise CaseError(f"unknown line ({fb}, {tb})")
-        _stamp_line(y_new.entries, match, idx[match.from_bus],
+        _stamp_line(y_new, match, idx[match.from_bus],
                     idx[match.to_bus], remove=True)
     elif event.kind == "q_injection_step":
         bus = event.params["bus"]

@@ -17,6 +17,11 @@ import numpy as np
 from .dynamics import step_count
 
 
+# A fit needs at least two windowed samples whose regressor (domega/dt or
+# eps) exceeds this magnitude: one alone fits any gain with zero residual.
+_EXCURSION = 1e-6
+
+
 class EstimationError(ValueError):
     """Input series unsuitable for an inertia fit."""
 
@@ -74,7 +79,6 @@ def estimate_frequency_inertia(
     omega: np.ndarray,
     dp: np.ndarray,
     window: tuple[float, float] | None = None,
-    threshold: float = 1e-6,
 ) -> tuple[float, float]:
     """Fit M in dp = M * domega/dt over the window; returns (M, residual)."""
     times = np.asarray(times, dtype=float)
@@ -82,8 +86,10 @@ def estimate_frequency_inertia(
                             edge_order=2)
     mask = _window_mask(times, window)
     wd, wp = omega_dot[mask], np.asarray(dp, dtype=float)[mask]
-    if wd.size == 0 or np.max(np.abs(wd)) <= threshold:
-        raise EstimationError("no frequency excursion in window")
+    if np.count_nonzero(np.abs(wd) > _EXCURSION) < 2:
+        raise EstimationError(
+            f"no frequency excursion in window: fewer than 2 samples with "
+            f"|domega/dt| > {_EXCURSION:g}")
     return _scalar_fit(wp, wd)
 
 
@@ -92,15 +98,16 @@ def estimate_voltage_inertia(
     eps: np.ndarray,
     dq: np.ndarray,
     window: tuple[float, float] | None = None,
-    threshold: float = 1e-6,
 ) -> tuple[float, float]:
     """Fit H_v in dq = H_v * eps over the window; returns (H_v, residual)."""
     times = np.asarray(times, dtype=float)
     mask = _window_mask(times, window)
     we = np.asarray(eps, dtype=float)[mask]
     wq = np.asarray(dq, dtype=float)[mask]
-    if we.size == 0 or np.max(np.abs(we)) <= threshold:
-        raise EstimationError("no voltage excursion in window")
+    if np.count_nonzero(np.abs(we) > _EXCURSION) < 2:
+        raise EstimationError(
+            f"no voltage excursion in window: fewer than 2 samples with "
+            f"|eps| > {_EXCURSION:g}")
     return _scalar_fit(wq, we)
 
 

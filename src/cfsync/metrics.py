@@ -144,12 +144,11 @@ def node_metrics(
     omega: np.ndarray,
     verdict: NodeVerdict,
     config: SyncConfig,
-    overshoot_end: str = "node",  # "node": T_end_k; "global": T_end
 ) -> NodeMetrics:
     t_eps, t_omega = verdict.t_eps, verdict.t_omega
     both = t_eps is not None and t_omega is not None
-    t_stop = verdict.t_end_k if (overshoot_end == "node" and both) \
-        else config.t_end
+    # overshoot runs to the node's settling time T_end_k, else to t_end
+    t_stop = verdict.t_end_k if both else config.t_end
     return NodeMetrics(
         bus=verdict.bus,
         t_eps=t_eps,

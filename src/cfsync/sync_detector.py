@@ -9,15 +9,14 @@ pairwise.
 
 ``evaluate`` judges all buses in one pass over the (n_samples, n_bus)
 series: one trailing-max sweep per component, and one batched diameter over
-the (n_bus, w) final windows. That diameter splits each window into time
-blocks of about sqrt(w) samples and measures only the block pairs whose
-anchor-and-radius bound reaches the largest anchor-to-anchor distance; a
-window that keeps too many block pairs, or holds a non-finite or huge
-value, falls back to the per-node ``_pairwise_max``. Every fluctuation is
-bit-equal to the all-pairs maximum. ``_pairwise_max`` measures a set of
-more than ``_BRUTE_FORCE_MAX`` points that is not thin over antipodal
-vertices of its convex hull, found by a monotone chain in numpy and Python
-alone.
+the (n_bus, w) final windows. Every diameter, of a window or of a set of
+limits, is bit-equal to the all-pairs maximum and comes from one
+bound-and-prune on a power-of-two tree of blocks (``_tree_max``): a block
+pair is split only while its anchor distance plus both radii can reach the
+largest distance measured, and the leaf pairs left are measured. Windows
+keep time order, where a settling trajectory prunes to a few pairs per
+level; a row that keeps too many is rerun on a k-d layout of its distinct
+points. numpy alone does the work.
 """
 from __future__ import annotations
 
@@ -34,26 +33,21 @@ from .cf_estimator import (
 
 _T_SLACK = 1e-9
 # Up to this many points the all-pairs matrix is the cheaper path: on a
-# 2-vCPU Xeon VM it took 150 us at 192 points against 160-320 us for the
-# hull path (gaussian and damped-spiral sets), and lost from 256 on.
+# 2-vCPU VM it took 320 us at 256 points, against 220 us for _tree_max on
+# a damped spiral and 700 us on a gaussian cloud, which takes the k-d
+# layout.
 _BRUTE_FORCE_MAX = 192
-_THIN = 1e-6  # width / length below which a set is measured end to end
-# Directions whose extreme points span the polygon that _convex_hull's
-# prefilter drops the points inside of. On the five 4,001-point final
-# windows that take the hull on the 0.25 ms synthetic trajectory (seeds 42,
-# 44, 46), 32 directions left 31 to 403 points to the chain, 16 up to 513
-# and 8 up to 2,103.
-_HULL_DIRECTIONS = 32
-_PAIR_BLOCK = 1 << 16  # pairs per block in _cross_max and _window_diameters
-# A window keeping more than this many block pairs per bit of its length
-# (an unstructured cloud) goes to _pairwise_max, so the pairs measured stay
-# within about 4 w log2(w). The final windows of the load shed, of 270-bus
-# line trips and of a 0.25 ms synthetic trajectory kept 2 to 16 block pairs
-# (w = 501 to 4,001).
-_PRUNE_LIMIT = 4
-# Windows with a component beyond this magnitude go to _pairwise_max: below
-# it no difference or sum of three distances can overflow.
-_HUGE = 2.0 ** 1000
+_LEAF = 16  # most entries per leaf block of _tree_max
+_PAIR_BLOCK = 1 << 16  # distances per chunk of measured leaf pairs
+# A row keeping more than this many block pairs per bit of its length on a
+# level of the time-order tree is rerun on its k-d layout, so it measures
+# at most 4,096 ceil(log2 w) distances in time order. Settling final
+# windows of the load shed, of 270-bus line trips and of a 0.25 ms
+# synthetic trajectory kept at most 24 pairs on a level (w = 501 to 4,001);
+# windows decayed to the estimator's rounding, a grid where many pairs tie,
+# kept up to 1,163. A budget of 4 sent more rows to the relayout and took
+# longer; 32 and no budget measured the same as 16.
+_PRUNE_LIMIT = 16
 
 
 @dataclass
@@ -203,219 +197,119 @@ def _brute_force_max(z: np.ndarray) -> float:
     return float(np.max(np.abs(z[:, None] - z[None, :])))
 
 
-def _cross_max(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a_i - b_j| over all i, j, in the arithmetic of brute force.
-
-    Exact duplicates are dropped first; the pairs are measured a block of
-    rows at a time, so memory stays bounded however many pairs there are."""
-    a, b = np.unique(a), np.unique(b)
-    rows = max(1, _PAIR_BLOCK // len(b))
-    return max(float(np.max(np.abs(a[k:k + rows, None] - b[None, :])))
-               for k in range(0, len(a), rows))
-
-
-def _antipodal_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs into the counter-clockwise convex polygon ``p`` (h x 2)
-    that include every antipodal pair, hence the diameter's endpoints.
-
-    Rotating calipers without the pointer walk: edge k's direction angle,
-    turned by pi, falls between the angles of the two edges at the vertex
-    farthest from edge k. Both endpoints of each edge are paired with that
-    vertex and its two neighbours, which absorbs rounding in the angles."""
-    h = len(p)
-    edge = np.roll(p, -1, axis=0) - p
-    ang = np.arctan2(edge[:, 1], edge[:, 0])
-    ang = np.mod(ang - ang[0], 2 * np.pi)
-    far = np.searchsorted(ang, np.mod(ang + np.pi, 2 * np.pi)) % h
-    k = np.arange(h)
-    i = np.concatenate([k, (k + 1) % h] * 3)
-    j = np.concatenate([(far + d) % h for d in (-1, -1, 0, 0, 1, 1)])
-    return i, j
+def _leaf_blocks(z: np.ndarray) -> np.ndarray:
+    """The rows of the (n, w) array ``z`` as (n, 2**levels, leaf) blocks,
+    leaf <= _LEAF, padded with copies of each row's last entry: a copy
+    adds no new distance."""
+    n, w = z.shape
+    blocks = 1 << ((w - 1) // _LEAF).bit_length()
+    leaf = -(-w // blocks)
+    pad = np.repeat(z[:, -1:], blocks * leaf - w, axis=1)
+    return np.concatenate([z, pad], axis=1).reshape(n, blocks, leaf)
 
 
-def _convex_hull(p: np.ndarray, margin: float) -> np.ndarray:
-    """Indices of the convex hull vertices of the points ``p`` (n x 2),
-    counter-clockwise, collinear points left out: Andrew's monotone chain.
-
-    Points more than ``margin`` inside the polygon of the extreme points in
-    ``_HULL_DIRECTIONS`` directions are dropped first, in numpy: they are
-    no vertices, and on settling windows most points are among them."""
-    ang = np.arange(_HULL_DIRECTIONS) * (2 * np.pi / _HULL_DIRECTIONS)
-    ext = p[np.argmax(np.column_stack([np.cos(ang), np.sin(ang)]) @ p.T,
-                      axis=1)]
-    ext = ext[(ext != np.roll(ext, -1, axis=0)).any(axis=1)]
-    edge = np.roll(ext, -1, axis=0) - ext
-    normal = np.column_stack([edge[:, 1], -edge[:, 0]])  # outward
-    normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
-    offset = (ext * normal).sum(axis=1) - margin
-    inner = (normal @ p.T < offset[:, None]).all(axis=0)
-    keep = np.flatnonzero(~inner)
-    keep = keep[np.lexsort((p[keep, 1], p[keep, 0]))]
-    x, y = p[keep, 0].tolist(), p[keep, 1].tolist()
-
-    def chain(ks) -> list[int]:  # keeps left turns only
-        h: list[int] = []
-        for k in ks:
-            while len(h) > 1 and ((x[h[-1]] - x[h[-2]]) * (y[k] - y[h[-2]])
-                                  - (y[h[-1]] - y[h[-2]]) * (x[k] - x[h[-2]])
-                                  <= 0.0):
-                h.pop()
-            h.append(k)
-        return h
-
-    n = len(keep)
-    return keep[chain(range(n))[:-1] + chain(range(n - 1, -1, -1))[:-1]]
+def _kd_layout(u: np.ndarray) -> np.ndarray:
+    """The distinct finite points ``u`` as the leaf blocks of one row,
+    (1, 2**levels, leaf), ordered as a k-d tree: each block of the tree is
+    split at its median along its wider axis."""
+    p = _leaf_blocks(u[None, :])
+    flat = p.ravel()
+    for level in range(p.shape[1].bit_length() - 1):
+        blk = flat.reshape(1 << level, -1)
+        wide = np.ptp(blk.real, axis=1) >= np.ptp(blk.imag, axis=1)
+        key = np.where(wide[:, None], blk.real, blk.imag)
+        order = np.argpartition(key, blk.shape[1] // 2, axis=1)
+        flat = np.take_along_axis(blk, order, axis=1).ravel()
+    return flat.reshape(p.shape)
 
 
-def _near_vertices(z: np.ndarray, x: np.ndarray, v: np.ndarray,
-                   rho: float, rho_x: float) -> np.ndarray:
-    """Indices of the points other than the vertices ``v`` that lie within
-    ``rho`` of one of them. ``x`` is a coordinate of the points that
-    changes by at most ``rho_x`` over a distance of ``rho``: each vertex
-    is compared only with the points within ``rho_x`` of it in ``x``."""
-    order = np.argsort(x, kind="stable")
-    lo = np.searchsorted(x[order], x[v] - rho_x)
-    count = np.searchsorted(x[order], x[v] + rho_x, side="right") - lo
-    owner = np.repeat(v, count)
-    k = order[np.arange(count.sum())
-              + np.repeat(lo - (np.cumsum(count) - count), count)]
-    vertex = np.zeros(len(z), dtype=bool)
-    vertex[v] = True
-    return k[(np.abs(z[k] - z[owner]) <= rho) & ~vertex[k]]
+def _tree_max(zb: np.ndarray, budget: float) -> np.ndarray:
+    """Diameter of each row of the finite (n, 2**levels, leaf) blocks
+    ``zb``, bit-equal to ``_brute_force_max``; nan for a row that keeps
+    more than ``budget`` block pairs on some level of the block tree.
 
-
-def _end_bands_max(z: np.ndarray, s: np.ndarray, t: np.ndarray) -> float:
-    """Diameter of ``z`` from the points near the two ends of its axis.
-
-    ``s`` and ``t`` are the centred points in an orthonormal frame. With
-    length L and width w the extents of s and t, both endpoints of the
-    diameter lie within w^2 / L of the ends of s, since the diameter is at
-    least L and at most sqrt(ds^2 + w^2). The bands are widened by a bound
-    on the rounding of s, t and of the measured distances. Exact for any
-    set; few points fall in the bands when the set is thin."""
-    slack = 64 * np.finfo(float).eps * (np.abs(s).max() + np.abs(t).max())
-    length, width = np.ptp(s), np.ptp(t)
-    band = np.inf if length <= 2 * slack else \
-        slack + (width + slack) ** 2 / (length - slack)
-    hi = s >= s.max() - band
-    lo = s <= s.min() + band
-    if (hi & lo).any():  # the bands meet: measure all pairs among them
-        return _cross_max(z[hi | lo], z[hi | lo])
-    return _cross_max(z[hi], z[lo])
+    Level l splits each row into 2**l blocks of consecutive leaves. Block
+    k has an anchor a_k, its middle entry, and a radius r_k = max |z_i -
+    a_k| over the block. Every anchor-to-anchor distance measured is one
+    of the row's distances, so the largest so far bounds the diameter from
+    below. No two points of blocks A and B are farther apart than |a_A -
+    a_B| + r_A + r_B; widened by 64 ulp, which covers the rounding of the
+    three distances, of their sum and of a measured distance (a few ulp
+    each), and by 64 subnormals, a block pair whose bound falls short of
+    the lower bound cannot hold the diameter. An overflowing bound is inf
+    and keeps its pair. A surviving pair is split into its child pairs on
+    the next level; the leaf pairs left are measured in the arithmetic of
+    brute force (np.abs of a fresh complex difference), a chunk at a
+    time."""
+    n, blocks, leaf = zb.shape
+    ulp, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    low = np.zeros(n)
+    over = np.zeros(n, dtype=bool)
+    # the tree starts with all pairs of about sqrt(blocks) blocks: above
+    # that level next to nothing prunes, and each level costs a full pass
+    start = (blocks.bit_length() - 1) // 2
+    i, j = np.triu_indices(1 << start)
+    node = np.repeat(np.arange(n), len(i))
+    i, j = np.tile(i, n), np.tile(j, n)
+    for level in range(start, blocks.bit_length()):
+        blk = zb.reshape(n, 1 << level, (blocks >> level) * leaf)
+        anchor = blk[:, :, blk.shape[2] // 2]
+        radius = np.abs(blk - anchor[:, :, None]).max(axis=2)
+        if level > start:  # child pairs (2i + a, 2j + b) with 2i + a <= 2j + b
+            i = (2 * i[:, None] + [0, 0, 1, 1]).ravel()
+            j = (2 * j[:, None] + [0, 1, 0, 1]).ravel()
+            node = np.repeat(node, 4)
+            upper = i <= j
+            node, i, j = node[upper], i[upper], j[upper]
+        gap = np.abs(anchor[node, i] - anchor[node, j])
+        np.maximum.at(low, node, gap)
+        with np.errstate(over="ignore"):
+            gap += radius[node, i]
+            gap += radius[node, j]
+            keep = gap * (1.0 + 64 * ulp) + 64 * tiny >= low[node]
+        over |= np.bincount(node[keep], minlength=n) > budget
+        keep &= ~over[node]
+        node, i, j = node[keep], i[keep], j[keep]
+    per_chunk = max(1, _PAIR_BLOCK // leaf ** 2)
+    for k in range(0, len(node), per_chunk):
+        c = slice(k, k + per_chunk)
+        d = np.abs(zb[node[c], i[c]][:, :, None]
+                   - zb[node[c], j[c]][:, None, :]).max(axis=(1, 2))
+        np.maximum.at(low, node[c], d)
+    low[over] = np.nan
+    return low
 
 
 def _pairwise_max(z: np.ndarray) -> float:
     """Largest |z_i - z_j| (the diameter of the point set), bit-equal to the
-    brute-force maximum over all pairs, in O(n) memory and O(n log n) time.
-    Only a thin set with many distinct points at both ends of its axis
-    costs more time, the product of the two counts, and so does a set
-    with many distinct points within ``rho`` of its hull vertices.
-
-    The points are centred and rotated onto their principal axes. A thin
-    set (width below _THIN of its length, collinear and identical points
-    included) is measured between the two ends of its long axis. Otherwise
-    the diameter's endpoints are antipodal vertices of the convex hull, so
-    only those pairs are measured, in the same numpy arithmetic as brute
-    force. Hull and calipers work on the axes scaled to unit extent: hull
-    vertices and antipodal pairs do not change under that map, and the
-    chain's turn tests see a set of unit length and width.
-
-    Rounding in the unit coordinates and in the turn tests (a few ulp of
-    the set's extent) decides which of several points within rounding of
-    a hull vertex the chain keeps, and the dropped one can be an end of
-    the largest computed distance. So every point within ``rho``, 2^-20 of
-    the extent, of a vertex is also measured against all vertices and
-    those points. A point more than that away from the vertices, but
-    within rounding of the hull, lies near the middle of an edge, where
-    the distance to any point falls short of the edge's ends by far more
-    than rounding. The hull's prefilter drops only points more than
-    ``margin`` inside it, enough above that rounding that a dropped point
-    cannot be an end either."""
-    z = np.asarray(z, dtype=complex)
-    if len(z) <= _BRUTE_FORCE_MAX:
-        return _brute_force_max(z)
-    if not np.isfinite(z).all():
-        return math.nan  # brute force gives nan: z_i - z_i is nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = np.column_stack([z.real - z.real.mean(),
-                               z.imag - z.imag.mean()])
-    if not np.isfinite(pts).all():  # the mean overflowed, near 1e308
-        return _cross_max(z, z)
-    # scaled by a power of two below 1, so that the squares cannot overflow
-    unit_pts = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
-    u = np.linalg.eigh(unit_pts.T @ unit_pts)[1][:, 1]
-    s = pts @ u
-    t = pts @ np.array([-u[1], u[0]])
-    length, width = np.ptp(s), np.ptp(t)
-    if not width > _THIN * length:
-        return _end_bands_max(z, s, t)
-    unit = np.column_stack([s / length, t / width])
-    margin = 64 * np.finfo(float).eps * (length + width) / min(length, width)
-    v = _convex_hull(unit, margin)
-    i, j = _antipodal_pairs(unit[v])
-    best = float(np.max(np.abs(z[v[i]] - z[v[j]])))
-    rho = (length + width) * 2.0 ** -20
-    near = _near_vertices(z, unit[:, 0], v, rho, 2 * rho / length)
-    if near.size:
-        best = max(best, _cross_max(z[near], z[np.concatenate([v, near])]))
-    return best
+    brute-force maximum over all pairs: ``_window_diameters`` of one row."""
+    return float(_window_diameters(np.asarray(z, dtype=complex)[None, :])[0])
 
 
 def _window_diameters(z: np.ndarray) -> np.ndarray:
-    """``_pairwise_max`` of every row of the (n_bus, w) array ``z``, bit
-    for bit, by one batched bound-and-prune over all rows.
+    """``_brute_force_max`` of every row of the (n_bus, w) array ``z``, bit
+    for bit, in O(n_bus * w) memory.
 
-    Each row is split into m time blocks of b = ceil(sqrt(w)) consecutive
-    samples; the last block is padded with copies of the row's last
-    sample, which add no new distance. Block k has an anchor a_k, its
-    middle sample, and a radius r_k = max |z_i - a_k| over the block. The
-    largest anchor-to-anchor distance is one of the measured distances, so
-    it bounds the diameter from below. No two points of blocks A and B are
-    farther apart than |a_A - a_B| + r_A + r_B; widened by 64 ulp, which
-    covers the rounding of the three distances, of their sum and of a
-    measured distance (a few ulp each), and by 64 subnormals, a block pair
-    whose bound falls short of the lower bound cannot hold the diameter.
-    Only the surviving block pairs are measured, in the arithmetic of
-    brute force (np.abs of a fresh complex difference), a chunk of block
-    pairs at a time.
-
-    Rows of at most _BRUTE_FORCE_MAX samples, rows with a non-finite value
-    or a component beyond _HUGE, and rows keeping more than
-    _PRUNE_LIMIT * ceil(log2 w) block pairs go to _pairwise_max. So time
-    stays O(w log w) per row and memory O(n_bus * w)."""
+    The rows go through ``_tree_max`` together in time order, where a
+    settling window's blocks are short arcs and most block pairs prune. A
+    row that keeps more than _PRUNE_LIMIT * ceil(log2 w) block pairs on a
+    level (an unstructured cloud) is rerun alone on its ``_kd_layout``,
+    with no budget. Time is about O(w log w) on settling windows and
+    clouds; many distinct points within rounding (64 ulp) of the
+    diameter's ends cost up to their pair count. A row with a non-finite
+    value is nan, as brute force gives, since a nan radius would prune
+    every pair."""
     n, w = z.shape
-    out = np.empty(n)
     if w <= _BRUTE_FORCE_MAX:
-        out[:] = [_pairwise_max(row) for row in z]
-        return out
-    safe = ((np.abs(z.real) <= _HUGE) & (np.abs(z.imag) <= _HUGE)).all(axis=1)
-    rows = np.flatnonzero(safe)
-    zs = z if rows.size == n else z[rows]
-    b = math.isqrt(w - 1) + 1
-    m = -(-w // b)
-    zb = np.concatenate([zs, np.repeat(zs[:, -1:], m * b - w, axis=1)],
-                        axis=1).reshape(len(rows), m, b)
-    anchor = zb[:, :, b // 2]
-    radius = np.abs(zb - anchor[:, :, None]).max(axis=2)
-    gap = np.abs(anchor[:, :, None] - anchor[:, None, :])
-    low = gap.max(axis=(1, 2))
-    gap += radius[:, :, None]
-    gap += radius[:, None, :]
-    ulp, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    keep = gap * (1.0 + 64 * ulp) + 64 * tiny >= low[:, None, None]
-    keep &= np.triu(np.ones((m, m), dtype=bool))
-    pruned = keep.sum(axis=(1, 2)) <= _PRUNE_LIMIT * math.ceil(math.log2(w))
-    keep &= pruned[:, None, None]
-    node, blk_a, blk_b = np.nonzero(keep)
-    per_chunk = max(1, _PAIR_BLOCK // (b * b))
-    for k in range(0, len(node), per_chunk):
-        c = slice(k, k + per_chunk)
-        d = np.abs(zb[node[c], blk_a[c]][:, :, None]
-                   - zb[node[c], blk_b[c]][:, None, :]).max(axis=(1, 2))
-        np.maximum.at(low, node[c], d)
-    out[rows[pruned]] = low[pruned]
-    for k in np.concatenate([np.flatnonzero(~safe), rows[~pruned]]):
-        out[k] = _pairwise_max(z[k])
+        return np.array([_brute_force_max(row) for row in z])
+    out = np.full(n, np.nan)
+    rows = np.flatnonzero(np.isfinite(z).all(axis=1))
+    out[rows] = _tree_max(_leaf_blocks(z[rows]),
+                          _PRUNE_LIMIT * math.ceil(math.log2(w)))
+    for k in rows[np.isnan(out[rows])]:
+        u = np.unique(z[k])
+        out[k] = _brute_force_max(u) if len(u) <= _BRUTE_FORCE_MAX \
+            else _tree_max(_kd_layout(u), math.inf)[0]
     return out
 
 

@@ -182,7 +182,7 @@ def test_criterion_7_frequency_inertia_recovery(wscc9_loadshed,
 def test_criterion_8_numerical_hygiene(wscc9, wscc9_loadshed,
                                        loadshed_traj):
     pf = solve_power_flow(wscc9)
-    y = build_ybus(wscc9).entries
+    y = build_ybus(wscc9)
     sym_exact = bool(np.array_equal(y, y.T))
     case_1s = dataclasses.replace(
         wscc9_loadshed,

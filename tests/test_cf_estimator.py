@@ -88,14 +88,6 @@ class TestEstimate:
             estimate_complex_frequency(
                 make_traj([0.0, 1e-3], [1.0, 1.0], [0.0, 0.0]))
 
-    def test_deviation_convention(self):
-        t = np.arange(0, 1, 1e-3)
-        cf = estimate_complex_frequency(
-            make_traj(t, np.ones_like(t), 0.5 * t),
-            smoothing_window=1, absolute_omega=False)
-        assert cf.omega_convention == "deviation"
-        np.testing.assert_allclose(cf.omega[1:-1], 0.5, atol=1e-9)
-
 
 class TestProperties:
     @settings(max_examples=30, deadline=None)

@@ -271,6 +271,29 @@ class TestInertia:
             # is loose; the dedicated no-governor check lives elsewhere
             assert est["m"] == pytest.approx(2 * g.h / ws, rel=0.25)
 
+    def test_default_window_starts_at_the_recorded_event(self, simdir,
+                                                         tmp_path):
+        # as analyze does; from t = 0 the window would end at the load
+        # shed, with one sample of nonzero domega/dt per machine
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        result = json.loads((tmp_path / "inertia.json").read_text())
+        assert result["window"] == [2.0, 4.0]
+
+    def test_window_ending_at_the_event_fits_no_inertia(self, simdir,
+                                                        tmp_path):
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--t-event", "0", "--outdir", str(tmp_path)])
+        assert rc == 0
+        result = json.loads((tmp_path / "inertia.json").read_text())
+        assert result["window"] == [0.0, 2.0]
+        for est in result["estimates"]:
+            assert est["m"] is None
+            assert "fewer than 2 samples" in est["m_error"]
+
     @pytest.mark.parametrize("t_end, dt, rows", [
         ("10.0", "2e-3", 5001),  # as many rows, twice the step
         ("3.0", "1e-3", 3001),   # fewer rows, the same step

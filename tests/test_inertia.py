@@ -69,6 +69,15 @@ class TestFrequencyInertia:
             estimate_frequency_inertia(t, 377.0 + t ** 2, t,
                                        window=(5.0, 6.0))
 
+    def test_one_excursion_sample_is_an_error(self):
+        # a step at t = 0.5 s gives domega/dt at two samples, and the
+        # window holds only the first: any dp fits it with zero residual
+        t = np.arange(0, 1, 1e-3)
+        omega = 377.0 + np.where(t >= 0.5, 1e-3, 0.0)
+        with pytest.raises(EstimationError, match="fewer than 2 samples"):
+            estimate_frequency_inertia(t, omega, np.ones_like(t),
+                                       window=(0.0, 0.4995))
+
     def test_recovers_machine_inertia_from_simulation(self, wscc9_loadshed,
                                                       loadshed_traj_nogov):
         traj = loadshed_traj_nogov
@@ -97,6 +106,12 @@ class TestVoltageInertia:
         t = np.arange(0, 1, 1e-3)
         with pytest.raises(EstimationError, match="no voltage excursion"):
             estimate_voltage_inertia(t, np.zeros_like(t), np.ones_like(t))
+
+    def test_one_excursion_sample_is_an_error(self):
+        t = np.arange(0, 1, 1e-3)
+        eps = np.where(np.arange(len(t)) == 500, 0.05, 0.0)
+        with pytest.raises(EstimationError, match="fewer than 2 samples"):
+            estimate_voltage_inertia(t, eps, np.ones_like(t))
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3),

@@ -1,7 +1,7 @@
 """cfsync runs on numpy alone. Importing the package loads none of the heavy
 scipy modules even where scipy is installed, and in a fresh interpreter
 where ``import scipy`` fails the command line, both experiment scripts and
-the convex-hull branch of the node diameter still work."""
+the k-d layout branch of the node diameter still work."""
 from pathlib import Path
 
 import pytest
@@ -43,19 +43,19 @@ def test_scripts_run_without_scipy(fresh_modules, tmp_path):
     assert (tmp_path / "sweep" / "hv_sweep.csv").exists()
 
 
-def test_hull_diameter_runs_without_scipy(fresh_modules):
-    # a 4,001-point damped spiral: not thin, so it takes the convex hull
+def test_kd_layout_diameter_runs_without_scipy(fresh_modules):
+    # a 4,001-point gaussian cloud: no time order prunes it, so it is
+    # rerun on the k-d layout of its points
     fresh_modules(
         NO_SCIPY
         + "import numpy as np\n"
         "from cfsync import sync_detector\n"
         "calls = []\n"
-        "hull = sync_detector._convex_hull\n"
-        "sync_detector._convex_hull = "
-        "lambda p, m: calls.append(len(p)) or hull(p, m)\n"
-        "t = np.arange(4001) * 2.5e-4\n"
-        "z = 1e-3 * np.exp(-t) * np.sin(30 * t) \\\n"
-        "    + 1j * (377 + 0.1 * np.exp(-t) * np.cos(30 * t))\n"
+        "layout = sync_detector._kd_layout\n"
+        "sync_detector._kd_layout = "
+        "lambda u: calls.append(len(u)) or layout(u)\n"
+        "rng = np.random.default_rng(0)\n"
+        "z = rng.normal(size=4001) + 1j * rng.normal(size=4001)\n"
         "brute = max(float(np.max(np.abs(z[i:i + 256, None] - z[None, :])))\n"
         "            for i in range(0, len(z), 256))\n"
         "assert sync_detector._pairwise_max(z) == brute\n"

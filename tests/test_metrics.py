@@ -156,11 +156,8 @@ class TestNodeMetrics:
         eps = eps + np.where(t > 18.0, 9.9, 0.0)     # late spike
         omega = np.full_like(t, 377.0)
         m = node_metrics(t, eps, omega, verdict(1, 6.0, 6.0),
-                         SyncConfig(t_end=20.0), overshoot_end="node")
+                         SyncConfig(t_end=20.0))
         assert m.overshoot_eps == pytest.approx(1.0)
-        m2 = node_metrics(t, eps, omega, verdict(1, 6.0, 6.0),
-                          SyncConfig(t_end=20.0), overshoot_end="global")
-        assert m2.overshoot_eps == pytest.approx(9.9)
 
     def test_unconverged_rates_are_none(self):
         t = np.arange(0, 10.001, 1e-2)

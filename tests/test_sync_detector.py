@@ -14,12 +14,11 @@ from cfsync.cf_estimator import (
     ComplexFrequencySeries,
     estimate_complex_frequency,
 )
-from cfsync.dynamics import SimConfig, simulate
+from cfsync.dynamics import SimConfig, Trajectory, simulate
 from cfsync.fileio import write_json
 from cfsync.grid_model import Event
 from cfsync.sync_detector import (
     _BRUTE_FORCE_MAX,
-    _THIN,
     NodeVerdict,
     SyncConfig,
     _brute_force_max,
@@ -73,7 +72,7 @@ def brute_force_diameter(z, rows=256):
 
 
 def point_cloud(rng, kind, n):
-    """Point sets for the diameter tests, each stressing the hull path."""
+    """Point sets for the diameter tests, each stressing the pruning."""
     if kind == "gaussian":
         return rng.normal(size=n) + 1j * rng.normal(size=n)
     if kind == "anisotropic":  # rotated, scaled, far from the origin
@@ -124,9 +123,9 @@ def point_cloud(rng, kind, n):
         u = rng.integers(0, 9, n) / 8
         z = corners[k] + u * (corners[(k + 1) % len(corners)] - corners[k])
         return z * 2.0 ** int(rng.integers(-20, 20)) + (0.5 + 377j)
-    if kind == "just_thick":  # width about 1 to 1.5 times _THIN the length
+    if kind == "just_thick":  # width about 1e-6 to 1.5e-6 of the length
         s = rng.uniform(-1, 1, n)
-        t = rng.uniform(-1, 1, n) * _THIN * rng.uniform(1.0, 1.5)
+        t = rng.uniform(-1, 1, n) * 1e-6 * rng.uniform(1.0, 1.5)
         return (s + 1j * t) * np.exp(1j * rng.uniform(0, 2 * np.pi)) \
             * 10 ** rng.uniform(-3, 3) + (rng.normal() + 377j)
     if kind == "few_distinct":  # two or three points, repeated
@@ -207,8 +206,7 @@ class TestPairwiseMax:
 
     @pytest.mark.parametrize("scale", [1e160, 1e305])
     def test_huge_magnitudes(self, scale):
-        # squared coordinates overflow beyond about 1e154, so the
-        # principal axes must come from scaled points
+        # near 1e308 differences and bound sums overflow to inf
         z = point_cloud(np.random.default_rng(6), "spiral",
                         3 * _BRUTE_FORCE_MAX) * scale
         assert _pairwise_max(z) == brute_force_diameter(z)
@@ -222,9 +220,32 @@ class TestPairwiseMax:
             assert math.isnan(_pairwise_max(z))
             assert math.isnan(brute_force_diameter(z))
 
+    @pytest.mark.parametrize("n", [4001, 16001])
+    @pytest.mark.parametrize("kind", ["two_level", "polygon_ties",
+                                      "gaussian"])
+    def test_large_sets(self, kind, n):
+        # a repeat adds no distance, so the oracle measures each distinct
+        # point once; two_level and polygon_ties have few of them
+        z = point_cloud(np.random.default_rng(n), kind, n)
+        assert _pairwise_max(z) == brute_force_diameter(np.unique(z))
+
+    def test_kd_layout_memory_is_linear(self, monkeypatch):
+        # all pairs of 16,001 points would take 4 GB; the layout holds a
+        # few copies of the points and one chunk of leaf pairs
+        calls = record_calls(monkeypatch, "_kd_layout")
+        z = point_cloud(np.random.default_rng(7), "gaussian", 16001)
+        tracemalloc.start()
+        try:
+            _pairwise_max(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1
+        assert peak < 8 * z.nbytes + 2**21
+
     def test_node_verdict_memory_is_linear_in_window(self):
         # 1 s final window at 0.25 ms: 4,001 samples, 16M pairs. An
-        # all-pairs matrix needs about 384 MB here; the hull needs O(w).
+        # all-pairs matrix needs about 384 MB here; the block tree O(w).
         t = np.arange(12001) * 2.5e-4
         eps = 1e-3 * np.exp(-t) * np.sin(30 * t)
         omega = WS + 0.1 * np.exp(-t) * np.cos(30 * t)
@@ -555,6 +576,47 @@ def settling_window(rng, w, dt=1e-3):
         + 1j * (377 + 0.05 * np.exp(-0.5 * t) + 0.3 * decay * np.cos(f * t))
 
 
+def synthetic_final_windows(seed, n_bus=9, t_end=20.0, dt=2.5e-4,
+                            t_step=2.0):
+    """The (n_bus, 4001) final windows that ``analyze`` takes from the
+    seeded synthetic trajectory of perfbench/synthetic_traj.py, from the
+    same draws and closed forms: eps_k = a_k e^(-sigma_k s) sin(w_k s +
+    phi_k) and a damped swing of omega_k around a drifting limit. Its CSV
+    holds each value to 17 digits, so the file reads back these values."""
+    rng = np.random.default_rng(seed)
+    d_omega = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.2))
+    beta = float(rng.uniform(1.0, 2.0))
+    sigma = rng.uniform(0.8, 1.5, n_bus)
+    w = 2.0 * math.pi * rng.uniform(0.8, 1.8, n_bus)
+    a = rng.uniform(0.005, 0.02, n_bus)
+    b = rng.uniform(0.05, 0.3, n_bus)
+    phi, psi = rng.uniform(0.0, 2.0 * math.pi, (2, n_bus))
+    v0 = rng.uniform(0.98, 1.04, n_bus)
+    theta0 = rng.uniform(-0.3, 0.3, n_bus)
+    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    s = np.clip(times - t_step, 0.0, None)[:, None]
+
+    def integral(phase):  # of e^(-sigma u) sin(w u + phase) over [0, s]
+        def primitive(u):
+            return np.exp(-sigma * u) * (-sigma * np.sin(w * u + phase)
+                                         - w * np.cos(w * u + phase)) \
+                / (sigma ** 2 + w ** 2)
+        return primitive(s) - primitive(0.0)
+
+    theta = theta0 + d_omega * (s - (1.0 - np.exp(-beta * s)) / beta) \
+        + b * integral(psi)
+    traj = Trajectory(
+        times=times, bus_ids=list(range(1, n_bus + 1)),
+        v=np.exp(np.log(v0) + a * integral(phi)),
+        theta=np.angle(np.exp(1j * theta)), gen_buses=[], delta=None,
+        omega=None, e_q=None, p_m=None, p_e=None, q_e=None,
+        event_times=[t_step], omega_s=WS)
+    series = estimate_complex_frequency(traj)
+    final = times >= t_end - 1.0 - 1e-9
+    return np.ascontiguousarray(
+        (series.eps[final] + 1j * series.omega[final]).T)
+
+
 class TestWindowDiameters:
     """The batched diameter of a (n_bus, w) stack is bit-equal to the
     all-pairs maximum of every row."""
@@ -578,14 +640,28 @@ class TestWindowDiameters:
 
     @pytest.mark.parametrize("w", [_BRUTE_FORCE_MAX + 1, 501, 1000, 1001])
     def test_smooth_windows_need_no_fallback(self, monkeypatch, w):
-        calls = record_calls(monkeypatch, "_pairwise_max")
+        # settling windows prune in time order; only the gaussian row is
+        # rerun on the k-d layout of its points
+        calls = record_calls(monkeypatch, "_kd_layout")
         rng = np.random.default_rng(w)
         z = np.array([settling_window(rng, w) for _ in range(12)]
                      + [point_cloud(rng, "gaussian", w)])
         got = _window_diameters(z)
-        assert [len(args[0]) for args in calls] == [w]  # the gaussian one
+        assert [len(args[0]) for args in calls] == [w]
         np.testing.assert_array_equal(
             got, [brute_force_diameter(row) for row in z])
+
+    @pytest.mark.parametrize("seed", [42, 44, 46, 61])
+    def test_multi_turn_synthetic_windows(self, seed):
+        # the final windows of the 0.25 ms synthetic trajectory: damped
+        # swings, and on these seeds a row or two decayed to the rounding
+        # of the estimator, a grid of 20 to 344 values per component on
+        # which many pairs tie with the diameter
+        z = synthetic_final_windows(seed)
+        assert z.shape == (9, 4001)
+        np.testing.assert_array_equal(
+            _window_diameters(z),
+            [brute_force_diameter(np.unique(row)) for row in z])
 
     def test_huge_values_take_the_fallback(self):
         rng = np.random.default_rng(4)
