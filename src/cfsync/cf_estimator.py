@@ -136,8 +136,8 @@ def estimate_complex_frequency(
 ) -> ComplexFrequencySeries:
     """Differentiate a Trajectory into its per-bus complex-frequency series.
 
-    Trajectories recorded in the synchronous frame get the nominal speed
-    added back, so omega is in absolute rad/s.
+    Recorded angles are in the synchronous frame, so the nominal speed is
+    added back: omega is in absolute rad/s.
     """
     times = np.asarray(traj.times, dtype=float)
     v = np.asarray(traj.v, dtype=float)
@@ -154,9 +154,8 @@ def estimate_complex_frequency(
         )
 
     eps = np.gradient(np.log(v), times, axis=0, edge_order=2)
-    omega = np.gradient(unwrap_angles(theta), times, axis=0, edge_order=2)
-    if getattr(traj, "frame", "synchronous") == "synchronous":
-        omega = omega + traj.omega_s
+    omega = np.gradient(unwrap_angles(theta), times, axis=0,
+                        edge_order=2) + traj.omega_s
 
     eps = moving_average(eps, smoothing_window)
     omega = moving_average(omega, smoothing_window)
@@ -164,5 +163,5 @@ def estimate_complex_frequency(
         times=times, bus_ids=list(traj.bus_ids),
         eps=eps, omega=omega,
         smoothing_window=smoothing_window,
-        omega_s=getattr(traj, "omega_s", 0.0),
+        omega_s=traj.omega_s,
     )

@@ -7,13 +7,20 @@ the network is linear in the machine EMFs. Each network state (the initial
 one and each one after an event) is Kron-reduced once to the machines'
 internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the machine
 currents and the terminal voltages, and each derivative evaluation is one
-small matvec on it. The integration loop stores only machine states, and
-skips the steps from a bit-exact fixed point (the initial state is one) up
-to the next event. Bus voltages, electrical powers and the residual against
-the full augmented admittance matrix are computed afterwards, for every
-recorded row, by one record pass per network segment in blocks of
-``_RECORD_BLOCK`` rows. The residual multiplies through padded neighbour
-lists of that matrix (its nonzeros, bus by bus), in numpy alone.
+small matvec on it. A network of at most ``_FLOAT_MAX_GEN`` (six) machines
+steps in Python floats and complex on that matrix's rows, because on a few
+machines numpy's per-call cost outweighs its arithmetic: the measured
+crossover lies between 6 and 9 machines (one RK4 step in floats took 27 us
+against numpy's 52 us with 3 machines, 65 us against 54 us with 9). Larger
+networks step in numpy. The initial state is computed on the path that
+steps it, so it is an exact fixed point of that path. The integration loop
+stores only machine states, and skips the steps from a bit-exact fixed
+point (the initial state is one) up to the next event. Bus voltages,
+electrical powers and the residual against the full augmented admittance
+matrix are computed afterwards, for every recorded row, by one record pass
+per network segment in blocks of ``_RECORD_BLOCK`` rows. The residual
+multiplies through padded neighbour lists of that matrix (its nonzeros, bus
+by bus), in numpy alone.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
@@ -22,7 +29,9 @@ from __future__ import annotations
 import copy
 import math
 import warnings
+from cmath import rect
 from dataclasses import dataclass
+from operator import mul, sub
 
 import numpy as np
 
@@ -43,6 +52,12 @@ INTEGRATORS = ("rk4", "trapezoidal")
 _DELTA, _OMEGA, _EQ, _PM = 0, 1, 2, 3
 
 _TRAP_MAX_ITER = 100  # fixed-point iterations per trapezoidal step
+# Networks of at most this many machines step in Python floats, larger ones
+# in numpy. One RK4 step after an event, numpy -> floats (2-vCPU VM, one
+# BLAS thread, interleaved medians of 7): the WSCC-9 load shed (3 machines)
+# 52.0 -> 26.6 us; tiled WSCC-9 rings after a trip, 6 machines 52.7 -> 43.1
+# us, 9: 53.8 -> 65.3 us, 12: 58.3 -> 90.9 us.
+_FLOAT_MAX_GEN = 6
 _RECORD_BLOCK = 512   # rows per record-pass block: bounds its temporaries
 # Bus voltages per residual chunk (256 KiB): its temporaries then stay in
 # cache. On the 270-bus ring (60 rows a chunk) a 512-row block took 3.3 ms,
@@ -110,6 +125,9 @@ class DynamicNetwork:
     n_gen) maps those currents to bus voltages. ``k_red`` stacks the
     Kron-reduced internal-node admittance Y_int (machine currents from
     EMFs) over the terminal-voltage transfer Z[gen, gen] diag(yd).
+    ``k_rows`` holds its rows as lists of Python complex when the network
+    steps in floats (at most ``_FLOAT_MAX_GEN`` machines), and is None
+    when it steps in numpy.
 
     ``rebuild`` and ``apply_event`` replace these arrays rather than write
     into them, so a shallow copy keeps the network state it was taken in.
@@ -145,6 +163,7 @@ class DynamicNetwork:
         self.pm0 = np.zeros(self.n_gen)
         self.e0 = np.ones(self.n_gen)
         self.v_ref = np.ones(self.n_gen)
+        self.coef_lists: list[list[float]] = []
         self.ybus = ybus
         self.load_adm = load_adm
         self.tripped: frozenset[frozenset[int]] = frozenset()
@@ -156,6 +175,7 @@ class DynamicNetwork:
         self.nbr_gen: np.ndarray | None = None
         self.zg: np.ndarray | None = None
         self.k_red: np.ndarray | None = None
+        self.k_rows: list[list[complex]] | None = None
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -182,6 +202,8 @@ class DynamicNetwork:
         z_term = self.zg[self.gen_bus] * self.yd  # Z[gen, gen] diag(yd)
         y_int = np.diag(self.yd) - self.yd[:, None] * z_term
         self.k_red = np.vstack([y_int, z_term])
+        self.k_rows = (self.k_red.tolist() if ng <= _FLOAT_MAX_GEN
+                       else None)
 
     def apply_event(self, event: Event) -> None:
         line = None
@@ -197,12 +219,25 @@ class DynamicNetwork:
             self.tripped = self.tripped | {line}
         self.rebuild()
 
-    def reduced(self, e_cplx: np.ndarray, terminal: bool = True):
-        """Machine electrical power and terminal-voltage phasors from the
-        Kron-reduced network; without ``terminal`` the second is empty."""
+    def reduced(self, delta: np.ndarray, e_q: np.ndarray,
+                terminal: bool = True):
+        """Machine electrical power and terminal-voltage magnitudes from the
+        Kron-reduced network, for rotor angles ``delta`` and EMF magnitudes
+        ``e_q``, computed as a step of this network computes them; without
+        ``terminal`` the second is None."""
         ng = self.n_gen
-        out = (self.k_red if terminal else self.k_red[:ng]) @ e_cplx
-        return (e_cplx * np.conj(out[:ng])).real, out[ng:]
+        if self.k_rows is not None:  # as _derivs_floats computes them
+            e = list(map(rect, e_q.tolist(), delta.tolist()))
+            out = [sum(map(mul, row, e))
+                   for row in self.k_rows[:2 * ng if terminal else ng]]
+            pe = [u.real * v.real + u.imag * v.imag for u, v in zip(e, out)]
+            v_abs = [abs(v) for v in out[ng:]]
+            return np.array(pe), np.array(v_abs) if terminal else None
+        e_cplx = e_q * np.exp(1j * delta)
+        if not terminal:
+            return (e_cplx * np.conj(self.k_red[:ng] @ e_cplx)).real, None
+        out = self.k_red @ e_cplx
+        return (e_cplx * np.conj(out[:ng])).real, np.abs(out[ng:])
 
     def solve(self, e_cplx: np.ndarray) -> np.ndarray:
         """Bus voltage phasors given the machine internal EMF phasors; a
@@ -242,8 +277,9 @@ def initialize_dynamics(
     """Back-solve machine internal states from the power-flow operating point.
 
     Returns the (n_gen, 4) state array [delta, omega, e_q, p_m] and the
-    dynamic network. p_m is set to the electrical power computed through the
-    dynamic network itself so the returned state is an exact fixed point.
+    dynamic network. p_m, and the exciters' v_ref where the case leaves it
+    unset, are computed through the dynamic network itself, on the path
+    that steps it, so the returned state is an exact fixed point.
     """
     if pf.max_mismatch > 1e-6:
         raise SimulationError(
@@ -271,8 +307,7 @@ def initialize_dynamics(
     state[:, _OMEGA] = case.omega_s
     state[:, _EQ] = np.abs(e_bar)
 
-    e_cplx = state[:, _EQ] * np.exp(1j * state[:, _DELTA])
-    pe0, v_term = net.reduced(e_cplx)
+    pe0, v_term = net.reduced(state[:, _DELTA], state[:, _EQ])
     if np.max(np.abs(pe0 - s_gen.real)) > 1e-6:
         raise SimulationError(
             "generator terminal power inconsistent with the power flow "
@@ -281,24 +316,26 @@ def initialize_dynamics(
     state[:, _PM] = pe0  # exact fixed point of the dynamic equations
     net.pm0 = pe0.copy()
     net.e0 = state[:, _EQ].copy()
-    v_term = np.abs(v_term)
     net.v_ref = np.array([
         (g.exciter.v_ref if (g.exciter and g.exciter.v_ref is not None)
          else v_term[k])
         for k, g in enumerate(case.generators)
     ])
+    # the per-machine constants as lists, for a step in floats
+    net.coef_lists = [a.tolist() for a in (
+        net.c_swing, net.d, net.c_vref, net.v_ref, net.c_eq, net.e0,
+        net.c_gov, net.pm0, net.inv_r_gov)]
     return state, net
 
 
 def _derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
-    e_cplx = state[:, _EQ] * np.exp(1j * state[:, _DELTA])
-    pe, v_term = net.reduced(e_cplx, net.any_exc)
+    pe, v_abs = net.reduced(state[:, _DELTA], state[:, _EQ], net.any_exc)
     dx = np.empty_like(state)
     dx[:, _DELTA] = state[:, _OMEGA] - net.ws
     slip = dx[:, _DELTA] / net.ws
     dx[:, _OMEGA] = net.c_swing * (state[:, _PM] - pe - net.d * slip)
     if net.any_exc:
-        dx[:, _EQ] = (net.c_vref * (net.v_ref - np.abs(v_term))
+        dx[:, _EQ] = (net.c_vref * (net.v_ref - v_abs)
                       - net.c_eq * (state[:, _EQ] - net.e0))
     else:
         dx[:, _EQ] = 0.0
@@ -306,16 +343,99 @@ def _derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
     return dx
 
 
+def _derivs_floats(x: list, net: DynamicNetwork) -> list:
+    """``_derivs`` in Python floats on the flattened transposed state
+    (all angles, then speeds, EMFs and mechanical powers), with the same
+    operations in the same order."""
+    ng, ws = net.n_gen, net.ws
+    delta, omega, e_q, p_m = (x[:ng], x[ng:2 * ng], x[2 * ng:3 * ng],
+                              x[3 * ng:])
+    # electrical power and terminal voltages as DynamicNetwork.reduced
+    # gives them: the initial state is a fixed point only with the same bits
+    e = list(map(rect, e_q, delta))
+    out = [sum(map(mul, row, e))
+           for row in (net.k_rows if net.any_exc else net.k_rows[:ng])]
+    c_swing, d, c_vref, v_ref, c_eq, e0, c_gov, pm0, inv_r_gov = \
+        net.coef_lists
+    d_delta = [w - ws for w in omega]
+    slip = [w / ws for w in d_delta]
+    d_omega = [c * (p - (u.real * v.real + u.imag * v.imag) - k * w)
+               for c, p, u, v, k, w in zip(c_swing, p_m, e, out, d, slip)]
+    if net.any_exc:
+        d_eq = [a * (r - abs(v)) - b * (q - q0) for a, r, v, b, q, q0
+                in zip(c_vref, v_ref, out[ng:], c_eq, e_q, e0)]
+    else:
+        d_eq = [0.0] * ng
+    d_pm = [c * (p0 - w * r - p)
+            for c, p0, w, r, p in zip(c_gov, pm0, slip, inv_r_gov, p_m)]
+    return d_delta + d_omega + d_eq + d_pm
+
+
+def _unconverged(change: float, dt: float) -> SimulationError:
+    return SimulationError(
+        f"trapezoidal step did not converge in {_TRAP_MAX_ITER} "
+        f"iterations (last change {change:.3e}, dt={dt}); reduce dt")
+
+
+def _step_floats(state: np.ndarray, net: DynamicNetwork, dt: float,
+                 integrator: str) -> np.ndarray:
+    """``step`` in Python floats, with the same operations in the same
+    order; only the derivative's complex products and sums may differ
+    from numpy's in the last bit."""
+    x = state.T.ravel().tolist()
+    try:
+        if integrator == "rk4":
+            h = 0.5 * dt
+            k1 = _derivs_floats(x, net)
+            k2 = _derivs_floats([a + h * b for a, b in zip(x, k1)], net)
+            k3 = _derivs_floats([a + h * b for a, b in zip(x, k2)], net)
+            k4 = _derivs_floats([a + dt * b for a, b in zip(x, k3)], net)
+            h = dt / 6.0
+            nxt = [a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        else:
+            f0 = _derivs_floats(x, net)
+            nxt = [a + dt * b for a, b in zip(x, f0)]
+            h = 0.5 * dt
+            for _ in range(_TRAP_MAX_ITER):
+                f1 = _derivs_floats(nxt, net)
+                cand = [a + h * (b0 + b1) for a, b0, b1 in zip(x, f0, f1)]
+                change = max(map(abs, map(sub, cand, nxt)))
+                tol = 1e-13 * (1.0 + max(map(abs, nxt)))
+                nxt = cand
+                # max() skips a NaN that numpy's would return, so a
+                # non-finite iterate is tested for on its own
+                if change < tol and all(map(math.isfinite, nxt)):
+                    break
+            else:
+                raise _unconverged(change, dt)
+    except (ValueError, OverflowError):
+        # cos or sin of an infinite angle, or abs of an overflowing
+        # phasor: numpy carries these on as NaN instead, which no
+        # trapezoidal iteration converges from
+        if integrator == "trapezoidal":
+            raise _unconverged(math.nan, dt) from None
+        raise SimulationError("non-finite machine state") from None
+    if not all(map(math.isfinite, nxt)):
+        raise SimulationError("non-finite machine state")
+    return np.array(nxt).reshape(4, net.n_gen).T
+
+
 def step(state: np.ndarray, net: DynamicNetwork, dt: float,
          integrator: str = "rk4") -> np.ndarray:
-    """Advance the machine states one step of size dt."""
+    """Advance the machine states one step of size dt, in Python floats on
+    a network with ``k_rows`` and in numpy otherwise."""
+    if integrator not in INTEGRATORS:
+        raise ValueError(f"unknown integrator {integrator!r}")
+    if net.k_rows is not None:
+        return _step_floats(state, net, dt, integrator)
     if integrator == "rk4":
         k1 = _derivs(state, net)
         k2 = _derivs(state + 0.5 * dt * k1, net)
         k3 = _derivs(state + 0.5 * dt * k2, net)
         k4 = _derivs(state + dt * k3, net)
         nxt = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    elif integrator == "trapezoidal":
+    else:
         f0 = _derivs(state, net)
         nxt = state + dt * f0
         for _ in range(_TRAP_MAX_ITER):
@@ -327,12 +447,7 @@ def step(state: np.ndarray, net: DynamicNetwork, dt: float,
             if change < tol:
                 break
         else:
-            raise SimulationError(
-                f"trapezoidal step did not converge in {_TRAP_MAX_ITER} "
-                f"iterations (last change {change:.3e}, dt={dt}); "
-                "reduce dt")
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
+            raise _unconverged(change, dt)
     if not np.all(np.isfinite(nxt)):
         raise SimulationError("non-finite machine state")
     return nxt
@@ -353,7 +468,6 @@ class Trajectory:
     q_e: np.ndarray | None
     event_times: list[float]
     omega_s: float
-    frame: str = "synchronous"
     max_residual: float = 0.0
 
 
@@ -460,5 +574,5 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
         gen_buses=[g.bus for g in case.generators],
         delta=delta, omega=omega, e_q=e_q, p_m=p_m, p_e=p_e, q_e=q_e,
         event_times=event_times, omega_s=case.omega_s,
-        frame="synchronous", max_residual=max_res,
+        max_residual=max_res,
     )

@@ -272,25 +272,40 @@ def read_trajectory_csv(path: str | Path, omega_s: float) -> Trajectory:
     )
 
 
+_GEN_COLUMNS = ("delta", "omega", "eq", "pm", "pe", "qe")
+
+
 def write_generator_csv(traj: Trajectory, path: str | Path) -> None:
     if traj.delta is None:
         raise ValueError("trajectory carries no generator state series")
     header = ["t"]
     for b in traj.gen_buses:
-        header += [f"delta_{b}", f"omega_{b}", f"eq_{b}", f"pm_{b}",
-                   f"pe_{b}", f"qe_{b}"]
+        header += [f"{c}_{b}" for c in _GEN_COLUMNS]
     arrays = [traj.delta, traj.omega, traj.e_q, traj.p_m, traj.p_e, traj.q_e]
     _write_kept("generator", path, header, [traj.times, _interleave(arrays)])
 
 
 def read_generator_csv(path: str | Path) -> dict:
+    """The generator series of a CSV from ``write_generator_csv``. Raises
+    ValueError unless the header is ``t`` followed by delta_b, omega_b,
+    eq_b, pm_b, pe_b and qe_b, in this order, for each generator bus b,
+    and every row has a value under each name."""
     path = Path(path)
     kept = _kept("generator", path)
     with path.open() as f:
         names = f.readline().strip().split(",")
+        buses = [n.partition("_")[2] for n in names[1::len(_GEN_COLUMNS)]]
+        if names != ["t"] + [f"{c}_{b}" for b in buses for c in _GEN_COLUMNS]:
+            raise ValueError(
+                f"{path}: malformed generator header (need t, then "
+                f"{', '.join(c + '_b' for c in _GEN_COLUMNS)} for each "
+                "generator bus b)")
+        gen_buses = [int(b) for b in buses]
         data = kept if kept is not None \
             else np.loadtxt(f, delimiter=",", ndmin=2)
-    gen_buses = [int(n.split("_", 1)[1]) for n in names[1::6]]
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: {data.shape[1]} values a row under "
+                         f"{len(names)} column names")
     out = {"times": data[:, 0], "gen_buses": gen_buses}
     for j, key in enumerate(("delta", "omega", "e_q", "p_m", "p_e", "q_e")):
         out[key] = data[:, 1 + j::6]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cfsync
-from cfsync import SimConfig, bundled_case_path, simulate
+from cfsync import SimConfig, bundled_case_path, dynamics, simulate
 from cfsync.fileio import load_case
 
 SRC = Path(cfsync.__file__).resolve().parents[1]
@@ -28,6 +28,18 @@ def _fresh_modules(code: str) -> set[str]:
 @pytest.fixture(scope="session")
 def fresh_modules():
     return _fresh_modules
+
+
+@pytest.fixture
+def each_path(monkeypatch):
+    """``for path in each_path():`` runs a test body once per stepping
+    path, "floats" and then "numpy", by patching the machine-count
+    threshold: every network built in that pass steps on that path."""
+    def paths():
+        for path, max_gen in (("floats", 10**6), ("numpy", 0)):
+            monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", max_gen)
+            yield path
+    return paths
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from cfsync.dynamics import Trajectory
 WS = 2 * math.pi * 60
 
 
-def make_traj(times, v, theta, frame="synchronous", omega_s=WS):
+def make_traj(times, v, theta, omega_s=WS):
     v = np.asarray(v, float)
     theta = np.asarray(theta, float)
     if v.ndim == 1:
@@ -26,7 +26,6 @@ def make_traj(times, v, theta, frame="synchronous", omega_s=WS):
         times=np.asarray(times, float), bus_ids=list(range(1, v.shape[1] + 1)),
         v=v, theta=theta, gen_buses=[], delta=None, omega=None, e_q=None,
         p_m=None, p_e=None, q_e=None, event_times=[], omega_s=omega_s,
-        frame=frame,
     )
 
 

@@ -315,6 +315,30 @@ class TestInertia:
         assert "5001 rows, step 0.001" in err
         assert not (tmp_path / "inertia.json").exists()
 
+    @pytest.mark.parametrize("edit", ["drop_qe_3", "swap_omega_eq_1"])
+    def test_malformed_generator_header_exits_2(self, simdir, tmp_path,
+                                                capsys, edit):
+        # without qe_3 the reader raised IndexError; with omega_1 and eq_1
+        # swapped, names and values alike, it fitted e_q as the speed
+        lines = (simdir / "trajectory_gen.csv").read_text().splitlines()
+        cells = [line.split(",") for line in lines]
+        assert cells[0][-1] == "qe_3" and cells[0][2:4] == ["omega_1",
+                                                            "eq_1"]
+        for row in cells:
+            if edit == "drop_qe_3":
+                del row[-1]
+            else:
+                row[2], row[3] = row[3], row[2]
+        gen = tmp_path / "gen.csv"
+        gen.write_text("\n".join(",".join(row) for row in cells) + "\n")
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--gen", str(gen), "--window", "2.005", "2.3",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "malformed generator header" in capsys.readouterr().err
+        assert not (tmp_path / "inertia.json").exists()
+
     def test_no_inputs_exits_2(self, tmp_path, capsys):
         rc = main(["inertia", "--case", CASE, "--outdir", str(tmp_path)])
         assert rc == 2

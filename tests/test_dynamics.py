@@ -128,56 +128,130 @@ class TestInitialization:
 
 
 class TestStep:
-    def test_equilibrium_is_a_fixed_point(self, wscc9):
+    def test_equilibrium_is_a_fixed_point(self, wscc9, each_path):
         pf = solve_power_flow(wscc9)
-        state, net = initialize_dynamics(wscc9, pf)
-        nxt = step(state, net, 1e-3)
-        assert np.max(np.abs(nxt - state)) < 1e-12
+        for path in each_path():
+            state, net = initialize_dynamics(wscc9, pf)
+            nxt = step(state, net, 1e-3)
+            assert nxt.tobytes() == state.tobytes(), path
 
-    def test_smib_small_signal_frequency(self):
+    def test_smib_small_signal_frequency(self, each_path):
         case = smib_case(x_line=0.5, h=3.0, xdp=0.3)
         pf = solve_power_flow(case)
-        state, net = initialize_dynamics(case, pf)
         ws = case.omega_s
         # closed-form linearized swing frequency around delta0 = 0
         x_total = 0.3 + 0.5 + 0.01
         p_max = 1.0 / x_total
         w_th = math.sqrt(ws * p_max / (2.0 * 3.0))
+        for path in each_path():
+            state, net = initialize_dynamics(case, pf)
+            state[1, 0] += 0.01  # small rotor-angle perturbation
+            dt = 1e-3
+            n = 5000
+            delta = np.empty(n + 1)
+            for i in range(n + 1):
+                delta[i] = state[1, 0]
+                state = step(state, net, dt)
+            sig = delta - delta.mean()
+            crossings = np.nonzero(np.diff(np.signbit(sig)))[0]
+            # refine by linear interpolation, use many periods
+            t_cross = [i + sig[i] / (sig[i] - sig[i + 1]) for i in crossings]
+            periods = 0.5 * (len(t_cross) - 1)
+            w_meas = (2.0 * math.pi * periods
+                      / ((t_cross[-1] - t_cross[0]) * dt))
+            assert w_meas == pytest.approx(w_th, rel=0.01), path
 
-        state[1, 0] += 0.01  # small rotor-angle perturbation
-        dt = 1e-3
-        n = 5000
-        delta = np.empty(n + 1)
-        for i in range(n + 1):
-            delta[i] = state[1, 0]
-            state = step(state, net, dt)
-        sig = delta - delta.mean()
-        crossings = np.nonzero(np.diff(np.signbit(sig)))[0]
-        # refine by linear interpolation, use many periods
-        t_cross = [i + sig[i] / (sig[i] - sig[i + 1]) for i in crossings]
-        periods = 0.5 * (len(t_cross) - 1)
-        w_meas = 2.0 * math.pi * periods / ((t_cross[-1] - t_cross[0]) * dt)
-        assert w_meas == pytest.approx(w_th, rel=0.01)
-
-    def test_unconverged_trapezoidal_step_raises(self, wscc9_loadshed):
+    def test_unconverged_trapezoidal_step_raises(self, wscc9_loadshed,
+                                                 each_path):
         # H scaled by 1/50: at dt = 20 ms the fixed-point iteration of the
         # trapezoidal rule diverges after the load shed
         case = dataclasses.replace(wscc9_loadshed, generators=[
             dataclasses.replace(g, h=0.02 * g.h)
             for g in wscc9_loadshed.generators])
-        with pytest.raises(SimulationError, match="did not converge"):
-            simulate(case, SimConfig(t_end=3.0, dt=0.02,
-                                     integrator="trapezoidal"))
+        for _ in each_path():
+            with pytest.raises(SimulationError, match="did not converge"):
+                simulate(case, SimConfig(t_end=3.0, dt=0.02,
+                                         integrator="trapezoidal"))
 
-    def test_rk4_vs_trapezoidal(self, wscc9_loadshed):
+    @pytest.mark.parametrize("integrator", ["rk4", "trapezoidal"])
+    def test_non_finite_state_raises(self, wscc9, each_path, integrator):
+        # an infinite speed: numpy carries NaN on, Python's cos raises
+        pf = solve_power_flow(wscc9)
+        for path in each_path():
+            state, net = initialize_dynamics(wscc9, pf)
+            state[0, 1] = math.inf
+            match = ("did not converge" if integrator == "trapezoidal"
+                     else "non-finite machine state")
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(SimulationError, match=match):
+                step(state, net, 1e-3, integrator)
+
+    def test_unknown_integrator_raises(self, wscc9, each_path):
+        pf = solve_power_flow(wscc9)
+        for _ in each_path():
+            state, net = initialize_dynamics(wscc9, pf)
+            with pytest.raises(ValueError, match="unknown integrator"):
+                step(state, net, 1e-3, "euler")
+
+    def test_rk4_vs_trapezoidal(self, wscc9_loadshed, each_path):
         case = dataclasses.replace(
             wscc9_loadshed,
             events=[Event(0.2, "load_scale",
                           {"bus": 6, "p_factor": 0.5, "q_factor": 0.5})])
-        a = simulate(case, SimConfig(t_end=1.0, dt=1e-3, integrator="rk4"))
-        b = simulate(case, SimConfig(t_end=1.0, dt=1e-3,
-                                     integrator="trapezoidal"))
-        assert np.max(np.abs(a.v - b.v)) < 1e-5
+        for path in each_path():
+            a = simulate(case, SimConfig(t_end=1.0, dt=1e-3,
+                                         integrator="rk4"))
+            b = simulate(case, SimConfig(t_end=1.0, dt=1e-3,
+                                         integrator="trapezoidal"))
+            assert np.max(np.abs(a.v - b.v)) < 1e-5, path
+
+
+class TestFloatPath:
+    """The Python-float derivative against numpy's."""
+
+    @pytest.mark.parametrize("which", ["smib", "wscc9", "wscc9_exciters",
+                                       "two_area"])
+    def test_derivatives_agree(self, wscc9, monkeypatch, which):
+        case = {
+            "smib": lambda: smib_case(p_set=0.5),
+            "wscc9": lambda: wscc9,
+            "wscc9_exciters": lambda: dataclasses.replace(wscc9, generators=[
+                dataclasses.replace(g, exciter=ExciterSpec(k_ex=20.0,
+                                                           t_ex=0.2))
+                for g in wscc9.generators]),
+            "two_area": lambda: two_area_case(wscc9),
+        }[which]()
+        pf = solve_power_flow(case)
+        monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 0)
+        state, net_np = initialize_dynamics(case, pf)
+        monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 10**6)
+        _, net_fl = initialize_dynamics(case, pf)
+        assert net_np.k_rows is None and net_fl.k_rows is not None
+        # the same operating point on both paths, up to the last bits
+        np.testing.assert_allclose(net_fl.pm0, net_np.pm0, rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(net_fl.v_ref, net_np.v_ref, rtol=0,
+                                   atol=1e-13)
+        trip = (Event(0.0, "line_trip", {"from": 1, "to": 2})
+                if which == "smib" else Event(0.0, "line_trip", TRIP))
+        inject = Event(0.0, "q_injection_step",
+                       {"bus": 2 if which == "smib" else 8, "dq": 0.2})
+        rng = np.random.default_rng(3)
+        for event in (None, trip, inject):
+            if event is not None:
+                net_np.apply_event(event)
+                net_fl.apply_event(event)
+            for _ in range(5):
+                x = state.copy()
+                x[:, 0] += rng.normal(0.0, 0.3, net_np.n_gen)
+                x[:, 1] += rng.normal(0.0, 1.0, net_np.n_gen)
+                x[:, 2] *= rng.uniform(0.9, 1.1, net_np.n_gen)
+                x[:, 3] *= rng.uniform(0.9, 1.1, net_np.n_gen)
+                want = dynamics._derivs(x, net_np)
+                got = dynamics._derivs_floats(x.T.ravel().tolist(),
+                                              net_fl)
+                np.testing.assert_allclose(
+                    np.reshape(got, (4, -1)).T, want, rtol=0, atol=1e-12)
 
 
 class TestSimulate:
@@ -243,24 +317,27 @@ class TestReducedNetwork:
     """The Kron-reduced machine quantities against the bus-level solve."""
 
     @pytest.mark.parametrize("which", ["wscc9", "two_area"])
-    def test_reduced_matches_bus_level(self, wscc9, which):
+    def test_reduced_matches_bus_level(self, wscc9, each_path, which):
         case = wscc9 if which == "wscc9" else two_area_case(wscc9)
-        state, net = initialize_dynamics(case, solve_power_flow(case))
-        rng = np.random.default_rng(0)
-        for trip in (None, Event(0.0, "line_trip", {"from": 5, "to": 7})):
-            if trip is not None:
-                net.apply_event(trip)
-            for _ in range(5):
-                delta = state[:, 0] + rng.normal(0.0, 0.3, net.n_gen)
-                e_q = state[:, 2] * rng.uniform(0.9, 1.1, net.n_gen)
-                e = e_q * np.exp(1j * delta)
-                pe, v_term = net.reduced(e)
-                v = net.solve(e)
-                pe_bus, _ = net.machine_power(e, v)
-                np.testing.assert_allclose(pe, pe_bus, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(np.abs(v_term),
-                                           np.abs(v[net.gen_bus]),
-                                           rtol=0, atol=1e-12)
+        pf = solve_power_flow(case)
+        for path in each_path():
+            state, net = initialize_dynamics(case, pf)
+            rng = np.random.default_rng(0)
+            for trip in (None, Event(0.0, "line_trip", TRIP)):
+                if trip is not None:
+                    net.apply_event(trip)
+                for _ in range(5):
+                    delta = state[:, 0] + rng.normal(0.0, 0.3, net.n_gen)
+                    e_q = state[:, 2] * rng.uniform(0.9, 1.1, net.n_gen)
+                    pe, v_term = net.reduced(delta, e_q)
+                    e = e_q * np.exp(1j * delta)
+                    v = net.solve(e)
+                    pe_bus, _ = net.machine_power(e, v)
+                    np.testing.assert_allclose(pe, pe_bus, rtol=0,
+                                               atol=1e-12, err_msg=path)
+                    np.testing.assert_allclose(v_term, np.abs(v[net.gen_bus]),
+                                               rtol=0, atol=1e-12,
+                                               err_msg=path)
 
     def test_second_trip_of_a_line_is_refused(self, wscc9):
         _, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
@@ -366,7 +443,7 @@ class TestFixedPointSkip:
     @pytest.mark.parametrize("record_every", [1, 3])
     @pytest.mark.parametrize("t_event", [0.099, 0.1],
                              ids=["on_record", "off_record"])  # for 3
-    def test_matches_stepping_every_step(self, wscc9, monkeypatch,
+    def test_matches_stepping_every_step(self, wscc9, monkeypatch, each_path,
                                          integrator, record_every, t_event):
         calls = []
 
@@ -379,25 +456,38 @@ class TestFixedPointSkip:
             wscc9, events=[Event(t_event, "load_scale", SHED)])
         config = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator,
                            record_every=record_every)
-        traj = simulate(case, config)
         i_event = int(round(t_event / config.dt))  # 99 or 100
-        # one step finds the fixed point, then the steps from the event on
-        assert len(calls) == 1 + 300 - i_event
-        states = per_row_oracle(case, config)[0]
-        for k, got in enumerate((traj.delta, traj.omega, traj.e_q,
-                                 traj.p_m)):
-            assert got.tobytes() == np.ascontiguousarray(
-                states[:, :, k]).tobytes()
+        for path in each_path():
+            calls.clear()
+            traj = simulate(case, config)
+            # one step finds the fixed point, then the steps from the event
+            assert len(calls) == 1 + 300 - i_event, path
+            states = per_row_oracle(case, config)[0]
+            for k, got in enumerate((traj.delta, traj.omega, traj.e_q,
+                                     traj.p_m)):
+                assert got.tobytes() == np.ascontiguousarray(
+                    states[:, :, k]).tobytes(), path
 
-    def test_no_event_takes_one_step(self, wscc9, monkeypatch):
+    def test_no_event_takes_one_step(self, wscc9, monkeypatch, each_path):
         calls = []
         monkeypatch.setattr(dynamics, "step",
                             lambda *args: calls.append(1) or step(*args))
-        traj = simulate(wscc9, SimConfig(t_end=1.0, dt=1e-3,
-                                         record_every=4))
-        assert len(calls) == 1
-        assert len(traj.times) == 251
-        assert np.all(traj.delta == traj.delta[0])
+        for path in each_path():
+            calls.clear()
+            traj = simulate(wscc9, SimConfig(t_end=1.0, dt=1e-3,
+                                             record_every=4))
+            assert len(calls) == 1, path
+            assert len(traj.times) == 251
+            assert np.all(traj.delta == traj.delta[0])
+
+    def test_default_load_shed_steps(self, wscc9_loadshed, monkeypatch):
+        # the scripts' 20 s load shed on its own path: one step finds the
+        # initial fixed point, then 18,000 from the shed at t = 2 s on
+        calls = []
+        monkeypatch.setattr(dynamics, "step",
+                            lambda *args: calls.append(1) or step(*args))
+        simulate(wscc9_loadshed, SimConfig(t_end=20.0, dt=1e-3))
+        assert len(calls) == 18001
 
 
 class TestNeighbourResidual:
