@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -220,6 +221,22 @@ def _grid(times: np.ndarray) -> str:
     return f"{len(times)} rows, {step}"
 
 
+def _sweep_values(text: str) -> list[float]:
+    """The comma-separated H_v values of ``--sweep``, each a finite
+    number."""
+    values = []
+    for item in text.split(","):
+        try:
+            h = float(item)
+        except ValueError:
+            raise ConfigError(
+                f"--sweep value {item!r} is not a number") from None
+        if not math.isfinite(h):
+            raise ConfigError(f"--sweep value {item!r} is not finite")
+        values.append(h)
+    return values
+
+
 def cmd_inertia(args) -> int:
     outdir = _outdir(args)
     case = load_case(args.case)
@@ -282,7 +299,7 @@ def cmd_inertia(args) -> int:
             result["estimates"].append(est)
 
     if args.sweep:
-        h_values = [float(x) for x in args.sweep.split(",")]
+        h_values = _sweep_values(args.sweep)
         model = CapacitorBusModel(
             c_eq=args.c_eq, s_base=args.cap_s_base, v0=args.v0,
             q_step=args.q_step, t_step=args.t_step,

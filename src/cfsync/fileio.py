@@ -6,6 +6,18 @@ CSV with header ``t,v_1,theta_1,...,v_n,theta_n``, one row per sample, values
 at 17 significant digits so doubles round-trip exactly; event times live in a
 leading ``# events:`` comment line.
 
+Every CSV is written by ``write_csv``, which gives each value the bytes of
+``"%.17g" % x`` without making a Python float of it: a numpy kernel takes
+2^14 values at a time, whatever the row width, scales each |x| to 17
+integer digits in double-double arithmetic (a table of 10^p built from
+Python ints on the first write), turns the digits into ASCII through a
+table of 4-digit groups, lays each value out in a fixed slot of 8-byte
+words and drops the slot bytes it left NUL. Values whose rounding the
+scaling cannot settle (within 1e-9 of a half, or at the 10^16 or 10^17
+edge of the digits), non-finite values and |x| outside [1e-200, 1e201) are
+formatted by ``%.17g`` itself, so the bytes never rest on how tight the
+scaling's error bound is.
+
 The last trajectory CSV and the last generator CSV this process wrote are
 kept in memory when all their values are finite, with the file's size and
 the SHA-256 of its bytes, read back from the file just after writing it.
@@ -17,6 +29,7 @@ the same doubles because every finite double round-trips through
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -40,11 +53,158 @@ from .grid_model import (
 )
 
 _FMT = "%.17g"  # 17 significant digits: every double round-trips
-_CHUNK_ROWS = 4096  # rows formatted per write, bounding the text in memory
+_CHUNK = 1 << 14  # values formatted per step, bounding the work arrays
+# |x| in [_LOW, _HIGH) is scaled in double-double without overflow or
+# subnormal parts, and its decimal exponent e is within +-_E_MAX; other
+# values go through _FMT
+_LOW, _HIGH = 1e-200, 1e201
+_E_MAX = 202
+# a scaled value this close to a half-integer could round either way within
+# the double-double error (about 1e-14); it goes through _FMT
+_TIE = 1e-9
+_ZEROS = 0x3030303030303030  # eight ASCII "0" in one word
 
 
 def format_number(x: float) -> str:
     return _FMT % x
+
+
+@dataclasses.dataclass(frozen=True)
+class _Tables:
+    """Lookup tables of ``_format_chunk``, indexed by e + _E_MAX unless
+    noted. Words are little-endian: the low byte is written first."""
+    pow10: tuple[np.ndarray, ...]  # 10^(16 - e): hi, hi's halves, lo
+    q: np.ndarray  # digits before the point, 0 when the prefix holds it
+    prefix: np.ndarray  # "0." and zeros, after the sign byte
+    int_masks: tuple[np.ndarray, ...]  # integer digits among 1-8, 9-16
+    exponent: np.ndarray  # "e+XX[X]", zero in fixed notation
+    frac_masks: tuple[np.ndarray, ...]  # by nd: digits 1-8, 9-16 kept
+    digit4: np.ndarray  # by value: "0000".."9999"
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The tables, built from Python ints on first use."""
+    es = range(-_E_MAX, _E_MAX + 1)
+    hi, lo = [], []
+    for p in (16 - e for e in es):
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        h = num / den  # int division is correctly rounded
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    c = 134217729.0 * hi  # Dekker's split into 26-bit halves
+    hi_a = c - (c - hi)
+
+    def words(values) -> np.ndarray:
+        return np.array(list(values), dtype=np.uint64)
+
+    def low(k: int) -> int:  # the k low bytes of a word, clipped to 0..8
+        return (1 << 8 * min(max(k, 0), 8)) - 1
+
+    # %g: fixed notation for -4 <= e < 17, with a "0.000" prefix below 0
+    q = [e + 1 if 0 <= e < 17 else 0 if -4 <= e < 0 else 1 for e in es]
+    return _Tables(
+        pow10=(hi, hi_a, hi - hi_a, np.array(lo)),
+        q=np.array(q),
+        prefix=words(int.from_bytes(b"0." + b"0" * (-e - 1), "little") << 8
+                     if -4 <= e < 0 else 0 for e in es),
+        int_masks=(words(low(k - 1) for k in q), words(low(k - 9) for k in q)),
+        exponent=words(0 if -4 <= e < 17
+                       else int.from_bytes(b"e%+03d" % e, "little")
+                       for e in es),
+        frac_masks=(words(low(n - 1) for n in range(18)),
+                    words(low(n - 9) for n in range(18))),
+        digit4=np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
+                             dtype="<u4").astype(np.uint64))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - e), k = e + _E_MAX, as a normalised double-double
+    (yh, yl): an exact product with 10^p's hi part, plus a times its lo
+    part."""
+    hi, hi_a, hi_b, lo = (t[k] for t in _tables().pow10)
+    c = 134217729.0 * a
+    a_a = c - (c - a)
+    a_b = a - a_a
+    p = a * hi
+    t = ((a_a * hi_a - p) + a_a * hi_b + a_b * hi_a) + a_b * hi_b + a * lo
+    yh = p + t
+    return yh, t - (yh - p)
+
+
+def _format_chunk(x: np.ndarray, last: np.ndarray) -> bytes:
+    """The ``_FMT`` text of each value of ``x``, each followed by a newline
+    where ``last`` is set and a comma elsewhere, concatenated.
+
+    Each value gets a slot of seven 8-byte words, whose bytes in order are
+    the sign; a "0.000" prefix; the integer digits (the first digit in the
+    prefix word); the point; the fraction digits (the first in the point's
+    word); and "e+XX[X]" and the separator. Bytes a value does not use are
+    NUL, and are dropped from the chunk at the end."""
+    tab = _tables()
+    ax = np.abs(x)
+    scalable = (ax >= _LOW) & (ax < _HIGH)
+    a = np.where(scalable, ax, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64) + _E_MAX
+    yh, yl = _scaled(a, k)
+    # log10 can be one off next to a power of ten
+    fix = (yh >= 1e17).astype(np.int64) - (yh < 1e16)
+    redo = np.flatnonzero(fix)
+    if redo.size:
+        k[redo] += fix[redo]
+        yh[redo], yl[redo] = _scaled(a[redo], k[redo])
+    # yh >= 1e16 is an integer, so yl holds the fraction: the 17 digits are
+    # d unless the fraction is near one half or d is at an end of the range
+    # (out of it, or 10^16 from a rounded-up value)
+    r = np.rint(yl)
+    d = yh.astype(np.int64) + r.astype(np.int64)
+    ok = scalable & (np.abs(yl - r) < 0.5 - _TIE) \
+        & ((d > 10 ** 16) & (d < 10 ** 17) | (yh == 1e16) & (yl == 0.0))
+    alone = ~ok & (ax != 0.0)
+    d = np.where(ok, d, 0)  # zero, and in range for the fallback rows
+
+    top = d // 10 ** 8
+    bot = (d - top * 10 ** 8).astype(np.int32)
+    top = top.astype(np.int32)
+    head = top // 10 ** 4
+    d0 = head // 10 ** 4
+    g3 = bot // 10 ** 4
+    # digits 1-8 and 9-16 of d, the first in the low byte
+    dig = tab.digit4
+    s1 = dig[head - d0 * 10 ** 4] | dig[top - head * 10 ** 4] << 32
+    s2 = dig[g3] | dig[bot - g3 * 10 ** 4] << 32
+    # significant digits: up to the last byte that is not "0"
+    nb1, nb2 = ((np.frexp((s ^ _ZEROS).astype(np.float64))[1] + 7) // 8
+                for s in (s1, s2))
+    nd = np.maximum(nb1 + 1, (nb2 > 0) * (nb2 + 9))
+
+    q = tab.q[k]
+    pre = q == 0
+    i1, i2 = (m[k] for m in tab.int_masks)
+    f1, f2 = (m[nd] for m in tab.frac_masks)
+    first = (d0.astype(np.uint64) + 48) << 56
+    slots = np.empty((len(x), 7), dtype="<u8")
+    slots[:, 0] = np.signbit(x) * np.uint64(45) | tab.prefix[k] \
+        | first * ~pre
+    slots[:, 1] = s1 & i1
+    slots[:, 2] = s2 & i2
+    slots[:, 3] = ((nd > q) & ~pre) * np.uint64(46) | first * pre
+    slots[:, 4] = s1 & f1 & ~i1
+    slots[:, 5] = s2 & f2 & ~i2
+    slots[:, 6] = tab.exponent[k] | np.uint64(44 << 56) \
+        - last * np.uint64(34 << 56)  # "," or newline
+    text = slots.view(np.uint8)
+    idx = np.flatnonzero(alone)
+    if idx.size:
+        width = text.shape[1] - 1
+        alone_text = "".join([(_FMT % v).ljust(width, "\0")
+                              for v in x[idx].tolist()])
+        text[idx, :width] = np.frombuffer(alone_text.encode("ascii"),
+                                          dtype=np.uint8).reshape(-1, width)
+    text = text.ravel()
+    return text[text != 0].tobytes()
 
 
 def write_csv(path: str | Path, header: list[str],
@@ -54,17 +214,24 @@ def write_csv(path: str | Path, header: list[str],
     return the (n_rows, n_cols) array written.
 
     Each column is a 1-D array (one CSV column) or a 2-D array (one CSV
-    column per array column); all values are written with ``_FMT``. A
-    ``comment`` becomes a leading ``# comment`` line."""
+    column per array column). A ``comment`` becomes a leading
+    ``# comment`` line. Every value is written as ``"%.17g" % x`` writes
+    it, byte for byte, but formatted in numpy by ``_format_chunk``,
+    ``_CHUNK`` values at a time whatever the row width, so its work
+    arrays take a few MB however wide the rows are. Values the
+    vectorised rounding cannot settle, non-finite values and |x| outside
+    [1e-200, 1e201) are formatted by ``%.17g`` itself."""
     data = np.column_stack(columns)
-    row = ",".join([_FMT] * data.shape[1])
-    with Path(path).open("w") as f:
+    flat = data.astype(np.float64, copy=False).reshape(-1)
+    n_cols = data.shape[1]
+    with Path(path).open("wb") as f:
         if comment is not None:
-            f.write(f"# {comment}\n")
-        f.write(",".join(header) + "\n")
-        for start in range(0, len(data), _CHUNK_ROWS):
-            chunk = data[start:start + _CHUNK_ROWS].tolist()
-            f.write("".join([row % tuple(r) + "\n" for r in chunk]))
+            f.write(f"# {comment}\n".encode())
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, len(flat), _CHUNK):
+            chunk = flat[start:start + _CHUNK]
+            last = np.arange(start, start + len(chunk)) % n_cols == n_cols - 1
+            f.write(_format_chunk(chunk, last))
     return data
 
 

@@ -356,6 +356,17 @@ class TestInertia:
         err = capsys.readouterr().err
         assert f"t_end={float(t_end)}" in err and f"dt={float(dt)}" in err
 
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", ""])
+    def test_malformed_sweep_value_exits_3(self, tmp_path, capsys, bad):
+        # "abc" used to raise ValueError out of the command, "nan" to report
+        # a voltage collapse and "inf" to write a flat eps_hv_inf column
+        rc = main(["inertia", "--case", CASE, "--sweep", f"1,{bad},2",
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert f"--sweep value {bad!r}" in capsys.readouterr().err
+        assert not (tmp_path / "hv_sweep.csv").exists()
+        assert not (tmp_path / "inertia.json").exists()
+
     def test_collapsing_sweep_exits_3(self, tmp_path):
         rc = main(["inertia", "--case", CASE, "--sweep", "0.0001",
                    "--q-step", "-1000", "--outdir", str(tmp_path)])

@@ -2,10 +2,14 @@ import dataclasses
 import hashlib
 import importlib.util
 import sys
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfsync import cli, fileio
 from cfsync.dynamics import Trajectory
@@ -28,6 +32,15 @@ def legacy_rows(columns):
     """The per-value row loop the CSV writers used before write_csv."""
     return "".join(",".join("{:.17g}".format(x) for x in row) + "\n"
                    for row in zip(*columns))
+
+
+def assert_writes_legacy(tmp_path, columns):
+    """write_csv of ``columns`` gives the bytes of ``legacy_rows``."""
+    names = [f"c{j}" for j in range(len(columns))]
+    out = tmp_path / "legacy.csv"
+    write_csv(out, names, columns)
+    assert out.read_bytes() == (",".join(names) + "\n"
+                                + legacy_rows(columns)).encode()
 
 
 def legacy_trajectory(traj):
@@ -84,6 +97,85 @@ class TestWriteCsv:
             legacy_trajectory(loadshed_traj)
         assert (tmp_path / "g.csv").read_text() == \
             legacy_generator(loadshed_traj)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=1, max_size=40))
+    def test_any_double_matches_legacy(self, tmp_path, values):
+        assert_writes_legacy(tmp_path, [np.array(values)])
+
+    def test_random_bit_patterns_match_legacy(self, tmp_path):
+        # every exponent, sign and payload, NaNs and subnormals included
+        rng = np.random.default_rng(1)
+        bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64)
+        assert_writes_legacy(tmp_path, list(bits.view(np.float64)
+                                            .reshape(-1, 3).T))
+
+    def test_half_way_decimals_match_legacy(self, tmp_path):
+        # 18 significant digits ending in 5: the 17-digit rounding sits at
+        # a half, exactly for k + 1/4 and k + 3/4 (k < 2^51), and within
+        # rounding of one for the nearest double to a random decimal
+        rng = np.random.default_rng(2)
+        k = rng.integers(10**15, 2**51, 2000).astype(np.float64)
+        mantissas = rng.integers(10**16, 10**17, 4000)
+        exps = rng.integers(-320, 290, 4000)
+        near = np.array([float(f"{m}5e{x}") for m, x in zip(mantissas, exps)])
+        x = np.concatenate([k + 0.25, k + 0.75, near])
+        x = np.concatenate([x, np.nextafter(x, -np.inf),
+                            np.nextafter(x, np.inf), -x])
+        assert_writes_legacy(tmp_path, [x[: len(x) // 2], x[len(x) // 2:]])
+
+    def test_powers_of_ten_and_neighbours_match_legacy(self, tmp_path):
+        # the nearest doubles to 10^k and one ulp either side, across the
+        # whole range; some of them round up to the next power of ten at 17
+        # digits (1e-14 prints as "1e-14" though it is below 10^-14)
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([tens, np.nextafter(tens, 0.0),
+                            np.nextafter(tens, np.inf)])
+
+        def carries(v):
+            printed = Decimal("%.17g" % v)
+            return printed == Decimal(10) ** printed.adjusted() > Decimal(v)
+
+        assert any(carries(v) for v in x.tolist() if v > 0)
+        assert_writes_legacy(tmp_path, [x, -x])
+
+    def test_notation_boundaries_match_legacy(self, tmp_path):
+        # %.17g switches notation below 1e-4 and from 1e17 up
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-3, 0.1, 1.0, 1e15])
+        x = np.concatenate([edges * f for f in (1.0, 0.5, 2.0, 9.999)])
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+        assert_writes_legacy(tmp_path, [x, -x])
+
+    def test_negative_nan_prints_nan(self, tmp_path):
+        neg_nan = np.copysign(np.nan, -1.0)
+        assert np.signbit(neg_nan)
+        out = tmp_path / "n.csv"
+        write_csv(out, ["a", "b"], [np.array([neg_nan]), np.array([-0.0])])
+        assert out.read_text() == "a,b\nnan,-0\n"
+
+    @pytest.mark.parametrize("n_rows, n_cols", [
+        (0, 3), (1, 1), (fileio._CHUNK + 7, 1), (3 * fileio._CHUNK - 1, 2),
+        (100, 541)])
+    def test_shapes_match_legacy(self, tmp_path, n_rows, n_cols):
+        # empty, one column, and row counts that leave a partial last chunk
+        # or put a chunk boundary inside a row
+        rng = np.random.default_rng(n_rows)
+        data = rng.normal(size=(n_rows, n_cols)) * 1e3
+        assert_writes_legacy(tmp_path, list(data.T))
+
+    def test_wide_file_memory_is_bounded(self, tmp_path):
+        # the trajectory shape of the 270-bus ring; formatting whole rows of
+        # Python floats and strings at once used to take 170 MB here
+        data = np.random.default_rng(3).normal(size=(5001, 541))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "w.csv", ["c"] * 541, [data])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes + 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestReadTrajectory:

@@ -1,12 +1,15 @@
 """cfsync runs on numpy alone. Importing the package loads none of the heavy
-scipy modules even where scipy is installed, and in a fresh interpreter
+scipy modules even where scipy is installed, nor ``fractions`` or
+``decimal`` (the CSV writer builds its tables from Python ints on its first
+write), and in a fresh interpreter
 where ``import scipy`` fails the command line, both experiment scripts and
 the k-d layout branch of the node diameter still work."""
 from pathlib import Path
 
 import pytest
 
-HEAVY = ("scipy.sparse", "scipy.spatial", "scipy.signal", "scipy.stats")
+HEAVY = ("scipy.sparse", "scipy.spatial", "scipy.signal", "scipy.stats",
+         "fractions", "decimal")
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # None in sys.modules makes every later import of scipy raise ImportError
 NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
