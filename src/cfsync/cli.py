@@ -223,7 +223,7 @@ def _grid(times: np.ndarray) -> str:
 
 def _sweep_values(text: str) -> list[float]:
     """The comma-separated H_v values of ``--sweep``, each a finite
-    number."""
+    number given once."""
     values = []
     for item in text.split(","):
         try:
@@ -233,6 +233,9 @@ def _sweep_values(text: str) -> list[float]:
                 f"--sweep value {item!r} is not a number") from None
         if not math.isfinite(h):
             raise ConfigError(f"--sweep value {item!r} is not finite")
+        if h in values:
+            raise ConfigError(f"--sweep value {item!r} repeats H_v = "
+                              f"{format_number(h)}")
         values.append(h)
     return values
 

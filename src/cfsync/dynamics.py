@@ -7,31 +7,36 @@ the network is linear in the machine EMFs. Each network state (the initial
 one and each one after an event) is Kron-reduced once to the machines'
 internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the machine
 currents and the terminal voltages, and each derivative evaluation is one
-small matvec on it. A network of at most ``_FLOAT_MAX_GEN`` (six) machines
-steps in Python floats and complex on that matrix's rows, because on a few
-machines numpy's per-call cost outweighs its arithmetic: the measured
-crossover lies between 6 and 9 machines (one RK4 step in floats took 27 us
-against numpy's 52 us with 3 machines, 65 us against 54 us with 9). Larger
-networks step in numpy. The initial state is computed on the path that
-steps it, so it is an exact fixed point of that path. The integration loop
-stores only machine states, and skips the steps from a bit-exact fixed
-point (the initial state is one) up to the next event. Bus voltages,
-electrical powers and the residual against the full augmented admittance
-matrix are computed afterwards, for every recorded row, by one record pass
-per network segment in blocks of ``_RECORD_BLOCK`` rows. The residual
-multiplies through padded neighbour lists of that matrix (its nonzeros, bus
-by bus), in numpy alone.
+small matvec on it. A network of at most ``_FLOAT_MAX_GEN`` (nine) machines
+steps in Python floats and complex, because on a few machines numpy's
+per-call cost outweighs its arithmetic. Its step is straight-line code with
+one local per state component, generated and compiled once per shape
+(machine count, exciters or not) and bound to each network state's matrix
+entries and constants as closure variables. The measured crossover lies
+between 9 and 12 machines: one RK4 step in floats took 0.16 of numpy's
+time with 3 machines, 0.59 (0.76 with exciters) with 9, and 0.89 (1.46)
+with 12. Larger networks step in numpy. The initial state is computed on
+the path that steps it, so it is an exact fixed point of that path. The
+integration loop stores only machine states, and skips the steps from a
+bit-exact fixed point (the initial state is one) up to the next event. Bus
+voltages, electrical powers and the residual against the full augmented
+admittance matrix are computed afterwards, for every recorded row, by one
+record pass per network segment in blocks of ``_RECORD_BLOCK`` rows. The
+residual multiplies through padded neighbour lists of that matrix (its
+nonzeros, bus by bus), in numpy alone.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import warnings
 from cmath import rect
 from dataclasses import dataclass
-from operator import mul, sub
+from itertools import chain
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -53,11 +58,14 @@ _DELTA, _OMEGA, _EQ, _PM = 0, 1, 2, 3
 
 _TRAP_MAX_ITER = 100  # fixed-point iterations per trapezoidal step
 # Networks of at most this many machines step in Python floats, larger ones
-# in numpy. One RK4 step after an event, numpy -> floats (2-vCPU VM, one
-# BLAS thread, interleaved medians of 7): the WSCC-9 load shed (3 machines)
-# 52.0 -> 26.6 us; tiled WSCC-9 rings after a trip, 6 machines 52.7 -> 43.1
-# us, 9: 53.8 -> 65.3 us, 12: 58.3 -> 90.9 us.
-_FLOAT_MAX_GEN = 6
+# in numpy. One RK4 step after an event, numpy -> floats, without and with
+# exciters (2-vCPU VM, one BLAS thread, medians of 21 interleaved rounds of
+# 300 steps; the host's speed drifted, so read the ratios): WSCC-9 after the
+# load shed (3 machines) 101.8 -> 13.9 us and 133.4 -> 23.7 us; tiled WSCC-9
+# rings after a trip, 6 machines 113.6 -> 40.0 and 136.2 -> 59.2 us, 9:
+# 119.1 -> 70.3 and 141.9 -> 108.2 us, 12: 116.2 -> 102.7 and 79.9 -> 115.4
+# us.
+_FLOAT_MAX_GEN = 9
 _RECORD_BLOCK = 512   # rows per record-pass block: bounds its temporaries
 # Bus voltages per residual chunk (256 KiB): its temporaries then stay in
 # cache. On the 270-bus ring (60 rows a chunk) a 512-row block took 3.3 ms,
@@ -127,7 +135,11 @@ class DynamicNetwork:
     EMFs) over the terminal-voltage transfer Z[gen, gen] diag(yd).
     ``k_rows`` holds its rows as lists of Python complex when the network
     steps in floats (at most ``_FLOAT_MAX_GEN`` machines), and is None
-    when it steps in numpy.
+    when it steps in numpy. On the float path, once ``initialize_dynamics``
+    has set ``coef_lists``, ``float_derivs(x)`` and ``float_rk4(x, dt)``
+    are the generated kernel's closures over this state's rows and
+    constants, on the flattened transposed state (all angles, then speeds,
+    EMFs and mechanical powers).
 
     ``rebuild`` and ``apply_event`` replace these arrays rather than write
     into them, so a shallow copy keeps the network state it was taken in.
@@ -176,6 +188,8 @@ class DynamicNetwork:
         self.zg: np.ndarray | None = None
         self.k_red: np.ndarray | None = None
         self.k_rows: list[list[complex]] | None = None
+        self.float_derivs = None
+        self.float_rk4 = None
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -204,6 +218,19 @@ class DynamicNetwork:
         self.k_red = np.vstack([y_int, z_term])
         self.k_rows = (self.k_red.tolist() if ng <= _FLOAT_MAX_GEN
                        else None)
+        self._bind_float_kernel()
+
+    def _bind_float_kernel(self) -> None:
+        """Bind the float kernel of this network's shape to its ``k_rows``
+        and ``coef_lists``, as ``float_derivs`` and ``float_rk4``, once
+        both are set."""
+        if self.k_rows is None or not self.coef_lists:
+            return
+        rows = self.k_rows if self.any_exc else self.k_rows[:self.n_gen]
+        self.float_derivs, self.float_rk4 = _float_kernel(
+            self.n_gen, self.any_exc)(
+                rect, self.ws, *chain.from_iterable(rows),
+                *chain.from_iterable(self.coef_lists))
 
     def apply_event(self, event: Event) -> None:
         line = None
@@ -226,9 +253,9 @@ class DynamicNetwork:
         ``e_q``, computed as a step of this network computes them; without
         ``terminal`` the second is None."""
         ng = self.n_gen
-        if self.k_rows is not None:  # as _derivs_floats computes them
+        if self.k_rows is not None:  # as the float kernel computes them
             e = list(map(rect, e_q.tolist(), delta.tolist()))
-            out = [sum(map(mul, row, e))
+            out = [functools.reduce(add, map(mul, row, e), 0)
                    for row in self.k_rows[:2 * ng if terminal else ng]]
             pe = [u.real * v.real + u.imag * v.imag for u, v in zip(e, out)]
             v_abs = [abs(v) for v in out[ng:]]
@@ -325,6 +352,7 @@ def initialize_dynamics(
     net.coef_lists = [a.tolist() for a in (
         net.c_swing, net.d, net.c_vref, net.v_ref, net.c_eq, net.e0,
         net.c_gov, net.pm0, net.inv_r_gov)]
+    net._bind_float_kernel()
     return state, net
 
 
@@ -343,32 +371,84 @@ def _derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
     return dx
 
 
-def _derivs_floats(x: list, net: DynamicNetwork) -> list:
-    """``_derivs`` in Python floats on the flattened transposed state
-    (all angles, then speeds, EMFs and mechanical powers), with the same
-    operations in the same order."""
-    ng, ws = net.n_gen, net.ws
-    delta, omega, e_q, p_m = (x[:ng], x[ng:2 * ng], x[2 * ng:3 * ng],
-                              x[3 * ng:])
-    # electrical power and terminal voltages as DynamicNetwork.reduced
-    # gives them: the initial state is a fixed point only with the same bits
-    e = list(map(rect, e_q, delta))
-    out = [sum(map(mul, row, e))
-           for row in (net.k_rows if net.any_exc else net.k_rows[:ng])]
-    c_swing, d, c_vref, v_ref, c_eq, e0, c_gov, pm0, inv_r_gov = \
-        net.coef_lists
-    d_delta = [w - ws for w in omega]
-    slip = [w / ws for w in d_delta]
-    d_omega = [c * (p - (u.real * v.real + u.imag * v.imag) - k * w)
-               for c, p, u, v, k, w in zip(c_swing, p_m, e, out, d, slip)]
-    if net.any_exc:
-        d_eq = [a * (r - abs(v)) - b * (q - q0) for a, r, v, b, q, q0
-                in zip(c_vref, v_ref, out[ng:], c_eq, e_q, e0)]
-    else:
-        d_eq = [0.0] * ng
-    d_pm = [c * (p0 - w * r - p)
-            for c, p0, w, r, p in zip(c_gov, pm0, slip, inv_r_gov, p_m)]
-    return d_delta + d_omega + d_eq + d_pm
+# names of the kernel's per-machine constants, in the order of coef_lists
+_COEF_NAMES = ("c_swing", "damp", "c_vref", "v_ref", "c_eq", "e0", "c_gov",
+               "pm0", "inv_r_gov")
+_STATE_NAMES = ("delta", "omega", "eq", "pm")
+
+
+def _derivs_source(ng: int, any_exc: bool, x: list[str],
+                   f: list[str]) -> list[str]:
+    """Lines that set the derivative locals ``f`` from the state locals
+    ``x`` (both flattened transposed): ``_derivs`` in floats and complex,
+    with ``rect`` EMFs, each row product summed left to right from int 0 as
+    ``DynamicNetwork.reduced`` sums it, ``p - pe - k*w`` and
+    ``p0 - w*r - p``."""
+    lines = [f"e_{i} = rect({x[2 * ng + i]}, {x[i]})" for i in range(ng)]
+    lines += [f"o_{r} = 0" + "".join(f" + k_{r}_{c} * e_{c}"
+                                     for c in range(ng))
+              for r in range(2 * ng if any_exc else ng)]
+    for i in range(ng):
+        fd, fw, fq, fp = f[i::ng]
+        d, w, q, p = x[i::ng]
+        lines += [
+            f"{fd} = {w} - ws",
+            f"s_{i} = {fd} / ws",
+            f"{fw} = c_swing_{i} * ({p} - (e_{i}.real * o_{i}.real"
+            f" + e_{i}.imag * o_{i}.imag) - damp_{i} * s_{i})",
+            (f"{fq} = c_vref_{i} * (v_ref_{i} - abs(o_{ng + i}))"
+             f" - c_eq_{i} * ({q} - e0_{i})") if any_exc else f"{fq} = 0.0",
+            f"{fp} = c_gov_{i} * (pm0_{i} - s_{i} * inv_r_gov_{i} - {p})",
+        ]
+    return lines
+
+
+def _kernel_source(ng: int, any_exc: bool) -> str:
+    """Source of a factory that takes ``rect``, ``ws``, the used ``k_rows``
+    entries row by row and the ``coef_lists`` entries, and returns the
+    closures ``derivs(x)`` and ``rk4(x, dt)`` on the flattened transposed
+    state. Apart from the method's own literals it holds identifiers and
+    operators only, never a network's values."""
+    names = [f"{c}_{i}" for c in _STATE_NAMES for i in range(ng)]
+
+    def tagged(tag):
+        return [f"{n}_{tag}" for n in names]
+
+    params = ["rect", "ws"]
+    params += [f"k_{r}_{c}" for r in range(2 * ng if any_exc else ng)
+               for c in range(ng)]
+    params += [f"{c}_{i}" for c in _COEF_NAMES for i in range(ng)]
+    unpack = f"{', '.join(names)} = x"
+    derivs = [unpack, *_derivs_source(ng, any_exc, names, tagged("f")),
+              f"return [{', '.join(tagged('f'))}]"]
+    rk4 = [unpack, "h = 0.5 * dt"]
+    x, ks = names, [tagged(f"k{j}") for j in range(1, 5)]
+    for j, k in enumerate(ks):
+        rk4 += _derivs_source(ng, any_exc, x, k)
+        if j < 3:
+            x = tagged(f"x{j + 2}")
+            scale = "h" if j < 2 else "dt"
+            rk4 += [f"{a} = {n} + {scale} * {b}"
+                    for a, n, b in zip(x, names, k)]
+    rk4 += ["h = dt / 6.0", "return [" + ", ".join(
+        f"{n} + h * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+        for n, a, b, c, d in zip(names, *ks)) + "]"]
+    return "\n".join([
+        f"def factory({', '.join(params)}):",
+        "    def derivs(x):", *(" " * 8 + ln for ln in derivs),
+        "    def rk4(x, dt):", *(" " * 8 + ln for ln in rk4),
+        "    return derivs, rk4", ""])
+
+
+@functools.cache
+def _float_kernel(ng: int, any_exc: bool):
+    """The kernel factory for networks of ``ng`` machines, with or without
+    exciters, compiled on the first network of that shape."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(ng, any_exc),
+                 f"<float kernel: {ng} machines, exciters {any_exc}>",
+                 "exec"), namespace)
+    return namespace["factory"]
 
 
 def _unconverged(change: float, dt: float) -> SimulationError:
@@ -379,26 +459,20 @@ def _unconverged(change: float, dt: float) -> SimulationError:
 
 def _step_floats(state: np.ndarray, net: DynamicNetwork, dt: float,
                  integrator: str) -> np.ndarray:
-    """``step`` in Python floats, with the same operations in the same
-    order; only the derivative's complex products and sums may differ
-    from numpy's in the last bit."""
+    """``step`` in Python floats through the network's generated kernel,
+    with the same operations in the same order; only the derivative's
+    complex products and sums may differ from numpy's in the last bit."""
     x = state.T.ravel().tolist()
     try:
         if integrator == "rk4":
-            h = 0.5 * dt
-            k1 = _derivs_floats(x, net)
-            k2 = _derivs_floats([a + h * b for a, b in zip(x, k1)], net)
-            k3 = _derivs_floats([a + h * b for a, b in zip(x, k2)], net)
-            k4 = _derivs_floats([a + dt * b for a, b in zip(x, k3)], net)
-            h = dt / 6.0
-            nxt = [a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            nxt = net.float_rk4(x, dt)
         else:
-            f0 = _derivs_floats(x, net)
+            derivs = net.float_derivs
+            f0 = derivs(x)
             nxt = [a + dt * b for a, b in zip(x, f0)]
             h = 0.5 * dt
             for _ in range(_TRAP_MAX_ITER):
-                f1 = _derivs_floats(nxt, net)
+                f1 = derivs(nxt)
                 cand = [a + h * (b0 + b1) for a, b0, b1 in zip(x, f0, f1)]
                 change = max(map(abs, map(sub, cand, nxt)))
                 tol = 1e-13 * (1.0 + max(map(abs, nxt)))

@@ -367,6 +367,19 @@ class TestInertia:
         assert not (tmp_path / "hv_sweep.csv").exists()
         assert not (tmp_path / "inertia.json").exists()
 
+    @pytest.mark.parametrize("sweep, repeat", [("1,1.0,2", "1.0"),
+                                               ("2,1,2", "2"),
+                                               ("0.5,5e-1", "5e-1")])
+    def test_repeated_sweep_value_exits_3(self, tmp_path, capsys, sweep,
+                                          repeat):
+        # "1,1.0,2" used to exit 0 with the header t,eps_hv_1,eps_hv_1,...
+        rc = main(["inertia", "--case", CASE, "--sweep", sweep,
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert f"--sweep value {repeat!r} repeats" in capsys.readouterr().err
+        assert not (tmp_path / "hv_sweep.csv").exists()
+        assert not (tmp_path / "inertia.json").exists()
+
     def test_collapsing_sweep_exits_3(self, tmp_path):
         rc = main(["inertia", "--case", CASE, "--sweep", "0.0001",
                    "--q-step", "-1000", "--outdir", str(tmp_path)])

@@ -1,18 +1,27 @@
+import ast
+import copy
 import dataclasses
+import functools
 import math
 import tracemalloc
+from cmath import rect
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfsync import dynamics
+from cfsync import bundled_case_path, dynamics
 from cfsync.dynamics import (
+    INTEGRATORS,
     SimConfig,
     SimulationError,
     initialize_dynamics,
     simulate,
     step,
 )
+from cfsync.fileio import load_case
 from cfsync.grid_model import (
     BusSpec,
     CaseError,
@@ -206,21 +215,123 @@ class TestStep:
             assert np.max(np.abs(a.v - b.v)) < 1e-5, path
 
 
-class TestFloatPath:
-    """The Python-float derivative against numpy's."""
+def oracle_derivs(x: list, net) -> list:
+    """The float derivative in list comprehensions: the kernel's
+    operations in its order, on the network's ``k_rows`` and
+    ``coef_lists``. Each row product is summed left to right from int 0,
+    as ``sum`` does on CPython 3.11."""
+    ng, ws = net.n_gen, net.ws
+    delta, omega, e_q, p_m = (x[:ng], x[ng:2 * ng], x[2 * ng:3 * ng],
+                              x[3 * ng:])
+    e = list(map(rect, e_q, delta))
+    out = [functools.reduce(add, map(mul, row, e), 0)
+           for row in (net.k_rows if net.any_exc else net.k_rows[:ng])]
+    c_swing, d, c_vref, v_ref, c_eq, e0, c_gov, pm0, inv_r_gov = \
+        net.coef_lists
+    d_delta = [w - ws for w in omega]
+    slip = [w / ws for w in d_delta]
+    d_omega = [c * (p - (u.real * v.real + u.imag * v.imag) - k * w)
+               for c, p, u, v, k, w in zip(c_swing, p_m, e, out, d, slip)]
+    if net.any_exc:
+        d_eq = [a * (r - abs(v)) - b * (q - q0) for a, r, v, b, q, q0
+                in zip(c_vref, v_ref, out[ng:], c_eq, e_q, e0)]
+    else:
+        d_eq = [0.0] * ng
+    d_pm = [c * (p0 - w * r - p)
+            for c, p0, w, r, p in zip(c_gov, pm0, slip, inv_r_gov, p_m)]
+    return d_delta + d_omega + d_eq + d_pm
 
-    @pytest.mark.parametrize("which", ["smib", "wscc9", "wscc9_exciters",
-                                       "two_area"])
+
+def oracle_step(state, net, dt, integrator):
+    """``dynamics._step_floats`` as list comprehensions over
+    ``oracle_derivs``, with its error mapping."""
+    x = state.T.ravel().tolist()
+    try:
+        if integrator == "rk4":
+            h = 0.5 * dt
+            k1 = oracle_derivs(x, net)
+            k2 = oracle_derivs([a + h * b for a, b in zip(x, k1)], net)
+            k3 = oracle_derivs([a + h * b for a, b in zip(x, k2)], net)
+            k4 = oracle_derivs([a + dt * b for a, b in zip(x, k3)], net)
+            h = dt / 6.0
+            nxt = [a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        else:
+            f0 = oracle_derivs(x, net)
+            nxt = [a + dt * b for a, b in zip(x, f0)]
+            h = 0.5 * dt
+            for _ in range(dynamics._TRAP_MAX_ITER):
+                f1 = oracle_derivs(nxt, net)
+                cand = [a + h * (b0 + b1) for a, b0, b1 in zip(x, f0, f1)]
+                change = max(map(abs, map(sub, cand, nxt)))
+                tol = 1e-13 * (1.0 + max(map(abs, nxt)))
+                nxt = cand
+                if change < tol and all(map(math.isfinite, nxt)):
+                    break
+            else:
+                raise dynamics._unconverged(change, dt)
+    except (ValueError, OverflowError):
+        if integrator == "trapezoidal":
+            raise dynamics._unconverged(math.nan, dt) from None
+        raise SimulationError("non-finite machine state") from None
+    if not all(map(math.isfinite, nxt)):
+        raise SimulationError("non-finite machine state")
+    return np.array(nxt).reshape(4, net.n_gen).T
+
+
+FLOAT_CASES = ["smib", "wscc9", "wscc9_exciters", "two_area"]
+
+
+def float_case(wscc9, which):
+    """A case of at most six machines for the float-path tests, with a
+    line trip and a reactive injection step to apply to it."""
+    case = {
+        "smib": lambda: smib_case(p_set=0.5),
+        "wscc9": lambda: wscc9,
+        "wscc9_exciters": lambda: dataclasses.replace(wscc9, generators=[
+            dataclasses.replace(g, exciter=ExciterSpec(k_ex=20.0, t_ex=0.2))
+            for g in wscc9.generators]),
+        "two_area": lambda: two_area_case(wscc9),
+    }[which]()
+    trip = (Event(0.0, "line_trip", {"from": 1, "to": 2})
+            if which == "smib" else Event(0.0, "line_trip", TRIP))
+    inject = Event(0.0, "q_injection_step",
+                   {"bus": 2 if which == "smib" else 8, "dq": 0.2})
+    return case, trip, inject
+
+
+@functools.cache
+def float_networks(which):
+    """The initial state and the float-path network of ``float_case``
+    before any event, after the trip, and after the trip and the
+    injection."""
+    case, trip, inject = float_case(load_case(bundled_case_path("wscc9")),
+                                    which)
+    state, net = initialize_dynamics(case, solve_power_flow(case))
+    assert net.k_rows is not None
+    nets = [net]
+    for event in (trip, inject):
+        nets.append(copy.copy(nets[-1]))
+        nets[-1].apply_event(event)
+    return state, nets
+
+
+def outcome(stepper, *args):
+    """The bytes a step returns, or the message of the SimulationError it
+    raises."""
+    try:
+        return stepper(*args).tobytes()
+    except SimulationError as exc:
+        return str(exc)
+
+
+class TestFloatPath:
+    """The generated float kernel against numpy's derivative and, bit for
+    bit, against the list-comprehension oracle."""
+
+    @pytest.mark.parametrize("which", FLOAT_CASES)
     def test_derivatives_agree(self, wscc9, monkeypatch, which):
-        case = {
-            "smib": lambda: smib_case(p_set=0.5),
-            "wscc9": lambda: wscc9,
-            "wscc9_exciters": lambda: dataclasses.replace(wscc9, generators=[
-                dataclasses.replace(g, exciter=ExciterSpec(k_ex=20.0,
-                                                           t_ex=0.2))
-                for g in wscc9.generators]),
-            "two_area": lambda: two_area_case(wscc9),
-        }[which]()
+        case, trip, inject = float_case(wscc9, which)
         pf = solve_power_flow(case)
         monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 0)
         state, net_np = initialize_dynamics(case, pf)
@@ -232,10 +343,6 @@ class TestFloatPath:
                                    atol=1e-13)
         np.testing.assert_allclose(net_fl.v_ref, net_np.v_ref, rtol=0,
                                    atol=1e-13)
-        trip = (Event(0.0, "line_trip", {"from": 1, "to": 2})
-                if which == "smib" else Event(0.0, "line_trip", TRIP))
-        inject = Event(0.0, "q_injection_step",
-                       {"bus": 2 if which == "smib" else 8, "dq": 0.2})
         rng = np.random.default_rng(3)
         for event in (None, trip, inject):
             if event is not None:
@@ -248,10 +355,75 @@ class TestFloatPath:
                 x[:, 2] *= rng.uniform(0.9, 1.1, net_np.n_gen)
                 x[:, 3] *= rng.uniform(0.9, 1.1, net_np.n_gen)
                 want = dynamics._derivs(x, net_np)
-                got = dynamics._derivs_floats(x.T.ravel().tolist(),
-                                              net_fl)
+                got = net_fl.float_derivs(x.T.ravel().tolist())
                 np.testing.assert_allclose(
                     np.reshape(got, (4, -1)).T, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", FLOAT_CASES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_step_matches_oracle(self, which, data):
+        # states drawn near the operating point, half of them with one
+        # entry of any value (overflowing, infinite or NaN): the kernel
+        # returns the oracle's bytes, or raises its error
+        state, nets = float_networks(which)
+        net = data.draw(st.sampled_from(nets), label="network")
+        ng = net.n_gen
+        x = state.copy()
+        for col, scale in enumerate((1.0, 10.0, 0.2, 0.5)):
+            x[:, col] += data.draw(st.lists(
+                st.floats(-scale, scale), min_size=ng, max_size=ng))
+        if data.draw(st.booleans(), label="wild"):
+            x[data.draw(st.integers(0, ng - 1)),
+              data.draw(st.integers(0, 3))] = data.draw(st.floats())
+        dt = data.draw(st.sampled_from([1e-3, 4e-3, 0.02]), label="dt")
+        for integrator in INTEGRATORS:
+            with np.errstate(all="ignore"):
+                want = outcome(oracle_step, x, net, dt, integrator)
+            assert outcome(step, x, net, dt, integrator) == want, integrator
+
+    def test_fixed_points_match_oracle(self):
+        # every network's own initial state, where the trapezoidal
+        # iteration and the fixed-point skip are exact
+        for which in FLOAT_CASES:
+            state, nets = float_networks(which)
+            for net in nets:
+                for integrator in INTEGRATORS:
+                    assert step(state, net, 1e-3, integrator).tobytes() \
+                        == oracle_step(state, net, 1e-3,
+                                       integrator).tobytes(), which
+
+    def test_load_shed_matches_oracle(self, wscc9_loadshed, loadshed_traj,
+                                      monkeypatch):
+        # the scripts' 20 s load shed, stepped by the oracle
+        monkeypatch.setattr(dynamics, "_step_floats", oracle_step)
+        traj = simulate(wscc9_loadshed, SimConfig(t_end=20.0, dt=1e-3))
+        for name in ("times", "v", "theta", "delta", "omega", "e_q", "p_m",
+                     "p_e", "q_e"):
+            assert getattr(traj, name).tobytes() == \
+                getattr(loadshed_traj, name).tobytes(), name
+        assert traj.max_residual == loadshed_traj.max_residual
+
+    def test_kernel_compiles_once_per_shape(self, wscc9):
+        # two networks of one shape and an event on one of them share the
+        # compiled kernel, whose source holds no network's values
+        other = dataclasses.replace(wscc9, loads=[
+            dataclasses.replace(ld, p=1.1 * ld.p) for ld in wscc9.loads])
+        dynamics._float_kernel.cache_clear()
+        _, a = initialize_dynamics(wscc9, solve_power_flow(wscc9))
+        _, b = initialize_dynamics(other, solve_power_flow(other))
+        code = a.float_rk4.__code__
+        a.apply_event(Event(0.0, "line_trip", TRIP))
+        info = dynamics._float_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert a.float_rk4.__code__ is code is b.float_rk4.__code__
+        assert a.float_derivs.__code__ is b.float_derivs.__code__
+        assert b.pm0.tolist() != a.pm0.tolist()
+        for any_exc in (False, True):
+            tree = ast.parse(dynamics._kernel_source(3, any_exc))
+            consts = {node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)}
+            assert consts <= {0, 0.5, 2.0, 6.0}, consts
 
 
 class TestSimulate:
