@@ -38,7 +38,6 @@ from .sync_detector import (  # noqa: F401
     SubnetVerdict,
     SyncConfig,
     SyncReport,
-    coarse_limit,
     evaluate,
     find_convergence_time,
     global_verdict,

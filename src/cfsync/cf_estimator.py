@@ -31,8 +31,6 @@ class ComplexFrequencySeries:
     eps: np.ndarray        # (n_samples, n_bus), 1/s
     omega: np.ndarray      # (n_samples, n_bus), rad/s
     smoothing_window: int
-    scheme: str = "central_difference"
-    omega_convention: str = "absolute"
     omega_s: float = 0.0
 
     @property

@@ -34,6 +34,7 @@ from .grid_model import CaseError, PowerFlowError
 from .inertia import (
     CapacitorBusModel,
     EstimationError,
+    _window_mask,
     estimate_frequency_inertia,
     estimate_voltage_inertia,
     generalized_inertia_series,
@@ -175,8 +176,8 @@ def build_report(traj, case, config: SyncConfig, smoothing_window: int,
             "sync": config,
             "estimator": {
                 "smoothing_window": smoothing_window,
-                "scheme": series.scheme,
-                "omega_convention": series.omega_convention,
+                "scheme": "central_difference",
+                "omega_convention": "absolute",
                 "omega_s": traj.omega_s,
             },
             "n_convention": n_convention,
@@ -276,6 +277,7 @@ def cmd_inertia(args) -> int:
             t_event = _t_event(args, traj)
             window = (t_event, min(t_event + 2.0, float(times[-1])))
         result["window"] = list(window)
+        mask = _window_mask(times, window)  # the samples both fits use
         for k, bus in enumerate(gen["gen_buses"]):
             dp = gen["p_m"][:, k] - gen["p_e"][:, k]
             dq = 0.5 * (gen["q_e"][0, k] - gen["q_e"][:, k])
@@ -294,7 +296,6 @@ def cmd_inertia(args) -> int:
             except (EstimationError, KeyError) as exc:
                 est["h_v_error"] = str(exc)
             if est["m"] is not None and est["h_v"] is not None:
-                mask = (times >= window[0]) & (times <= window[1])
                 zeta = generalized_inertia_series(
                     est["h_v"], est["m"], times[mask], eps[mask],
                     gen["omega"][:, k][mask])

@@ -132,15 +132,6 @@ def _coarse_limits(
     return _row_means(eps[mask]), _row_means(omega[mask])
 
 
-def coarse_limit(
-    times: np.ndarray, eps: np.ndarray, omega: np.ndarray, config: SyncConfig
-) -> ComplexFrequencySample:
-    """Component-wise sample mean over [t_coarse - window, t_end]."""
-    e, o = _coarse_limits(times, np.asarray(eps)[:, None],
-                          np.asarray(omega)[:, None], config)
-    return ComplexFrequencySample(eps=float(e[0]), omega=float(o[0]))
-
-
 def trailing_max(x: np.ndarray, w: int) -> np.ndarray:
     """max(x[i:i + w]) along axis 0 for i = 0 .. len(x) - w.
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfsync import bundled_case_path
+from cfsync import bundled_case_path, cli
 from cfsync.cf_estimator import estimate_complex_frequency
 from cfsync.cli import main
 from cfsync.fileio import (
@@ -18,6 +18,7 @@ from cfsync.fileio import (
     write_trajectory_csv,
 )
 from cfsync.grid_model import Event
+from cfsync.inertia import _window_mask, generalized_inertia_series
 
 CASE = str(bundled_case_path("wscc9"))
 SHED = str(bundled_case_path("wscc9_loadshed"))
@@ -270,6 +271,30 @@ class TestInertia:
             # governors and damping act inside this window, so the match
             # is loose; the dedicated no-governor check lives elsewhere
             assert est["m"] == pytest.approx(2 * g.h / ws, rel=0.25)
+
+    def test_zeta_covers_the_fits_samples(self, simdir, tmp_path,
+                                          monkeypatch):
+        # the fits keep t = 2.3000000000000003 in the window (2.005, 2.3)
+        # by their 1e-9 slack, so zeta must keep it too
+        seen = []
+
+        def record(h_v, m, times, eps, omega):
+            seen.append(times)
+            return generalized_inertia_series(h_v, m, times, eps, omega)
+
+        monkeypatch.setattr(cli, "generalized_inertia_series", record)
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--window", "2.005", "2.3",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        times = read_trajectory_csv(simdir / "trajectory.csv",
+                                    omega_s=load_case(SHED).omega_s).times
+        fit = times[_window_mask(times, (2.005, 2.3))]
+        assert fit[-1] > 2.3
+        assert len(seen) == len(load_case(SHED).generators)
+        for got in seen:
+            assert np.array_equal(got, fit)
 
     def test_default_window_starts_at_the_recorded_event(self, simdir,
                                                          tmp_path):

@@ -217,17 +217,19 @@ class TestStep:
 
 def oracle_derivs(x: list, net) -> list:
     """The float derivative in list comprehensions: the kernel's
-    operations in its order, on the network's ``k_rows`` and
-    ``coef_lists``. Each row product is summed left to right from int 0,
-    as ``sum`` does on CPython 3.11."""
+    operations in its order, on the network's ``k_red`` and per-machine
+    constants. Each row product is summed left to right from int 0, as
+    ``sum`` does on CPython 3.11."""
     ng, ws = net.n_gen, net.ws
     delta, omega, e_q, p_m = (x[:ng], x[ng:2 * ng], x[2 * ng:3 * ng],
                               x[3 * ng:])
     e = list(map(rect, e_q, delta))
     out = [functools.reduce(add, map(mul, row, e), 0)
-           for row in (net.k_rows if net.any_exc else net.k_rows[:ng])]
-    c_swing, d, c_vref, v_ref, c_eq, e0, c_gov, pm0, inv_r_gov = \
-        net.coef_lists
+           for row in (net.k_red if net.any_exc else net.k_red[:ng]).tolist()]
+    c_swing, d, c_vref, v_ref, c_eq, e0, c_gov, pm0, inv_r_gov = (
+        a.tolist() for a in (net.c_swing, net.d, net.c_vref, net.v_ref,
+                             net.c_eq, net.e0, net.c_gov, net.pm0,
+                             net.inv_r_gov))
     d_delta = [w - ws for w in omega]
     slip = [w / ws for w in d_delta]
     d_omega = [c * (p - (u.real * v.real + u.imag * v.imag) - k * w)
@@ -243,7 +245,7 @@ def oracle_derivs(x: list, net) -> list:
 
 
 def oracle_step(state, net, dt, integrator):
-    """``dynamics._step_floats`` as list comprehensions over
+    """``dynamics.step`` on the float path as list comprehensions over
     ``oracle_derivs``, with its error mapping."""
     x = state.T.ravel().tolist()
     try:
@@ -308,7 +310,7 @@ def float_networks(which):
     case, trip, inject = float_case(load_case(bundled_case_path("wscc9")),
                                     which)
     state, net = initialize_dynamics(case, solve_power_flow(case))
-    assert net.k_rows is not None
+    assert net.float_rk4 is not None
     nets = [net]
     for event in (trip, inject):
         nets.append(copy.copy(nets[-1]))
@@ -337,7 +339,7 @@ class TestFloatPath:
         state, net_np = initialize_dynamics(case, pf)
         monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 10**6)
         _, net_fl = initialize_dynamics(case, pf)
-        assert net_np.k_rows is None and net_fl.k_rows is not None
+        assert net_np.float_rk4 is None and net_fl.float_rk4 is not None
         # the same operating point on both paths, up to the last bits
         np.testing.assert_allclose(net_fl.pm0, net_np.pm0, rtol=0,
                                    atol=1e-13)
@@ -396,13 +398,42 @@ class TestFloatPath:
     def test_load_shed_matches_oracle(self, wscc9_loadshed, loadshed_traj,
                                       monkeypatch):
         # the scripts' 20 s load shed, stepped by the oracle
-        monkeypatch.setattr(dynamics, "_step_floats", oracle_step)
+        monkeypatch.setattr(dynamics, "step", oracle_step)
         traj = simulate(wscc9_loadshed, SimConfig(t_end=20.0, dt=1e-3))
         for name in ("times", "v", "theta", "delta", "omega", "e_q", "p_m",
                      "p_e", "q_e"):
             assert getattr(traj, name).tobytes() == \
                 getattr(loadshed_traj, name).tobytes(), name
         assert traj.max_residual == loadshed_traj.max_residual
+
+    def test_path_fixed_at_construction(self, wscc9, monkeypatch):
+        # a network keeps the path it was built on through its events,
+        # whatever the machine-count threshold is by then: only a numpy
+        # network calls the numpy derivative, and a float network steps on
+        # the kernel of its network after the events
+        case, trip, inject = float_case(wscc9, "wscc9")
+        pf = solve_power_flow(case)
+        numpy_calls = []
+        derivs = dynamics._derivs
+
+        def counted(x, net):
+            numpy_calls.append(net)
+            return derivs(x, net)
+
+        monkeypatch.setattr(dynamics, "_derivs", counted)
+        for built, later in ((0, 10**6), (10**6, 0)):
+            monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", built)
+            state, net = initialize_dynamics(case, pf)
+            monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", later)
+            for event in (trip, inject):
+                net.apply_event(event)
+            for integrator in INTEGRATORS:
+                numpy_calls.clear()
+                got = step(state, net, 1e-3, integrator)
+                assert bool(numpy_calls) == (built == 0), (built, integrator)
+                if built:
+                    assert got.tobytes() == oracle_step(
+                        state, net, 1e-3, integrator).tobytes(), integrator
 
     def test_kernel_compiles_once_per_shape(self, wscc9):
         # two networks of one shape and an event on one of them share the

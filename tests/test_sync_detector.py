@@ -22,9 +22,9 @@ from cfsync.sync_detector import (
     NodeVerdict,
     SyncConfig,
     _brute_force_max,
+    _coarse_limits,
     _pairwise_max,
     _window_diameters,
-    coarse_limit,
     evaluate,
     find_convergence_time,
     global_verdict,
@@ -296,11 +296,11 @@ class TestCoarseLimit:
         return SyncConfig(t_end=t_end, **kw)
 
     def test_constant(self):
-        t = np.arange(0, 10.001, 0.01)
-        out = coarse_limit(t, np.zeros_like(t), np.full_like(t, 377.0),
-                           self.cfg())
-        assert out.eps == 0.0
-        assert out.omega == 377.0
+        t = np.arange(0, 10.001, 0.01)[:, None]
+        (eps,), (omega,) = _coarse_limits(
+            t[:, 0], np.zeros_like(t), np.full_like(t, 377.0), self.cfg())
+        assert eps == 0.0
+        assert omega == 377.0
 
     def test_alternating_mean_matches_direct_sum(self):
         t = np.arange(0, 10.001, 0.01)
@@ -308,14 +308,16 @@ class TestCoarseLimit:
         cfg = self.cfg()
         seg = (t >= cfg.resolved_t_coarse() - cfg.window - 1e-9)
         expected = sum(eps[seg]) / seg.sum()  # direct summation oracle
-        out = coarse_limit(t, eps, np.zeros_like(t), cfg)
-        assert out.eps == pytest.approx(expected, abs=1e-15)
+        (out,), _ = _coarse_limits(t, eps[:, None], np.zeros((len(t), 1)),
+                                   cfg)
+        assert out == pytest.approx(expected, abs=1e-15)
 
     def test_empty_segment(self):
         t = np.arange(0, 5.0, 0.01)
         cfg = SyncConfig(t_end=20.0, t_coarse=18.0)
         with pytest.raises(ValueError, match="empty coarse segment"):
-            coarse_limit(t, np.zeros_like(t), np.zeros_like(t), cfg)
+            _coarse_limits(t, np.zeros((len(t), 1)), np.zeros((len(t), 1)),
+                           cfg)
 
 
 class TestFindConvergenceTime:
@@ -413,11 +415,12 @@ class TestNodeVerdict:
         assert v.t_eps < v.t_omega
         assert v.t_end_k == v.t_omega
         # cross-check both against the exhaustive oracle
-        coarse = coarse_limit(t, eps, omega, cfg)
+        (c_eps,), (c_omega,) = _coarse_limits(t, eps[:, None],
+                                              omega[:, None], cfg)
         assert v.t_eps == oracle_convergence_time(
-            t, eps, coarse.eps, cfg.tol_eps, cfg.window, cfg.t_event)
+            t, eps, c_eps, cfg.tol_eps, cfg.window, cfg.t_event)
         assert v.t_omega == oracle_convergence_time(
-            t, omega, coarse.omega, cfg.tol_omega, cfg.window, cfg.t_event)
+            t, omega, c_omega, cfg.tol_omega, cfg.window, cfg.t_event)
 
     def test_oscillation_above_tolerance_not_converged(self):
         t = np.arange(0, 10.001, 0.01)
