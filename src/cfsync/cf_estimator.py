@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _GRID_RTOL = 1e-6  # allowed deviation of a sample spacing, relative to dt
+T_SLACK = 1e-9  # s: how far a time window's ends reach out over rounding
 
 
 @dataclass(frozen=True)
@@ -33,18 +34,11 @@ class ComplexFrequencySeries:
     smoothing_window: int
     omega_s: float = 0.0
 
-    @property
-    def n_bus(self) -> int:
-        return len(self.bus_ids)
-
-    def column(self, bus_id: int) -> int:
+    def node(self, bus_id: int) -> tuple[np.ndarray, np.ndarray]:
         try:
-            return self.bus_ids.index(bus_id)
+            k = self.bus_ids.index(bus_id)
         except ValueError:
             raise KeyError(f"unknown bus {bus_id}") from None
-
-    def node(self, bus_id: int) -> tuple[np.ndarray, np.ndarray]:
-        k = self.column(bus_id)
         return self.eps[:, k], self.omega[:, k]
 
 
@@ -67,6 +61,12 @@ def uniform_step(times: np.ndarray) -> float:
             f"non-uniform time grid: step {steps[i]!r} at t = {times[i]!r} "
             f"differs from dt = {dt!r}")
     return dt
+
+
+def window_mask(times, t0: float = -np.inf, t1: float = np.inf) -> np.ndarray:
+    """Samples of ``times`` in [t0, t1], ends widened by ``T_SLACK``."""
+    times = np.asarray(times, dtype=float)
+    return (times >= t0 - T_SLACK) & (times <= t1 + T_SLACK)
 
 
 def _largest_step(x: np.ndarray) -> float:

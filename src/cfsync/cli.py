@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cf_estimator import estimate_complex_frequency
+from .cf_estimator import estimate_complex_frequency, window_mask
 from .dynamics import SimConfig, SimulationError, simulate
 from .fileio import (
     build_manifest,
@@ -34,7 +34,6 @@ from .grid_model import CaseError, PowerFlowError
 from .inertia import (
     CapacitorBusModel,
     EstimationError,
-    _window_mask,
     estimate_frequency_inertia,
     estimate_voltage_inertia,
     generalized_inertia_series,
@@ -54,6 +53,7 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 PLOT_KINDS = ("eps", "omega", "subnet_spread", "damping")
+_NUMBER = (int, float)  # a JSON number (_field turns bools away)
 
 
 class InputError(Exception):
@@ -62,6 +62,29 @@ class InputError(Exception):
 
 class ConfigError(Exception):
     pass
+
+
+def _read(what: str, path, read=None, **kwargs):
+    """The file at ``path``, parsed by ``read(path, **kwargs)`` or as
+    JSON; an InputError if it cannot be read or parsed."""
+    try:
+        return (read(path, **kwargs) if read
+                else json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+
+
+def _field(doc, what: str, path: str, kind=_NUMBER):
+    """``doc``'s value at the dotted ``path``; an InputError naming the
+    ``what`` if a key is missing or the value is not a ``kind``."""
+    keys = path.split(".")
+    for depth, key in enumerate(keys, 1):
+        if not isinstance(doc, dict) or key not in doc:
+            raise InputError(f"{what} has no field {'.'.join(keys[:depth])}")
+        doc = doc[key]
+    if isinstance(doc, bool) or not isinstance(doc, kind):
+        raise InputError(f"{what} field {path} has the wrong type: {doc!r}")
+    return doc
 
 
 def _outdir(args) -> Path:
@@ -78,15 +101,12 @@ def _outdir(args) -> Path:
 def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     if args.from_manifest:
-        try:
-            manifest_in = json.loads(Path(args.from_manifest).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read manifest: {exc}") from exc
-        case_path = manifest_in["case_path"]
-        sc = manifest_in["sim_config"]
-        config = SimConfig(t_end=sc["t_end"], dt=sc["dt"],
-                           integrator=sc["integrator"],
-                           record_every=sc["record_every"])
+        manifest_in = _read("manifest", args.from_manifest)
+        case_path = _field(manifest_in, "manifest", "case_path", str)
+        config = SimConfig(**{
+            key: _field(manifest_in, "manifest", f"sim_config.{key}", kind)
+            for key, kind in (("t_end", _NUMBER), ("dt", _NUMBER),
+                              ("integrator", str), ("record_every", int))})
     else:
         if not args.case:
             raise InputError("--case is required (or use --from-manifest)")
@@ -194,10 +214,8 @@ def build_report(traj, case, config: SyncConfig, smoothing_window: int,
 def cmd_analyze(args) -> int:
     outdir = _outdir(args)
     case = load_case(args.case)
-    try:
-        traj = read_trajectory_csv(args.traj, omega_s=case.omega_s)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read trajectory: {exc}") from exc
+    traj = _read("trajectory", args.traj, read_trajectory_csv,
+                 omega_s=case.omega_s)
     config = _sync_config_from_args(args, traj)
     try:
         config.validate()
@@ -258,11 +276,9 @@ def cmd_inertia(args) -> int:
     if args.traj:
         gen_path = Path(args.gen) if args.gen \
             else Path(args.traj).with_name(Path(args.traj).stem + "_gen.csv")
-        try:
-            gen = read_generator_csv(gen_path)
-            traj = read_trajectory_csv(args.traj, omega_s=case.omega_s)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot read generator series: {exc}") from exc
+        gen = _read("generator series", gen_path, read_generator_csv)
+        traj = _read("trajectory", args.traj, read_trajectory_csv,
+                     omega_s=case.omega_s)
         times = gen["times"]
         if not np.array_equal(times, traj.times):
             raise InputError(
@@ -277,7 +293,7 @@ def cmd_inertia(args) -> int:
             t_event = _t_event(args, traj)
             window = (t_event, min(t_event + 2.0, float(times[-1])))
         result["window"] = list(window)
-        mask = _window_mask(times, window)  # the samples both fits use
+        mask = window_mask(times, *window)  # the samples both fits use
         for k, bus in enumerate(gen["gen_buses"]):
             dp = gen["p_m"][:, k] - gen["p_e"][:, k]
             dq = 0.5 * (gen["q_e"][0, k] - gen["q_e"][:, k])
@@ -345,22 +361,19 @@ def cmd_plotdata(args) -> int:
         raise InputError(
             f"unknown figure kind {args.kind!r}; valid kinds: "
             + ", ".join(PLOT_KINDS))
-    try:
-        report = json.loads(Path(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read report: {exc}") from exc
-    est_cfg = report["config"]["estimator"]
+    report = _read("report", args.report)
+    omega_s = _field(report, "report", "config.estimator.omega_s")
+    smoothing_window = _field(report, "report",
+                              "config.estimator.smoothing_window", int)
+    nodes = _field(report, "report", "nodes", dict)
 
     if not args.traj:
         raise InputError(f"--traj is required for kind {args.kind!r}")
-    try:
-        traj = read_trajectory_csv(args.traj, omega_s=est_cfg["omega_s"])
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read trajectory: {exc}") from exc
-    series = estimate_complex_frequency(
-        traj, smoothing_window=est_cfg["smoothing_window"])
-    node_keys = {int(k) for k in report["nodes"]}
-    if node_keys != set(series.bus_ids):
+    traj = _read("trajectory", args.traj, read_trajectory_csv,
+                 omega_s=omega_s)
+    series = estimate_complex_frequency(traj,
+                                        smoothing_window=smoothing_window)
+    if set(nodes) != {str(b) for b in series.bus_ids}:
         raise InputError("report and trajectory bus sets differ")
 
     if args.kind in ("eps", "omega"):
@@ -370,10 +383,14 @@ def cmd_plotdata(args) -> int:
         write_csv(out, header, [series.times, data])
     elif args.kind == "subnet_spread":
         out = outdir / "subnet_spread.csv"
-        names = sorted(report["subnets"])
+        subnets = _field(report, "report", "subnets", dict)
+        names = sorted(subnets)
         cols = []
         for name in names:
-            members = report["subnets"][name]["member_buses"]
+            members = _field(subnets[name], f"report subnet {name!r}",
+                             "member_buses", list)
+            if any(b not in series.bus_ids for b in members):
+                raise InputError(f"report subnet {name!r} has unknown buses")
             idx = [series.bus_ids.index(b) for b in members]
             cols.append(row_spread(series.eps[:, idx]
                                    + 1j * series.omega[:, idx]))
@@ -382,16 +399,17 @@ def cmd_plotdata(args) -> int:
         out = outdir / "damping.csv"
         header, cols = ["t"], [series.times]
         for b in series.bus_ids:
-            node = report["nodes"][str(b)]
-            fit = report["node_metrics"][str(b)]["fit_eps"]
-            dev = np.abs(series.node(b)[0] - node["coarse"]["eps"])
+            limit = _field(report, "report", f"nodes.{b}.coarse.eps")
+            fit = _field(report, "report", f"node_metrics.{b}.fit_eps",
+                         (dict, type(None))) or {}
             header += [f"dev_eps_{b}", f"fit_eps_{b}"]
-            cols.append(dev)
-            if fit is None or fit["sigma"] in ("inf", None):
+            cols.append(np.abs(series.node(b)[0] - limit))
+            if fit.get("sigma") in ("inf", None):
                 cols.append(np.zeros_like(series.times))
             else:
-                cols.append(fit["amplitude"]
-                            * np.exp(-fit["sigma"] * series.times))
+                cols.append(_field(fit, "report fit", "amplitude")
+                            * np.exp(-_field(fit, "report fit", "sigma")
+                                     * series.times))
         write_csv(out, header, cols)
     print(f"wrote {out}")
     return EXIT_OK

@@ -2,24 +2,24 @@
 the algebraic network.
 
 Machines are classical (constant-magnitude EMF behind x'd) with an optional
-first-order exciter and droop governor. Loads are constant admittances, so
-the network is linear in the machine EMFs. Each network state (the initial
-one and each one after an event) is Kron-reduced once to the machines'
-internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the machine
-currents and the terminal voltages, and each derivative evaluation is one
-small matvec on it. ``step`` drives one of two kernels, fixed per network
-when it is built. A network of at most ``_FLOAT_MAX_GEN`` (nine) machines
-steps in Python floats and complex, because on a few machines numpy's
-per-call cost outweighs its arithmetic. Its kernel is straight-line code
-with one local per state component, generated and compiled once per shape
-(machine count, exciters or not) and bound to each network state's matrix
-entries and constants as closure variables. The measured crossover lies
-between 9 and 12 machines: one RK4 step in floats took 0.16 of numpy's
-time with 3 machines, 0.59 (0.76 with exciters) with 9, and 0.89 (1.46)
-with 12. Larger networks step in numpy. The initial state is computed on
-the path that steps it, so it is an exact fixed point of that path. The
-integration loop stores only machine states, and skips the steps from a
-bit-exact fixed point (the initial state is one) up to the next event. Bus
+first-order exciter and droop governor. Loads are constant admittances, so the
+network is linear in the machine EMFs. The machine state is one C-contiguous
+(4, n_gen) array, the rows delta, omega, e_q and p_m, from
+``initialize_dynamics`` through both kernels to the recorder. Each network
+state (the initial one and each one after an event) is Kron-reduced once to the
+machines' internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the
+machine currents and the terminal voltages, and each derivative evaluation is
+one small matvec on it. ``step`` drives one of two kernels, fixed per network
+when it is built. A network of at most ``_FLOAT_MAX_GEN`` (nine) machines steps
+in Python floats and complex, because on a few machines numpy's per-call cost
+outweighs its arithmetic. Its kernel is straight-line code with one local per
+state component (the flattened state, row after row), generated and compiled
+once per shape (machine count, exciters or not) and bound to each network
+state's matrix entries and constants as closure variables. Larger networks step
+in numpy (the crossover is measured at ``_FLOAT_MAX_GEN``). The initial state
+is computed on the path that steps it, so it is an exact fixed point of that
+path. The integration loop stores only machine states, and skips the steps from
+a bit-exact fixed point (the initial state is one) up to the next event. Bus
 voltages, electrical powers and the residual against the full augmented
 admittance matrix are computed afterwards, for every recorded row, by one
 record pass per network segment in blocks of ``_RECORD_BLOCK`` rows. The
@@ -53,18 +53,14 @@ from .grid_model import (
 
 INTEGRATORS = ("rk4", "trapezoidal")
 
-# state vector columns
-_DELTA, _OMEGA, _EQ, _PM = 0, 1, 2, 3
-
 _TRAP_MAX_ITER = 100  # fixed-point iterations per trapezoidal step
 # Networks of at most this many machines step in Python floats, larger ones
-# in numpy. One RK4 step after an event, numpy -> floats, without and with
-# exciters (2-vCPU VM, one BLAS thread, medians of 21 interleaved rounds of
-# 300 steps; the host's speed drifted, so read the ratios): WSCC-9 after the
-# load shed (3 machines) 101.8 -> 13.9 us and 133.4 -> 23.7 us; tiled WSCC-9
-# rings after a trip, 6 machines 113.6 -> 40.0 and 136.2 -> 59.2 us, 9:
-# 119.1 -> 70.3 and 141.9 -> 108.2 us, 12: 116.2 -> 102.7 and 79.9 -> 115.4
-# us.
+# in numpy. Float over numpy time of one RK4 step after an event, without and
+# with exciters (2-vCPU VM, one BLAS thread, medians of 21 interleaved rounds
+# of 300 steps, three runs): WSCC-9 after the load shed (3 machines, 14-17 us
+# in floats) 0.16 and 0.19-0.20; tiled WSCC-9 rings after a trip, 6 machines
+# 0.36-0.39 and 0.44-0.45, 9: 0.63-0.69 and 0.82-0.93, 12: 0.91-0.99 and
+# 1.27-1.33. So with exciters the crossover lies in (9, 12], without, past 12.
 _FLOAT_MAX_GEN = 9
 _RECORD_BLOCK = 512   # rows per record-pass block: bounds its temporaries
 # Bus voltages per residual chunk (256 KiB): its temporaries then stay in
@@ -138,8 +134,8 @@ class DynamicNetwork:
     float path, once ``initialize_dynamics`` has set the constants,
     ``float_derivs(x)`` and ``float_rk4(x, dt)`` are the generated kernel's
     closures over this state's ``k_red`` entries and constants, on the
-    flattened transposed state (all angles, then speeds, EMFs and
-    mechanical powers); on the numpy path they stay None.
+    flattened machine state (all angles, then speeds, EMFs and mechanical
+    powers); on the numpy path they stay None.
 
     ``rebuild`` and ``apply_event`` replace these arrays rather than write
     into them, so a shallow copy keeps the network state it was taken in.
@@ -300,10 +296,11 @@ def initialize_dynamics(
 ) -> tuple[np.ndarray, DynamicNetwork]:
     """Back-solve machine internal states from the power-flow operating point.
 
-    Returns the (n_gen, 4) state array [delta, omega, e_q, p_m] and the
-    dynamic network. p_m, and the exciters' v_ref where the case leaves it
-    unset, are computed through the dynamic network itself, on the path
-    that steps it, so the returned state is an exact fixed point.
+    Returns the machine state, the C-contiguous (4, n_gen) rows delta,
+    omega, e_q and p_m, and the dynamic network. p_m, and the exciters'
+    v_ref where the case leaves it unset, are computed through the dynamic
+    network itself, on the path that steps it, so the returned state is an
+    exact fixed point.
     """
     if pf.max_mismatch > 1e-6:
         raise SimulationError(
@@ -326,20 +323,16 @@ def initialize_dynamics(
     i_gen = np.conj(s_gen / vbar[gb])
     e_bar = vbar[gb] + 1j * net.xdp * i_gen
 
-    state = np.zeros((net.n_gen, 4))
-    state[:, _DELTA] = np.angle(e_bar)
-    state[:, _OMEGA] = case.omega_s
-    state[:, _EQ] = np.abs(e_bar)
-
-    pe0, v_term = net.reduced(state[:, _DELTA], state[:, _EQ])
+    delta, e_q = np.angle(e_bar), np.abs(e_bar)
+    pe0, v_term = net.reduced(delta, e_q)
     if np.max(np.abs(pe0 - s_gen.real)) > 1e-6:
         raise SimulationError(
             "generator terminal power inconsistent with the power flow "
             f"(max deviation {np.max(np.abs(pe0 - s_gen.real)):.3e} p.u.)"
         )
-    state[:, _PM] = pe0  # exact fixed point of the dynamic equations
-    net.pm0 = pe0.copy()
-    net.e0 = state[:, _EQ].copy()
+    # p_m = p_e: an exact fixed point of the dynamic equations
+    state = np.array([delta, np.full(net.n_gen, case.omega_s), e_q, pe0])
+    net.pm0, net.e0 = pe0, e_q
     net.v_ref = np.array([
         (g.exciter.v_ref if (g.exciter and g.exciter.v_ref is not None)
          else v_term[k])
@@ -351,18 +344,14 @@ def initialize_dynamics(
 
 
 def _derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
-    pe, v_abs = net.reduced(state[:, _DELTA], state[:, _EQ], net.any_exc)
-    dx = np.empty_like(state)
-    dx[:, _DELTA] = state[:, _OMEGA] - net.ws
-    slip = dx[:, _DELTA] / net.ws
-    dx[:, _OMEGA] = net.c_swing * (state[:, _PM] - pe - net.d * slip)
-    if net.any_exc:
-        dx[:, _EQ] = (net.c_vref * (net.v_ref - v_abs)
-                      - net.c_eq * (state[:, _EQ] - net.e0))
-    else:
-        dx[:, _EQ] = 0.0
-    dx[:, _PM] = net.c_gov * (net.pm0 - slip * net.inv_r_gov - state[:, _PM])
-    return dx
+    delta, omega, e_q, p_m = state
+    pe, v_abs = net.reduced(delta, e_q, net.any_exc)
+    d_delta = omega - net.ws
+    slip = d_delta / net.ws
+    d_eq = (net.c_vref * (net.v_ref - v_abs) - net.c_eq * (e_q - net.e0)
+            if net.any_exc else np.zeros(net.n_gen))
+    return np.array([d_delta, net.c_swing * (p_m - pe - net.d * slip), d_eq,
+                     net.c_gov * (net.pm0 - slip * net.inv_r_gov - p_m)])
 
 
 # names of the kernel's per-machine constants, in _bind_float_kernel's order
@@ -374,9 +363,9 @@ _STATE_NAMES = ("delta", "omega", "eq", "pm")
 def _derivs_source(ng: int, any_exc: bool, x: list[str],
                    f: list[str]) -> list[str]:
     """Lines that set the derivative locals ``f`` from the state locals
-    ``x`` (both flattened transposed): ``_derivs`` in floats and complex,
-    with ``rect`` EMFs, each row product summed left to right from int 0 as
-    ``DynamicNetwork.reduced`` sums it, ``p - pe - k*w`` and
+    ``x`` (both the flattened state rows): ``_derivs`` in floats and
+    complex, with ``rect`` EMFs, each row product summed left to right from
+    int 0 as ``DynamicNetwork.reduced`` sums it, ``p - pe - k*w`` and
     ``p0 - w*r - p``."""
     lines = [f"e_{i} = rect({x[2 * ng + i]}, {x[i]})" for i in range(ng)]
     lines += [f"o_{r} = 0" + "".join(f" + k_{r}_{c} * e_{c}"
@@ -400,7 +389,7 @@ def _derivs_source(ng: int, any_exc: bool, x: list[str],
 def _kernel_source(ng: int, any_exc: bool) -> str:
     """Source of a factory that takes ``rect``, ``ws``, the used ``k_red``
     entries row by row and the per-machine constants, and returns the
-    closures ``derivs(x)`` and ``rk4(x, dt)`` on the flattened transposed
+    closures ``derivs(x)`` and ``rk4(x, dt)`` on the flattened machine
     state. Apart from the method's own literals it holds identifiers and
     operators only, never a network's values."""
     names = [f"{c}_{i}" for c in _STATE_NAMES for i in range(ng)]
@@ -453,16 +442,16 @@ def _unconverged(change: float, dt: float) -> SimulationError:
 
 def _float_derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
     """``_derivs`` through the network's float kernel."""
-    return np.array(net.float_derivs(state.T.ravel().tolist())).reshape(
-        4, net.n_gen).T
+    return np.array(net.float_derivs(state.ravel().tolist())).reshape(
+        state.shape)
 
 
 def step(state: np.ndarray, net: DynamicNetwork, dt: float,
          integrator: str = "rk4") -> np.ndarray:
-    """Advance the machine states one step of size dt, on the network's
-    path: through its generated float kernel, or in numpy. Both paths do
-    the same operations in the same order; only the derivative's complex
-    products and sums may differ in the last bit."""
+    """Advance the (4, n_gen) machine state one step of size dt, on the
+    network's path: through its generated float kernel, or in numpy. Both
+    paths do the same operations in the same order; only the derivative's
+    complex products and sums may differ in the last bit."""
     if integrator not in INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}")
     try:
@@ -484,11 +473,11 @@ def step(state: np.ndarray, net: DynamicNetwork, dt: float,
                 else:
                     raise _unconverged(change, dt)
         elif net.floats:
-            out = net.float_rk4(state.T.ravel().tolist(), dt)
+            out = net.float_rk4(state.ravel().tolist(), dt)
             # checked on the list: 0.4 us, against 3.8 us on the array
             if not all(map(math.isfinite, out)):
                 raise SimulationError("non-finite machine state")
-            return np.array(out).reshape(4, net.n_gen).T
+            return np.array(out).reshape(state.shape)
         else:
             k1 = _derivs(state, net)
             k2 = _derivs(state + 0.5 * dt * k1, net)
@@ -587,7 +576,7 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     every = config.record_every
     times = np.arange(0, n_steps + 1, every) * dt
     n_rec = len(times)
-    # machine states per recorded row: delta, omega, e_q, p_m
+    # the machine state's rows (delta, omega, e_q, p_m) per recorded row
     rec = np.empty((4, n_rec, net.n_gen))
     # (first recorded row, network in force from that row on)
     segments: list[tuple[int, DynamicNetwork]] = []
@@ -604,7 +593,7 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
         if i == 0 or ev_pos > ev_start:
             segments.append(((i + every - 1) // every, copy.copy(net)))
         if i % every == 0:
-            rec[:, i // every] = state.T
+            rec[:, i // every] = state
         if i == n_steps:
             break
         nxt = step(state, net, dt, config.integrator)
@@ -612,7 +601,7 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
             # a fixed point (the initial state is one): every step up to
             # the next event returns it again, so record it and jump there
             stop = pending[ev_pos][0] if ev_pos < len(pending) else n_steps
-            rec[:, i // every + 1:(stop - 1) // every + 1] = state.T[:, None]
+            rec[:, i // every + 1:(stop - 1) // every + 1] = state[:, None]
             i = stop
         else:
             state = nxt

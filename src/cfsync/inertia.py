@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cf_estimator import window_mask
 from .dynamics import step_count
 
 
@@ -66,14 +67,6 @@ def _scalar_fit(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return k, res
 
 
-def _window_mask(times: np.ndarray,
-                 window: tuple[float, float] | None) -> np.ndarray:
-    if window is None:
-        return np.ones(len(times), dtype=bool)
-    t0, t1 = window
-    return (times >= t0 - 1e-9) & (times <= t1 + 1e-9)
-
-
 def estimate_frequency_inertia(
     times: np.ndarray,
     omega: np.ndarray,
@@ -84,7 +77,7 @@ def estimate_frequency_inertia(
     times = np.asarray(times, dtype=float)
     omega_dot = np.gradient(np.asarray(omega, dtype=float), times,
                             edge_order=2)
-    mask = _window_mask(times, window)
+    mask = window_mask(times, *(window or ()))
     wd, wp = omega_dot[mask], np.asarray(dp, dtype=float)[mask]
     if np.count_nonzero(np.abs(wd) > _EXCURSION) < 2:
         raise EstimationError(
@@ -100,8 +93,7 @@ def estimate_voltage_inertia(
     window: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Fit H_v in dq = H_v * eps over the window; returns (H_v, residual)."""
-    times = np.asarray(times, dtype=float)
-    mask = _window_mask(times, window)
+    mask = window_mask(times, *(window or ()))
     we = np.asarray(eps, dtype=float)[mask]
     wq = np.asarray(dq, dtype=float)[mask]
     if np.count_nonzero(np.abs(we) > _EXCURSION) < 2:

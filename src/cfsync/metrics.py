@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cf_estimator import window_mask
 from .sync_detector import NodeVerdict, SyncConfig
 
 FIT_QUALITY_FLOOR = 0.8  # below this R^2 a damping fit is flagged as unfit
@@ -70,9 +71,8 @@ class DisturbanceRegion:
 def overshoot(times: np.ndarray, x: np.ndarray, t_start: float,
               t_stop: float) -> float:
     """Peak-to-valley span of x over [t_start, t_stop]."""
-    times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
-    mask = (times >= t_start - 1e-9) & (times <= t_stop + 1e-9)
+    mask = window_mask(times, t_start, t_stop)
     if not mask.any():
         raise ValueError("empty overshoot window")
     seg = x[mask]
@@ -117,7 +117,7 @@ def fit_damping(times: np.ndarray, x: np.ndarray, limit: float,
     deviation. A signal already at its limit is reported as fully damped."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
-    mask = times >= t_event - 1e-9
+    mask = window_mask(times, t_event)
     t = times[mask]
     dev = np.abs(x[mask] - limit)
     if dev.max(initial=0.0) <= _ZERO_DEV:
@@ -225,8 +225,7 @@ def disturbance_region(
     the measured bus count."""
     if n_convention not in ("paper_literal", "total_buses"):
         raise ValueError(f"unknown n_convention {n_convention!r}")
-    times = np.asarray(times, dtype=float)
-    mask = (times >= config.t_event - 1e-9) & (times <= config.t_end + 1e-9)
+    mask = window_mask(times, config.t_event, config.t_end)
     dev_e = np.abs(eps[mask] - np.asarray(limits_eps)[None, :])
     dev_o = np.abs(omega[mask] - np.asarray(limits_omega)[None, :])
     hit_e = dev_e.max(axis=0) > config.tol_eps

@@ -28,10 +28,11 @@ import numpy as np
 from .cf_estimator import (
     ComplexFrequencySample,
     ComplexFrequencySeries,
+    T_SLACK,
     uniform_step,
+    window_mask,
 )
 
-_T_SLACK = 1e-9
 # Up to this many points the all-pairs matrix is the cheaper path: on a
 # 2-vCPU VM it took 320 us at 256 points, against 220 us for _tree_max on
 # a damped spiral and 700 us on a gaussian cloud, which takes the k-d
@@ -68,7 +69,7 @@ class SyncConfig:
     def validate(self) -> None:
         if not (0.0 < self.window < self.t_end):
             raise ValueError("need 0 < window < t_end")
-        if self.resolved_t_coarse() > self.t_end - self.window + _T_SLACK:
+        if self.resolved_t_coarse() > self.t_end - self.window + T_SLACK:
             raise ValueError("t_coarse must be <= t_end - window")
         for name in ("tol_eps", "tol_omega", "tol_node", "tol_eq"):
             if getattr(self, name) <= 0:
@@ -126,7 +127,7 @@ def _coarse_limits(
     """Per-column eps and omega means over [t_coarse - window, t_end] of
     (n_samples, n_bus) series."""
     t0 = config.resolved_t_coarse() - config.window
-    mask = (times >= t0 - _T_SLACK) & (times <= config.t_end + _T_SLACK)
+    mask = window_mask(times, t0, config.t_end)
     if not mask.any():
         raise ValueError("empty coarse segment")
     return _row_means(eps[mask]), _row_means(omega[mask])
@@ -170,7 +171,7 @@ def find_convergence_time(
         raise ValueError("window exceeds series span")
     cols = x if x.ndim > 1 else x[:, None]
     # windows ending before the first admissible instant are not swept
-    lo = max(w - 1, int(np.searchsorted(times, t_event + window - _T_SLACK)))
+    lo = max(w - 1, int(np.searchsorted(times, t_event + window - T_SLACK)))
     end_times = times[lo:]
     hits: list[float | None] = [None] * cols.shape[1]
     if len(end_times):
@@ -322,13 +323,12 @@ def _node_verdicts(
                                     config.tol_omega, config.window,
                                     config.t_event)
 
-    final = (times >= config.t_end - config.window - _T_SLACK) \
-        & (times <= config.t_end + _T_SLACK)
+    final = window_mask(times, config.t_end - config.window, config.t_end)
     fluctuation = _window_diameters(
         np.ascontiguousarray((eps[final] + 1j * omega[final]).T))
 
     if config.limit_mode == "endpoint":
-        i_end = int(np.searchsorted(times, config.t_end + _T_SLACK) - 1)
+        i_end = int(np.searchsorted(times, config.t_end + T_SLACK) - 1)
         lim_eps, lim_omega = eps[i_end], omega[i_end]
     else:
         lim_eps, lim_omega = _row_means(eps[final]), _row_means(omega[final])

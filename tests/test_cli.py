@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfsync import bundled_case_path, cli
-from cfsync.cf_estimator import estimate_complex_frequency
+from cfsync.cf_estimator import estimate_complex_frequency, window_mask
 from cfsync.cli import main
 from cfsync.fileio import (
     load_case,
@@ -18,7 +18,7 @@ from cfsync.fileio import (
     write_trajectory_csv,
 )
 from cfsync.grid_model import Event
-from cfsync.inertia import _window_mask, generalized_inertia_series
+from cfsync.inertia import generalized_inertia_series
 
 CASE = str(bundled_case_path("wscc9"))
 SHED = str(bundled_case_path("wscc9_loadshed"))
@@ -155,6 +155,35 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    @pytest.mark.parametrize("manifest, message", [
+        ({"case_path": "x"}, "manifest has no field sim_config"),
+        ({"case_path": CASE, "sim_config": {"t_end": 0.5, "dt": 1e-3,
+                                             "integrator": "rk4"}},
+         "manifest has no field sim_config.record_every"),
+        ({"case_path": CASE, "sim_config": {
+            "t_end": "0.5", "dt": 1e-3, "integrator": "rk4",
+            "record_every": 1}},
+         "manifest field sim_config.t_end has the wrong type: '0.5'"),
+        ({"case_path": 7}, "manifest field case_path has the wrong type"),
+        ([], "manifest has no field case_path"),
+    ], ids=["no_sim_config", "no_record_every", "t_end_a_string",
+            "case_path_a_number", "not_an_object"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest,
+                                        message):
+        # a missing field used to raise KeyError: a traceback and exit 1
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        rc = main(["simulate", "--from-manifest", str(path),
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_neither_case_nor_manifest_exits_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "--case is required" in capsys.readouterr().err
+
     def test_bad_dt_exits_3(self, tmp_path):
         rc = main(["simulate", "--case", CASE, "--t-end", "1.0",
                    "--dt", "0.5", "--outdir", str(tmp_path)])
@@ -290,7 +319,7 @@ class TestInertia:
         assert rc == 0
         times = read_trajectory_csv(simdir / "trajectory.csv",
                                     omega_s=load_case(SHED).omega_s).times
-        fit = times[_window_mask(times, (2.005, 2.3))]
+        fit = times[window_mask(times, 2.005, 2.3)]
         assert fit[-1] > 2.3
         assert len(seen) == len(load_case(SHED).generators)
         for got in seen:
@@ -479,6 +508,67 @@ class TestPlotdata:
         err = capsys.readouterr().err
         for kind in ("eps", "omega", "subnet_spread", "damping"):
             assert kind in err
+
+    def test_inertia_json_as_report_exits_2(self, simdir, tmp_path, capsys):
+        # a report without "config" used to raise KeyError: a traceback
+        # and exit 1
+        assert main(["inertia", "--case", CASE, "--sweep", "1",
+                     "--sweep-t-end", "0.1", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["plotdata", "--report", str(tmp_path / "inertia.json"),
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--kind", "eps", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "report has no field config" in capsys.readouterr().err
+        assert not (tmp_path / "eps.csv").exists()
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("eps", lambda r: r["config"]["estimator"].update(
+            smoothing_window="5"),
+         "report field config.estimator.smoothing_window has the wrong "
+         "type: '5'"),
+        ("eps", lambda r: r.update(nodes=[]),
+         "report field nodes has the wrong type"),
+        ("damping", lambda r: r["nodes"]["4"].pop("coarse"),
+         "report has no field nodes.4.coarse"),
+        ("damping", lambda r: r["node_metrics"]["4"].update(fit_eps=3),
+         "report field node_metrics.4.fit_eps has the wrong type: 3"),
+        ("subnet_spread", lambda r: r["subnets"].update(S={}),
+         "report subnet 'S' has no field member_buses"),
+        ("subnet_spread", lambda r: r["subnets"].update(
+            S={"member_buses": [4, 99]}),
+         "report subnet 'S' has unknown buses"),
+        ("eps", lambda r: r["nodes"].pop("4"),
+         "report and trajectory bus sets differ"),
+    ], ids=["wrong_type", "nodes_not_an_object", "missing_nested",
+            "fit_not_an_object", "subnet_without_members",
+            "subnet_with_unknown_bus", "bus_sets_differ"])
+    def test_malformed_report_exits_2(self, simdir, reportdir, tmp_path,
+                                      capsys, kind, edit, message):
+        report = json.loads((reportdir / "report.json").read_text())
+        edit(report)
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        rc = main(["plotdata", "--report", str(tmp_path / "report.json"),
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--kind", kind, "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"{kind}.csv").exists()
+
+    def test_without_traj_exits_2(self, reportdir, tmp_path, capsys):
+        rc = main(["plotdata", "--report", str(reportdir / "report.json"),
+                   "--kind", "eps", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "--traj is required for kind 'eps'" in capsys.readouterr().err
+        assert not (tmp_path / "eps.csv").exists()
+
+    def test_unreadable_report_exits_2(self, simdir, tmp_path, capsys):
+        rc = main(["plotdata", "--report", str(tmp_path / "missing.json"),
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--kind", "eps", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "cannot read report" in capsys.readouterr().err
+        assert not (tmp_path / "eps.csv").exists()
 
 
 class TestRoundTrips:

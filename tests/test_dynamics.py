@@ -119,21 +119,44 @@ class TestInitialization:
         pf = solve_power_flow(case)
         state, _ = initialize_dynamics(case, pf)
         # zero transfer: internal angle equals the terminal angle, p_m = 0
-        np.testing.assert_allclose(state[:, 0], pf.theta, atol=1e-12)
-        np.testing.assert_allclose(state[:, 3], 0.0, atol=1e-12)
+        np.testing.assert_allclose(state[0], pf.theta, atol=1e-12)
+        np.testing.assert_allclose(state[3], 0.0, atol=1e-12)
 
     def test_wscc_pm_matches_pf_injections(self, wscc9):
         pf = solve_power_flow(wscc9)
         state, net = initialize_dynamics(wscc9, pf)
         idx = wscc9.bus_index()
         gb = [idx[g.bus] for g in wscc9.generators]
-        np.testing.assert_allclose(state[:, 3], pf.p_inj[gb], atol=1e-8)
+        np.testing.assert_allclose(state[3], pf.p_inj[gb], atol=1e-8)
 
     def test_unconverged_pf_rejected(self, wscc9):
         pf = solve_power_flow(wscc9)
         bad = dataclasses.replace(pf, max_mismatch=0.1)
         with pytest.raises(SimulationError, match="unconverged"):
             initialize_dynamics(wscc9, bad)
+
+
+class TestStateLayout:
+    def test_rows_on_both_paths(self, wscc9_loadshed, each_path):
+        # the machine state is the C-contiguous (4, n_gen) float64 rows
+        # delta, omega, e_q, p_m, from initialization through every step,
+        # not a transposed view or copy of (n_gen, 4) columns
+        case = wscc9_loadshed
+        pf = solve_power_flow(case)
+        for path in each_path():
+            state, net = initialize_dynamics(case, pf)
+            assert net.n_gen == 3
+            assert state.shape == (4, 3) and state.dtype == np.float64, path
+            assert state.flags.c_contiguous, path
+            assert (state[1] == case.omega_s).all(), path
+            np.testing.assert_array_equal(state[3], net.pm0)
+            net.apply_event(case.events[0])  # off the fixed point
+            for integrator in INTEGRATORS:
+                nxt = step(state, net, 1e-3, integrator)
+                assert nxt.shape == (4, 3), (path, integrator)
+                assert nxt.dtype == np.float64, (path, integrator)
+                assert nxt.flags.c_contiguous, (path, integrator)
+                assert nxt.tobytes() != state.tobytes(), (path, integrator)
 
 
 class TestStep:
@@ -154,12 +177,12 @@ class TestStep:
         w_th = math.sqrt(ws * p_max / (2.0 * 3.0))
         for path in each_path():
             state, net = initialize_dynamics(case, pf)
-            state[1, 0] += 0.01  # small rotor-angle perturbation
+            state[0, 1] += 0.01  # small rotor-angle perturbation
             dt = 1e-3
             n = 5000
             delta = np.empty(n + 1)
             for i in range(n + 1):
-                delta[i] = state[1, 0]
+                delta[i] = state[0, 1]
                 state = step(state, net, dt)
             sig = delta - delta.mean()
             crossings = np.nonzero(np.diff(np.signbit(sig)))[0]
@@ -188,7 +211,7 @@ class TestStep:
         pf = solve_power_flow(wscc9)
         for path in each_path():
             state, net = initialize_dynamics(wscc9, pf)
-            state[0, 1] = math.inf
+            state[1, 0] = math.inf
             match = ("did not converge" if integrator == "trapezoidal"
                      else "non-finite machine state")
             with np.errstate(invalid="ignore"), \
@@ -247,7 +270,7 @@ def oracle_derivs(x: list, net) -> list:
 def oracle_step(state, net, dt, integrator):
     """``dynamics.step`` on the float path as list comprehensions over
     ``oracle_derivs``, with its error mapping."""
-    x = state.T.ravel().tolist()
+    x = state.ravel().tolist()
     try:
         if integrator == "rk4":
             h = 0.5 * dt
@@ -278,7 +301,7 @@ def oracle_step(state, net, dt, integrator):
         raise SimulationError("non-finite machine state") from None
     if not all(map(math.isfinite, nxt)):
         raise SimulationError("non-finite machine state")
-    return np.array(nxt).reshape(4, net.n_gen).T
+    return np.array(nxt).reshape(4, net.n_gen)
 
 
 FLOAT_CASES = ["smib", "wscc9", "wscc9_exciters", "two_area"]
@@ -352,14 +375,14 @@ class TestFloatPath:
                 net_fl.apply_event(event)
             for _ in range(5):
                 x = state.copy()
-                x[:, 0] += rng.normal(0.0, 0.3, net_np.n_gen)
-                x[:, 1] += rng.normal(0.0, 1.0, net_np.n_gen)
-                x[:, 2] *= rng.uniform(0.9, 1.1, net_np.n_gen)
-                x[:, 3] *= rng.uniform(0.9, 1.1, net_np.n_gen)
+                x[0] += rng.normal(0.0, 0.3, net_np.n_gen)
+                x[1] += rng.normal(0.0, 1.0, net_np.n_gen)
+                x[2] *= rng.uniform(0.9, 1.1, net_np.n_gen)
+                x[3] *= rng.uniform(0.9, 1.1, net_np.n_gen)
                 want = dynamics._derivs(x, net_np)
-                got = net_fl.float_derivs(x.T.ravel().tolist())
+                got = net_fl.float_derivs(x.ravel().tolist())
                 np.testing.assert_allclose(
-                    np.reshape(got, (4, -1)).T, want, rtol=0, atol=1e-12)
+                    np.reshape(got, (4, -1)), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("which", FLOAT_CASES)
     @given(data=st.data())
@@ -372,12 +395,12 @@ class TestFloatPath:
         net = data.draw(st.sampled_from(nets), label="network")
         ng = net.n_gen
         x = state.copy()
-        for col, scale in enumerate((1.0, 10.0, 0.2, 0.5)):
-            x[:, col] += data.draw(st.lists(
+        for row, scale in enumerate((1.0, 10.0, 0.2, 0.5)):
+            x[row] += data.draw(st.lists(
                 st.floats(-scale, scale), min_size=ng, max_size=ng))
         if data.draw(st.booleans(), label="wild"):
-            x[data.draw(st.integers(0, ng - 1)),
-              data.draw(st.integers(0, 3))] = data.draw(st.floats())
+            x[data.draw(st.integers(0, 3)),
+              data.draw(st.integers(0, ng - 1))] = data.draw(st.floats())
         dt = data.draw(st.sampled_from([1e-3, 4e-3, 0.02]), label="dt")
         for integrator in INTEGRATORS:
             with np.errstate(all="ignore"):
@@ -530,8 +553,8 @@ class TestReducedNetwork:
                 if trip is not None:
                     net.apply_event(trip)
                 for _ in range(5):
-                    delta = state[:, 0] + rng.normal(0.0, 0.3, net.n_gen)
-                    e_q = state[:, 2] * rng.uniform(0.9, 1.1, net.n_gen)
+                    delta = state[0] + rng.normal(0.0, 0.3, net.n_gen)
+                    e_q = state[2] * rng.uniform(0.9, 1.1, net.n_gen)
                     pe, v_term = net.reduced(delta, e_q)
                     e = e_q * np.exp(1j * delta)
                     v = net.solve(e)
@@ -563,7 +586,7 @@ def per_row_oracle(case, config):
             if int(math.ceil(ev.time / config.dt - 1e-9)) == i:
                 net.apply_event(ev)
         if i % config.record_every == 0:
-            e = state[:, 2] * np.exp(1j * state[:, 0])
+            e = state[2] * np.exp(1j * state[0])
             v = net.solve(e)
             pe, qe = net.machine_power(e, v)
             rows.append((state.copy(), np.abs(v), np.angle(v), pe, qe,
@@ -599,7 +622,7 @@ class TestRecordPass:
         assert len(traj.times) == len(states)
         for k, got in enumerate((traj.delta, traj.omega, traj.e_q,
                                  traj.p_m)):
-            np.testing.assert_array_equal(got, states[:, :, k])
+            np.testing.assert_array_equal(got, states[:, k])
         for got, want in ((traj.v, v), (traj.theta, theta),
                           (traj.p_e, pe), (traj.q_e, qe)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -611,8 +634,8 @@ class TestRecordPass:
         monkeypatch.setattr(dynamics, "_RECORD_BLOCK", 7)
         state, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
         times = np.arange(40) * 1e-3
-        delta = np.tile(state[:, 0], (40, 1))
-        e_q = np.tile(state[:, 2], (40, 1))
+        delta = np.tile(state[0], (40, 1))
+        e_q = np.tile(state[2], (40, 1))
         delta[[23, 31], 1] = np.nan
         with pytest.raises(SimulationError,
                            match=f"non-finite bus voltage at t={times[23]}$"):
@@ -624,8 +647,8 @@ class TestRecordPass:
         excess = []
         for n_rows in (2048, 32768):
             times = np.arange(n_rows) * 1e-3
-            delta = state[:, 0] + rng.normal(0.0, 0.1, (n_rows, net.n_gen))
-            e_q = np.broadcast_to(state[:, 2], delta.shape).copy()
+            delta = state[0] + rng.normal(0.0, 0.1, (n_rows, net.n_gen))
+            e_q = np.broadcast_to(state[2], delta.shape).copy()
             tracemalloc.start()
             try:
                 out = dynamics._record_pass([(0, net)], times, delta, e_q)
@@ -669,7 +692,7 @@ class TestFixedPointSkip:
             for k, got in enumerate((traj.delta, traj.omega, traj.e_q,
                                      traj.p_m)):
                 assert got.tobytes() == np.ascontiguousarray(
-                    states[:, :, k]).tobytes(), path
+                    states[:, k]).tobytes(), path
 
     def test_no_event_takes_one_step(self, wscc9, monkeypatch, each_path):
         calls = []
@@ -718,8 +741,8 @@ class TestNeighbourResidual:
             np.testing.assert_array_equal(net.nbr_bus[net.nbr_gen],
                                           net.gen_bus)
 
-            delta = state[:, 0] + rng.normal(0.0, 0.3, (64, net.n_gen))
-            e = state[:, 2] * np.exp(1j * delta)
+            delta = state[0] + rng.normal(0.0, 0.3, (64, net.n_gen))
+            e = state[2] * np.exp(1j * delta)
             v = net.solve(e)
             i_inj = np.zeros_like(v)
             i_inj[:, net.gen_bus] = e * net.yd
