@@ -31,8 +31,6 @@ class ComplexFrequencySeries:
     bus_ids: list[int]
     eps: np.ndarray        # (n_samples, n_bus), 1/s
     omega: np.ndarray      # (n_samples, n_bus), rad/s
-    smoothing_window: int
-    omega_s: float = 0.0
 
     def node(self, bus_id: int) -> tuple[np.ndarray, np.ndarray]:
         try:
@@ -157,9 +155,5 @@ def estimate_complex_frequency(
 
     eps = moving_average(eps, smoothing_window)
     omega = moving_average(omega, smoothing_window)
-    return ComplexFrequencySeries(
-        times=times, bus_ids=list(traj.bus_ids),
-        eps=eps, omega=omega,
-        smoothing_window=smoothing_window,
-        omega_s=traj.omega_s,
-    )
+    return ComplexFrequencySeries(times=times, bus_ids=list(traj.bus_ids),
+                                  eps=eps, omega=omega)

@@ -39,13 +39,8 @@ from .inertia import (
     generalized_inertia_series,
     simulate_capacitor_bus,
 )
-from .metrics import (
-    disturbance_region,
-    node_metrics,
-    row_spread,
-    subnet_metrics,
-)
-from .sync_detector import SyncConfig, evaluate
+from .metrics import disturbance_region, node_metrics, subnet_metrics
+from .sync_detector import SyncConfig, evaluate, row_diameters
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -85,6 +80,26 @@ def _field(doc, what: str, path: str, kind=_NUMBER):
     if isinstance(doc, bool) or not isinstance(doc, kind):
         raise InputError(f"{what} field {path} has the wrong type: {doc!r}")
     return doc
+
+
+def _estimate(traj, smoothing_window: int):
+    """The complex frequency of ``traj``; an InputError if it cannot be
+    differentiated (too few rows, a voltage at or below zero, a
+    non-positive smoothing window)."""
+    try:
+        return estimate_complex_frequency(traj,
+                                          smoothing_window=smoothing_window)
+    except ValueError as exc:
+        raise InputError(f"cannot estimate complex frequency: {exc}") \
+            from exc
+
+
+def _smoothing_window(args) -> int:
+    """``--smoothing-window``; a ConfigError unless it is at least 1."""
+    if args.smoothing_window < 1:
+        raise ConfigError(f"--smoothing-window must be >= 1, got "
+                          f"{args.smoothing_window}")
+    return args.smoothing_window
 
 
 def _outdir(args) -> Path:
@@ -165,8 +180,7 @@ def _sync_config_from_args(args, traj) -> SyncConfig:
 
 def build_report(traj, case, config: SyncConfig, smoothing_window: int,
                  n_convention: str) -> dict:
-    series = estimate_complex_frequency(traj,
-                                        smoothing_window=smoothing_window)
+    series = _estimate(traj, smoothing_window)
     missing = [b for b in case.bus_index() if b not in series.bus_ids]
     extra = [b for b in series.bus_ids if b not in case.bus_index()]
     if missing or extra:
@@ -213,6 +227,7 @@ def build_report(traj, case, config: SyncConfig, smoothing_window: int,
 
 def cmd_analyze(args) -> int:
     outdir = _outdir(args)
+    smoothing_window = _smoothing_window(args)
     case = load_case(args.case)
     traj = _read("trajectory", args.traj, read_trajectory_csv,
                  omega_s=case.omega_s)
@@ -223,7 +238,7 @@ def cmd_analyze(args) -> int:
             raise ValueError("window exceeds the trajectory span")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = build_report(traj, case, config, args.smoothing_window,
+    report = build_report(traj, case, config, smoothing_window,
                           args.n_convention)
     out = Path(args.out) if args.out else outdir / "report.json"
     write_json(report, out)
@@ -285,8 +300,7 @@ def cmd_inertia(args) -> int:
                 f"generator series {gen_path} and trajectory {args.traj} "
                 f"are on different time grids: {_grid(times)} against "
                 f"{_grid(traj.times)}")
-        series = estimate_complex_frequency(
-            traj, smoothing_window=args.smoothing_window)
+        series = _estimate(traj, _smoothing_window(args))
         if args.window:
             window = tuple(args.window)
         else:
@@ -371,8 +385,7 @@ def cmd_plotdata(args) -> int:
         raise InputError(f"--traj is required for kind {args.kind!r}")
     traj = _read("trajectory", args.traj, read_trajectory_csv,
                  omega_s=omega_s)
-    series = estimate_complex_frequency(traj,
-                                        smoothing_window=smoothing_window)
+    series = _estimate(traj, smoothing_window)
     if set(nodes) != {str(b) for b in series.bus_ids}:
         raise InputError("report and trajectory bus sets differ")
 
@@ -389,11 +402,13 @@ def cmd_plotdata(args) -> int:
         for name in names:
             members = _field(subnets[name], f"report subnet {name!r}",
                              "member_buses", list)
+            if not members:
+                raise InputError(f"report subnet {name!r} has no members")
             if any(b not in series.bus_ids for b in members):
                 raise InputError(f"report subnet {name!r} has unknown buses")
             idx = [series.bus_ids.index(b) for b in members]
-            cols.append(row_spread(series.eps[:, idx]
-                                   + 1j * series.omega[:, idx]))
+            cols.append(row_diameters(series.eps[:, idx]
+                                      + 1j * series.omega[:, idx]))
         write_csv(out, ["t"] + names, [series.times] + cols)
     else:  # damping
         out = outdir / "damping.csv"

@@ -88,6 +88,12 @@ def step_count(t_end: float, dt: float) -> int:
     return n
 
 
+def step_index(t: float, dt: float) -> int:
+    """The first step of the dt grid at or after t, to within float noise:
+    where an event at t takes effect."""
+    return int(math.ceil(t / dt - 1e-9))
+
+
 @dataclass
 class SimConfig:
     t_end: float
@@ -565,7 +571,7 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     events = sorted(case.events, key=lambda e: e.time)
     pending: list[tuple[int, Event]] = []
     for ev in events:
-        i_ev = int(math.ceil(ev.time / dt - 1e-9))
+        i_ev = step_index(ev.time, dt)
         if i_ev > n_steps:
             warnings.warn(
                 f"event at t={ev.time} s is beyond t_end={config.t_end} s; "

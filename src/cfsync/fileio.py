@@ -1,10 +1,10 @@
 """Case/trajectory/report file formats.
 
 Case files are JSON mirroring the NetworkCase fields (angles in radians,
-impedances per-unit on s_base, H in seconds on machine base). Trajectories are
-CSV with header ``t,v_1,theta_1,...,v_n,theta_n``, one row per sample, values
-at 17 significant digits so doubles round-trip exactly; event times live in a
-leading ``# events:`` comment line.
+impedances per-unit on s_base, H in seconds on machine base). A recorded
+run is two CSVs, both described by ``_SERIES``: the trajectory
+(``t,v_1,theta_1,...``, event times in a leading ``# events:`` line) and
+the generator series (``t,delta_1,omega_1,eq_1,pm_1,pe_1,qe_1,...``).
 
 Every CSV is written by ``write_csv``, which gives each value the bytes of
 ``"%.17g" % x`` without making a Python float of it: a numpy kernel takes
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cf_estimator import ComplexFrequencySample, uniform_step
+from .cf_estimator import uniform_step
 from .dynamics import Trajectory
 from .grid_model import (
     BusSpec,
@@ -381,110 +381,94 @@ def save_case(case: NetworkCase, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# trajectory CSV
+# recorded-run CSVs
 
-def _interleave(arrays: list[np.ndarray]) -> np.ndarray:
-    """(n, m) arrays a, b, ... as the (n, m * len(arrays)) array whose
-    columns run a[:, 0], b[:, 0], ..., a[:, 1], b[:, 1], ..."""
-    stacked = np.stack(arrays, axis=2)
-    return stacked.reshape(stacked.shape[0], -1)
+# The columns of each recorded-run CSV after ``t``: for each bus b in
+# order, one column prefix_b per series, mapped to its Trajectory field.
+_SERIES = {
+    "trajectory": {"v": "v", "theta": "theta"},
+    "generator": {"delta": "delta", "omega": "omega", "eq": "e_q",
+                  "pm": "p_m", "pe": "p_e", "qe": "q_e"},
+}
+
+
+def _write_series(kind: str, traj: Trajectory, ids: list[int],
+                  path: str | Path, comment: str | None = None) -> None:
+    """Write the ``kind`` series of ``traj`` for the buses ``ids``."""
+    series = _SERIES[kind]
+    block = np.stack([getattr(traj, f) for f in series.values()], axis=2)
+    _write_kept(kind, path, ["t"] + [f"{p}_{b}" for b in ids for p in series],
+                [traj.times, block.reshape(len(block), -1)], comment=comment)
+
+
+def _read_series(kind: str, path: str | Path, comment: str | None = None
+                 ) -> tuple[str | None, list[int], np.ndarray, dict]:
+    """The text after a leading ``# comment`` line (None without one), the
+    bus ids, the times and each series by its Trajectory field, of a
+    ``kind`` CSV. Raises ValueError, naming the file, unless the header is
+    exactly ``t`` then the ``_SERIES`` columns of each bus, every row has a
+    value under each name and the time grid is uniform."""
+    path = Path(path)
+    series = _SERIES[kind]
+    kept = _kept(kind, path)
+    with path.open() as f:
+        line, text = f.readline(), None
+        if comment is not None and line.startswith(f"# {comment}"):
+            text, line = line[len(comment) + 2:].strip(), f.readline()
+        names = line.strip().split(",")
+        ids = [n.partition("_")[2] for n in names[1::len(series)]]
+        if names != ["t"] + [f"{p}_{b}" for b in ids for p in series] \
+                or not all(b.removeprefix("-").isdecimal() for b in ids):
+            raise ValueError(
+                f"{path}: malformed {kind} header (need t, then "
+                f"{', '.join(p + '_b' for p in series)} for each bus b)")
+        data = kept if kept is not None \
+            else np.loadtxt(f, delimiter=",", ndmin=2)
+    if len(data) and data.shape[1] != len(names):
+        raise ValueError(f"{path}: {data.shape[1]} values a row under "
+                         f"{len(names)} column names")
+    try:
+        uniform_step(data[:, 0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return text, [int(b) for b in ids], data[:, 0], {
+        field: data[:, 1 + j::len(series)]
+        for j, field in enumerate(series.values())}
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    header = ["t"]
-    for b in traj.bus_ids:
-        header += [f"v_{b}", f"theta_{b}"]
     events = ",".join(format_number(t) for t in traj.event_times)
-    _write_kept("trajectory", path, header,
-                [traj.times, _interleave([traj.v, traj.theta])],
-                comment=f"events: {events}")
+    _write_series("trajectory", traj, traj.bus_ids, path,
+                  comment=f"events: {events}")
 
 
 def read_trajectory_csv(path: str | Path, omega_s: float) -> Trajectory:
-    path = Path(path)
-    kept = _kept("trajectory", path)
-    event_times: list[float] = []
-    with path.open() as f:
-        line = f.readline().strip()
-        if line.startswith("# events:"):
-            payload = line[len("# events:"):].strip()
-            if payload:
-                event_times = [float(x) for x in payload.split(",")]
-            header = f.readline().strip()
-        else:
-            header = line
-        names = header.split(",")
-        if names[0] != "t" or (len(names) - 1) % 2 != 0:
-            raise ValueError(f"{path}: malformed trajectory header")
-        bus_ids = []
-        for j in range(1, len(names), 2):
-            if not (names[j].startswith("v_")
-                    and names[j + 1].startswith("theta_")):
-                raise ValueError(f"{path}: malformed trajectory header")
-            bus_ids.append(int(names[j][2:]))
-        data = kept if kept is not None \
-            else np.loadtxt(f, delimiter=",", ndmin=2)
-    times = data[:, 0]
-    try:
-        uniform_step(times)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    v = data[:, 1::2]
-    theta = data[:, 2::2]
+    events, bus_ids, times, series = _read_series("trajectory", path,
+                                                  comment="events:")
     return Trajectory(
-        times=times, bus_ids=bus_ids, v=v, theta=theta,
-        gen_buses=[], delta=None, omega=None, e_q=None, p_m=None,
-        p_e=None, q_e=None, event_times=event_times,
-        omega_s=omega_s,
-    )
-
-
-_GEN_COLUMNS = ("delta", "omega", "eq", "pm", "pe", "qe")
+        times=times, bus_ids=bus_ids, **series, gen_buses=[],
+        **dict.fromkeys(_SERIES["generator"].values()),
+        event_times=[float(x) for x in events.split(",")] if events else [],
+        omega_s=omega_s)
 
 
 def write_generator_csv(traj: Trajectory, path: str | Path) -> None:
     if traj.delta is None:
         raise ValueError("trajectory carries no generator state series")
-    header = ["t"]
-    for b in traj.gen_buses:
-        header += [f"{c}_{b}" for c in _GEN_COLUMNS]
-    arrays = [traj.delta, traj.omega, traj.e_q, traj.p_m, traj.p_e, traj.q_e]
-    _write_kept("generator", path, header, [traj.times, _interleave(arrays)])
+    _write_series("generator", traj, traj.gen_buses, path)
 
 
 def read_generator_csv(path: str | Path) -> dict:
-    """The generator series of a CSV from ``write_generator_csv``. Raises
-    ValueError unless the header is ``t`` followed by delta_b, omega_b,
-    eq_b, pm_b, pe_b and qe_b, in this order, for each generator bus b,
-    and every row has a value under each name."""
-    path = Path(path)
-    kept = _kept("generator", path)
-    with path.open() as f:
-        names = f.readline().strip().split(",")
-        buses = [n.partition("_")[2] for n in names[1::len(_GEN_COLUMNS)]]
-        if names != ["t"] + [f"{c}_{b}" for b in buses for c in _GEN_COLUMNS]:
-            raise ValueError(
-                f"{path}: malformed generator header (need t, then "
-                f"{', '.join(c + '_b' for c in _GEN_COLUMNS)} for each "
-                "generator bus b)")
-        gen_buses = [int(b) for b in buses]
-        data = kept if kept is not None \
-            else np.loadtxt(f, delimiter=",", ndmin=2)
-    if data.shape[1] != len(names):
-        raise ValueError(f"{path}: {data.shape[1]} values a row under "
-                         f"{len(names)} column names")
-    out = {"times": data[:, 0], "gen_buses": gen_buses}
-    for j, key in enumerate(("delta", "omega", "e_q", "p_m", "p_e", "q_e")):
-        out[key] = data[:, 1 + j::6]
-    return out
+    """The times, generator buses and the six generator series of a CSV
+    from ``write_generator_csv``, by Trajectory field name."""
+    _, gen_buses, times, series = _read_series("generator", path)
+    return {"times": times, "gen_buses": gen_buses, **series}
 
 
 # ---------------------------------------------------------------------------
 # JSON reports and manifests
 
 def _jsonable(obj):
-    if isinstance(obj, ComplexFrequencySample):
-        return {"eps": obj.eps, "omega": obj.omega}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _jsonable(v)
                 for k, v in dataclasses.asdict(obj).items()}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf_estimator import window_mask
-from .dynamics import step_count
+from .dynamics import step_count, step_index
 
 
 # A fit needs at least two windowed samples whose regressor (domega/dt or
@@ -145,7 +145,7 @@ def simulate_capacitor_bus(
     times = np.arange(n + 1) * dt
     # snap the step to the grid; a whole RK4 step sees one q_m value so the
     # pre-step equilibrium is preserved exactly up to the step instant
-    i_step = int(math.ceil(model.t_step / dt - 1e-9))
+    i_step = step_index(model.t_step, dt)
 
     v_out = np.empty((n + 1, len(h_v_values)))
     eps_out = np.empty_like(v_out)

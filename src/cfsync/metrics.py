@@ -1,6 +1,5 @@
 """Disturbance-response indices: convergence rates, overshoot, damping rates,
-subnet lag, limiting-value difference matrix, subnet spread over time, and
-the disturbed-bus region."""
+subnet lag, limiting-value difference matrix, and the disturbed-bus region."""
 from __future__ import annotations
 
 import math
@@ -13,7 +12,6 @@ from .sync_detector import NodeVerdict, SyncConfig
 
 FIT_QUALITY_FLOOR = 0.8  # below this R^2 a damping fit is flagged as unfit
 _ZERO_DEV = 1e-12
-_SPREAD_PAIRS = 1 << 16  # pairwise differences per block in row_spread
 
 
 @dataclass
@@ -188,23 +186,6 @@ def subnet_metrics(
         t_eps_max=t_eps_max, t_omega_max=t_om_max, lag=lag,
         limit_diff=diff, locally_synced=synced,
     )
-
-
-def row_spread(z: np.ndarray) -> np.ndarray:
-    """max |z[i, j] - z[i, k]| over all column pairs, for each row i of the
-    (n_samples, m) complex array ``z``: the spread of a subnet's complex
-    frequencies at each sample. Rows are taken in blocks of at most
-    ``_SPREAD_PAIRS`` differences, so the temporaries stay bounded
-    whatever n_samples; the maximum does not depend on the blocking."""
-    z = np.asarray(z)
-    n, m = z.shape
-    out = np.empty(n)
-    rows = max(1, _SPREAD_PAIRS // max(1, m * m))
-    for start in range(0, n, rows):
-        zb = z[start:start + rows]
-        out[start:start + rows] = np.abs(
-            zb[:, :, None] - zb[:, None, :]).max(axis=(1, 2))
-    return out
 
 
 def disturbance_region(

@@ -184,6 +184,8 @@ def find_convergence_time(
 
 
 def _brute_force_max(z: np.ndarray) -> float:
+    """The all-pairs diameter of the points ``z``, one pair matrix: the
+    reference every batched diameter here is bit-equal to."""
     if len(z) < 2:
         return 0.0
     return float(np.max(np.abs(z[:, None] - z[None, :])))
@@ -274,16 +276,19 @@ def _tree_max(zb: np.ndarray, budget: float) -> np.ndarray:
 
 def _pairwise_max(z: np.ndarray) -> float:
     """Largest |z_i - z_j| (the diameter of the point set), bit-equal to the
-    brute-force maximum over all pairs: ``_window_diameters`` of one row."""
-    return float(_window_diameters(np.asarray(z, dtype=complex)[None, :])[0])
+    brute-force maximum over all pairs: ``row_diameters`` of one row."""
+    return float(row_diameters(np.asarray(z, dtype=complex)[None, :])[0])
 
 
-def _window_diameters(z: np.ndarray) -> np.ndarray:
-    """``_brute_force_max`` of every row of the (n_bus, w) array ``z``, bit
-    for bit, in O(n_bus * w) memory.
+def row_diameters(z: np.ndarray) -> np.ndarray:
+    """The diameter of each row of the (n, w) complex array ``z``, the
+    largest |z[i, j] - z[i, k]|: ``_brute_force_max`` of the row, bit for
+    bit, in O(n * w) memory. A row of fewer than two points has diameter 0.
 
-    The rows go through ``_tree_max`` together in time order, where a
-    settling window's blocks are short arcs and most block pairs prune. A
+    Rows of up to _BRUTE_FORCE_MAX points are measured all-pairs, in
+    blocks of rows of at most _PAIR_BLOCK differences. Longer rows go
+    through ``_tree_max`` together in time order, where a settling
+    window's blocks are short arcs and most block pairs prune. A
     row that keeps more than _PRUNE_LIMIT * ceil(log2 w) block pairs on a
     level (an unstructured cloud) is rerun alone on its ``_kd_layout``,
     with no budget. Time is about O(w log w) on settling windows and
@@ -292,15 +297,23 @@ def _window_diameters(z: np.ndarray) -> np.ndarray:
     value is nan, as brute force gives, since a nan radius would prune
     every pair."""
     n, w = z.shape
+    if w < 2:
+        return np.zeros(n)
     if w <= _BRUTE_FORCE_MAX:
-        return np.array([_brute_force_max(row) for row in z])
+        out = np.empty(n)
+        rows = max(1, _PAIR_BLOCK // (w * w))
+        for start in range(0, n, rows):
+            zb = z[start:start + rows]
+            out[start:start + rows] = np.abs(
+                zb[:, :, None] - zb[:, None, :]).max(axis=(1, 2))
+        return out
     out = np.full(n, np.nan)
     rows = np.flatnonzero(np.isfinite(z).all(axis=1))
     out[rows] = _tree_max(_leaf_blocks(z[rows]),
                           _PRUNE_LIMIT * math.ceil(math.log2(w)))
     for k in rows[np.isnan(out[rows])]:
         u = np.unique(z[k])
-        out[k] = _brute_force_max(u) if len(u) <= _BRUTE_FORCE_MAX \
+        out[k] = row_diameters(u[None, :])[0] if len(u) <= _BRUTE_FORCE_MAX \
             else _tree_max(_kd_layout(u), math.inf)[0]
     return out
 
@@ -324,7 +337,7 @@ def _node_verdicts(
                                     config.t_event)
 
     final = window_mask(times, config.t_end - config.window, config.t_end)
-    fluctuation = _window_diameters(
+    fluctuation = row_diameters(
         np.ascontiguousarray((eps[final] + 1j * omega[final]).T))
 
     if config.limit_mode == "endpoint":

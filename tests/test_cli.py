@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfsync import bundled_case_path, cli
 from cfsync.cf_estimator import estimate_complex_frequency, window_mask
@@ -40,6 +42,17 @@ def reportdir(simdir, tmp_path_factory):
     rc = main(["analyze", "--traj", str(simdir / "trajectory.csv"),
                "--case", SHED, "--outdir", str(d)])
     assert rc == 0
+    return d
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """A 3 s load shed at 10 ms steps and the report analyze makes of it."""
+    d = tmp_path_factory.mktemp("cli_short_run")
+    assert main(["simulate", "--case", SHED, "--t-end", "3.0", "--dt", "0.01",
+                 "--outdir", str(d)]) == 0
+    assert main(["analyze", "--traj", str(d / "trajectory.csv"),
+                 "--case", SHED, "--outdir", str(d)]) == 0
     return d
 
 
@@ -258,6 +271,28 @@ class TestAnalyze:
                    "--case", SHED, "--outdir", str(tmp_path)])
         assert rc == 2
         assert "non-uniform time grid" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:-2], "17 values a row under 19 column names"),
+        (lambda cells: cells + ["1", "2"],
+         "21 values a row under 19 column names"),
+        (None, "malformed trajectory header"),
+    ], ids=["short_rows", "long_rows", "theta_of_another_bus"])
+    def test_malformed_trajectory_exits_2(self, simdir, tmp_path, capsys,
+                                          edit, message):
+        # short rows used to raise IndexError and long rows a broadcast
+        # ValueError; theta_2 in place of theta_1 was analysed as bus 1's
+        lines = (simdir / "trajectory.csv").read_text().splitlines()
+        if edit is None:
+            lines[1] = lines[1].replace("theta_1,", "theta_2,", 1)
+        else:
+            lines[2:] = [",".join(edit(line.split(","))) for line in lines[2:]]
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["analyze", "--traj", str(tmp_path / "bad.csv"),
+                   "--case", SHED, "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert f"bad.csv: {message}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_wrong_case_for_trajectory_exits_2(self, simdir, tmp_path):
@@ -538,11 +573,18 @@ class TestPlotdata:
         ("subnet_spread", lambda r: r["subnets"].update(
             S={"member_buses": [4, 99]}),
          "report subnet 'S' has unknown buses"),
+        ("subnet_spread", lambda r: r["subnets"].update(
+            S={"member_buses": []}),
+         "report subnet 'S' has no members"),
         ("eps", lambda r: r["nodes"].pop("4"),
          "report and trajectory bus sets differ"),
+        ("eps", lambda r: r["config"]["estimator"].update(
+            smoothing_window=0),
+         "smoothing_window must be >= 1"),
     ], ids=["wrong_type", "nodes_not_an_object", "missing_nested",
             "fit_not_an_object", "subnet_without_members",
-            "subnet_with_unknown_bus", "bus_sets_differ"])
+            "subnet_with_unknown_bus", "subnet_with_no_members",
+            "bus_sets_differ", "zero_smoothing_window"])
     def test_malformed_report_exits_2(self, simdir, reportdir, tmp_path,
                                       capsys, kind, edit, message):
         report = json.loads((reportdir / "report.json").read_text())
@@ -569,6 +611,101 @@ class TestPlotdata:
         assert rc == 2
         assert "cannot read report" in capsys.readouterr().err
         assert not (tmp_path / "eps.csv").exists()
+
+
+class TestEstimatorInput:
+    """The estimator's input errors leave through their exit codes."""
+
+    @pytest.mark.parametrize("command", ["analyze", "inertia"])
+    def test_zero_smoothing_window_exits_3(self, simdir, tmp_path, capsys,
+                                           command):
+        rc = main([command, "--traj", str(simdir / "trajectory.csv"),
+                   "--case", SHED, "--smoothing-window", "0",
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert "--smoothing-window must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("command", ["analyze", "plotdata", "inertia"])
+    def test_zero_voltage_exits_2(self, simdir, reportdir, tmp_path, capsys,
+                                  command):
+        lines = (simdir / "trajectory.csv").read_text().splitlines()
+        cells = lines[98].split(",")
+        assert lines[1].split(",")[1] == "v_1"
+        cells[1] = "0"
+        lines[98] = ",".join(cells)
+        traj = tmp_path / "zero.csv"
+        traj.write_text("\n".join(lines) + "\n")
+        (tmp_path / "zero_gen.csv").write_bytes(
+            (simdir / "trajectory_gen.csv").read_bytes())
+        out = tmp_path / "out"
+        args = {"analyze": ["--case", SHED],
+                "inertia": ["--case", SHED],
+                "plotdata": ["--report", str(reportdir / "report.json"),
+                             "--kind", "eps"]}[command]
+        rc = main([command, "--traj", str(traj), *args,
+                   "--outdir", str(out)])
+        assert rc == 2
+        assert "non-positive voltage at bus 1, t=0.096 s" \
+            in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+
+class TestMalformedRecordedRun:
+    """No edit of a recorded run makes a command raise: each one that reads
+    it exits 0, 2 or 3."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["short_row", "long_row", "swap_names",
+                            "voltage", "few_rows", "non_numeric"]),
+           st.sampled_from([["trajectory.csv"], ["trajectory_gen.csv"],
+                            ["trajectory.csv", "trajectory_gen.csv"]]),
+           st.integers(0, 10**6), st.integers(0, 10**6),
+           st.integers(0, 2), st.sampled_from(["0", "-0", "-1e-3", "-2"]))
+    def test_commands_exit_with_a_code(self, short_run, tmp_path, kind,
+                                       targets, row, col, n_rows, value):
+        files = {name: (short_run / name).read_text().splitlines()
+                 for name in ("trajectory.csv", "trajectory_gen.csv")}
+        if kind == "voltage":
+            targets = ["trajectory.csv"]
+        for name in targets:
+            lines = files[name]
+            top = 2 if name == "trajectory.csv" else 1  # the first data row
+            header = lines[top - 1].split(",")
+            if kind == "few_rows":
+                del lines[top + n_rows:]
+            elif kind == "swap_names":
+                j = col % len(header)
+                k = (j + 1 + row % (len(header) - 1)) % len(header)
+                header[j], header[k] = header[k], header[j]
+                lines[top - 1] = ",".join(header)
+            else:
+                i = top + row % (len(lines) - top)
+                cells = lines[i].split(",")
+                if kind == "short_row":
+                    del cells[-1]
+                elif kind == "long_row":
+                    cells.append("0.5")
+                elif kind == "voltage":
+                    cells[1 + 2 * (col % (len(header) // 2))] = value
+                else:  # non_numeric
+                    cells[col % len(cells)] = "abc"
+                lines[i] = ",".join(cells)
+        run = tmp_path / "run"
+        run.mkdir(exist_ok=True)
+        for name, lines in files.items():
+            (run / name).write_text("\n".join(lines) + "\n")
+        traj = str(run / "trajectory.csv")
+        report = str(short_run / "report.json")
+        commands = [["analyze", "--case", SHED],
+                    ["inertia", "--case", SHED]] \
+            + [["plotdata", "--report", report, "--kind", plot_kind]
+               for plot_kind in cli.PLOT_KINDS]
+        for command in commands:
+            rc = main(command + ["--traj", traj,
+                                 "--outdir", str(run / "out")])
+            assert rc in (0, 2, 3), (command, rc)
 
 
 class TestRoundTrips:

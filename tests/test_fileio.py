@@ -188,6 +188,41 @@ class TestReadTrajectory:
         with pytest.raises(ValueError, match="non-uniform time grid"):
             read_trajectory_csv(out, omega_s=377.0)
 
+    @pytest.mark.parametrize("extra", [-2, -1, 1, 2])
+    def test_row_width_must_match_the_header(self, tmp_path, extra):
+        # two values short used to raise IndexError later, in the estimator;
+        # two long, a broadcast error
+        out = tmp_path / "bad.csv"
+        t = np.arange(0, 1, 0.01)
+        write_csv(out, ["t", "v_1", "theta_1", "v_2", "theta_2"],
+                  [t] + [np.ones((len(t), 4 + extra))], comment="events: ")
+        with pytest.raises(ValueError,
+                           match=f"{5 + extra} values a row under 5 column"):
+            read_trajectory_csv(out, omega_s=377.0)
+
+    @pytest.mark.parametrize("header", [
+        "t,v_1,theta_2,v_2,theta_1",  # used to read as buses 1 and 2
+        "t,theta_1,v_1", "t,v_1", "t,v_1,theta_1,v_2", "v_1,theta_1",
+        "t,v_x,theta_x", "t,v_1_0,theta_1_0"])
+    def test_header_must_name_each_bus_exactly(self, tmp_path, header):
+        out = tmp_path / "bad.csv"
+        n = len(header.split(","))
+        rows = "".join(",".join([f"{0.01 * i!r}"] + ["1"] * (n - 1)) + "\n"
+                       for i in range(5))
+        out.write_text(f"# events: \n{header}\n{rows}")
+        with pytest.raises(ValueError, match="malformed trajectory header"):
+            read_trajectory_csv(out, omega_s=377.0)
+
+
+class TestReadGenerator:
+    def test_non_uniform_grid_rejected(self, loadshed_traj, tmp_path):
+        traj = dataclasses.replace(loadshed_traj,
+                                   times=loadshed_traj.times.copy())
+        traj.times[4000:] += 0.5e-3
+        write_generator_csv(traj, tmp_path / "g.csv")
+        with pytest.raises(ValueError, match="non-uniform time grid"):
+            read_generator_csv(tmp_path / "g.csv")
+
 
 @pytest.fixture
 def kept_reads(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from cfsync import metrics
+from cfsync import sync_detector
 from cfsync.cf_estimator import ComplexFrequencySample
 from cfsync.metrics import (
     disturbance_region,
@@ -14,10 +14,9 @@ from cfsync.metrics import (
     local_maxima,
     node_metrics,
     overshoot,
-    row_spread,
     subnet_metrics,
 )
-from cfsync.sync_detector import NodeVerdict, SyncConfig
+from cfsync.sync_detector import NodeVerdict, SyncConfig, row_diameters
 
 
 def verdict(bus, t_eps, t_omega, eps_lim=0.0, om_lim=377.0, converged=True):
@@ -299,9 +298,9 @@ class TestRowSpread:
     @pytest.mark.parametrize("m", [1, 2, 5, 40])
     def test_matches_the_full_difference_cube(self, monkeypatch, m):
         # a block size that leaves a short last block
-        monkeypatch.setattr(metrics, "_SPREAD_PAIRS", 7 * m * m - 1)
+        monkeypatch.setattr(sync_detector, "_PAIR_BLOCK", 7 * m * m - 1)
         rng = np.random.default_rng(m)
         z = rng.normal(size=(101, m)) + 1j * rng.normal(size=(101, m))
         z[3, 0] = -0.0
         full = np.abs(z[:, :, None] - z[:, None, :]).max(axis=(1, 2))
-        assert row_spread(z).tobytes() == full.tobytes()
+        assert row_diameters(z).tobytes() == full.tobytes()

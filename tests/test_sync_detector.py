@@ -24,11 +24,11 @@ from cfsync.sync_detector import (
     _brute_force_max,
     _coarse_limits,
     _pairwise_max,
-    _window_diameters,
     evaluate,
     find_convergence_time,
     global_verdict,
     node_verdict,
+    row_diameters,
     subnet_verdict,
     trailing_max,
 )
@@ -533,8 +533,7 @@ class TestEvaluate:
         omega = np.full((n, 3), WS)
         eps[:, 2] = 0.01 * np.sin(30 * t)  # bus 3 keeps oscillating
         series = ComplexFrequencySeries(
-            times=t, bus_ids=[1, 2, 3], eps=eps, omega=omega,
-            smoothing_window=1)
+            times=t, bus_ids=[1, 2, 3], eps=eps, omega=omega)
         report = evaluate(series, {"A": [1, 2], "B": [3]},
                           SyncConfig(t_end=10.0))
         assert report.nodes[1].converged and report.nodes[2].converged
@@ -638,7 +637,7 @@ class TestWindowDiameters:
         z = np.array([window_row(rng, kind, w) for kind in kinds])
         with np.errstate(invalid="ignore"):
             want = [brute_force_diameter(row) for row in z]
-            got = _window_diameters(z)
+            got = row_diameters(z)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("w", [_BRUTE_FORCE_MAX + 1, 501, 1000, 1001])
@@ -649,7 +648,7 @@ class TestWindowDiameters:
         rng = np.random.default_rng(w)
         z = np.array([settling_window(rng, w) for _ in range(12)]
                      + [point_cloud(rng, "gaussian", w)])
-        got = _window_diameters(z)
+        got = row_diameters(z)
         assert [len(args[0]) for args in calls] == [w]
         np.testing.assert_array_equal(
             got, [brute_force_diameter(row) for row in z])
@@ -663,7 +662,7 @@ class TestWindowDiameters:
         z = synthetic_final_windows(seed)
         assert z.shape == (9, 4001)
         np.testing.assert_array_equal(
-            _window_diameters(z),
+            row_diameters(z),
             [brute_force_diameter(np.unique(row)) for row in z])
 
     def test_huge_values_take_the_fallback(self):
@@ -672,11 +671,11 @@ class TestWindowDiameters:
                       point_cloud(rng, "spiral", 400)])
         with np.errstate(over="ignore"):
             want = [brute_force_diameter(row) for row in z]
-            got = _window_diameters(z)
+            got = row_diameters(z)
         np.testing.assert_array_equal(got, want)
 
     def test_no_rows(self):
-        assert _window_diameters(np.empty((0, 300), dtype=complex)).shape \
+        assert row_diameters(np.empty((0, 300), dtype=complex)).shape \
             == (0,)
 
 
@@ -771,7 +770,7 @@ class TestEvaluatePass:
         t = np.arange(0, 10.001, 0.01)
         series = ComplexFrequencySeries(
             times=t, bus_ids=[4, 5, 6], eps=np.zeros((len(t), 3)),
-            omega=np.full((len(t), 3), WS), smoothing_window=1)
+            omega=np.full((len(t), 3), WS))
         evaluate(series, {"A": [4, 5, 6]}, SyncConfig(t_end=10.0))
         assert len(sweeps) == 2 and not verdicts
 
@@ -800,8 +799,7 @@ class TestEvaluatePass:
             series = ComplexFrequencySeries(
                 times=t, bus_ids=list(range(n_bus)),
                 eps=1e-3 * decay * np.sin(30 * t[:, None] + phase),
-                omega=WS + 0.1 * decay * np.cos(30 * t[:, None] + phase),
-                smoothing_window=1)
+                omega=WS + 0.1 * decay * np.cos(30 * t[:, None] + phase))
             tracemalloc.start()
             try:
                 evaluate(series, {"A": list(range(n_bus))},
