@@ -82,15 +82,16 @@ def _field(doc, what: str, path: str, kind=_NUMBER):
     return doc
 
 
-def _estimate(traj, smoothing_window: int):
-    """The complex frequency of ``traj``; an InputError if it cannot be
-    differentiated (too few rows, a voltage at or below zero, a
-    non-positive smoothing window)."""
+def _estimate(traj, smoothing_window: int, source):
+    """The complex frequency of ``traj``, read from the file ``source``; an
+    InputError naming that file if it cannot be differentiated (too few
+    rows, a voltage at or below zero)."""
     try:
         return estimate_complex_frequency(traj,
                                           smoothing_window=smoothing_window)
     except ValueError as exc:
-        raise InputError(f"cannot estimate complex frequency: {exc}") \
+        raise InputError(
+            f"cannot estimate complex frequency from {source}: {exc}") \
             from exc
 
 
@@ -179,8 +180,9 @@ def _sync_config_from_args(args, traj) -> SyncConfig:
 
 
 def build_report(traj, case, config: SyncConfig, smoothing_window: int,
-                 n_convention: str) -> dict:
-    series = _estimate(traj, smoothing_window)
+                 n_convention: str, source) -> dict:
+    """The analysis report of ``traj``, read from the file ``source``."""
+    series = _estimate(traj, smoothing_window, source)
     missing = [b for b in case.bus_index() if b not in series.bus_ids]
     extra = [b for b in series.bus_ids if b not in case.bus_index()]
     if missing or extra:
@@ -239,7 +241,7 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = build_report(traj, case, config, smoothing_window,
-                          args.n_convention)
+                          args.n_convention, args.traj)
     out = Path(args.out) if args.out else outdir / "report.json"
     write_json(report, out)
     print(f"wrote {out}")
@@ -300,7 +302,7 @@ def cmd_inertia(args) -> int:
                 f"generator series {gen_path} and trajectory {args.traj} "
                 f"are on different time grids: {_grid(times)} against "
                 f"{_grid(traj.times)}")
-        series = _estimate(traj, _smoothing_window(args))
+        series = _estimate(traj, _smoothing_window(args), args.traj)
         if args.window:
             window = tuple(args.window)
         else:
@@ -379,13 +381,17 @@ def cmd_plotdata(args) -> int:
     omega_s = _field(report, "report", "config.estimator.omega_s")
     smoothing_window = _field(report, "report",
                               "config.estimator.smoothing_window", int)
+    if smoothing_window < 1:
+        raise InputError(
+            f"report {args.report}: config.estimator.smoothing_window must "
+            f"be >= 1, got {smoothing_window}")
     nodes = _field(report, "report", "nodes", dict)
 
     if not args.traj:
         raise InputError(f"--traj is required for kind {args.kind!r}")
     traj = _read("trajectory", args.traj, read_trajectory_csv,
                  omega_s=omega_s)
-    series = _estimate(traj, smoothing_window)
+    series = _estimate(traj, smoothing_window, args.traj)
     if set(nodes) != {str(b) for b in series.bus_ids}:
         raise InputError("report and trajectory bus sets differ")
 

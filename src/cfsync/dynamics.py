@@ -9,22 +9,27 @@ network is linear in the machine EMFs. The machine state is one C-contiguous
 state (the initial one and each one after an event) is Kron-reduced once to the
 machines' internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the
 machine currents and the terminal voltages, and each derivative evaluation is
-one small matvec on it. ``step`` drives one of two kernels, fixed per network
-when it is built. A network of at most ``_FLOAT_MAX_GEN`` (nine) machines steps
-in Python floats and complex, because on a few machines numpy's per-call cost
-outweighs its arithmetic. Its kernel is straight-line code with one local per
-state component (the flattened state, row after row), generated and compiled
-once per shape (machine count, exciters or not) and bound to each network
-state's matrix entries and constants as closure variables. Larger networks step
-in numpy (the crossover is measured at ``_FLOAT_MAX_GEN``). The initial state
-is computed on the path that steps it, so it is an exact fixed point of that
-path. The integration loop stores only machine states, and skips the steps from
-a bit-exact fixed point (the initial state is one) up to the next event. Bus
-voltages, electrical powers and the residual against the full augmented
-admittance matrix are computed afterwards, for every recorded row, by one
-record pass per network segment in blocks of ``_RECORD_BLOCK`` rows. The
-residual multiplies through padded neighbour lists of that matrix (its
-nonzeros, bus by bus), in numpy alone.
+one small matvec on it. Each network state binds one segment kernel, ``run``,
+on the path fixed when the network is built, and ``simulate`` calls it once
+per stretch between events; ``step`` is its one-step case. A network of at
+most ``_FLOAT_MAX_GEN`` (nine) machines steps in Python floats and complex,
+because on a few machines numpy's per-call cost outweighs its arithmetic. Its
+kernel is straight-line code with one local per state component (the
+flattened state, row after row), generated and compiled once per shape
+(machine count, exciters or not) and bound to each network state's matrix
+entries and constants as closure variables. Larger networks step in numpy,
+on buffers preallocated per network state (the crossover is measured at
+``_FLOAT_MAX_GEN``). One step loop drives both paths and both integrators,
+and both paths run one trapezoidal iteration, each over its own
+derivative. The initial state is computed on the path that steps it, so
+it is an exact fixed point of that path. The integration stores only machine
+states, in blocks of at most ``_STEP_BLOCK`` bytes, and stops a segment at
+a bit-exact fixed point (the initial state is one): the rows up to the next
+event repeat it. Bus voltages, electrical powers and the residual against the
+full augmented admittance matrix are computed afterwards, for every recorded
+row, by one record pass per network segment in blocks of ``_RECORD_BLOCK``
+rows. The residual multiplies through padded neighbour lists of that matrix
+(its nonzeros, bus by bus), in numpy alone.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
@@ -55,14 +60,21 @@ INTEGRATORS = ("rk4", "trapezoidal")
 
 _TRAP_MAX_ITER = 100  # fixed-point iterations per trapezoidal step
 # Networks of at most this many machines step in Python floats, larger ones
-# in numpy. Float over numpy time of one RK4 step after an event, without and
-# with exciters (2-vCPU VM, one BLAS thread, medians of 21 interleaved rounds
-# of 300 steps, three runs): WSCC-9 after the load shed (3 machines, 14-17 us
-# in floats) 0.16 and 0.19-0.20; tiled WSCC-9 rings after a trip, 6 machines
-# 0.36-0.39 and 0.44-0.45, 9: 0.63-0.69 and 0.82-0.93, 12: 0.91-0.99 and
-# 1.27-1.33. So with exciters the crossover lies in (9, 12], without, past 12.
+# in numpy. Float over numpy time of an RK4 step after an event, through
+# each path's segment kernel, without and with exciters (2-vCPU VM, one BLAS
+# thread, medians of 21 interleaved rounds of 300 steps, three runs): WSCC-9
+# after the load shed (3 machines, 8-13 us in floats) 0.17-0.19; tiled
+# WSCC-9 rings after a trip, 6 machines 0.42-0.46 and 0.50-0.56, 9:
+# 0.73-0.81 and 0.90-1.05, 12: 1.12-1.41 and 1.47-1.79. So the crossover
+# lies in (9, 12] without exciters and close to 9 with them.
 _FLOAT_MAX_GEN = 9
 _RECORD_BLOCK = 512   # rows per record-pass block: bounds its temporaries
+# Bytes of recorded rows a segment kernel holds before it stores them, at 8
+# a value in the numpy path's float64 arrays and about 32 as a Python float
+# in the float path's lists: 22 rows of 90 machines, 170 of 3. A 512-row
+# block of 90 machines raised the peak RSS of four 270-bus trips by 2.5 MB,
+# and 682 rows of 3 that of both scripts by about 0.3 MB.
+_STEP_BLOCK = 1 << 16
 # Bus voltages per residual chunk (256 KiB): its temporaries then stay in
 # cache. On the 270-bus ring (60 rows a chunk) a 512-row block took 3.3 ms,
 # against 9.7 ms in one piece (2-vCPU VM, one BLAS thread).
@@ -136,12 +148,13 @@ class DynamicNetwork:
     Kron-reduced internal-node admittance Y_int (machine currents from
     EMFs) over the terminal-voltage transfer Z[gen, gen] diag(yd).
     ``floats`` is fixed when the network is built: whether it steps in
-    Python floats (at most ``_FLOAT_MAX_GEN`` machines) or in numpy. On the
-    float path, once ``initialize_dynamics`` has set the constants,
-    ``float_derivs(x)`` and ``float_rk4(x, dt)`` are the generated kernel's
-    closures over this state's ``k_red`` entries and constants, on the
-    flattened machine state (all angles, then speeds, EMFs and mechanical
-    powers); on the numpy path they stay None.
+    Python floats (at most ``_FLOAT_MAX_GEN`` machines) or in numpy. Once
+    ``initialize_dynamics`` has set the constants, ``run`` is this network
+    state's segment kernel (see ``_segment_kernel``), bound to its
+    ``k_red`` and constants. On the float path ``float_derivs(x)`` is the
+    generated kernel's derivative on the flattened machine state (all
+    angles, then speeds, EMFs and mechanical powers); on the numpy path it
+    stays None.
 
     ``rebuild`` and ``apply_event`` replace these arrays rather than write
     into them, so a shallow copy keeps the network state it was taken in.
@@ -190,7 +203,7 @@ class DynamicNetwork:
         self.zg: np.ndarray | None = None
         self.k_red: np.ndarray | None = None
         self.float_derivs = None
-        self.float_rk4 = None
+        self.run = None
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -217,19 +230,36 @@ class DynamicNetwork:
         z_term = self.zg[self.gen_bus] * self.yd  # Z[gen, gen] diag(yd)
         y_int = np.diag(self.yd) - self.yd[:, None] * z_term
         self.k_red = np.vstack([y_int, z_term])
-        if self.float_rk4 is not None:
-            self._bind_float_kernel()
+        if self.run is not None:
+            self._bind_kernel()
 
-    def _bind_float_kernel(self) -> None:
-        """Bind the float kernel of this network's shape to its ``k_red``
-        and per-machine constants, as ``float_derivs`` and ``float_rk4``."""
-        rows = self.k_red if self.any_exc else self.k_red[:self.n_gen]
-        coefs = np.concatenate((
-            self.c_swing, self.d, self.c_vref, self.v_ref, self.c_eq,
-            self.e0, self.c_gov, self.pm0, self.inv_r_gov))
-        self.float_derivs, self.float_rk4 = _float_kernel(
-            self.n_gen, self.any_exc)(
+    def _bind_kernel(self) -> None:
+        """Bind this network state's segment kernel as ``run``: on the
+        float path over the generated kernel of its shape (whose derivative
+        is also bound, as ``float_derivs``), on the numpy path over
+        ``_numpy_kernel``; both bound to its ``k_red`` and per-machine
+        constants."""
+        ng = self.n_gen
+        if self.floats:
+            rows = self.k_red if self.any_exc else self.k_red[:ng]
+            coefs = np.concatenate((
+                self.c_swing, self.d, self.c_vref, self.v_ref, self.c_eq,
+                self.e0, self.c_gov, self.pm0, self.inv_r_gov))
+            float_derivs, rk4 = _float_kernel(ng, self.any_exc)(
                 rect, self.ws, *rows.ravel().tolist(), *coefs.tolist())
+
+            def derivs(x, f):
+                f.reshape(-1)[:] = float_derivs(x.ravel().tolist())
+            one_trapezoidal = _trapezoidal(derivs, ng)
+
+            def trapezoidal(x, dt):
+                # the shared iteration on an array of the state list
+                return one_trapezoidal(np.reshape(x, (4, ng)),
+                                       (0.5 * dt, dt)).ravel().tolist()
+            self.float_derivs = float_derivs
+        else:
+            rk4, trapezoidal = _numpy_kernel(self)
+        self.run = _segment_kernel(ng, self.floats, rk4, trapezoidal)
 
     def apply_event(self, event: Event) -> None:
         line = None
@@ -344,23 +374,11 @@ def initialize_dynamics(
          else v_term[k])
         for k, g in enumerate(case.generators)
     ])
-    if net.floats:
-        net._bind_float_kernel()
+    net._bind_kernel()
     return state, net
 
 
-def _derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
-    delta, omega, e_q, p_m = state
-    pe, v_abs = net.reduced(delta, e_q, net.any_exc)
-    d_delta = omega - net.ws
-    slip = d_delta / net.ws
-    d_eq = (net.c_vref * (net.v_ref - v_abs) - net.c_eq * (e_q - net.e0)
-            if net.any_exc else np.zeros(net.n_gen))
-    return np.array([d_delta, net.c_swing * (p_m - pe - net.d * slip), d_eq,
-                     net.c_gov * (net.pm0 - slip * net.inv_r_gov - p_m)])
-
-
-# names of the kernel's per-machine constants, in _bind_float_kernel's order
+# names of the kernel's per-machine constants, in _bind_kernel's order
 _COEF_NAMES = ("c_swing", "damp", "c_vref", "v_ref", "c_eq", "e0", "c_gov",
                "pm0", "inv_r_gov")
 _STATE_NAMES = ("delta", "omega", "eq", "pm")
@@ -369,10 +387,10 @@ _STATE_NAMES = ("delta", "omega", "eq", "pm")
 def _derivs_source(ng: int, any_exc: bool, x: list[str],
                    f: list[str]) -> list[str]:
     """Lines that set the derivative locals ``f`` from the state locals
-    ``x`` (both the flattened state rows): ``_derivs`` in floats and
-    complex, with ``rect`` EMFs, each row product summed left to right from
-    int 0 as ``DynamicNetwork.reduced`` sums it, ``p - pe - k*w`` and
-    ``p0 - w*r - p``."""
+    ``x`` (both the flattened state rows): the numpy kernel's derivative
+    in floats and complex, with ``rect`` EMFs, each row product summed
+    left to right from int 0 as ``DynamicNetwork.reduced`` sums it,
+    ``p - pe - k*w`` and ``p0 - w*r - p``."""
     lines = [f"e_{i} = rect({x[2 * ng + i]}, {x[i]})" for i in range(ng)]
     lines += [f"o_{r} = 0" + "".join(f" + k_{r}_{c} * e_{c}"
                                      for c in range(ng))
@@ -396,8 +414,9 @@ def _kernel_source(ng: int, any_exc: bool) -> str:
     """Source of a factory that takes ``rect``, ``ws``, the used ``k_red``
     entries row by row and the per-machine constants, and returns the
     closures ``derivs(x)`` and ``rk4(x, dt)`` on the flattened machine
-    state. Apart from the method's own literals it holds identifiers and
-    operators only, never a network's values."""
+    state; each returns a new list. Apart from the method's own literals
+    the source holds identifiers and operators only, never a network's
+    values."""
     names = [f"{c}_{i}" for c in _STATE_NAMES for i in range(ng)]
 
     def tagged(tag):
@@ -446,60 +465,209 @@ def _unconverged(change: float, dt: float) -> SimulationError:
         f"iterations (last change {change:.3e}, dt={dt}); reduce dt")
 
 
-def _float_derivs(state: np.ndarray, net: DynamicNetwork) -> np.ndarray:
-    """``_derivs`` through the network's float kernel."""
-    return np.array(net.float_derivs(state.ravel().tolist())).reshape(
-        state.shape)
+def _same_bits(a, b) -> bool:
+    """Whether two machine states hold the same float64 bits: a state that
+    is ``==`` but differs in the sign of a zero is not a fixed point."""
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+def _same_floats(a: list, b: list) -> bool:
+    """``_same_bits`` on two state lists, after the cheaper ``==``, which
+    most steps fail on their first value."""
+    return a == b and _same_bits(a, b)
+
+
+def _trapezoidal(derivs, ng: int):
+    """One trapezoidal step ``trapezoidal(x, scalars)`` of a (4, ng) state,
+    on both paths, over ``derivs(x, f)``, which writes the derivative at
+    ``x`` into ``f``. ``scalars`` starts with dt/2 and dt (floats or 0-d
+    arrays). It iterates into preallocated buffers and returns a new
+    array."""
+    f0, f1, cand, w = (np.zeros((4, ng)) for _ in range(4))
+
+    def trapezoidal(x, scalars):
+        h, dt = scalars[:2]
+        derivs(x, f0)
+        nxt = np.multiply(dt, f0)
+        np.add(x, nxt, nxt)
+        for _ in range(_TRAP_MAX_ITER):
+            derivs(nxt, f1)
+            np.add(f0, f1, cand)
+            np.multiply(h, cand, cand)
+            np.add(x, cand, cand)
+            np.subtract(cand, nxt, w)
+            change = np.abs(w, w).max()
+            tol = 1e-13 * (1.0 + np.abs(nxt, w).max())
+            np.copyto(nxt, cand)
+            if change < tol:
+                return nxt
+        raise _unconverged(change, float(dt))
+    return trapezoidal
+
+
+def _numpy_kernel(net: DynamicNetwork):
+    """One RK4 step and one trapezoidal step ``one(x, scalars)`` of the
+    numpy path, bound to ``net``'s ``k_red`` and per-machine constants:
+    each takes a (4, n_gen) state and dt/2, dt and dt/6 as 0-d arrays,
+    and returns the next state as a new array.
+
+    All other work goes into preallocated buffers with ``out=``, and
+    scalars are 0-d arrays, which numpy takes faster than Python floats.
+    The derivative does the operations of ``DynamicNetwork.reduced`` and
+    of the float kernel's derivative, in their order; its EMFs are exp of
+    a complex buffer whose real part stays zero, which gives
+    ``exp(1j * delta)``'s bits (adding 0.0 turns a -0.0 angle into +0.0,
+    as ``1j * delta`` does)."""
+    ng, any_exc = net.n_gen, net.any_exc
+    k_red = net.k_red if any_exc else net.k_red[:ng]
+    c_swing, damp, c_vref, v_ref, c_eq, e0, c_gov, pm0, inv_r_gov = (
+        net.c_swing, net.d, net.c_vref, net.v_ref, net.c_eq, net.e0,
+        net.c_gov, net.pm0, net.inv_r_gov)
+    ws, zero, two = np.array(net.ws), np.array(0.0), np.array(2.0)
+    add, sub, mul = np.add, np.subtract, np.multiply
+    angle = np.zeros(ng, complex)
+    e = np.empty(ng, complex)
+    o = np.empty(len(k_red), complex)
+    s = np.empty(ng, complex)
+    pe = s.real
+    v_abs, slip, t, u = (np.empty(ng) for _ in range(4))
+    # k1..k4, the stage state and the weighted sum; row 2 of a derivative
+    # stays zero without exciters
+    k1, k2, k3, k4, xs, y = (np.zeros((4, ng)) for _ in range(6))
+
+    def derivs(x, f):
+        delta, omega, e_q, p_m = x
+        add(delta, zero, angle.imag)
+        np.exp(angle, e)
+        mul(e_q, e, e)
+        np.matmul(k_red, e, o)
+        np.conjugate(o[:ng], s)
+        mul(e, s, s)
+        sub(omega, ws, f[0])
+        np.divide(f[0], ws, slip)
+        sub(p_m, pe, t)
+        mul(damp, slip, u)
+        sub(t, u, t)
+        mul(c_swing, t, f[1])
+        if any_exc:
+            np.abs(o[ng:], v_abs)
+            sub(v_ref, v_abs, t)
+            mul(c_vref, t, t)
+            sub(e_q, e0, u)
+            mul(c_eq, u, u)
+            sub(t, u, f[2])
+        mul(slip, inv_r_gov, t)
+        sub(pm0, t, t)
+        sub(t, p_m, t)
+        mul(c_gov, t, f[3])
+
+    def rk4(x, scalars):
+        h, dt, sixth = scalars
+        derivs(x, k1)
+        for k, scale, nxt in ((k1, h, k2), (k2, h, k3), (k3, dt, k4)):
+            mul(scale, k, xs)
+            add(x, xs, xs)
+            derivs(xs, nxt)
+        mul(two, k2, y)
+        add(k1, y, y)
+        mul(two, k3, xs)
+        add(y, xs, y)
+        add(y, k4, y)
+        mul(sixth, y, y)
+        return add(x, y)
+
+    return rk4, _trapezoidal(derivs, ng)
+
+
+def _steps(one, same, x, dt, m, due, every):
+    """Up to ``m`` steps of ``one(x, dt)`` from ``x`` (``dt`` as ``one``
+    takes it): the states of steps ``due``, ``due + every``, ... (counted
+    from 1) go into ``rows``, and a step whose result is ``same`` as its
+    input ends the loop. Each step returns a new state, so the rows need
+    no copy. Returns the steps taken, the last state, the rows and
+    whether it ended at a fixed point."""
+    rows = []
+    for j in range(1, m + 1):
+        y = one(x, dt)
+        fixed = same(y, x)
+        x = y
+        if j == due:
+            rows.append(x)
+            due += every
+        if fixed:
+            return j, x, rows, True
+    return m, x, rows, False
+
+
+def _segment_kernel(ng: int, floats: bool, rk4, trapezoidal):
+    """The segment kernel ``run`` over a path's one-step RK4 and
+    trapezoidal functions, driven by ``_steps``: on the float path they
+    take a flattened state list and dt, on the numpy path a (4, ng) array
+    and dt/2, dt and dt/6 as 0-d arrays.
+
+    ``run(state, dt, n, integrator, rec, first, every)`` advances the
+    (4, n_gen) state of step ``first`` by up to ``n`` steps. The state of
+    each step that is a multiple of ``every`` goes into row step/every of
+    ``rec``, the (4, n_rec, n_gen) record array (none without ``rec``).
+    It stops early after a step that returns its input bit for bit, and
+    returns the steps taken (that last one included) and a new array of
+    the last state. It takes at most ``_STEP_BLOCK`` bytes of recorded
+    rows per ``_steps`` call, so the rows it holds stay bounded, and
+    checks the last state of each call: a non-finite value never becomes
+    finite again in a step, so one check covers every state before it."""
+    same = _same_floats if floats else _same_bits
+
+    def run(state, dt, n, integrator="rk4", rec=None, first=0, every=1):
+        one = rk4 if integrator == "rk4" else trapezoidal
+        if floats:
+            x, step_dt = state.ravel().tolist(), dt
+        else:
+            x, step_dt = state, (np.array(0.5 * dt), np.array(dt),
+                                 np.array(dt / 6.0))
+        # recorded rows per _steps call
+        cap = max(1, _STEP_BLOCK // (4 * ng * (32 if floats else 8)))
+        taken = 0
+        # a non-finite state raises below; numpy's overflow and invalid
+        # warnings would only come before that error
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                due = every - (first + taken) % every if rec is not None \
+                    else n + 1
+                m = min(n - taken, due + (cap - 1) * every)
+                try:
+                    j, x, rows, fixed = _steps(one, same, x, step_dt, m, due,
+                                               every)
+                except (ValueError, OverflowError):
+                    # the float kernel's cos or sin of an infinite angle,
+                    # or abs of an overflowing phasor: numpy carries these
+                    # on as NaN instead, which no trapezoidal iteration
+                    # converges from
+                    if integrator == "trapezoidal":
+                        raise _unconverged(math.nan, dt) from None
+                    raise SimulationError(
+                        "non-finite machine state") from None
+                last = np.array(x).reshape(4, ng)
+                if not np.isfinite(last).all():
+                    raise SimulationError("non-finite machine state")
+                if rows:
+                    block = np.reshape(rows, (-1, 4, ng)).transpose(1, 0, 2)
+                    row = (first + taken + due) // every
+                    rec[:, row:row + block.shape[1]] = block
+                taken += j
+                if fixed or taken == n:
+                    return taken, last
+    return run
 
 
 def step(state: np.ndarray, net: DynamicNetwork, dt: float,
          integrator: str = "rk4") -> np.ndarray:
     """Advance the (4, n_gen) machine state one step of size dt, on the
-    network's path: through its generated float kernel, or in numpy. Both
-    paths do the same operations in the same order; only the derivative's
+    network's path: the one-step case of its segment kernel. Both paths
+    do the same operations in the same order; only the derivative's
     complex products and sums may differ in the last bit."""
     if integrator not in INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}")
-    try:
-        if integrator == "trapezoidal":
-            derivs = _float_derivs if net.floats else _derivs
-            h = 0.5 * dt
-            # a non-finite iterate ends in "did not converge", unwarned
-            with np.errstate(over="ignore", invalid="ignore"):
-                f0 = derivs(state, net)
-                nxt = state + dt * f0
-                for _ in range(_TRAP_MAX_ITER):
-                    f1 = derivs(nxt, net)
-                    cand = state + h * (f0 + f1)
-                    change = abs(cand - nxt).max()
-                    tol = 1e-13 * (1.0 + abs(nxt).max())
-                    nxt = cand
-                    if change < tol:
-                        break
-                else:
-                    raise _unconverged(change, dt)
-        elif net.floats:
-            out = net.float_rk4(state.ravel().tolist(), dt)
-            # checked on the list: 0.4 us, against 3.8 us on the array
-            if not all(map(math.isfinite, out)):
-                raise SimulationError("non-finite machine state")
-            return np.array(out).reshape(state.shape)
-        else:
-            k1 = _derivs(state, net)
-            k2 = _derivs(state + 0.5 * dt * k1, net)
-            k3 = _derivs(state + 0.5 * dt * k2, net)
-            k4 = _derivs(state + dt * k3, net)
-            nxt = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    except (ValueError, OverflowError):
-        # the float kernel's cos or sin of an infinite angle, or abs of an
-        # overflowing phasor: numpy carries these on as NaN instead, which
-        # no trapezoidal iteration converges from
-        if integrator == "trapezoidal":
-            raise _unconverged(math.nan, dt) from None
-        raise SimulationError("non-finite machine state") from None
-    if not np.isfinite(nxt).all():
-        raise SimulationError("non-finite machine state")
-    return nxt
+    return net.run(state, dt, 1, integrator)[1]
 
 
 @dataclass
@@ -588,6 +756,7 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     segments: list[tuple[int, DynamicNetwork]] = []
     event_times: list[float] = []
 
+    rec[:, 0] = state
     ev_pos = 0
     i = 0
     while True:
@@ -598,20 +767,17 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
             ev_pos += 1
         if i == 0 or ev_pos > ev_start:
             segments.append(((i + every - 1) // every, copy.copy(net)))
-        if i % every == 0:
-            rec[:, i // every] = state
         if i == n_steps:
             break
-        nxt = step(state, net, dt, config.integrator)
-        if nxt.tobytes() == state.tobytes():
+        stop = pending[ev_pos][0] if ev_pos < len(pending) else n_steps
+        taken, state = net.run(state, dt, stop - i, config.integrator, rec,
+                               i, every)
+        if i + taken < stop:
             # a fixed point (the initial state is one): every step up to
-            # the next event returns it again, so record it and jump there
-            stop = pending[ev_pos][0] if ev_pos < len(pending) else n_steps
-            rec[:, i // every + 1:(stop - 1) // every + 1] = state[:, None]
-            i = stop
-        else:
-            state = nxt
-            i += 1
+            # the next event returns it again, so its rows repeat it
+            rec[:, (i + taken) // every + 1:stop // every + 1] = \
+                state[:, None]
+        i = stop
 
     delta, omega, e_q, p_m = rec
     v_rec, th_rec, p_e, q_e, max_res = _record_pass(

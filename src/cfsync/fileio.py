@@ -20,7 +20,7 @@ scaling's error bound is.
 
 The last trajectory CSV and the last generator CSV this process wrote are
 kept in memory when all their values are finite, with the file's size and
-the SHA-256 of its bytes, read back from the file just after writing it.
+the SHA-256 of its bytes, hashed as ``write_csv`` writes them.
 Reading a file of that size hashes it, streamed; if the digest matches, the
 kept array is returned as a copy instead of parsing the text, which gives
 the same doubles because every finite double round-trips through
@@ -33,6 +33,7 @@ import functools
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,10 +209,11 @@ def _format_chunk(x: np.ndarray, last: np.ndarray) -> bytes:
 
 
 def write_csv(path: str | Path, header: list[str],
-              columns: list[np.ndarray], comment: str | None = None
-              ) -> np.ndarray:
+              columns: list[np.ndarray], comment: str | None = None,
+              digest=None) -> np.ndarray:
     """Write equal-length columns as CSV rows under a header line, and
-    return the (n_rows, n_cols) array written.
+    return the (n_rows, n_cols) array written. A ``digest`` (a hashlib
+    object) is fed every byte written.
 
     Each column is a 1-D array (one CSV column) or a 2-D array (one CSV
     column per array column). A ``comment`` becomes a leading
@@ -225,13 +227,18 @@ def write_csv(path: str | Path, header: list[str],
     flat = data.astype(np.float64, copy=False).reshape(-1)
     n_cols = data.shape[1]
     with Path(path).open("wb") as f:
+        def write(text: bytes) -> None:
+            f.write(text)
+            if digest is not None:
+                digest.update(text)
+
         if comment is not None:
-            f.write(f"# {comment}\n".encode())
-        f.write((",".join(header) + "\n").encode())
+            write(f"# {comment}\n".encode())
+        write((",".join(header) + "\n").encode())
         for start in range(0, len(flat), _CHUNK):
             chunk = flat[start:start + _CHUNK]
             last = np.arange(start, start + len(chunk)) % n_cols == n_cols - 1
-            f.write(_format_chunk(chunk, last))
+            write(_format_chunk(chunk, last))
     return data
 
 
@@ -251,13 +258,14 @@ _written: dict[str, _Written] = {}
 def _write_kept(kind: str, path: str | Path, header: list[str],
                 columns: list[np.ndarray], comment: str | None = None) -> None:
     """``write_csv``, keeping the written array for ``_kept`` when every
-    value is finite (only then does the text round-trip bit for bit)."""
+    value is finite (only then does the text round-trip bit for bit),
+    with the size and SHA-256 of the bytes written."""
     _written.pop(kind, None)
-    data = write_csv(path, header, columns, comment=comment)
+    digest = hashlib.sha256()
+    data = write_csv(path, header, columns, comment=comment, digest=digest)
     if np.isfinite(data).all():
-        path = Path(path)
-        _written[kind] = _Written(path.stat().st_size, sha256_file(path),
-                                  data)
+        _written[kind] = _Written(Path(path).stat().st_size,
+                                  digest.hexdigest(), data)
 
 
 def _kept(kind: str, path: Path) -> np.ndarray | None:
@@ -422,8 +430,15 @@ def _read_series(kind: str, path: str | Path, comment: str | None = None
             raise ValueError(
                 f"{path}: malformed {kind} header (need t, then "
                 f"{', '.join(p + '_b' for p in series)} for each bus b)")
-        data = kept if kept is not None \
-            else np.loadtxt(f, delimiter=",", ndmin=2)
+        if kept is not None:
+            data = kept
+        else:
+            with warnings.catch_warnings():
+                # a header without rows: the time grid check below says so
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data",
+                    UserWarning)
+                data = np.loadtxt(f, delimiter=",", ndmin=2)
     if len(data) and data.shape[1] != len(names):
         raise ValueError(f"{path}: {data.shape[1]} values a row under "
                          f"{len(names)} column names")

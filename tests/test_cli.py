@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -646,9 +647,44 @@ class TestEstimatorInput:
         rc = main([command, "--traj", str(traj), *args,
                    "--outdir", str(out)])
         assert rc == 2
-        assert "non-positive voltage at bus 1, t=0.096 s" \
+        assert f"cannot estimate complex frequency from {traj}: " \
+            "non-positive voltage at bus 1, t=0.096 s" \
             in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_plotdata_zero_smoothing_window_names_the_report(
+            self, simdir, reportdir, tmp_path, capsys):
+        report = json.loads((reportdir / "report.json").read_text())
+        report["config"]["estimator"]["smoothing_window"] = 0
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        rc = main(["plotdata", "--report", str(path),
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--kind", "eps", "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: report {path}: config.estimator.smoothing_window " \
+            "must be >= 1, got 0\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "inertia"])
+    def test_header_without_rows_exits_2_unwarned(self, simdir, tmp_path,
+                                                  capsys, command):
+        # np.loadtxt warns on a file without data; the command says why
+        # it stops in one line, and nothing else
+        name, what, top = {
+            "analyze": ("trajectory.csv", "trajectory", 2),
+            "inertia": ("trajectory_gen.csv", "generator series", 1)}[command]
+        for kept in ("trajectory.csv", "trajectory_gen.csv"):
+            (tmp_path / kept).write_bytes((simdir / kept).read_bytes())
+        lines = (simdir / name).read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text("".join(lines[:top]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--traj", str(tmp_path / "trajectory.csv"),
+                       "--case", SHED, "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {what}: {tmp_path / name}: time grid needs "
+            "at least two samples\n")
 
 
 class TestMalformedRecordedRun:

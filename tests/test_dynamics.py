@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import warnings
 from cmath import rect
 from operator import add, mul, sub
 
@@ -304,6 +305,67 @@ def oracle_step(state, net, dt, integrator):
     return np.array(nxt).reshape(4, net.n_gen)
 
 
+def numpy_oracle_derivs(state, net):
+    """The numpy derivative as whole-array expressions, each result a new
+    array: the operations of the numpy kernel in its order."""
+    delta, omega, e_q, p_m = state
+    pe, v_abs = net.reduced(delta, e_q, net.any_exc)
+    d_delta = omega - net.ws
+    slip = d_delta / net.ws
+    d_eq = (net.c_vref * (net.v_ref - v_abs) - net.c_eq * (e_q - net.e0)
+            if net.any_exc else np.zeros(net.n_gen))
+    return np.array([d_delta, net.c_swing * (p_m - pe - net.d * slip), d_eq,
+                     net.c_gov * (net.pm0 - slip * net.inv_r_gov - p_m)])
+
+
+def numpy_oracle_step(state, net, dt, integrator):
+    """One numpy-path step from ``numpy_oracle_derivs``, with its checks."""
+    if integrator == "rk4":
+        k1 = numpy_oracle_derivs(state, net)
+        k2 = numpy_oracle_derivs(state + 0.5 * dt * k1, net)
+        k3 = numpy_oracle_derivs(state + 0.5 * dt * k2, net)
+        k4 = numpy_oracle_derivs(state + dt * k3, net)
+        nxt = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    else:
+        h = 0.5 * dt
+        f0 = numpy_oracle_derivs(state, net)
+        nxt = state + dt * f0
+        for _ in range(dynamics._TRAP_MAX_ITER):
+            f1 = numpy_oracle_derivs(nxt, net)
+            cand = state + h * (f0 + f1)
+            change = abs(cand - nxt).max()
+            tol = 1e-13 * (1.0 + abs(nxt).max())
+            nxt = cand
+            if change < tol:
+                break
+        else:
+            raise dynamics._unconverged(change, dt)
+    if not np.isfinite(nxt).all():
+        raise SimulationError("non-finite machine state")
+    return nxt
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """The steps the segment kernels of every network bound from now on
+    take, by path: ``{"floats": n, "numpy": n}``."""
+    steps = {"floats": 0, "numpy": 0}
+    bind = dynamics.DynamicNetwork._bind_kernel
+
+    def counted(net):
+        bind(net)
+        run = net.run
+
+        def counted_run(*args):
+            taken, last = run(*args)
+            steps["floats" if net.floats else "numpy"] += taken
+            return taken, last
+        net.run = counted_run
+
+    monkeypatch.setattr(dynamics.DynamicNetwork, "_bind_kernel", counted)
+    return steps
+
+
 FLOAT_CASES = ["smib", "wscc9", "wscc9_exciters", "two_area"]
 
 
@@ -333,7 +395,7 @@ def float_networks(which):
     case, trip, inject = float_case(load_case(bundled_case_path("wscc9")),
                                     which)
     state, net = initialize_dynamics(case, solve_power_flow(case))
-    assert net.float_rk4 is not None
+    assert net.floats and net.float_derivs is not None
     nets = [net]
     for event in (trip, inject):
         nets.append(copy.copy(nets[-1]))
@@ -362,7 +424,8 @@ class TestFloatPath:
         state, net_np = initialize_dynamics(case, pf)
         monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 10**6)
         _, net_fl = initialize_dynamics(case, pf)
-        assert net_np.float_rk4 is None and net_fl.float_rk4 is not None
+        assert not net_np.floats and net_np.float_derivs is None
+        assert net_fl.floats and net_fl.float_derivs is not None
         # the same operating point on both paths, up to the last bits
         np.testing.assert_allclose(net_fl.pm0, net_np.pm0, rtol=0,
                                    atol=1e-13)
@@ -379,7 +442,7 @@ class TestFloatPath:
                 x[1] += rng.normal(0.0, 1.0, net_np.n_gen)
                 x[2] *= rng.uniform(0.9, 1.1, net_np.n_gen)
                 x[3] *= rng.uniform(0.9, 1.1, net_np.n_gen)
-                want = dynamics._derivs(x, net_np)
+                want = numpy_oracle_derivs(x, net_np)
                 got = net_fl.float_derivs(x.ravel().tolist())
                 np.testing.assert_allclose(
                     np.reshape(got, (4, -1)), want, rtol=0, atol=1e-12)
@@ -418,32 +481,39 @@ class TestFloatPath:
                         == oracle_step(state, net, 1e-3,
                                        integrator).tobytes(), which
 
-    def test_load_shed_matches_oracle(self, wscc9_loadshed, loadshed_traj,
-                                      monkeypatch):
-        # the scripts' 20 s load shed, stepped by the oracle
-        monkeypatch.setattr(dynamics, "step", oracle_step)
-        traj = simulate(wscc9_loadshed, SimConfig(t_end=20.0, dt=1e-3))
-        for name in ("times", "v", "theta", "delta", "omega", "e_q", "p_m",
-                     "p_e", "q_e"):
-            assert getattr(traj, name).tobytes() == \
-                getattr(loadshed_traj, name).tobytes(), name
-        assert traj.max_residual == loadshed_traj.max_residual
+    def test_load_shed_matches_oracle(self, wscc9_loadshed, loadshed_traj):
+        # the scripts' 20 s load shed, stepped row by row by the oracle
+        # from the initial state, and put through the record pass
+        case = wscc9_loadshed
+        state, net = initialize_dynamics(case, solve_power_flow(case))
+        nets = [(0, copy.copy(net))]
+        states = [state]
+        for i in range(1, 20001):
+            if i == 2001:  # the shed at t = 2 s takes effect at step 2000
+                net.apply_event(case.events[0])
+                nets.append((2000, copy.copy(net)))
+            states.append(oracle_step(states[-1], net, 1e-3, "rk4"))
+        assert dynamics.step_index(case.events[0].time, 1e-3) == 2000
+        rec = np.ascontiguousarray(np.array(states).transpose(1, 0, 2))
+        for k, name in enumerate(("delta", "omega", "e_q", "p_m")):
+            assert getattr(loadshed_traj, name).tobytes() == \
+                np.ascontiguousarray(rec[k]).tobytes(), name
+        v, theta, p_e, q_e, res = dynamics._record_pass(
+            nets, loadshed_traj.times, rec[0], rec[2])
+        for name, want in (("v", v), ("theta", theta), ("p_e", p_e),
+                           ("q_e", q_e)):
+            assert getattr(loadshed_traj, name).tobytes() == want.tobytes(), \
+                name
+        assert loadshed_traj.max_residual == res
 
-    def test_path_fixed_at_construction(self, wscc9, monkeypatch):
+    def test_path_fixed_at_construction(self, wscc9, monkeypatch,
+                                        kernel_steps):
         # a network keeps the path it was built on through its events,
         # whatever the machine-count threshold is by then: only a numpy
-        # network calls the numpy derivative, and a float network steps on
+        # network steps on the numpy kernel, and a float network steps on
         # the kernel of its network after the events
         case, trip, inject = float_case(wscc9, "wscc9")
         pf = solve_power_flow(case)
-        numpy_calls = []
-        derivs = dynamics._derivs
-
-        def counted(x, net):
-            numpy_calls.append(net)
-            return derivs(x, net)
-
-        monkeypatch.setattr(dynamics, "_derivs", counted)
         for built, later in ((0, 10**6), (10**6, 0)):
             monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", built)
             state, net = initialize_dynamics(case, pf)
@@ -451,12 +521,14 @@ class TestFloatPath:
             for event in (trip, inject):
                 net.apply_event(event)
             for integrator in INTEGRATORS:
-                numpy_calls.clear()
+                kernel_steps.update(floats=0, numpy=0)
                 got = step(state, net, 1e-3, integrator)
-                assert bool(numpy_calls) == (built == 0), (built, integrator)
-                if built:
-                    assert got.tobytes() == oracle_step(
-                        state, net, 1e-3, integrator).tobytes(), integrator
+                assert bool(kernel_steps["numpy"]) == (built == 0), \
+                    (built, integrator)
+                assert kernel_steps["floats"] + kernel_steps["numpy"] == 1
+                oracle = oracle_step if built else numpy_oracle_step
+                assert got.tobytes() == oracle(
+                    state, net, 1e-3, integrator).tobytes(), integrator
 
     def test_kernel_compiles_once_per_shape(self, wscc9):
         # two networks of one shape and an event on one of them share the
@@ -466,12 +538,11 @@ class TestFloatPath:
         dynamics._float_kernel.cache_clear()
         _, a = initialize_dynamics(wscc9, solve_power_flow(wscc9))
         _, b = initialize_dynamics(other, solve_power_flow(other))
-        code = a.float_rk4.__code__
+        code = a.float_derivs.__code__
         a.apply_event(Event(0.0, "line_trip", TRIP))
         info = dynamics._float_kernel.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        assert a.float_rk4.__code__ is code is b.float_rk4.__code__
-        assert a.float_derivs.__code__ is b.float_derivs.__code__
+        assert a.float_derivs.__code__ is code is b.float_derivs.__code__
         assert b.pm0.tolist() != a.pm0.tolist()
         for any_exc in (False, True):
             tree = ast.parse(dynamics._kernel_source(3, any_exc))
@@ -612,9 +683,11 @@ class TestRecordPass:
     ], ids=["first_step", "last_step", "two_on_one_step", "between_rows"])
     def test_matches_per_row_oracle(self, wscc9, monkeypatch, events,
                                     record_every):
-        # a small block, so that each segment spans several blocks and
-        # ends in a short one
+        # small blocks, of the record pass and of the kernel's recorded
+        # rows, so that each segment spans several blocks and ends in a
+        # short one
         monkeypatch.setattr(dynamics, "_RECORD_BLOCK", 7)
+        monkeypatch.setattr(dynamics, "_STEP_BLOCK", 7 * 4 * 3 * 32)
         case = dataclasses.replace(wscc9, events=events)
         config = SimConfig(t_end=0.2, dt=1e-3, record_every=record_every)
         traj = simulate(case, config)
@@ -669,51 +742,144 @@ class TestFixedPointSkip:
     @pytest.mark.parametrize("record_every", [1, 3])
     @pytest.mark.parametrize("t_event", [0.099, 0.1],
                              ids=["on_record", "off_record"])  # for 3
-    def test_matches_stepping_every_step(self, wscc9, monkeypatch, each_path,
+    def test_matches_stepping_every_step(self, wscc9, each_path, kernel_steps,
                                          integrator, record_every, t_event):
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return step(*args)
-
-        monkeypatch.setattr(dynamics, "step", counted)
         case = dataclasses.replace(
             wscc9, events=[Event(t_event, "load_scale", SHED)])
         config = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator,
                            record_every=record_every)
         i_event = int(round(t_event / config.dt))  # 99 or 100
         for path in each_path():
-            calls.clear()
+            kernel_steps.update(floats=0, numpy=0)
             traj = simulate(case, config)
             # one step finds the fixed point, then the steps from the event
-            assert len(calls) == 1 + 300 - i_event, path
+            assert kernel_steps[path] == 1 + 300 - i_event, path
+            assert sum(kernel_steps.values()) == kernel_steps[path]
             states = per_row_oracle(case, config)[0]
             for k, got in enumerate((traj.delta, traj.omega, traj.e_q,
                                      traj.p_m)):
                 assert got.tobytes() == np.ascontiguousarray(
                     states[:, k]).tobytes(), path
 
-    def test_no_event_takes_one_step(self, wscc9, monkeypatch, each_path):
-        calls = []
-        monkeypatch.setattr(dynamics, "step",
-                            lambda *args: calls.append(1) or step(*args))
+    def test_no_event_takes_one_step(self, wscc9, each_path, kernel_steps):
         for path in each_path():
-            calls.clear()
+            kernel_steps.update(floats=0, numpy=0)
             traj = simulate(wscc9, SimConfig(t_end=1.0, dt=1e-3,
                                              record_every=4))
-            assert len(calls) == 1, path
+            assert kernel_steps[path] == 1, path
             assert len(traj.times) == 251
             assert np.all(traj.delta == traj.delta[0])
 
-    def test_default_load_shed_steps(self, wscc9_loadshed, monkeypatch):
+    def test_default_load_shed_steps(self, wscc9_loadshed, kernel_steps):
         # the scripts' 20 s load shed on its own path: one step finds the
         # initial fixed point, then 18,000 from the shed at t = 2 s on
-        calls = []
-        monkeypatch.setattr(dynamics, "step",
-                            lambda *args: calls.append(1) or step(*args))
         simulate(wscc9_loadshed, SimConfig(t_end=20.0, dt=1e-3))
-        assert len(calls) == 18001
+        assert kernel_steps == {"floats": 18001, "numpy": 0}
+
+
+class TestSegmentKernel:
+    """``simulate`` calls each network state's segment kernel once per
+    stretch between events."""
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_numpy_trajectory_matches_per_step_oracle(self, wscc9,
+                                                      monkeypatch,
+                                                      kernel_steps,
+                                                      integrator):
+        # six machines, three with exciters, on the numpy path; two events
+        # (one between recorded rows) and blocks of 7 rows, so segments
+        # end inside and at the edge of a block
+        monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 0)
+        monkeypatch.setattr(dynamics, "_STEP_BLOCK", 7 * 4 * 6 * 8)
+        case = dataclasses.replace(two_area_case(wscc9), events=[
+            Event(0.05, "line_trip", TRIP),
+            Event(0.1005, "load_scale", SHED)])
+        config = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator,
+                           record_every=3)
+        traj = simulate(case, config)
+        assert traj.event_times == [0.05, 0.101]
+        # one step finds the initial fixed point; 250 more after the trip
+        assert kernel_steps == {"floats": 0, "numpy": 251}
+
+        state, net = initialize_dynamics(case, solve_power_flow(case))
+        rows = [state]
+        for i in range(1, 301):
+            if i - 1 in (50, 101):
+                net.apply_event(case.events[(i - 1) // 100])
+            state = numpy_oracle_step(state, net, 1e-3, integrator)
+            if i % 3 == 0:
+                rows.append(state)
+        rec = np.array(rows)
+        for k, name in enumerate(("delta", "omega", "e_q", "p_m")):
+            assert getattr(traj, name).tobytes() == \
+                np.ascontiguousarray(rec[:, k]).tobytes(), name
+
+    @pytest.mark.parametrize("which", FLOAT_CASES)
+    def test_numpy_step_matches_oracle(self, wscc9, monkeypatch, which):
+        # states near the operating point, some with a -0.0 angle or one
+        # entry overflowing, infinite or NaN, on each network state: the
+        # numpy kernel returns the oracle's bytes, or raises its error
+        monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 0)
+        case, trip, inject = float_case(wscc9, which)
+        state, net = initialize_dynamics(case, solve_power_flow(case))
+        rng = np.random.default_rng(4)
+        wild = [-0.0, 1e300, math.inf, -math.inf, math.nan]
+        for event in (None, trip, inject):
+            if event is not None:
+                net.apply_event(event)
+            for n in range(60):
+                x = state.copy()
+                for row, scale in enumerate((1.0, 10.0, 0.2, 0.5)):
+                    x[row] += rng.uniform(-scale, scale, net.n_gen)
+                if n % 3 == 0:
+                    x[0 if n % 2 else rng.integers(4),
+                      rng.integers(net.n_gen)] = wild[n // 3 % len(wild)]
+                dt = (1e-3, 4e-3, 0.02)[n % 3]
+                for integrator in INTEGRATORS:
+                    with np.errstate(all="ignore"):
+                        want = outcome(numpy_oracle_step, x, net, dt,
+                                       integrator)
+                    assert outcome(step, x, net, dt, integrator) == want, \
+                        (event, n, integrator)
+
+    def test_non_finite_state_inside_a_segment(self, wscc9_loadshed,
+                                               each_path, monkeypatch):
+        # H scaled by 1/1000: at dt = 20 ms RK4 blows up 82 steps after
+        # the shed at step 100, in the middle of the 200-step segment and
+        # of a 7-row block; no numpy warning precedes the error
+        case = dataclasses.replace(wscc9_loadshed, generators=[
+            dataclasses.replace(g, h=1e-3 * g.h)
+            for g in wscc9_loadshed.generators])
+        for path in each_path():
+            monkeypatch.setattr(dynamics, "_STEP_BLOCK", 7 * 4 * 3 * (
+                32 if path == "floats" else 8))
+            state, net = initialize_dynamics(case, solve_power_flow(case))
+            net.apply_event(case.events[0])
+            for _ in range(81):
+                state = step(state, net, 0.02)
+            with pytest.raises(SimulationError,
+                               match="^non-finite machine state$"):
+                step(state, net, 0.02)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SimulationError,
+                                   match="^non-finite machine state$"):
+                    simulate(case, SimConfig(t_end=6.0, dt=0.02))
+
+    def test_returned_state_is_a_new_array(self, wscc9_loadshed, each_path):
+        case = wscc9_loadshed
+        for path in each_path():
+            state, net = initialize_dynamics(case, solve_power_flow(case))
+            net.apply_event(case.events[0])
+            before = state.copy()
+            taken, first = net.run(state, 1e-3, 5)
+            kept = first.copy()
+            assert taken == 5
+            net.run(first, 1e-3, 5)
+            net.run(state, 1e-3, 3, "trapezoidal")
+            assert first.tobytes() == kept.tobytes(), path
+            assert state.tobytes() == before.tobytes(), path
+            assert not np.shares_memory(first, state)
 
 
 class TestNeighbourResidual:

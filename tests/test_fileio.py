@@ -328,6 +328,24 @@ class TestReadBack:
         read_trajectory_csv(out, omega_s=377.0)
         assert kept_reads == [True]
 
+    def test_kept_digest_is_hashed_as_written(self, loadshed_traj, tmp_path,
+                                               kept_reads, monkeypatch):
+        # the digest comes from the bytes write_csv writes, not from
+        # reading the file back, and equals the file's own digest
+        sha256 = fileio.sha256_file
+        monkeypatch.setattr(fileio, "sha256_file", None)  # not called
+        write_trajectory_csv(loadshed_traj, tmp_path / "t.csv")
+        write_generator_csv(loadshed_traj, tmp_path / "g.csv")
+        for kind, name in (("trajectory", "t.csv"), ("generator", "g.csv")):
+            entry = fileio._written[kind]
+            assert entry.digest == sha256(tmp_path / name), kind
+            assert entry.size == (tmp_path / name).stat().st_size, kind
+        digest = hashlib.sha256()
+        write_csv(tmp_path / "o.csv", ["t", "x"],
+                  [np.arange(3) * 0.5, np.array([1 / 3, -0.0, 1e300])],
+                  comment="events: 0.5", digest=digest)
+        assert digest.hexdigest() == sha256(tmp_path / "o.csv")
+
     def test_no_hash_without_a_kept_entry_of_that_size(
             self, loadshed_traj, tmp_path, kept_reads, monkeypatch):
         digests = []
