@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cf_estimator import estimate_complex_frequency, window_mask
+from .cf_estimator import T_SLACK, estimate_complex_frequency, window_mask
 from .dynamics import SimConfig, SimulationError, simulate
 from .fileio import (
     build_manifest,
@@ -234,10 +234,19 @@ def cmd_analyze(args) -> int:
     traj = _read("trajectory", args.traj, read_trajectory_csv,
                  omega_s=case.omega_s)
     config = _sync_config_from_args(args, traj)
+    t_last = float(traj.times[-1])
     try:
         config.validate()
-        if config.window >= traj.times[-1] - traj.times[0]:
+        if config.window >= t_last - traj.times[0]:
             raise ValueError("window exceeds the trajectory span")
+        if config.t_end > t_last + T_SLACK:
+            raise ValueError(f"--t-end {config.t_end!r} is after the "
+                             f"trajectory's last sample, t = {t_last!r}")
+        if config.t_event > config.t_end:
+            given = "--t-event" if args.t_event is not None \
+                else "the trajectory's first event, t_event ="
+            raise ValueError(f"{given} {config.t_event!r} is after the end "
+                             f"of the analysis, t_end = {config.t_end!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = build_report(traj, case, config, smoothing_window,
@@ -278,7 +287,6 @@ def _sweep_values(text: str) -> list[float]:
 
 def cmd_inertia(args) -> int:
     outdir = _outdir(args)
-    case = load_case(args.case)
     result: dict = {
         "tool_version": __version__,
         "m_convention": "M = 2*H*(s_machine/s_base)/omega_s",
@@ -291,6 +299,7 @@ def cmd_inertia(args) -> int:
         raise InputError("nothing to do: pass --traj and/or --sweep")
 
     if args.traj:
+        case = load_case(args.case)
         gen_path = Path(args.gen) if args.gen \
             else Path(args.traj).with_name(Path(args.traj).stem + "_gen.csv")
         gen = _read("generator series", gen_path, read_generator_csv)
@@ -483,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pi = sub.add_parser("inertia", help="generalized-inertia estimation")
-    pi.add_argument("--case", required=True)
+    pi.add_argument("--case", required=True,
+                    help="case JSON path, for its omega_s; a sweep-only run "
+                         "(--sweep without --traj) does not read it")
     pi.add_argument("--traj", help="trajectory CSV for estimation")
     pi.add_argument("--gen", help="generator-series CSV "
                                   "(default: <traj>_gen.csv)")

@@ -1,5 +1,9 @@
 """Disturbance-response indices: convergence rates, overshoot, damping rates,
-subnet lag, limiting-value difference matrix, and the disturbed-bus region."""
+subnet lag, limiting-value difference matrix, and the disturbed-bus region.
+
+The disturbed-bus region reads each bus's extremes over the event window,
+a slice of the series: it allocates a few values per bus, never a
+deviation array the size of the series."""
 from __future__ import annotations
 
 import math
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf_estimator import window_mask
+from .cf_estimator import window_mask, window_slice
 from .sync_detector import NodeVerdict, SyncConfig
 
 FIT_QUALITY_FLOOR = 0.8  # below this R^2 a damping fit is flagged as unfit
@@ -188,6 +192,15 @@ def subnet_metrics(
     )
 
 
+def _leaves_band(x: np.ndarray, limits, tol: float) -> np.ndarray:
+    """Per column of ``x``, whether max |x - limit| exceeds tol. Rounding
+    x - limit is monotone in x, so max(max(x) - limit, limit - min(x)) is
+    that maximum bit for bit, nan included, from the column extremes alone
+    instead of a deviation array."""
+    limits = np.asarray(limits, dtype=float)
+    return np.maximum(x.max(axis=0) - limits, limits - x.min(axis=0)) > tol
+
+
 def disturbance_region(
     times: np.ndarray,
     eps: np.ndarray,       # (n_samples, n_bus)
@@ -206,11 +219,12 @@ def disturbance_region(
     the measured bus count."""
     if n_convention not in ("paper_literal", "total_buses"):
         raise ValueError(f"unknown n_convention {n_convention!r}")
-    mask = window_mask(times, config.t_event, config.t_end)
-    dev_e = np.abs(eps[mask] - np.asarray(limits_eps)[None, :])
-    dev_o = np.abs(omega[mask] - np.asarray(limits_omega)[None, :])
-    hit_e = dev_e.max(axis=0) > config.tol_eps
-    hit_o = dev_o.max(axis=0) > config.tol_omega
+    rows = window_slice(times, config.t_event, config.t_end)
+    if rows.start == rows.stop:
+        raise ValueError(f"empty event window: no sample in [t_event, t_end]"
+                         f" = [{config.t_event!r}, {config.t_end!r}]")
+    hit_e = _leaves_band(eps[rows], limits_eps, config.tol_eps)
+    hit_o = _leaves_band(omega[rows], limits_omega, config.tol_omega)
     ids = np.asarray(bus_ids)
     d_eps = set(int(b) for b in ids[hit_e])
     d_om = set(int(b) for b in ids[hit_o])

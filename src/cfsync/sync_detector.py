@@ -9,8 +9,11 @@ pairwise.
 
 ``evaluate`` judges all buses in one pass over the (n_samples, n_bus)
 series: one trailing-max sweep per component, and one batched diameter over
-the (n_bus, w) final windows. Every diameter, of a window or of a set of
-limits, is bit-equal to the all-pairs maximum and comes from one
+the (n_bus, w) final windows. The sweep takes blocks of bus columns of
+about ``cf_estimator._BLOCK_VALUES`` deviations, and the coarse segment and
+final windows are read as slices, so the pass holds a few copies of those
+windows, never of the whole series. Every diameter, of a window or of a
+set of limits, is bit-equal to the all-pairs maximum and comes from one
 bound-and-prune on a power-of-two tree of blocks (``_tree_max``): a block
 pair is split only while its anchor distance plus both radii can reach the
 largest distance measured, and the leaf pairs left are measured. Windows
@@ -29,8 +32,9 @@ from .cf_estimator import (
     ComplexFrequencySample,
     ComplexFrequencySeries,
     T_SLACK,
+    block_len,
     uniform_step,
-    window_mask,
+    window_slice,
 )
 
 # Up to this many points the all-pairs matrix is the cheaper path: on a
@@ -116,9 +120,10 @@ class SyncReport:
 
 
 def _row_means(x: np.ndarray) -> np.ndarray:
-    """np.mean of each column of ``x``, each taken over a contiguous 1-D
-    copy as for a single node: a 2-D mean sums in another order."""
-    return np.array([np.mean(col) for col in np.ascontiguousarray(x.T)])
+    """np.mean of each column of ``x``, as for a single node: one mean
+    along the rows of the contiguous transpose, which sums each in the
+    order of a contiguous 1-D copy (a mean down axis 0 sums in another)."""
+    return np.ascontiguousarray(x.T).mean(axis=1)
 
 
 def _coarse_limits(
@@ -127,10 +132,10 @@ def _coarse_limits(
     """Per-column eps and omega means over [t_coarse - window, t_end] of
     (n_samples, n_bus) series."""
     t0 = config.resolved_t_coarse() - config.window
-    mask = window_mask(times, t0, config.t_end)
-    if not mask.any():
+    rows = window_slice(times, t0, config.t_end)
+    if rows.start == rows.stop:
         raise ValueError("empty coarse segment")
-    return _row_means(eps[mask]), _row_means(omega[mask])
+    return _row_means(eps[rows]), _row_means(omega[rows])
 
 
 def trailing_max(x: np.ndarray, w: int) -> np.ndarray:
@@ -162,7 +167,9 @@ def find_convergence_time(
 
     ``x`` may carry a trailing bus axis, (n_samples, n_bus), with one
     target per bus; then the result is a list with one time (or None) per
-    bus, from one trailing-max sweep over all of them."""
+    bus, from one call that sweeps blocks of columns of about
+    ``cf_estimator._BLOCK_VALUES`` deviations: columns are independent, so
+    the block temporaries hold no more than that."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
     dt = uniform_step(times)
@@ -175,11 +182,15 @@ def find_convergence_time(
     end_times = times[lo:]
     hits: list[float | None] = [None] * cols.shape[1]
     if len(end_times):
-        dev = cols[lo - w + 1:] - target
-        ok = trailing_max(np.abs(dev, out=dev), w) < tol
-        for k, i in enumerate(np.argmax(ok, axis=0)):
-            if ok[i, k]:
-                hits[k] = float(end_times[i])
+        rows = cols[lo - w + 1:]
+        target = np.broadcast_to(target, cols.shape[1:])
+        step = block_len(len(rows))
+        for c0 in range(0, cols.shape[1], step):
+            dev = rows[:, c0:c0 + step] - target[c0:c0 + step]
+            ok = trailing_max(np.abs(dev, out=dev), w) < tol
+            for k, i in enumerate(np.argmax(ok, axis=0)):
+                if ok[i, k]:
+                    hits[c0 + k] = float(end_times[i])
     return hits if x.ndim > 1 else hits[0]
 
 
@@ -336,7 +347,7 @@ def _node_verdicts(
                                     config.tol_omega, config.window,
                                     config.t_event)
 
-    final = window_mask(times, config.t_end - config.window, config.t_end)
+    final = window_slice(times, config.t_end - config.window, config.t_end)
     fluctuation = row_diameters(
         np.ascontiguousarray((eps[final] + 1j * omega[final]).T))
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,22 @@ def _fresh_modules(code: str) -> set[str]:
 @pytest.fixture(scope="session")
 def fresh_modules():
     return _fresh_modules
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc counted while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfsync import cf_estimator
 from cfsync.cf_estimator import (
     estimate_complex_frequency,
     moving_average,
@@ -226,3 +227,131 @@ class TestBitEqualOracles:
     def test_unwrap_step_of_exactly_pi_is_unwrapped(self):
         theta = np.array([0.0, math.pi, 0.0])
         assert same_bits(unwrap_angles(theta), np.unwrap(theta))
+
+
+def whole_array_estimate(traj, window):
+    """The estimator's whole-array formulas: np.gradient on the grid over
+    all rows, np.unwrap, then the per-column np.convolve average."""
+    times = np.asarray(traj.times, float)
+
+    def smooth(x):
+        return x if window == 1 else convolve_oracle(x, window)
+
+    eps = np.gradient(np.log(traj.v), times, axis=0, edge_order=2)
+    omega = np.gradient(np.unwrap(traj.theta, axis=0), times, axis=0,
+                        edge_order=2) + traj.omega_s
+    return smooth(eps), smooth(omega)
+
+
+def grid(kind, n, rng):
+    """Time grids: float multiples of 2 ms (non-uniform in the last bits),
+    exact multiples of 0.25 s (uniform), random spacing, and exact 3 s
+    steps but for a longer last one, so that every short stretch is
+    uniform while the grid is not (with a power-of-two step both of
+    np.gradient's formulas round alike)."""
+    if kind == "arange":
+        return np.arange(n) * 2e-3
+    if kind == "exact":
+        return np.arange(n) * 0.25
+    if kind == "jitter":
+        return np.cumsum(rng.uniform(0.5e-3, 1.5e-3, n))
+    t = np.arange(n) * 3.0
+    t[-1] += 1.0
+    return t
+
+
+def random_traj(rng, n, width, kind, omega_s=WS, wraps=False):
+    t = grid(kind, n, rng)
+    v = np.exp(0.05 * rng.standard_normal((n, width)).cumsum(0))
+    if wraps:
+        theta = np.angle(np.exp(1j * rng.uniform(-2.5, 2.5,
+                                                  (n, width)).cumsum(0)))
+    else:  # small steps, signed zeros: the no-wrap path keeps row 0 as is
+        theta = signed_zero_cloud(rng, (n, width)) * 1e-3
+    return make_traj(t, v, theta, omega_s=omega_s)
+
+
+class TestBlockwise:
+    """estimate_complex_frequency works a block of rows at a time; with the
+    block shrunk to a few rows, every output bit is still that of the
+    whole-array formulas."""
+
+    def check(self, monkeypatch, traj, window, rows):
+        width = traj.v.shape[1]
+        monkeypatch.setattr(cf_estimator, "_BLOCK_VALUES", rows * width)
+        cf = estimate_complex_frequency(traj, smoothing_window=window)
+        eps, omega = whole_array_estimate(traj, window)
+        assert same_bits(cf.eps, eps)
+        assert same_bits(cf.omega, omega)
+
+    @pytest.mark.parametrize("window", [1, 5, 17])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("kind", ["arange", "exact", "jitter",
+                                      "uniform_stretches"])
+    def test_block_rows_and_grids(self, monkeypatch, window, rows, kind):
+        rng = np.random.default_rng(rows * 100 + window)
+        self.check(monkeypatch, random_traj(rng, 60, 3, kind), window, rows)
+
+    @pytest.mark.parametrize("window", [1, 5, 17])
+    def test_wrapped_angles(self, monkeypatch, window):
+        # the np.unwrap fallback: corrections accumulate down the rows
+        rng = np.random.default_rng(window)
+        traj = random_traj(rng, 50, 2, "arange", wraps=True)
+        assert np.abs(np.diff(traj.theta, axis=0)).max() >= math.pi
+        self.check(monkeypatch, traj, window, 3)
+
+    @pytest.mark.parametrize("n, window", [(3, 1), (3, 5), (4, 5), (6, 17),
+                                           (16, 17), (17, 17), (18, 17)])
+    @pytest.mark.parametrize("rows", [1, 2, 10**6])
+    def test_shorter_than_a_block_or_the_window(self, monkeypatch, n, window,
+                                                rows):
+        rng = np.random.default_rng(n)
+        self.check(monkeypatch, random_traj(rng, n, 2, "arange"), window,
+                   rows)
+
+    def test_zero_omega_s_keeps_signed_zeros(self, monkeypatch):
+        # nothing added to omega then: a -0.0 would show in the output
+        rng = np.random.default_rng(3)
+        traj = random_traj(rng, 30, 4, "exact", omega_s=0.0)
+        traj.theta[:] = np.where(rng.random(traj.theta.shape) < 0.5, -0.0,
+                                 0.0)
+        self.check(monkeypatch, traj, 1, 2)
+        self.check(monkeypatch, traj, 5, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 70),
+           st.integers(1, 4), st.integers(1, 20), st.integers(1, 12),
+           st.sampled_from(["arange", "exact", "jitter",
+                            "uniform_stretches"]),
+           st.booleans())
+    def test_any_block(self, seed, n, width, window, rows, kind, wraps):
+        rng = np.random.default_rng(seed)
+        traj = random_traj(rng, n, width, kind, wraps=wraps)
+        with pytest.MonkeyPatch.context() as mp:
+            self.check(mp, traj, window, rows)
+
+    def test_non_positive_voltage_names_the_first_in_row_order(
+            self, monkeypatch):
+        # row 9 holds the first bad value in row order, on bus 3; bus 1's
+        # comes first in column order, and the blocks are 2 rows
+        monkeypatch.setattr(cf_estimator, "_BLOCK_VALUES", 2 * 3)
+        t = np.arange(20) * 1e-3
+        v = np.ones((20, 3))
+        v[12, 0] = -1.0
+        v[9, 2] = 0.0
+        with pytest.raises(ValueError,
+                           match=r"non-positive voltage at bus 3, t=0\.009 s"):
+            estimate_complex_frequency(make_traj(t, v, np.zeros_like(v)))
+
+    def test_memory_beyond_the_outputs_is_bounded(self, traced_peak):
+        # 5,001 x 270, one 270-bus line trip's shape: the whole-array
+        # formulas held about 31 MiB beyond the two 10.3 MiB outputs
+        rng = np.random.default_rng(0)
+        t = np.arange(5001) * 2e-3
+        phase = rng.uniform(0, 2 * math.pi, 270)
+        v = 1.0 + 0.01 * np.sin(3 * t[:, None] + phase)
+        theta = 0.3 * np.cos(2 * t[:, None] + phase)
+        cf, peak = traced_peak(
+            lambda: estimate_complex_frequency(make_traj(t, v, theta)))
+        outputs = cf.eps.nbytes + cf.omega.nbytes
+        assert peak - outputs < 6 * 2**20, f"{(peak - outputs) / 2**20:.1f}"

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -262,6 +261,25 @@ class TestAnalyze:
         assert rc == 3
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-end", "30"], "--t-end 30.0 is after the trajectory's last "
+                            "sample, t = 5.0"),
+        (["--t-event", "6"], "--t-event 6.0 is after the end of the "
+                             "analysis, t_end = 5.0"),
+        (["--t-end", "1.5"], "the trajectory's first event, t_event = 2.0 is "
+                             "after the end of the analysis, t_end = 1.5"),
+    ], ids=["t_end_after_the_run", "t_event_after_t_end",
+            "recorded_event_after_t_end"])
+    def test_window_outside_the_run_exits_3(self, simdir, tmp_path, capsys,
+                                            argv, message):
+        # these raised "empty coarse segment" or "empty overshoot window"
+        # from inside the analysis: a traceback and exit 1
+        rc = main(["analyze", "--traj", str(simdir / "trajectory.csv"),
+                   "--case", SHED, *argv, "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_non_uniform_time_grid_exits_2(self, simdir, tmp_path, capsys):
         traj = read_trajectory_csv(simdir / "trajectory.csv",
                                    omega_s=load_case(SHED).omega_s)
@@ -310,6 +328,14 @@ class TestAnalyze:
 
 
 class TestInertia:
+    def test_sweep_only_run_does_not_read_the_case(self, tmp_path):
+        # --case is required, but only --traj takes omega_s from it
+        rc = main(["inertia", "--case", str(tmp_path / "absent.json"),
+                   "--sweep", "1", "--sweep-t-end", "0.1",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "hv_sweep.csv").exists()
+
     def test_sweep_peaks_strictly_decreasing(self, tmp_path):
         rc = main(["inertia", "--case", CASE, "--sweep", "1,2,4",
                    "--outdir", str(tmp_path)])
@@ -499,7 +525,7 @@ class TestPlotdata:
         assert out.exists()
         assert out.read_text().splitlines()[0].startswith("t,")
 
-    def test_subnet_spread_memory_stays_linear(self, tmp_path):
+    def test_subnet_spread_memory_stays_linear(self, tmp_path, traced_peak):
         # one subnet of 40 buses over 2,001 samples: the difference cube of
         # all member pairs at all samples alone would take
         # 2001 * 40 * 40 * 16 bytes = 51 MB
@@ -518,14 +544,10 @@ class TestPlotdata:
                   "nodes": {str(b): {} for b in buses},
                   "subnets": {"S1": {"member_buses": buses}}}
         (tmp_path / "report.json").write_text(json.dumps(report))
-        tracemalloc.start()
-        try:
-            rc = main(["plotdata", "--report", str(tmp_path / "report.json"),
-                       "--traj", str(tmp_path / "traj.csv"),
-                       "--kind", "subnet_spread", "--outdir", str(tmp_path)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: main([
+            "plotdata", "--report", str(tmp_path / "report.json"),
+            "--traj", str(tmp_path / "traj.csv"),
+            "--kind", "subnet_spread", "--outdir", str(tmp_path)]))
         assert rc == 0
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 

@@ -3,7 +3,6 @@ import copy
 import dataclasses
 import functools
 import math
-import tracemalloc
 import warnings
 from cmath import rect
 from operator import add, mul, sub
@@ -714,7 +713,7 @@ class TestRecordPass:
                            match=f"non-finite bus voltage at t={times[23]}$"):
             dynamics._record_pass([(0, net), (20, net)], times, delta, e_q)
 
-    def test_peak_memory_does_not_grow_with_rows(self, wscc9):
+    def test_peak_memory_does_not_grow_with_rows(self, wscc9, traced_peak):
         state, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
         rng = np.random.default_rng(1)
         excess = []
@@ -722,12 +721,8 @@ class TestRecordPass:
             times = np.arange(n_rows) * 1e-3
             delta = state[0] + rng.normal(0.0, 0.1, (n_rows, net.n_gen))
             e_q = np.broadcast_to(state[2], delta.shape).copy()
-            tracemalloc.start()
-            try:
-                out = dynamics._record_pass([(0, net)], times, delta, e_q)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            out, peak = traced_peak(lambda: dynamics._record_pass(
+                [(0, net)], times, delta, e_q))
             excess.append(peak - sum(a.nbytes for a in out[:4]))
         # 16x the rows: the temporaries beyond the outputs stay put
         assert excess[1] < 1.25 * excess[0] + 65536

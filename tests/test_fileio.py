@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import sys
-import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -165,16 +164,12 @@ class TestWriteCsv:
         data = rng.normal(size=(n_rows, n_cols)) * 1e3
         assert_writes_legacy(tmp_path, list(data.T))
 
-    def test_wide_file_memory_is_bounded(self, tmp_path):
+    def test_wide_file_memory_is_bounded(self, tmp_path, traced_peak):
         # the trajectory shape of the 270-bus ring; formatting whole rows of
         # Python floats and strings at once used to take 170 MB here
         data = np.random.default_rng(3).normal(size=(5001, 541))
-        tracemalloc.start()
-        try:
-            write_csv(tmp_path / "w.csv", ["c"] * 541, [data])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: write_csv(tmp_path / "w.csv", ["c"] * 541, [data]))
         assert peak < data.nbytes + 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 

@@ -294,6 +294,64 @@ class TestDisturbanceRegion:
         assert out[tol_hi].s_inf <= out[tol_lo].s_inf
 
 
+class TestRegionMatchesDeviationArray:
+    """disturbance_region reads each column's extremes in place of the
+    |x - limit| array; the hits are those of that array, bit for bit."""
+
+    SPECIALS = [np.nan, np.inf, -np.inf]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6),
+           st.lists(st.sampled_from(SPECIALS), max_size=4),
+           st.lists(st.sampled_from(SPECIALS), max_size=2))
+    def test_hits(self, seed, n, m, specials, special_limits):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n + 5) * 0.01
+        cfg = SyncConfig(t_end=float(t[-1]), t_event=float(t[5]),
+                         tol_eps=1e-4, tol_omega=1e-3)
+        eps = rng.normal(0, 1e-4, (n + 5, m))
+        omega = 377.0 + rng.normal(0, 1e-3, (n + 5, m))
+        limits_eps = rng.normal(0, 1e-4, m)
+        limits_omega = 377.0 + rng.normal(0, 1e-3, m)
+        for value in specials:
+            eps[rng.integers(n + 5), rng.integers(m)] = value
+            omega[rng.integers(n + 5), rng.integers(m)] = value
+        for value in special_limits:
+            limits_eps[rng.integers(m)] = value
+            limits_omega[rng.integers(m)] = value
+        rows = t >= cfg.t_event - 1e-9
+        with np.errstate(invalid="ignore"):
+            hit_e = np.abs(eps[rows] - limits_eps).max(axis=0) > cfg.tol_eps
+            hit_o = np.abs(omega[rows] - limits_omega).max(axis=0) \
+                > cfg.tol_omega
+            region = disturbance_region(t, eps, omega, list(range(m)),
+                                        limits_eps, limits_omega, cfg)
+        assert region.disturbed_eps == set(np.flatnonzero(hit_e).tolist())
+        assert region.disturbed_omega == set(np.flatnonzero(hit_o).tolist())
+
+    def test_empty_event_window(self):
+        # an event after t_end used to reach numpy's "zero-size array to
+        # reduction operation maximum"
+        t = np.arange(0, 4.001, 0.01)
+        with pytest.raises(ValueError, match="empty event window"):
+            disturbance_region(t, np.zeros((len(t), 2)),
+                               np.zeros((len(t), 2)), [1, 2], np.zeros(2),
+                               np.zeros(2), SyncConfig(t_end=4.0, t_event=5.0))
+
+    def test_memory_is_independent_of_the_series(self, traced_peak):
+        # 5,001 x 270, one 270-bus line trip's shape: the deviation arrays
+        # took 27.8 MiB; the column extremes take a few rows
+        rng = np.random.default_rng(0)
+        t = np.arange(5001) * 2e-3
+        eps = rng.normal(0, 1e-4, (5001, 270))
+        omega = 377.0 + rng.normal(0, 1e-3, (5001, 270))
+        region, peak = traced_peak(lambda: disturbance_region(
+            t, eps, omega, list(range(270)), np.zeros(270),
+            np.full(270, 377.0), SyncConfig(t_end=10.0, t_event=1.0)))
+        assert region.disturbed_eps and region.disturbed_omega
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 class TestRowSpread:
     @pytest.mark.parametrize("m", [1, 2, 5, 40])
     def test_matches_the_full_difference_cube(self, monkeypatch, m):

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from cfsync import sync_detector
+from cfsync import cf_estimator, sync_detector
 from cfsync.cf_estimator import (
     ComplexFrequencySample,
     ComplexFrequencySeries,
@@ -24,6 +23,7 @@ from cfsync.sync_detector import (
     _brute_force_max,
     _coarse_limits,
     _pairwise_max,
+    _row_means,
     evaluate,
     find_convergence_time,
     global_verdict,
@@ -229,33 +229,23 @@ class TestPairwiseMax:
         z = point_cloud(np.random.default_rng(n), kind, n)
         assert _pairwise_max(z) == brute_force_diameter(np.unique(z))
 
-    def test_kd_layout_memory_is_linear(self, monkeypatch):
+    def test_kd_layout_memory_is_linear(self, monkeypatch, traced_peak):
         # all pairs of 16,001 points would take 4 GB; the layout holds a
         # few copies of the points and one chunk of leaf pairs
         calls = record_calls(monkeypatch, "_kd_layout")
         z = point_cloud(np.random.default_rng(7), "gaussian", 16001)
-        tracemalloc.start()
-        try:
-            _pairwise_max(z)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: _pairwise_max(z))
         assert len(calls) == 1
         assert peak < 8 * z.nbytes + 2**21
 
-    def test_node_verdict_memory_is_linear_in_window(self):
+    def test_node_verdict_memory_is_linear_in_window(self, traced_peak):
         # 1 s final window at 0.25 ms: 4,001 samples, 16M pairs. An
         # all-pairs matrix needs about 384 MB here; the block tree O(w).
         t = np.arange(12001) * 2.5e-4
         eps = 1e-3 * np.exp(-t) * np.sin(30 * t)
         omega = WS + 0.1 * np.exp(-t) * np.cos(30 * t)
         cfg = SyncConfig(t_end=float(t[-1]))
-        tracemalloc.start()
-        try:
-            v = node_verdict(1, t, eps, omega, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        v, peak = traced_peak(lambda: node_verdict(1, t, eps, omega, cfg))
         assert peak < 32 * 2**20
         final = t >= cfg.t_end - cfg.window - 1e-9
         assert v.fluctuation == brute_force_diameter(
@@ -318,6 +308,26 @@ class TestCoarseLimit:
         with pytest.raises(ValueError, match="empty coarse segment"):
             _coarse_limits(t, np.zeros((len(t), 1)), np.zeros((len(t), 1)),
                            cfg)
+
+
+class TestRowMeans:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([*range(1, 10), 127, 128, 129, 8191, 8192, 8193]),
+           st.integers(1, 5),
+           st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3))
+    def test_matches_per_column_mean(self, seed, n, m, specials):
+        # one mean along the rows of the transpose sums each column in the
+        # pairwise order of np.mean over a contiguous copy of it
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, (n, m))
+        for value in specials:
+            x[rng.integers(n), rng.integers(m)] = value
+        with np.errstate(invalid="ignore"):
+            got = _row_means(x)
+            want = np.array([np.mean(np.ascontiguousarray(x[:, k]))
+                             for k in range(m)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFindConvergenceTime:
@@ -787,7 +797,42 @@ class TestEvaluatePass:
                                               1.0, 0.5)
                        for k in range(n_bus)]
 
-    def test_peak_memory_is_linear_in_buses_times_window(self):
+    @pytest.mark.parametrize("columns", [1, 2, 3, 10**6])
+    def test_column_blocks_match_whole_columns(self, monkeypatch, columns):
+        # blocks of a few bus columns give each column's time, and a
+        # partial last block is swept too
+        rng = np.random.default_rng(columns)
+        cols = [settle_signal(rng, n=600) for _ in range(7)]
+        t = cols[0][0]
+        x = np.column_stack([c[1] for c in cols])
+        target = np.array([c[2] for c in cols])
+        w = int(round(1.0 / 0.01)) + 1
+        rows = len(t) - int(np.searchsorted(t, 0.5 + 1.0 - 1e-9)) + w - 1
+        monkeypatch.setattr(cf_estimator, "_BLOCK_VALUES", columns * rows)
+        got = find_convergence_time(t, x, target, 0.1, 1.0, 0.5)
+        assert got == [oracle_convergence_time(t, x[:, k], target[k], 0.1,
+                                               1.0, 0.5) for k in range(7)]
+        assert any(hit is not None for hit in got)
+
+    def test_peak_memory_is_bounded_on_a_long_wide_series(self, traced_peak):
+        # 5,001 x 270, one 270-bus line trip's shape: the whole-array
+        # convergence sweep held three 10.3 MiB deviation arrays (27.8 MiB
+        # in all); the final windows and coarse segment stay
+        rng = np.random.default_rng(0)
+        t = np.arange(5001) * 2e-3
+        phase = rng.uniform(0, 2 * np.pi, 270)
+        decay = np.exp(-np.outer(t, 1.0 + 0.1 * phase))
+        series = ComplexFrequencySeries(
+            times=t, bus_ids=list(range(270)),
+            eps=1e-3 * decay * np.sin(30 * t[:, None] + phase),
+            omega=WS + 0.1 * decay * np.cos(30 * t[:, None] + phase))
+        report, peak = traced_peak(lambda: evaluate(
+            series, {"A": list(range(270))},
+            SyncConfig(t_end=10.0, t_event=1.0)))
+        assert len(report.nodes) == 270
+        assert peak < series.eps.nbytes, f"{peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_is_linear_in_buses_times_window(self, traced_peak):
         # damped spirals, one per bus; (buses, dt) grows the series 4x
         # along each axis in turn. A per-node w x w matrix would need
         # 256 MB at 4,001 samples per window; the 2 MiB constant covers
@@ -800,11 +845,6 @@ class TestEvaluatePass:
                 times=t, bus_ids=list(range(n_bus)),
                 eps=1e-3 * decay * np.sin(30 * t[:, None] + phase),
                 omega=WS + 0.1 * decay * np.cos(30 * t[:, None] + phase))
-            tracemalloc.start()
-            try:
-                evaluate(series, {"A": list(range(n_bus))},
-                         SyncConfig(t_end=4.0))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: evaluate(
+                series, {"A": list(range(n_bus))}, SyncConfig(t_end=4.0)))
             assert peak < 4 * series.eps.nbytes + 2**21, (n_bus, dt, peak)
