@@ -3,7 +3,8 @@
 The complex frequency at a bus is eps + j*omega with eps = d(ln v)/dt (the
 normalized rate of change of the voltage magnitude) and omega = d(theta)/dt.
 Differentiation is second-order central in the interior with one-sided stencils
-at the ends, optionally followed by a centered moving average.
+at the ends, on the grid's one step ``uniform_step(times)``, optionally
+followed by a centered moving average.
 
 The estimator takes blocks of rows of about ``_BLOCK_VALUES`` values, each
 with the halo rows its stencil and moving average need, through log or
@@ -67,8 +68,8 @@ def uniform_step(times: np.ndarray) -> float:
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"non-uniform time grid: step {steps[i]!r} at t = {times[i]!r} "
-            f"differs from dt = {dt!r}")
+            f"non-uniform time grid: step {float(steps[i])!r} at t = "
+            f"{float(times[i])!r} differs from dt = {dt!r}")
     return dt
 
 
@@ -130,50 +131,6 @@ def unwrap_angles(theta: np.ndarray) -> np.ndarray:
     return _plus_zero(theta, 0)
 
 
-def _grid_steps(times: np.ndarray):
-    """np.diff(times), or its first value when all are equal: the spacing
-    np.gradient takes from a coordinate array."""
-    dx = np.diff(times)
-    return dx[0] if (dx == dx[0]).all() else dx
-
-
-def _derivative(f: np.ndarray, lo: int, dx, n: int) -> np.ndarray:
-    """``np.gradient(F, times, axis=0, edge_order=2)`` of an n-row F, from
-    its rows f = F[lo:lo + len(f)], len(f) >= 3, with dx =
-    ``_grid_steps(times)``.
-
-    Bit-equal to the whole-array call on rows lo + 1 .. lo + len(f) - 2,
-    and on F's first and last rows where f holds them; the rows at f's
-    other ends are left unset. np.gradient given f's own times could take
-    its uniform-step formula where the whole grid takes the other, so its
-    arithmetic is spelled out here, on the whole grid's spacing."""
-    k = len(f)
-    out = np.empty_like(f)
-    if np.ndim(dx) == 0:
-        out[1:-1] = (f[2:] - f[:-2]) / (2. * dx)
-        first = (-1.5 / dx, 2. / dx, -0.5 / dx)
-        last = (0.5 / dx, -2. / dx, 1.5 / dx)
-    else:
-        dx1, dx2 = dx[lo:lo + k - 2, None], dx[lo + 1:lo + k - 1, None]
-        a = -(dx2) / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
-        out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
-        dx1, dx2 = dx[0], dx[1]
-        first = (-(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)),
-                 (dx1 + dx2) / (dx1 * dx2), - dx1 / (dx2 * (dx1 + dx2)))
-        dx1, dx2 = dx[-2], dx[-1]
-        last = ((dx2) / (dx1 * (dx1 + dx2)), - (dx2 + dx1) / (dx1 * dx2),
-                (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
-    if lo == 0:
-        a, b, c = first
-        out[0] = a * f[0] + b * f[1] + c * f[2]
-    if lo + k == n:
-        a, b, c = last
-        out[-1] = a * f[-3] + b * f[-2] + c * f[-1]
-    return out
-
-
 # np.convolve's dot products sum fewer terms than this in index order from
 # 0.0 (the BLAS ddot tail loop), which the shifted sums below reproduce.
 _SHIFTED_SUM_MAX = 16
@@ -222,15 +179,17 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     return out[:, 0] if x.ndim == 1 else out
 
 
-def _smoothed_derivative(rows_of, n: int, width: int, dx, window: int,
+def _smoothed_derivative(rows_of, n: int, width: int, dt: float, window: int,
                          offset: float | None = None) -> np.ndarray:
-    """``moving_average(np.gradient(F, times, axis=0, edge_order=2)
+    """``moving_average(np.gradient(F, dt, axis=0, edge_order=2)
     [+ offset], window)`` of the (n, width) series F whose rows s0:s1
-    ``rows_of(s0, s1)`` gives, bit for bit, with dx =
-    ``_grid_steps(times)``.
+    ``rows_of(s0, s1)`` gives, bit for bit.
 
     Works a block of rows at a time: each reads its rows plus the halo its
-    moving average and stencil need, so no (n, width) temporary exists."""
+    moving average and stencil need, so no (n, width) temporary exists.
+    With one scalar step, np.gradient of a block gives the whole array's
+    bits on every row it differentiates centrally and on F's own first and
+    last rows; its one-sided rows at a block's inner ends are not kept."""
     out = np.empty((n, width))
     before, after = window // 2, (window - 1) // 2
     step = block_len(width)
@@ -241,7 +200,8 @@ def _smoothed_derivative(rows_of, n: int, width: int, dx, window: int,
         d1 = min(n, max(r1 + after, window))
         # sample rows their stencils take: neighbours, or 3 at an end
         s0, s1 = max(0, min(d0 - 1, n - 3)), min(n, max(d1 + 1, 3))
-        d = _derivative(rows_of(s0, s1), s0, dx, n)[d0 - s0:d1 - s0]
+        d = np.gradient(rows_of(s0, s1), dt, axis=0,
+                        edge_order=2)[d0 - s0:d1 - s0]
         if offset is not None:
             d += offset
         if window == 1:
@@ -258,10 +218,12 @@ def estimate_complex_frequency(
     """Differentiate a Trajectory into its per-bus complex-frequency series.
 
     Recorded angles are in the synchronous frame, so the nominal speed is
-    added back: omega is in absolute rad/s. Bit-equal to the whole-array
-    formulas ``moving_average(np.gradient(np.log(v), times, axis=0,
-    edge_order=2), smoothing_window)`` and ``moving_average(np.gradient(
-    unwrap_angles(theta), times, axis=0, edge_order=2) + omega_s,
+    added back: omega is in absolute rad/s. The grid must be uniform, and
+    its step dt = ``uniform_step(times)`` is the spacing of every
+    derivative; a non-uniform grid raises ValueError. Bit-equal to the
+    whole-array formulas ``moving_average(np.gradient(np.log(v), dt,
+    axis=0, edge_order=2), smoothing_window)`` and ``moving_average(
+    np.gradient(unwrap_angles(theta), dt, axis=0, edge_order=2) + omega_s,
     smoothing_window)``.
     """
     times = np.asarray(traj.times, dtype=float)
@@ -271,6 +233,7 @@ def estimate_complex_frequency(
         raise ValueError("need at least 3 samples to differentiate")
     if smoothing_window < 1:
         raise ValueError("smoothing_window must be >= 1")
+    dt = uniform_step(times)
     n, width = v.shape
     rows = block_len(width)
     for lo in range(0, n, rows):
@@ -280,14 +243,13 @@ def estimate_complex_frequency(
             raise ValueError(f"non-positive voltage at bus "
                              f"{traj.bus_ids[k]}, t={times[lo + i]:.6g} s")
 
-    dx = _grid_steps(times)
     eps = _smoothed_derivative(lambda s0, s1: np.log(v[s0:s1]), n, width,
-                               dx, smoothing_window)
+                               dt, smoothing_window)
     wraps = not _steps_below_pi(theta)
     # a wrap takes one whole-array unwrap: its corrections add up down rows
     angle = np.unwrap(theta, axis=0) if wraps else theta
     omega = _smoothed_derivative(
         lambda s0, s1: angle[s0:s1] if wraps else _plus_zero(angle[s0:s1], s0),
-        n, width, dx, smoothing_window, offset=traj.omega_s)
+        n, width, dt, smoothing_window, offset=traj.omega_s)
     return ComplexFrequencySeries(times=times, bus_ids=list(traj.bus_ids),
                                   eps=eps, omega=omega)

@@ -311,14 +311,22 @@ def cmd_inertia(args) -> int:
                 f"generator series {gen_path} and trajectory {args.traj} "
                 f"are on different time grids: {_grid(times)} against "
                 f"{_grid(traj.times)}")
-        series = _estimate(traj, _smoothing_window(args), args.traj)
         if args.window:
-            window = tuple(args.window)
+            window, given = tuple(args.window), "--window"
         else:
             t_event = _t_event(args, traj)
             window = (t_event, min(t_event + 2.0, float(times[-1])))
-        result["window"] = list(window)
+            given = "--t-event" if args.t_event is not None \
+                else "the trajectory's first event"
         mask = window_mask(times, *window)  # the samples both fits use
+        if np.count_nonzero(mask) < 2:  # so also a reversed window
+            raise ConfigError(
+                f"{given} gives the inertia window {list(window)!r}, which "
+                f"holds {np.count_nonzero(mask)} of the trajectory's "
+                f"samples, t = {float(times[0])!r} .. {float(times[-1])!r}; "
+                f"a fit needs at least 2")
+        result["window"] = list(window)
+        series = _estimate(traj, _smoothing_window(args), args.traj)
         for k, bus in enumerate(gen["gen_buses"]):
             dp = gen["p_m"][:, k] - gen["p_e"][:, k]
             dq = 0.5 * (gen["q_e"][0, k] - gen["q_e"][:, k])
@@ -338,9 +346,8 @@ def cmd_inertia(args) -> int:
                 est["h_v_error"] = str(exc)
             if est["m"] is not None and est["h_v"] is not None:
                 zeta = generalized_inertia_series(
-                    est["h_v"], est["m"], times[mask], eps[mask],
-                    gen["omega"][:, k][mask])
-                est["zeta_peak"] = float(np.abs(zeta).max())
+                    est["h_v"], est["m"], times, eps, gen["omega"][:, k])
+                est["zeta_peak"] = float(np.abs(zeta[mask]).max())
             result["estimates"].append(est)
 
     if args.sweep:

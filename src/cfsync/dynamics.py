@@ -526,8 +526,10 @@ def _numpy_kernel(net: DynamicNetwork):
     ws, zero, two = np.array(net.ws), np.array(0.0), np.array(2.0)
     add, sub, mul = np.add, np.subtract, np.multiply
     angle = np.zeros(ng, complex)
+    angle_imag = angle.imag
     e = np.empty(ng, complex)
     o = np.empty(len(k_red), complex)
+    o_gen, o_bus = o[:ng], o[ng:]
     s = np.empty(ng, complex)
     pe = s.real
     v_abs, slip, t, u = (np.empty(ng) for _ in range(4))
@@ -537,11 +539,11 @@ def _numpy_kernel(net: DynamicNetwork):
 
     def derivs(x, f):
         delta, omega, e_q, p_m = x
-        add(delta, zero, angle.imag)
+        add(delta, zero, angle_imag)
         np.exp(angle, e)
         mul(e_q, e, e)
-        np.matmul(k_red, e, o)
-        np.conjugate(o[:ng], s)
+        np.dot(k_red, e, o)
+        np.conjugate(o_gen, s)
         mul(e, s, s)
         sub(omega, ws, f[0])
         np.divide(f[0], ws, slip)
@@ -550,7 +552,7 @@ def _numpy_kernel(net: DynamicNetwork):
         sub(t, u, t)
         mul(c_swing, t, f[1])
         if any_exc:
-            np.abs(o[ng:], v_abs)
+            np.abs(o_bus, v_abs)
             sub(v_ref, v_abs, t)
             mul(c_vref, t, t)
             sub(e_q, e0, u)

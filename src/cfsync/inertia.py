@@ -6,6 +6,8 @@ synchronous machine); H_v maps reactive-power imbalance to the normalized rate
 of change of voltage magnitude, motivated by the stored energy of an
 equivalent capacitance at the bus. A single-bus capacitor model supports
 sweeping H_v and checking the inverse-proportionality of the voltage response.
+Every domega/dt is taken on the step of the series' uniform time grid
+(``uniform_step``), so a non-uniform grid raises ValueError.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf_estimator import window_mask
+from .cf_estimator import uniform_step, window_mask
 from .dynamics import step_count, step_index
 
 
@@ -73,10 +75,12 @@ def estimate_frequency_inertia(
     dp: np.ndarray,
     window: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
-    """Fit M in dp = M * domega/dt over the window; returns (M, residual)."""
-    times = np.asarray(times, dtype=float)
-    omega_dot = np.gradient(np.asarray(omega, dtype=float), times,
-                            edge_order=2)
+    """Fit M in dp = M * domega/dt over the window; returns (M, residual).
+
+    domega/dt is taken over the whole series, on the step of its uniform
+    grid, before the window picks its samples."""
+    omega_dot = np.gradient(np.asarray(omega, dtype=float),
+                            uniform_step(times), edge_order=2)
     mask = window_mask(times, *(window or ()))
     wd, wp = omega_dot[mask], np.asarray(dp, dtype=float)[mask]
     if np.count_nonzero(np.abs(wd) > _EXCURSION) < 2:
@@ -110,8 +114,9 @@ def generalized_inertia_series(
     eps: np.ndarray,
     omega: np.ndarray,
 ) -> np.ndarray:
-    """zeta(t) = h_v*eps(t) + j*m*domega/dt; equals dQ + j*dP when the
-    inertia pair matches the bus."""
+    """zeta(t) = h_v*eps(t) + j*m*domega/dt, with domega/dt on the step of
+    the uniform grid ``times``; equals dQ + j*dP when the inertia pair
+    matches the bus."""
     if not (math.isfinite(h_v) and math.isfinite(m)):
         raise ValueError("h_v and m must be finite")
     times = np.asarray(times, dtype=float)
@@ -119,7 +124,7 @@ def generalized_inertia_series(
     omega = np.asarray(omega, dtype=float)
     if eps.shape != omega.shape or eps.shape != times.shape:
         raise ValueError("series must share one sample grid")
-    omega_dot = np.gradient(omega, times, edge_order=2)
+    omega_dot = np.gradient(omega, uniform_step(times), edge_order=2)
     return h_v * eps + 1j * m * omega_dot
 
 

@@ -88,6 +88,16 @@ class TestEstimate:
             estimate_complex_frequency(
                 make_traj([0.0, 1e-3], [1.0, 1.0], [0.0, 0.0]))
 
+    def test_non_uniform_grid_names_the_step(self):
+        # one 2 ms step on a 1 ms grid: np.gradient given the times would
+        # take it in its stride
+        t = np.arange(10) * 1e-3
+        t[6:] += 1e-3
+        with pytest.raises(ValueError, match=r"non-uniform time grid: step "
+                           r"0\.002\d* at t = 0\.005 "):
+            estimate_complex_frequency(make_traj(t, np.ones_like(t),
+                                                 np.zeros_like(t)))
+
 
 class TestProperties:
     @settings(max_examples=30, deadline=None)
@@ -230,25 +240,29 @@ class TestBitEqualOracles:
 
 
 def whole_array_estimate(traj, window):
-    """The estimator's whole-array formulas: np.gradient on the grid over
-    all rows, np.unwrap, then the per-column np.convolve average."""
-    times = np.asarray(traj.times, float)
+    """The estimator's whole-array formulas: np.gradient on the grid's
+    step over all rows, np.unwrap, then the per-column np.convolve
+    average."""
+    dt = uniform_step(traj.times)
 
     def smooth(x):
         return x if window == 1 else convolve_oracle(x, window)
 
-    eps = np.gradient(np.log(traj.v), times, axis=0, edge_order=2)
-    omega = np.gradient(np.unwrap(traj.theta, axis=0), times, axis=0,
+    eps = np.gradient(np.log(traj.v), dt, axis=0, edge_order=2)
+    omega = np.gradient(np.unwrap(traj.theta, axis=0), dt, axis=0,
                         edge_order=2) + traj.omega_s
     return smooth(eps), smooth(omega)
 
 
+# the grids of grid() whose spacing uniform_step accepts
+UNIFORM_GRIDS = ("arange", "exact")
+
+
 def grid(kind, n, rng):
-    """Time grids: float multiples of 2 ms (non-uniform in the last bits),
-    exact multiples of 0.25 s (uniform), random spacing, and exact 3 s
-    steps but for a longer last one, so that every short stretch is
-    uniform while the grid is not (with a power-of-two step both of
-    np.gradient's formulas round alike)."""
+    """Time grids: float multiples of 2 ms (uniform up to the last bits),
+    exact multiples of 0.25 s, and two the estimator rejects: random
+    spacing, and exact 3 s steps but for a longer last one, so that every
+    short stretch of rows is uniform while the grid is not."""
     if kind == "arange":
         return np.arange(n) * 2e-3
     if kind == "exact":
@@ -274,11 +288,16 @@ def random_traj(rng, n, width, kind, omega_s=WS, wraps=False):
 class TestBlockwise:
     """estimate_complex_frequency works a block of rows at a time; with the
     block shrunk to a few rows, every output bit is still that of the
-    whole-array formulas."""
+    whole-array formulas. A non-uniform grid raises, also where each
+    block's rows are uniformly spaced."""
 
-    def check(self, monkeypatch, traj, window, rows):
+    def check(self, monkeypatch, traj, window, rows, uniform=True):
         width = traj.v.shape[1]
         monkeypatch.setattr(cf_estimator, "_BLOCK_VALUES", rows * width)
+        if not uniform:
+            with pytest.raises(ValueError, match="non-uniform time grid"):
+                estimate_complex_frequency(traj, smoothing_window=window)
+            return
         cf = estimate_complex_frequency(traj, smoothing_window=window)
         eps, omega = whole_array_estimate(traj, window)
         assert same_bits(cf.eps, eps)
@@ -290,7 +309,8 @@ class TestBlockwise:
                                       "uniform_stretches"])
     def test_block_rows_and_grids(self, monkeypatch, window, rows, kind):
         rng = np.random.default_rng(rows * 100 + window)
-        self.check(monkeypatch, random_traj(rng, 60, 3, kind), window, rows)
+        self.check(monkeypatch, random_traj(rng, 60, 3, kind), window, rows,
+                   uniform=kind in UNIFORM_GRIDS)
 
     @pytest.mark.parametrize("window", [1, 5, 17])
     def test_wrapped_angles(self, monkeypatch, window):
@@ -328,7 +348,7 @@ class TestBlockwise:
         rng = np.random.default_rng(seed)
         traj = random_traj(rng, n, width, kind, wraps=wraps)
         with pytest.MonkeyPatch.context() as mp:
-            self.check(mp, traj, window, rows)
+            self.check(mp, traj, window, rows, uniform=kind in UNIFORM_GRIDS)
 
     def test_non_positive_voltage_names_the_first_in_row_order(
             self, monkeypatch):

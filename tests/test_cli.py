@@ -13,6 +13,7 @@ from cfsync.cf_estimator import estimate_complex_frequency, window_mask
 from cfsync.cli import main
 from cfsync.fileio import (
     load_case,
+    read_generator_csv,
     read_trajectory_csv,
     save_case,
     sha256_file,
@@ -366,14 +367,16 @@ class TestInertia:
     def test_zeta_covers_the_fits_samples(self, simdir, tmp_path,
                                           monkeypatch):
         # the fits keep t = 2.3000000000000003 in the window (2.005, 2.3)
-        # by their 1e-9 slack, so zeta must keep it too
+        # by their 1e-9 slack, so zeta must keep it too. zeta is built on
+        # the whole series, as domega/dt of the M fit is, and |zeta| here
+        # is the row number: its peak is the last sample kept.
         seen = []
 
-        def record(h_v, m, times, eps, omega):
+        def ramp(h_v, m, times, eps, omega):
             seen.append(times)
-            return generalized_inertia_series(h_v, m, times, eps, omega)
+            return np.arange(len(times), dtype=complex)
 
-        monkeypatch.setattr(cli, "generalized_inertia_series", record)
+        monkeypatch.setattr(cli, "generalized_inertia_series", ramp)
         rc = main(["inertia", "--case", SHED,
                    "--traj", str(simdir / "trajectory.csv"),
                    "--window", "2.005", "2.3",
@@ -381,11 +384,71 @@ class TestInertia:
         assert rc == 0
         times = read_trajectory_csv(simdir / "trajectory.csv",
                                     omega_s=load_case(SHED).omega_s).times
-        fit = times[window_mask(times, 2.005, 2.3)]
-        assert fit[-1] > 2.3
+        last = np.flatnonzero(window_mask(times, 2.005, 2.3))[-1]
+        assert times[last] > 2.3
         assert len(seen) == len(load_case(SHED).generators)
         for got in seen:
-            assert np.array_equal(got, fit)
+            assert np.array_equal(got, times)
+        result = json.loads((tmp_path / "inertia.json").read_text())
+        assert [e["zeta_peak"] for e in result["estimates"]] \
+            == [float(last)] * len(seen)
+
+    def test_zeta_is_the_whole_series_masked(self, simdir, tmp_path):
+        # domega/dt at the window's ends takes central stencils over
+        # samples outside it, not one-sided ones on the window alone
+        window = (2.005, 2.3)
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--window", *map(str, window), "--outdir", str(tmp_path)])
+        assert rc == 0
+        case = load_case(SHED)
+        traj = read_trajectory_csv(simdir / "trajectory.csv",
+                                   omega_s=case.omega_s)
+        omega = read_generator_csv(simdir / "trajectory_gen.csv")["omega"]
+        series = estimate_complex_frequency(traj)
+        mask = window_mask(traj.times, *window)
+        result = json.loads((tmp_path / "inertia.json").read_text())
+        for k, est in enumerate(result["estimates"]):
+            zeta = generalized_inertia_series(
+                est["h_v"], est["m"], traj.times, series.node(est["bus"])[0],
+                omega[:, k])
+            assert est["zeta_peak"] == float(np.abs(zeta[mask]).max())
+
+    @pytest.mark.parametrize("window", [("30", "40"), ("5", "3"),
+                                        ("2.005", "2.005")],
+                             ids=["past_the_run", "reversed", "one_sample"])
+    def test_window_with_fewer_than_two_samples_exits_3(
+            self, simdir, tmp_path, capsys, window):
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--window", *window, "--outdir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "--window gives the inertia window" in err
+        assert "a fit needs at least 2" in err
+        assert not (tmp_path / "inertia.json").exists()
+
+    def test_defaulted_window_past_the_run_names_t_event(
+            self, simdir, tmp_path, capsys):
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--t-event", "30", "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert "--t-event gives the inertia window [30.0, 5.0]" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "inertia.json").exists()
+
+    def test_two_sample_window_fits(self, simdir, tmp_path):
+        # the window's own two samples were once re-differentiated, which
+        # needs three
+        rc = main(["inertia", "--case", SHED,
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--window", "2.005", "2.006", "--outdir", str(tmp_path)])
+        assert rc == 0
+        result = json.loads((tmp_path / "inertia.json").read_text())
+        for est in result["estimates"]:
+            assert est["m"] > 0
+            assert est["zeta_peak"] > 0
 
     def test_default_window_starts_at_the_recorded_event(self, simdir,
                                                          tmp_path):

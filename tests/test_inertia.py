@@ -17,6 +17,16 @@ from cfsync.inertia import (
 )
 
 
+def stretched_grid():
+    """A 1 ms grid with one 2 ms step, after t = 0.5 s."""
+    t = np.arange(0, 1, 1e-3)
+    t[501:] += 1e-3
+    return t
+
+
+NON_UNIFORM = r"non-uniform time grid: step 0\.002\d* at t = 0\.5 "
+
+
 class TestCapacitorVoltageInertia:
     def test_reference_value(self):
         assert capacitor_voltage_inertia(1.0, 2.0, 100.0) == pytest.approx(
@@ -77,6 +87,11 @@ class TestFrequencyInertia:
         with pytest.raises(EstimationError, match="fewer than 2 samples"):
             estimate_frequency_inertia(t, omega, np.ones_like(t),
                                        window=(0.0, 0.4995))
+
+    def test_non_uniform_grid_names_the_step(self):
+        t = stretched_grid()
+        with pytest.raises(ValueError, match=NON_UNIFORM):
+            estimate_frequency_inertia(t, 377.0 + t ** 2, t)
 
     def test_recovers_machine_inertia_from_simulation(self, wscc9_loadshed,
                                                       loadshed_traj_nogov):
@@ -145,6 +160,11 @@ class TestGeneralizedInertiaSeries:
         np.testing.assert_allclose(zeta.imag[interior],
                                    m * 0.6 * np.cos(2 * t)[interior],
                                    atol=1e-5)
+
+    def test_non_uniform_grid_names_the_step(self):
+        t = stretched_grid()
+        with pytest.raises(ValueError, match=NON_UNIFORM):
+            generalized_inertia_series(1.0, 1.0, t, t, 377.0 + t ** 2)
 
     def test_misaligned_series_rejected(self):
         t = np.arange(0, 1, 1e-2)
