@@ -30,7 +30,6 @@ from .cf_estimator import (  # noqa: F401
     ComplexFrequencySample,
     ComplexFrequencySeries,
     estimate_complex_frequency,
-    unwrap_angles,
 )
 from .sync_detector import (  # noqa: F401
     GlobalVerdict,

@@ -4,15 +4,17 @@ The complex frequency at a bus is eps + j*omega with eps = d(ln v)/dt (the
 normalized rate of change of the voltage magnitude) and omega = d(theta)/dt.
 Differentiation is second-order central in the interior with one-sided stencils
 at the ends, on the grid's one step ``uniform_step(times)``, optionally
-followed by a centered moving average.
+followed by a centred moving average: each row is the left-to-right sum
+from 0.0 of the derivative rows in its window (cut at the series ends),
+divided by their count.
 
 The estimator takes blocks of rows of about ``_BLOCK_VALUES`` values, each
 with the halo rows its stencil and moving average need, through log or
 angle, derivative and average in turn. Beyond its two (n_samples, n_bus)
 outputs it holds a few block-sized temporaries (about 2.7 MiB at 270
-buses), and every output bit is that of the whole-array formulas. Only a
-series whose angle steps by pi or more is unwrapped as one whole array,
-since np.unwrap's corrections add up down the rows.
+buses), and every derivative bit is that of np.gradient over the whole
+array. Only a series whose angle steps by pi or more is unwrapped, as one
+whole array, since np.unwrap's corrections add up down the rows.
 """
 from __future__ import annotations
 
@@ -109,81 +111,30 @@ def _steps_below_pi(x: np.ndarray) -> bool:
     return True
 
 
-def _plus_zero(rows: np.ndarray, lo: int) -> np.ndarray:
-    """The rows lo.. of an angle series as np.unwrap gives them when no
-    step reaches pi: plus 0.0 (turning -0.0 into +0.0), except row 0."""
-    out = rows + 0.0
-    if lo == 0:
-        out[0] = rows[0]
-    return out
-
-
-def unwrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Remove 2*pi jumps so consecutive differences stay below pi in magnitude.
-
-    Assumes successive samples genuinely differ by less than pi, which holds
-    for grid trajectories sampled at dt <= 20 ms. Bit-equal to
-    ``np.unwrap(theta, axis=0)``; when no step reaches pi that adds 0.0 to
-    rows 1 onward (turning -0.0 into +0.0), which is all this does then."""
-    theta = np.asarray(theta, dtype=float)
-    if len(theta) < 2 or not _steps_below_pi(theta):
-        return np.unwrap(theta, axis=0)
-    return _plus_zero(theta, 0)
-
-
-# np.convolve's dot products sum fewer terms than this in index order from
-# 0.0 (the BLAS ddot tail loop), which the shifted sums below reproduce.
-_SHIFTED_SUM_MAX = 16
-
-
 def _average_rows(out: np.ndarray, d: np.ndarray, d0: int, r0: int, n: int,
                   window: int) -> None:
-    """Rows r0:r0 + len(out) of ``moving_average(D, window)`` of an n-row
-    2-D D, written to ``out``, from its rows d = D[d0:d0 + len(d)]. These
-    hold every row the average of each of those rows takes, and at least
-    ``window`` rows when D has as many: np.convolve swaps a shorter
-    operand with its kernel and sums in reverse."""
+    """Rows r0:r0 + len(out) of the centred moving average of an n-row 2-D
+    D, written to ``out``, from its rows d = D[d0:d0 + len(d)], which hold
+    every row those averages take. Row i averages D[i - window // 2 :
+    i + (window - 1) // 2 + 1], cut to the series: a left-to-right sum
+    from 0.0 of those rows, divided by their count."""
     r1 = r0 + len(out)
     before, after = window // 2, (window - 1) // 2
-    if window < _SHIFTED_SUM_MAX and n >= window:
-        out[...] = 0.0
-        for shift in range(-before, after + 1):
-            a, b = max(r0, -shift), min(r1, n - shift)
-            if a < b:
-                out[a - r0:b - r0] += d[a + shift - d0:b + shift - d0]
-    else:
-        kernel = np.ones(window)
-        rows = slice(after + r0 - d0, after + r1 - d0)
-        for j in range(d.shape[1]):
-            out[:, j] = np.convolve(d[:, j], kernel)[rows]
+    out[...] = 0.0
+    for shift in range(-before, after + 1):
+        a, b = max(r0, -shift), min(r1, n - shift)
+        if a < b:
+            out[a - r0:b - r0] += d[a + shift - d0:b + shift - d0]
     i = np.arange(r0, r1)
-    # the samples each average takes: exact, as np.convolve of ones counts
     out /= (np.minimum(i + after, n - 1) - np.maximum(i - before, 0)
             + 1.0)[:, None]
 
 
-def moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with edge truncation; window 1 is the identity.
-
-    Sample i averages x[i - window // 2 : i + (window - 1) // 2 + 1], cut to
-    the series. Columns are summed together, one shifted in-place add per
-    kernel offset, bit-equal to a per-column ``np.convolve`` with a kernel
-    of ones. Windows of _SHIFTED_SUM_MAX or more, and series shorter than
-    the window (where np.convolve sums in reverse), use np.convolve."""
-    if window <= 1:
-        return x
-    x = np.asarray(x, dtype=float)
-    cols = x[:, None] if x.ndim == 1 else x
-    out = np.empty_like(cols)
-    _average_rows(out, cols, 0, 0, len(cols), window)
-    return out[:, 0] if x.ndim == 1 else out
-
-
 def _smoothed_derivative(rows_of, n: int, width: int, dt: float, window: int,
                          offset: float | None = None) -> np.ndarray:
-    """``moving_average(np.gradient(F, dt, axis=0, edge_order=2)
-    [+ offset], window)`` of the (n, width) series F whose rows s0:s1
-    ``rows_of(s0, s1)`` gives, bit for bit.
+    """The centred moving average over ``window`` rows of
+    ``np.gradient(F, dt, axis=0, edge_order=2) [+ offset]``, for the
+    (n, width) series F whose rows s0:s1 ``rows_of(s0, s1)`` gives.
 
     Works a block of rows at a time: each reads its rows plus the halo its
     moving average and stencil need, so no (n, width) temporary exists.
@@ -195,9 +146,7 @@ def _smoothed_derivative(rows_of, n: int, width: int, dt: float, window: int,
     step = block_len(width)
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
-        # derivative rows the averages take, at least `window` of them
-        d0 = max(0, min(r0 - before, n - window))
-        d1 = min(n, max(r1 + after, window))
+        d0, d1 = max(0, r0 - before), min(n, r1 + after)  # rows averaged
         # sample rows their stencils take: neighbours, or 3 at an end
         s0, s1 = max(0, min(d0 - 1, n - 3)), min(n, max(d1 + 1, 3))
         d = np.gradient(rows_of(s0, s1), dt, axis=0,
@@ -220,11 +169,13 @@ def estimate_complex_frequency(
     Recorded angles are in the synchronous frame, so the nominal speed is
     added back: omega is in absolute rad/s. The grid must be uniform, and
     its step dt = ``uniform_step(times)`` is the spacing of every
-    derivative; a non-uniform grid raises ValueError. Bit-equal to the
-    whole-array formulas ``moving_average(np.gradient(np.log(v), dt,
-    axis=0, edge_order=2), smoothing_window)`` and ``moving_average(
-    np.gradient(unwrap_angles(theta), dt, axis=0, edge_order=2) + omega_s,
-    smoothing_window)``.
+    derivative; a non-uniform grid raises ValueError. eps smooths
+    ``np.gradient(np.log(v), dt, axis=0, edge_order=2)`` and omega smooths
+    ``np.gradient(theta, dt, axis=0, edge_order=2) + omega_s``, theta
+    through ``np.unwrap`` only where it steps by pi or more. Row i of
+    either averages the derivative rows i - smoothing_window // 2 to
+    i + (smoothing_window - 1) // 2 that exist: their left-to-right sum
+    from 0.0, divided by their count. Window 1 keeps the derivative.
     """
     times = np.asarray(traj.times, dtype=float)
     v = np.asarray(traj.v, dtype=float)
@@ -248,8 +199,7 @@ def estimate_complex_frequency(
     wraps = not _steps_below_pi(theta)
     # a wrap takes one whole-array unwrap: its corrections add up down rows
     angle = np.unwrap(theta, axis=0) if wraps else theta
-    omega = _smoothed_derivative(
-        lambda s0, s1: angle[s0:s1] if wraps else _plus_zero(angle[s0:s1], s0),
-        n, width, dt, smoothing_window, offset=traj.omega_s)
+    omega = _smoothed_derivative(lambda s0, s1: angle[s0:s1], n, width, dt,
+                                 smoothing_window, offset=traj.omega_s)
     return ComplexFrequencySeries(times=times, bus_ids=list(traj.bus_ids),
                                   eps=eps, omega=omega)

@@ -368,10 +368,7 @@ def cmd_inertia(args) -> int:
         write_csv(sweep_out, header, [sweep.times, sweep.eps])
         result["sweep"] = {
             "h_v_values": h_values,
-            "model": {"c_eq": model.c_eq, "s_base": model.s_base,
-                      "v0": model.v0, "q_step": model.q_step,
-                      "t_step": model.t_step,
-                      "q_load_coeff": model.q_load_coeff},
+            "model": model,
             "csv": str(sweep_out),
             "peak_abs_eps": [float(np.abs(sweep.eps[:, j]).max())
                              for j in range(len(h_values))],

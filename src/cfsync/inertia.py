@@ -69,6 +69,14 @@ def _scalar_fit(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return k, res
 
 
+def _omega_dot(times, omega: np.ndarray, error: type[ValueError]):
+    """domega/dt on the step of the uniform grid ``times``; ``error`` if
+    there are fewer than the 3 samples its stencils take."""
+    if len(omega) < 3:
+        raise error(f"domega/dt needs at least 3 samples, got {len(omega)}")
+    return np.gradient(omega, uniform_step(times), edge_order=2)
+
+
 def estimate_frequency_inertia(
     times: np.ndarray,
     omega: np.ndarray,
@@ -79,8 +87,8 @@ def estimate_frequency_inertia(
 
     domega/dt is taken over the whole series, on the step of its uniform
     grid, before the window picks its samples."""
-    omega_dot = np.gradient(np.asarray(omega, dtype=float),
-                            uniform_step(times), edge_order=2)
+    omega_dot = _omega_dot(times, np.asarray(omega, dtype=float),
+                           EstimationError)
     mask = window_mask(times, *(window or ()))
     wd, wp = omega_dot[mask], np.asarray(dp, dtype=float)[mask]
     if np.count_nonzero(np.abs(wd) > _EXCURSION) < 2:
@@ -124,7 +132,7 @@ def generalized_inertia_series(
     omega = np.asarray(omega, dtype=float)
     if eps.shape != omega.shape or eps.shape != times.shape:
         raise ValueError("series must share one sample grid")
-    omega_dot = np.gradient(omega, uniform_step(times), edge_order=2)
+    omega_dot = _omega_dot(times, omega, ValueError)
     return h_v * eps + 1j * m * omega_dot
 
 

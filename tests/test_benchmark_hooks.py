@@ -36,14 +36,16 @@ def test_tracer_installs_and_uninstalls():
     assert cfsync.dynamics.step is step
 
 
-@pytest.mark.parametrize("name", ["scripts_e2e", "n1_screen"])
+@pytest.mark.parametrize("name", ["scripts_e2e", "n1_screen",
+                                  "analyze_fine"])
 def test_one_pass_matches_the_references(name, tmp_path):
     # one untraced pass at the default seed, checked against
     # perfbench/references.json as a benchmark run checks it
     workloads = _load("workloads")
     fns = _load("layertrace").untraced_entry_points()
-    wl = workloads.WORKLOADS[name](ROOT, workloads.DEFAULT_SEED,
-                                   tmp_path / "work")
+    work = tmp_path / "work"
+    work.mkdir()  # as perfbench's worker makes it
+    wl = workloads.WORKLOADS[name](ROOT, workloads.DEFAULT_SEED, work)
     res = wl.run_pass(tmp_path / "pass", lambda fn: (fn(), 0.0), fns)
     assert res.ops
     assert [(op.name, op.error) for op in res.ops if op.error] == []

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsync import cf_estimator
-from cfsync.cf_estimator import (
-    estimate_complex_frequency,
-    moving_average,
-    uniform_step,
-    unwrap_angles,
-)
+from cfsync.cf_estimator import estimate_complex_frequency, uniform_step
 from cfsync.dynamics import Trajectory
 
 WS = 2 * math.pi * 60
@@ -30,14 +27,27 @@ def make_traj(times, v, theta, omega_s=WS):
     )
 
 
+def window_one_omega(theta, dt=1e-3):
+    """The unsmoothed omega the estimator gives for one bus's angles."""
+    t = np.arange(len(theta)) * dt
+    return estimate_complex_frequency(
+        make_traj(t, np.ones_like(t), theta), smoothing_window=1).omega[:, 0]
+
+
 class TestUnwrap:
+    """omega differentiates the angle unwrapped wherever it steps by pi or
+    more, and the angle as recorded otherwise."""
+
     def test_no_wrap_unchanged(self):
         x = np.array([0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(unwrap_angles(x), x)
+        assert same_bits(window_one_omega(x),
+                         np.gradient(x, 1e-3, edge_order=2) + WS)
 
     def test_single_wrap(self):
-        out = unwrap_angles(np.array([3.1, -3.1]))
-        np.testing.assert_allclose(out, [3.1, 2 * math.pi - 3.1])
+        out = window_one_omega(np.array([3.1, -3.1, -3.0]))
+        np.testing.assert_allclose(out - WS, np.gradient(
+            [3.1, 2 * math.pi - 3.1, 2 * math.pi - 3.0], 1e-3,
+            edge_order=2))
 
     def test_random_walk_round_trip(self):
         rng = np.random.default_rng(42)
@@ -47,8 +57,11 @@ class TestUnwrap:
         # round trip holds when increments stay below pi
         ok = np.abs(np.diff(orig)) < math.pi
         assert ok.all()
-        rec = unwrap_angles(wrapped)
-        np.testing.assert_allclose(rec - rec[0], orig - orig[0], atol=1e-12)
+        # wrapping rounds the angle by up to 1e-12 of its size: after the
+        # 1 ms derivative, a few 1e-9 rad/s
+        np.testing.assert_allclose(
+            window_one_omega(wrapped),
+            np.gradient(orig, 1e-3, edge_order=2) + WS, rtol=0, atol=1e-8)
 
 
 class TestEstimate:
@@ -129,8 +142,17 @@ class TestProperties:
         np.testing.assert_allclose(off.omega, base.omega, atol=1e-8)
 
     def test_smoothing_window_one_is_identity(self):
-        x = np.arange(10, dtype=float)
-        np.testing.assert_array_equal(moving_average(x, 1), x)
+        # window 1 keeps the derivative rows as they are
+        t = np.arange(10) * 1e-3
+        v = np.exp(np.arange(10.0) ** 2 * 1e-3)
+        theta = np.sin(np.arange(10.0))
+        cf = estimate_complex_frequency(make_traj(t, v, theta),
+                                        smoothing_window=1)
+        dt = uniform_step(t)
+        assert same_bits(cf.eps[:, 0],
+                         np.gradient(np.log(v), dt, edge_order=2))
+        assert same_bits(cf.omega[:, 0],
+                         np.gradient(theta, dt, edge_order=2) + WS)
 
     def test_second_order_convergence(self):
         def interior_err(dt):
@@ -173,80 +195,28 @@ def signed_zero_cloud(rng, shape):
     return x
 
 
-def convolve_oracle(x, window):
-    """The former per-column loop: np.convolve with a kernel of ones over
-    each column, divided by the same convolution of ones. Mode "full" cut
-    to the centred len(x) values equals mode "same" and also covers series
-    shorter than the window."""
-    cols = x[:, None] if x.ndim == 1 else x
-    n = len(cols)
-    kernel = np.ones(window)
-    first = (window - 1) // 2
-    norm = np.convolve(np.ones(n), kernel)[first:first + n]
-    out = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        out[:, j] = np.convolve(cols[:, j], kernel)[first:first + n] / norm
-        if n >= window:
-            assert same_bits(np.convolve(cols[:, j], kernel, mode="same")
-                             / norm, out[:, j])
-    return out[:, 0] if x.ndim == 1 else out
-
-
-class TestBitEqualOracles:
-    """unwrap_angles and moving_average reproduce np.unwrap and the
-    per-column np.convolve loop bit for bit, signed zeros included."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
-           st.integers(1, 20), st.booleans())
-    def test_moving_average(self, seed, n, window, flat):
-        rng = np.random.default_rng(seed)
-        x = signed_zero_cloud(rng, (n,) if flat else (n, 4))
-        if not flat:
-            x[:, 3] = -0.0
-        want = x if window == 1 else convolve_oracle(x, window)
-        assert same_bits(moving_average(x, window), want)
-
-    def test_moving_average_long_series(self):
-        x = signed_zero_cloud(np.random.default_rng(5), (5001, 7))
-        for window in (2, 5, 15, 16, 31):
-            assert same_bits(moving_average(x, window),
-                             convolve_oracle(x, window))
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
-           st.sampled_from(["small_steps", "wraps", "nan", "flat"]))
-    def test_unwrap(self, seed, n, kind):
-        rng = np.random.default_rng(seed)
-        theta = signed_zero_cloud(rng, (n, 3)) * 0.01
-        if kind == "wraps":
-            theta = np.angle(np.exp(1j * rng.uniform(-2.5, 2.5,
-                                                      (n, 3)).cumsum(0)))
-        elif kind == "nan":
-            theta[rng.random((n, 3)) < 0.2] = np.nan
-        if kind == "flat":
-            theta = theta[:, 0]
-        assert same_bits(unwrap_angles(theta), np.unwrap(theta, axis=0))
-
-    def test_unwrap_turns_negative_zero_positive_after_row_0(self):
-        theta = np.array([[-0.0, 0.5], [-0.0, -0.0], [0.1, -0.0]])
-        out = unwrap_angles(theta)
-        assert same_bits(out, np.unwrap(theta, axis=0))
-        assert np.signbit(out[0, 0]) and not np.signbit(out[1:]).any()
-
-    def test_unwrap_step_of_exactly_pi_is_unwrapped(self):
-        theta = np.array([0.0, math.pi, 0.0])
-        assert same_bits(unwrap_angles(theta), np.unwrap(theta))
+def row_oracle(x, window):
+    """The estimator's smoothing rule, one row at a time: row i is the
+    left-to-right sum from 0.0 of the rows x[i - window // 2] to
+    x[i + (window - 1) // 2] that exist, divided by their count. Python's
+    sum() is not used: from 3.12 it compensates float sums."""
+    n = len(x)
+    out = np.empty_like(x)
+    for i in range(n):
+        rows = x[max(0, i - window // 2):min(n, i + (window - 1) // 2 + 1)]
+        out[i] = functools.reduce(operator.add, rows, 0.0) / len(rows)
+    return out
 
 
 def whole_array_estimate(traj, window):
     """The estimator's whole-array formulas: np.gradient on the grid's
-    step over all rows, np.unwrap, then the per-column np.convolve
-    average."""
+    step over all rows, np.unwrap, then the per-row average. np.unwrap
+    turns -0.0 angles into +0.0, which no omega shows once omega_s is
+    added."""
     dt = uniform_step(traj.times)
 
     def smooth(x):
-        return x if window == 1 else convolve_oracle(x, window)
+        return x if window == 1 else row_oracle(x, window)
 
     eps = np.gradient(np.log(traj.v), dt, axis=0, edge_order=2)
     omega = np.gradient(np.unwrap(traj.theta, axis=0), dt, axis=0,
@@ -280,9 +250,61 @@ def random_traj(rng, n, width, kind, omega_s=WS, wraps=False):
     if wraps:
         theta = np.angle(np.exp(1j * rng.uniform(-2.5, 2.5,
                                                   (n, width)).cumsum(0)))
-    else:  # small steps, signed zeros: the no-wrap path keeps row 0 as is
+    else:  # small steps, signed zeros
         theta = signed_zero_cloud(rng, (n, width)) * 1e-3
     return make_traj(t, v, theta, omega_s=omega_s)
+
+
+# smoothing windows the oracle tests cover: none, the default 5, even and
+# odd, and either side of 16, the length at which BLAS dot products (and so
+# a convolution-based average) change their summation order
+WINDOWS = [1, 2, 5, 15, 16, 17, 31]
+
+
+def assert_matches_oracle(traj, window):
+    cf = estimate_complex_frequency(traj, smoothing_window=window)
+    eps, omega = whole_array_estimate(traj, window)
+    assert same_bits(cf.eps, eps)
+    assert same_bits(cf.omega, omega)
+
+
+class TestBitEqualOracles:
+    """The estimator's average is bit-equal to the per-row oracle, and its
+    omega to that of np.unwrap's angles, over whole series."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 60),
+           st.one_of(st.sampled_from(WINDOWS), st.integers(1, 40)),
+           st.booleans())
+    def test_moving_average(self, seed, n, window, flat):
+        rng = np.random.default_rng(seed)
+        assert_matches_oracle(random_traj(rng, n, 1 if flat else 4, "arange"),
+                              window)
+
+    def test_moving_average_long_series(self):
+        traj = random_traj(np.random.default_rng(5), 5001, 7, "arange")
+        for window in WINDOWS[1:]:
+            assert_matches_oracle(traj, window)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 60),
+           st.sampled_from(["small_steps", "wraps", "nan", "flat"]),
+           st.sampled_from(WINDOWS))
+    def test_unwrap(self, seed, n, kind, window):
+        rng = np.random.default_rng(seed)
+        traj = random_traj(rng, n, 1 if kind == "flat" else 3, "exact",
+                           wraps=kind == "wraps")
+        if kind == "nan":
+            traj.theta[rng.random(traj.theta.shape) < 0.2] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert_matches_oracle(traj, window)
+
+    def test_unwrap_step_of_exactly_pi_is_unwrapped(self):
+        # a step of exactly pi sends the series through np.unwrap
+        theta = np.array([0.0, math.pi, 0.0, 3.2, 0.0])
+        t = np.arange(5) * 1e-3
+        for window in (1, 5):
+            assert_matches_oracle(make_traj(t, np.ones(5), theta), window)
 
 
 class TestBlockwise:
@@ -298,13 +320,10 @@ class TestBlockwise:
             with pytest.raises(ValueError, match="non-uniform time grid"):
                 estimate_complex_frequency(traj, smoothing_window=window)
             return
-        cf = estimate_complex_frequency(traj, smoothing_window=window)
-        eps, omega = whole_array_estimate(traj, window)
-        assert same_bits(cf.eps, eps)
-        assert same_bits(cf.omega, omega)
+        assert_matches_oracle(traj, window)
 
-    @pytest.mark.parametrize("window", [1, 5, 17])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("kind", ["arange", "exact", "jitter",
                                       "uniform_stretches"])
     def test_block_rows_and_grids(self, monkeypatch, window, rows, kind):
@@ -312,7 +331,7 @@ class TestBlockwise:
         self.check(monkeypatch, random_traj(rng, 60, 3, kind), window, rows,
                    uniform=kind in UNIFORM_GRIDS)
 
-    @pytest.mark.parametrize("window", [1, 5, 17])
+    @pytest.mark.parametrize("window", WINDOWS)
     def test_wrapped_angles(self, monkeypatch, window):
         # the np.unwrap fallback: corrections accumulate down the rows
         rng = np.random.default_rng(window)
@@ -320,8 +339,10 @@ class TestBlockwise:
         assert np.abs(np.diff(traj.theta, axis=0)).max() >= math.pi
         self.check(monkeypatch, traj, window, 3)
 
-    @pytest.mark.parametrize("n, window", [(3, 1), (3, 5), (4, 5), (6, 17),
-                                           (16, 17), (17, 17), (18, 17)])
+    @pytest.mark.parametrize("n, window", [(3, 1), (3, 2), (3, 5), (4, 5),
+                                           (6, 17), (15, 16), (16, 17),
+                                           (17, 17), (18, 17), (3, 31),
+                                           (30, 31), (31, 31)])
     @pytest.mark.parametrize("rows", [1, 2, 10**6])
     def test_shorter_than_a_block_or_the_window(self, monkeypatch, n, window,
                                                 rows):
@@ -329,18 +350,28 @@ class TestBlockwise:
         self.check(monkeypatch, random_traj(rng, n, 2, "arange"), window,
                    rows)
 
-    def test_zero_omega_s_keeps_signed_zeros(self, monkeypatch):
-        # nothing added to omega then: a -0.0 would show in the output
-        rng = np.random.default_rng(3)
-        traj = random_traj(rng, 30, 4, "exact", omega_s=0.0)
-        traj.theta[:] = np.where(rng.random(traj.theta.shape) < 0.5, -0.0,
-                                 0.0)
-        self.check(monkeypatch, traj, 1, 2)
-        self.check(monkeypatch, traj, 5, 2)
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 60),
+           st.integers(1, 4), st.sampled_from(WINDOWS), st.integers(1, 7),
+           st.floats(-1e3, 1e3).filter(lambda x: x != 0.0))
+    def test_signed_zero_angles_give_the_same_omega(self, seed, n, width,
+                                                    window, rows, omega_s):
+        # a zero derivative is -0.0 or +0.0 with the zeros it is taken
+        # from; adding a nonzero omega_s makes both the same
+        rng = np.random.default_rng(seed)
+        traj = random_traj(rng, n, width, "arange", omega_s=omega_s)
+        traj.theta[rng.random(traj.theta.shape) < 0.6] = -0.0
+        plus = make_traj(traj.times, traj.v, np.where(
+            traj.theta == 0.0, 0.0, traj.theta), omega_s=omega_s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cf_estimator, "_BLOCK_VALUES", rows * width)
+            assert same_bits(
+                estimate_complex_frequency(traj, window).omega,
+                estimate_complex_frequency(plus, window).omega)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 70),
-           st.integers(1, 4), st.integers(1, 20), st.integers(1, 12),
+           st.integers(1, 4), st.integers(1, 40), st.integers(1, 12),
            st.sampled_from(["arange", "exact", "jitter",
                             "uniform_stretches"]),
            st.booleans())

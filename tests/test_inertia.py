@@ -93,6 +93,12 @@ class TestFrequencyInertia:
         with pytest.raises(ValueError, match=NON_UNIFORM):
             estimate_frequency_inertia(t, 377.0 + t ** 2, t)
 
+    def test_two_samples_are_too_few(self):
+        t = np.array([2.005, 2.006])
+        with pytest.raises(EstimationError,
+                           match="at least 3 samples, got 2"):
+            estimate_frequency_inertia(t, 377.0 + t, t)
+
     def test_recovers_machine_inertia_from_simulation(self, wscc9_loadshed,
                                                       loadshed_traj_nogov):
         traj = loadshed_traj_nogov
@@ -165,6 +171,13 @@ class TestGeneralizedInertiaSeries:
         t = stretched_grid()
         with pytest.raises(ValueError, match=NON_UNIFORM):
             generalized_inertia_series(1.0, 1.0, t, t, 377.0 + t ** 2)
+
+    def test_two_samples_are_too_few(self):
+        t = np.array([0.0, 1e-3])
+        with pytest.raises(ValueError,
+                           match="at least 3 samples, got 2") as err:
+            generalized_inertia_series(1.0, 1.0, t, t, 377.0 + t)
+        assert type(err.value) is ValueError
 
     def test_misaligned_series_rejected(self):
         t = np.arange(0, 1, 1e-2)

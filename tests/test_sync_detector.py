@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -674,6 +675,21 @@ class TestWindowDiameters:
         np.testing.assert_array_equal(
             row_diameters(z),
             [brute_force_diameter(np.unique(row)) for row in z])
+
+    def test_twin_clusters_within_rounding(self):
+        # two clusters at +-1 with 2e-15 noise: every cross pair of leaf
+        # blocks ties with the diameter within the 64-ulp bound, so the
+        # pruning keeps them all. 0.48-0.67 s on a 2-vCPU VM; the bound
+        # leaves 6x of that
+        rng = np.random.default_rng(0)
+        n = 16001
+        z = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) + 2e-15 * (
+            rng.normal(size=n) + 1j * rng.normal(size=n))
+        start = time.perf_counter()
+        got = row_diameters(z[None, :])
+        seconds = time.perf_counter() - start
+        np.testing.assert_array_equal(got, [brute_force_diameter(z, 64)])
+        assert seconds < 4.0, f"{seconds:.2f} s"
 
     def test_huge_values_take_the_fallback(self):
         rng = np.random.default_rng(4)
