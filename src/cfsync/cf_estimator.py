@@ -13,8 +13,9 @@ with the halo rows its stencil and moving average need, through log or
 angle, derivative and average in turn. Beyond its two (n_samples, n_bus)
 outputs it holds a few block-sized temporaries (about 2.7 MiB at 270
 buses), and every derivative bit is that of np.gradient over the whole
-array. Only a series whose angle steps by pi or more is unwrapped, as one
-whole array, since np.unwrap's corrections add up down the rows.
+array. Only a series whose angle steps by pi or more is unwrapped, a block
+at a time too: each block carries on the running sum of np.unwrap's
+corrections from the block before, and gets its bits.
 """
 from __future__ import annotations
 
@@ -111,6 +112,39 @@ def _steps_below_pi(x: np.ndarray) -> bool:
     return True
 
 
+def _unwrapped_rows(theta: np.ndarray):
+    """``rows_of`` for ``np.unwrap(theta, axis=0)``, bit for bit, for the
+    requests (s0, s1) of ``_smoothed_derivative``: each starts no earlier
+    than the one before and no later than its last row.
+
+    np.unwrap adds to row i the running sum, in row order, of the
+    corrections of the steps before it. Each request sums its own steps'
+    corrections onto the sum it starts from, which the request before it
+    computed, so no (n, width) temporary exists."""
+    # the first row of the last request, the sum added to it (None on row
+    # 0, which gets none) and the sums added to its later rows
+    last: list = [0, None, None]
+
+    def rows_of(s0: int, s1: int) -> np.ndarray:
+        r, first, rest = last
+        start = None if s0 == 0 else first if s0 == r else rest[s0 - r - 1]
+        out = theta[s0:s1].copy()
+        step = np.diff(out, axis=0)
+        # np.unwrap's correction of each step, for period 2 pi
+        fold = np.mod(step + np.pi, 2 * np.pi) - np.pi
+        np.copyto(fold, np.pi, where=(fold == -np.pi) & (step > 0))
+        fold -= step
+        np.copyto(fold, 0, where=np.abs(step) < np.pi)
+        if start is not None:
+            fold[:1] += start
+            out[0] += start
+        out[1:] += np.cumsum(fold, axis=0, out=fold)
+        last[:] = s0, start, fold
+        return out
+
+    return rows_of
+
+
 def _average_rows(out: np.ndarray, d: np.ndarray, d0: int, r0: int, n: int,
                   window: int) -> None:
     """Rows r0:r0 + len(out) of the centred moving average of an n-row 2-D
@@ -196,10 +230,9 @@ def estimate_complex_frequency(
 
     eps = _smoothed_derivative(lambda s0, s1: np.log(v[s0:s1]), n, width,
                                dt, smoothing_window)
-    wraps = not _steps_below_pi(theta)
-    # a wrap takes one whole-array unwrap: its corrections add up down rows
-    angle = np.unwrap(theta, axis=0) if wraps else theta
-    omega = _smoothed_derivative(lambda s0, s1: angle[s0:s1], n, width, dt,
-                                 smoothing_window, offset=traj.omega_s)
+    angle = (lambda s0, s1: theta[s0:s1]) if _steps_below_pi(theta) \
+        else _unwrapped_rows(theta)
+    omega = _smoothed_derivative(angle, n, width, dt, smoothing_window,
+                                 offset=traj.omega_s)
     return ComplexFrequencySeries(times=times, bus_ids=list(traj.bus_ids),
                                   eps=eps, omega=omega)

@@ -7,24 +7,31 @@ run is two CSVs, both described by ``_SERIES``: the trajectory
 the generator series (``t,delta_1,omega_1,eq_1,pm_1,pe_1,qe_1,...``).
 
 Every CSV is written by ``write_csv``, which gives each value the bytes of
-``"%.17g" % x`` without making a Python float of it: a numpy kernel takes
-2^14 values at a time, whatever the row width, scales each |x| to 17
-integer digits in double-double arithmetic (a table of 10^p built from
-Python ints on the first write), turns the digits into ASCII through a
-table of 4-digit groups, lays each value out in a fixed slot of 8-byte
-words and drops the slot bytes it left NUL. Values whose rounding the
-scaling cannot settle (within 1e-9 of a half, or at the 10^16 or 10^17
-edge of the digits), non-finite values and |x| outside [1e-200, 1e201) are
-formatted by ``%.17g`` itself, so the bytes never rest on how tight the
-scaling's error bound is.
+``"%.17g" % x`` without making a Python float of it. It streams the table:
+blocks of whole rows, about 2^14 values, are gathered from the columns and
+formatted by a numpy kernel in work arrays allocated once per call, so no
+copy of the table is made. The kernel scales each |x| to 17 integer digits
+in double-double arithmetic (a table of 10^p built from Python ints on the
+first write), turns the digits into ASCII through a table of 4-digit
+groups, lays each value out in a fixed slot of 8-byte words and drops the
+slot bytes it left NUL. Values whose rounding the scaling cannot settle
+(within 1e-9 of a half, or at the 10^16 or 10^17 edge of the digits),
+non-finite values and |x| outside [1e-200, 1e201) are formatted by
+``%.17g`` itself, so the bytes never rest on how tight the scaling's error
+bound is. The work arrays are reused because a chunk's arrays are of the
+size at which malloc maps and unmaps fresh pages for each one (see
+``_Work``).
 
-The last trajectory CSV and the last generator CSV this process wrote are
-kept in memory when all their values are finite, with the file's size and
-the SHA-256 of its bytes, hashed as ``write_csv`` writes them.
-Reading a file of that size hashes it, streamed; if the digest matches, the
-kept array is returned as a copy instead of parsing the text, which gives
-the same doubles because every finite double round-trips through
-``%.17g``. Any other file is parsed.
+A recorded run's rows are laid out once, in the array its CSV is written
+from. The last trajectory CSV and the last generator CSV this process
+wrote keep that array in memory, read-only, when all their values are
+finite, with the file's size and the SHA-256 of its bytes, hashed as
+``write_csv`` writes them. Reading a file of that size hashes it,
+streamed; if the digest matches, the kept array itself is returned instead
+of parsing the text, which gives the same doubles because every finite
+double round-trips through ``%.17g``. Any other file is parsed. Either way
+the arrays read back are read-only: an in-place write raises ValueError,
+so no caller can change what a later read returns.
 """
 from __future__ import annotations
 
@@ -121,23 +128,69 @@ def _tables() -> _Tables:
                              dtype="<u4").astype(np.uint64))
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Work:
+    """The work arrays of ``_format_chunk`` for chunks of up to ``size``
+    values, allocated once per ``write_csv`` call.
+
+    At 2^14 values a chunk's float and integer arrays are 128 KiB each,
+    and its slots and their NUL mask 896 KiB each: sizes at which glibc's
+    malloc maps fresh pages for a block and unmaps them on free, until a
+    larger block has been freed. Made anew for each chunk, they fault
+    their pages in again for every chunk: in a fresh process a streamed
+    80,001 x 19 write took 98,000 minor page faults and 0.42 s that way,
+    against 1,500 and 0.28 s with the arrays reused. The compacted text,
+    about a third of the slot bytes, is the one array each chunk makes:
+    numpy's only compaction into a given buffer, ``np.compress``, first
+    builds an index array eight times its size."""
+
+    def __init__(self, size: int):
+        self.f = np.empty((9, size))
+        self.i = np.empty((4, size), dtype=np.int64)
+        self.j = np.empty((8, size), dtype=np.int32)
+        self.u = np.empty((5, size), dtype=np.uint64)
+        self.b = np.empty((4, size), dtype=bool)
+        self.slots = np.empty((size, 7), dtype="<u8")
+        self.keep = np.empty(size * 56, dtype=bool)
+
+
+def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = table[index]`` for indices known to be in range, with
+    no temporary (``np.take`` copies ``out`` to check the indices)."""
+    np.take(table, index, out=out, mode="clip")
+
+
+def _scaled(a: np.ndarray, k: np.ndarray, w: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
     """a * 10^(16 - e), k = e + _E_MAX, as a normalised double-double
     (yh, yl): an exact product with 10^p's hi part, plus a times its lo
-    part."""
-    hi, hi_a, hi_b, lo = (t[k] for t in _tables().pow10)
-    c = 134217729.0 * a
-    a_a = c - (c - a)
-    a_b = a - a_a
-    p = a * hi
-    t = ((a_a * hi_a - p) + a_a * hi_b + a_b * hi_a) + a_b * hi_b + a * lo
-    yh = p + t
-    return yh, t - (yh - p)
+    part. Works in the seven rows of ``w``; yh and yl are its first two."""
+    hi, hi_a, hi_b, lo, a_a, a_b, p = w
+    for table, out in zip(_tables().pow10, (hi, hi_a, hi_b, lo)):
+        _take(table, k, out)
+    np.multiply(a, 134217729.0, out=a_a)  # Dekker's split: c
+    np.subtract(a_a, a, out=a_b)
+    a_a -= a_b  # c - (c - a)
+    np.subtract(a, a_a, out=a_b)
+    np.multiply(a, hi, out=p)
+    # t = ((a_a hi_a - p) + a_a hi_b + a_b hi_a) + a_b hi_b + a lo, summed
+    # in that order
+    np.multiply(a_b, hi_a, out=hi)
+    hi_a *= a_a
+    hi_a -= p
+    a_b *= hi_b
+    hi_b *= a_a
+    lo *= a
+    for term in (hi_b, hi, a_b, lo):
+        hi_a += term
+    yh, yl = hi, hi_a
+    np.add(p, yl, out=yh)
+    yl -= np.subtract(yh, p, out=p)
+    return yh, yl
 
 
-def _format_chunk(x: np.ndarray, last: np.ndarray) -> bytes:
-    """The ``_FMT`` text of each value of ``x``, each followed by a newline
-    where ``last`` is set and a comma elsewhere, concatenated.
+def _format_chunk(x: np.ndarray, sep: np.ndarray, w: _Work) -> memoryview:
+    """The ``_FMT`` text of each value of ``x``, each followed by the top
+    byte of its ``sep`` word (a comma or a newline), concatenated.
 
     Each value gets a slot of seven 8-byte words, whose bytes in order are
     the sign; a "0.000" prefix; the integer digits (the first digit in the
@@ -145,89 +198,146 @@ def _format_chunk(x: np.ndarray, last: np.ndarray) -> bytes:
     word); and "e+XX[X]" and the separator. Bytes a value does not use are
     NUL, and are dropped from the chunk at the end."""
     tab = _tables()
-    ax = np.abs(x)
-    scalable = (ax >= _LOW) & (ax < _HIGH)
-    a = np.where(scalable, ax, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64) + _E_MAX
-    yh, yl = _scaled(a, k)
+    n = len(x)
+    ax, a, *sc = w.f[:, :n]
+    k, d, top64, bot64 = w.i[:, :n]
+    bot, top, head, d0, g3, t32, nb1, nb2 = w.j[:, :n]
+    s1, s2, t0, t1, first = w.u[:, :n]
+    ok, m1, m2, m3 = w.b[:, :n]
+    np.abs(x, out=ax)
+    np.greater_equal(ax, _LOW, out=ok)  # scalable, for now
+    ok &= np.less(ax, _HIGH, out=m1)
+    a.fill(1.0)
+    np.copyto(a, ax, where=ok)
+    lg = np.log10(a, out=sc[0])
+    k[...] = np.floor(lg, out=lg)
+    k += _E_MAX
+    yh, yl = _scaled(a, k, sc)
     # log10 can be one off next to a power of ten
-    fix = (yh >= 1e17).astype(np.int64) - (yh < 1e16)
+    fix = top64
+    fix[...] = np.greater_equal(yh, 1e17, out=m1)
+    fix -= np.less(yh, 1e16, out=m1)
     redo = np.flatnonzero(fix)
     if redo.size:
         k[redo] += fix[redo]
-        yh[redo], yl[redo] = _scaled(a[redo], k[redo])
+        yh[redo], yl[redo] = _scaled(a[redo], k[redo],
+                                     np.empty((7, redo.size)))
     # yh >= 1e16 is an integer, so yl holds the fraction: the 17 digits are
     # d unless the fraction is near one half or d is at an end of the range
     # (out of it, or 10^16 from a rounded-up value)
-    r = np.rint(yl)
-    d = yh.astype(np.int64) + r.astype(np.int64)
-    ok = scalable & (np.abs(yl - r) < 0.5 - _TIE) \
-        & ((d > 10 ** 16) & (d < 10 ** 17) | (yh == 1e16) & (yl == 0.0))
-    alone = ~ok & (ax != 0.0)
-    d = np.where(ok, d, 0)  # zero, and in range for the fallback rows
+    r = np.rint(yl, out=sc[2])
+    d[...] = yh
+    top64[...] = r
+    d += top64
+    ok &= np.less(np.abs(np.subtract(yl, r, out=r), out=r), 0.5 - _TIE,
+                  out=m1)
+    np.greater(d, 10 ** 16, out=m1)
+    m1 &= np.less(d, 10 ** 17, out=m2)
+    np.equal(yh, 1e16, out=m2)
+    m2 &= np.equal(yl, 0.0, out=m3)
+    ok &= np.logical_or(m1, m2, out=m1)
+    skip = np.logical_not(ok, out=m2)
+    alone = np.flatnonzero(np.logical_and(
+        skip, np.not_equal(ax, 0.0, out=m1), out=m1))
+    np.copyto(d, 0, where=skip)  # zero, and in range for the fallback rows
 
-    top = d // 10 ** 8
-    bot = (d - top * 10 ** 8).astype(np.int32)
-    top = top.astype(np.int32)
-    head = top // 10 ** 4
-    d0 = head // 10 ** 4
-    g3 = bot // 10 ** 4
+    np.floor_divide(d, 10 ** 8, out=top64)
+    np.subtract(d, np.multiply(top64, 10 ** 8, out=bot64), out=bot64)
+    bot[...] = bot64
+    top[...] = top64
+    np.floor_divide(top, 10 ** 4, out=head)
+    np.floor_divide(head, 10 ** 4, out=d0)
+    np.floor_divide(bot, 10 ** 4, out=g3)
     # digits 1-8 and 9-16 of d, the first in the low byte
     dig = tab.digit4
-    s1 = dig[head - d0 * 10 ** 4] | dig[top - head * 10 ** 4] << 32
-    s2 = dig[g3] | dig[bot - g3 * 10 ** 4] << 32
+    _take(dig, np.subtract(head, np.multiply(d0, 10 ** 4, out=t32), out=t32),
+          s1)
+    _take(dig, g3, s2)
+    for s, high, whole in ((s1, head, top), (s2, g3, bot)):
+        _take(dig, np.subtract(whole, np.multiply(high, 10 ** 4, out=t32),
+                               out=t32), t0)
+        s |= np.left_shift(t0, 32, out=t0)
     # significant digits: up to the last byte that is not "0"
-    nb1, nb2 = ((np.frexp((s ^ _ZEROS).astype(np.float64))[1] + 7) // 8
-                for s in (s1, s2))
-    nd = np.maximum(nb1 + 1, (nb2 > 0) * (nb2 + 9))
+    mant = sc[3]
+    for s, nb in ((s1, nb1), (s2, nb2)):
+        mant[...] = np.bitwise_xor(s, np.uint64(_ZEROS), out=t0)
+        np.frexp(mant, out=(mant, nb))
+        nb += 7
+        nb //= 8
+    nd = nb1
+    np.greater(nb2, 0, out=m1)
+    nb2 += 9
+    nb2 *= m1
+    nd += 1
+    np.maximum(nd, nb2, out=nd)
 
-    q = tab.q[k]
-    pre = q == 0
-    i1, i2 = (m[k] for m in tab.int_masks)
-    f1, f2 = (m[nd] for m in tab.frac_masks)
-    first = (d0.astype(np.uint64) + 48) << 56
-    slots = np.empty((len(x), 7), dtype="<u8")
-    slots[:, 0] = np.signbit(x) * np.uint64(45) | tab.prefix[k] \
-        | first * ~pre
-    slots[:, 1] = s1 & i1
-    slots[:, 2] = s2 & i2
-    slots[:, 3] = ((nd > q) & ~pre) * np.uint64(46) | first * pre
-    slots[:, 4] = s1 & f1 & ~i1
-    slots[:, 5] = s2 & f2 & ~i2
-    slots[:, 6] = tab.exponent[k] | np.uint64(44 << 56) \
-        - last * np.uint64(34 << 56)  # "," or newline
+    q = top64
+    _take(tab.q, k, q)
+    pre = np.equal(q, 0, out=m3)
+    not_pre = np.logical_not(pre, out=m2)
+    first[...] = d0
+    first += 48
+    first <<= 56
+    slots = w.slots[:n]
+    np.multiply(np.signbit(x, out=m1), np.uint64(45), out=slots[:, 0])
+    _take(tab.prefix, k, t0)
+    slots[:, 0] |= t0
+    slots[:, 0] |= np.multiply(first, not_pre, out=t0)
+    for s, i_mask, f_mask, j in zip((s1, s2), tab.int_masks, tab.frac_masks,
+                                    (1, 2)):
+        _take(i_mask, k, t0)
+        np.bitwise_and(s, t0, out=slots[:, j])
+        _take(f_mask, nd, t1)
+        t1 &= s
+        np.bitwise_and(t1, np.invert(t0, out=t0), out=slots[:, j + 3])
+    np.multiply(np.logical_and(np.greater(nd, q, out=m1), not_pre, out=m1),
+                np.uint64(46), out=slots[:, 3])
+    slots[:, 3] |= np.multiply(first, pre, out=t0)
+    _take(tab.exponent, k, t0)
+    np.bitwise_or(t0, sep, out=slots[:, 6])
     text = slots.view(np.uint8)
-    idx = np.flatnonzero(alone)
-    if idx.size:
+    if alone.size:
         width = text.shape[1] - 1
         alone_text = "".join([(_FMT % v).ljust(width, "\0")
-                              for v in x[idx].tolist()])
-        text[idx, :width] = np.frombuffer(alone_text.encode("ascii"),
-                                          dtype=np.uint8).reshape(-1, width)
-    text = text.ravel()
-    return text[text != 0].tobytes()
+                              for v in x[alone].tolist()])
+        text[alone, :width] = np.frombuffer(alone_text.encode("ascii"),
+                                            dtype=np.uint8).reshape(-1, width)
+    text = text.reshape(-1)
+    return memoryview(text[np.not_equal(text, 0, out=w.keep[:text.size])])
 
 
 def write_csv(path: str | Path, header: list[str],
               columns: list[np.ndarray], comment: str | None = None,
-              digest=None) -> np.ndarray:
-    """Write equal-length columns as CSV rows under a header line, and
-    return the (n_rows, n_cols) array written. A ``digest`` (a hashlib
-    object) is fed every byte written.
+              digest=None) -> None:
+    """Write equal-length columns as CSV rows under a header line. A
+    ``digest`` (a hashlib object) is fed every byte written.
 
     Each column is a 1-D array (one CSV column) or a 2-D array (one CSV
-    column per array column). A ``comment`` becomes a leading
+    column per array column); columns of unequal length raise ValueError
+    before the file is created. A ``comment`` becomes a leading
     ``# comment`` line. Every value is written as ``"%.17g" % x`` writes
-    it, byte for byte, but formatted in numpy by ``_format_chunk``,
-    ``_CHUNK`` values at a time whatever the row width, so its work
-    arrays take a few MB however wide the rows are. Values the
-    vectorised rounding cannot settle, non-finite values and |x| outside
-    [1e-200, 1e201) are formatted by ``%.17g`` itself."""
-    data = np.column_stack(columns)
-    flat = data.astype(np.float64, copy=False).reshape(-1)
-    n_cols = data.shape[1]
+    it, byte for byte, but formatted in numpy by ``_format_chunk``.
+    Blocks of whole rows, about ``_CHUNK`` values, are gathered from the
+    columns into one array and formatted in work arrays allocated once
+    per call, so the writer holds a few MB however many rows and columns
+    there are, and no copy of the table. The work arrays are reused
+    because malloc would map and fault in fresh pages for each chunk's
+    (see ``_Work``). Values the vectorised rounding cannot settle,
+    non-finite values and |x| outside [1e-200, 1e201) are formatted by
+    ``%.17g`` itself."""
+    cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    if not cols or any(c.ndim != 2 or len(c) != len(cols[0]) for c in cols):
+        raise ValueError("write_csv needs 1-D or 2-D columns of one length, "
+                         f"got shapes {[np.shape(c) for c in columns]}")
+    n_rows = len(cols[0])
+    n_cols = sum(c.shape[1] for c in cols)
+    rows = max(1, _CHUNK // max(1, n_cols))
+    block = np.empty((rows, n_cols))
+    sep = np.full((rows, n_cols), np.uint64(ord(",") << 56))
+    sep[:, -1:] = np.uint64(ord("\n") << 56)
+    work = _Work(block.size)
     with Path(path).open("wb") as f:
-        def write(text: bytes) -> None:
+        def write(text) -> None:
             f.write(text)
             if digest is not None:
                 digest.update(text)
@@ -235,11 +345,14 @@ def write_csv(path: str | Path, header: list[str],
         if comment is not None:
             write(f"# {comment}\n".encode())
         write((",".join(header) + "\n").encode())
-        for start in range(0, len(flat), _CHUNK):
-            chunk = flat[start:start + _CHUNK]
-            last = np.arange(start, start + len(chunk)) % n_cols == n_cols - 1
-            write(_format_chunk(chunk, last))
-    return data
+        for r0 in range(0, n_rows, rows):
+            m = min(rows, n_rows - r0)
+            j = 0
+            for c in cols:
+                block[:m, j:j + c.shape[1]] = c[r0:r0 + m]
+                j += c.shape[1]
+            write(_format_chunk(block[:m].reshape(-1), sep[:m].reshape(-1),
+                                work))
 
 
 @dataclasses.dataclass
@@ -255,28 +368,15 @@ class _Written:
 _written: dict[str, _Written] = {}
 
 
-def _write_kept(kind: str, path: str | Path, header: list[str],
-                columns: list[np.ndarray], comment: str | None = None) -> None:
-    """``write_csv``, keeping the written array for ``_kept`` when every
-    value is finite (only then does the text round-trip bit for bit),
-    with the size and SHA-256 of the bytes written."""
-    _written.pop(kind, None)
-    digest = hashlib.sha256()
-    data = write_csv(path, header, columns, comment=comment, digest=digest)
-    if np.isfinite(data).all():
-        _written[kind] = _Written(Path(path).stat().st_size,
-                                  digest.hexdigest(), data)
-
-
 def _kept(kind: str, path: Path) -> np.ndarray | None:
-    """A copy of the array kept for ``kind`` if ``path`` holds exactly the
+    """The read-only array kept for ``kind`` if ``path`` holds exactly the
     bytes written for it, else None. Only a file of the kept size is
     hashed."""
     entry = _written.get(kind)
     if entry is None or path.stat().st_size != entry.size \
             or sha256_file(path) != entry.digest:
         return None
-    return entry.data.copy()
+    return entry.data
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +502,26 @@ _SERIES = {
 
 def _write_series(kind: str, traj: Trajectory, ids: list[int],
                   path: str | Path, comment: str | None = None) -> None:
-    """Write the ``kind`` series of ``traj`` for the buses ``ids``."""
+    """Write the ``kind`` series of ``traj`` for the buses ``ids``.
+
+    The rows are laid out once, in one (n_samples, n_columns) array, and
+    written from it. It is kept read-only for ``_kept`` when every value
+    is finite (only then does the text round-trip bit for bit), with the
+    size and SHA-256 of the bytes written."""
     series = _SERIES[kind]
-    block = np.stack([getattr(traj, f) for f in series.values()], axis=2)
-    _write_kept(kind, path, ["t"] + [f"{p}_{b}" for b in ids for p in series],
-                [traj.times, block.reshape(len(block), -1)], comment=comment)
+    data = np.empty((len(traj.times), 1 + len(series) * len(ids)))
+    data[:, 0] = traj.times
+    for j, field in enumerate(series.values()):
+        data[:, 1 + j::len(series)] = getattr(traj, field)
+    _written.pop(kind, None)
+    digest = hashlib.sha256()
+    write_csv(path, ["t"] + [f"{p}_{b}" for b in ids for p in series],
+              [data], comment=comment, digest=digest)
+    # nan and infinities reach the min or the max: no full-size mask
+    if np.isfinite([data.min(initial=0.0), data.max(initial=0.0)]).all():
+        data.flags.writeable = False
+        _written[kind] = _Written(Path(path).stat().st_size,
+                                  digest.hexdigest(), data)
 
 
 def _read_series(kind: str, path: str | Path, comment: str | None = None
@@ -415,7 +530,8 @@ def _read_series(kind: str, path: str | Path, comment: str | None = None
     bus ids, the times and each series by its Trajectory field, of a
     ``kind`` CSV. Raises ValueError, naming the file, unless the header is
     exactly ``t`` then the ``_SERIES`` columns of each bus, every row has a
-    value under each name and the time grid is uniform."""
+    value under each name and the time grid is uniform. The times and
+    series are read-only views of one array, kept (``_kept``) or parsed."""
     path = Path(path)
     series = _SERIES[kind]
     kept = _kept(kind, path)
@@ -439,6 +555,7 @@ def _read_series(kind: str, path: str | Path, comment: str | None = None
                     "ignore", "loadtxt: input contained no data",
                     UserWarning)
                 data = np.loadtxt(f, delimiter=",", ndmin=2)
+            data.flags.writeable = False
     if len(data) and data.shape[1] != len(names):
         raise ValueError(f"{path}: {data.shape[1]} values a row under "
                          f"{len(names)} column names")
@@ -458,6 +575,10 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def read_trajectory_csv(path: str | Path, omega_s: float) -> Trajectory:
+    """The Trajectory of a CSV from ``write_trajectory_csv``, with no
+    generator series. Its times, v and theta are read-only views of one
+    array: the one kept from writing that file in this process, if its
+    bytes are unchanged, else the parsed one."""
     events, bus_ids, times, series = _read_series("trajectory", path,
                                                   comment="events:")
     return Trajectory(
@@ -475,7 +596,9 @@ def write_generator_csv(traj: Trajectory, path: str | Path) -> None:
 
 def read_generator_csv(path: str | Path) -> dict:
     """The times, generator buses and the six generator series of a CSV
-    from ``write_generator_csv``, by Trajectory field name."""
+    from ``write_generator_csv``, by Trajectory field name. The arrays are
+    read-only views of one array, kept or parsed as in
+    ``read_trajectory_csv``."""
     _, gen_buses, times, series = _read_series("generator", path)
     return {"times": times, "gen_buses": gen_buses, **series}
 
@@ -515,11 +638,12 @@ def write_json(obj, path: str | Path) -> None:
 
 
 def sha256_file(path: str | Path) -> str:
-    """The hex SHA-256 of a file, read in 1 MiB blocks."""
+    """The hex SHA-256 of a file, read in 1 MiB blocks into one buffer."""
     h = hashlib.sha256()
-    with Path(path).open("rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
+    block = memoryview(bytearray(1 << 20))
+    with Path(path).open("rb", buffering=0) as f:
+        while n := f.readinto(block):
+            h.update(block[:n])
     return h.hexdigest()
 
 

@@ -394,6 +394,28 @@ class TestBlockwise:
                            match=r"non-positive voltage at bus 3, t=0\.009 s"):
             estimate_complex_frequency(make_traj(t, v, np.zeros_like(v)))
 
+    def test_wrapped_trip_unwraps_a_block_at_a_time(self, traced_peak):
+        # 5,001 x 270 angles wrapped into (-pi, pi], each bus turning at its
+        # own speed, so that wraps fall in every block and corrections
+        # carry across each block boundary. Whole-array np.unwrap held
+        # 41 MiB beyond the two 10.3 MiB outputs here
+        rng = np.random.default_rng(0)
+        t = np.arange(5001) * 2e-3
+        phase = rng.uniform(0, 2 * math.pi, 270)
+        v = 1.0 + 0.01 * np.sin(3 * t[:, None] + phase)
+        theta = np.angle(np.exp(1j * (rng.uniform(-40, 40, 270) * t[:, None]
+                                      + phase)))
+        wraps = np.abs(np.diff(theta, axis=0)) >= math.pi
+        blocks = np.flatnonzero(wraps.any(axis=1)) // cf_estimator.block_len(
+            270)
+        assert set(blocks) == set(range(5000 // cf_estimator.block_len(270)
+                                        + 1))
+        traj = make_traj(t, v, theta)
+        cf, peak = traced_peak(lambda: estimate_complex_frequency(traj))
+        outputs = cf.eps.nbytes + cf.omega.nbytes
+        assert peak - outputs < 6 * 2**20, f"{(peak - outputs) / 2**20:.1f}"
+        assert same_bits(cf.omega, whole_array_estimate(traj, 5)[1])
+
     def test_memory_beyond_the_outputs_is_bounded(self, traced_peak):
         # 5,001 x 270, one 270-bus line trip's shape: the whole-array
         # formulas held about 31 MiB beyond the two 10.3 MiB outputs

@@ -165,12 +165,26 @@ class TestWriteCsv:
         assert_writes_legacy(tmp_path, list(data.T))
 
     def test_wide_file_memory_is_bounded(self, tmp_path, traced_peak):
-        # the trajectory shape of the 270-bus ring; formatting whole rows of
-        # Python floats and strings at once used to take 170 MB here
+        # the trajectory shape of the 270-bus ring (20.6 MiB of values):
+        # formatting whole rows of Python floats and strings at once took
+        # 170 MB here, and a copy of the table before formatting 25.4 MiB;
+        # row blocks and their work arrays take 6.0 MiB
         data = np.random.default_rng(3).normal(size=(5001, 541))
         _, peak = traced_peak(
-            lambda: write_csv(tmp_path / "w.csv", ["c"] * 541, [data]))
-        assert peak < data.nbytes + 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+            lambda: write_csv(tmp_path / "w.csv", ["c"] * 541,
+                              [data[:, 0], data[:, 1:]]))
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(4), np.zeros(5)], [np.zeros(4), np.zeros((3, 2))],
+        [np.zeros((4, 2)), np.zeros(4), np.zeros((5, 1))]])
+    def test_unequal_columns_raise_before_the_file_exists(self, tmp_path,
+                                                          columns):
+        # as when the columns were stacked into one array first
+        out = tmp_path / "u.csv"
+        with pytest.raises(ValueError):
+            write_csv(out, ["c"] * 4, columns)
+        assert not out.exists()
 
 
 class TestReadTrajectory:
@@ -293,17 +307,35 @@ class TestReadBack:
         assert kept_reads == [False]
         assert back.v[3, 0] == 0.33333333333333341
 
-    def test_returned_arrays_are_copies(self, tmp_path, kept_reads):
-        out = tmp_path / "t.csv"
+    def test_returned_arrays_are_read_only(self, loadshed_traj, tmp_path,
+                                           kept_reads):
+        # the kept array is handed out, not copied, and a parsed one alike
         traj = hand_built_trajectory()
-        write_trajectory_csv(traj, out)
-        first = read_trajectory_csv(out, omega_s=377.0)
-        first.v[:] = 7.0
-        first.times[:] = 7.0
-        again = read_trajectory_csv(out, omega_s=377.0)
-        assert bits(again.v) == bits(traj.v)
-        assert bits(again.times) == bits(traj.times)
-        assert kept_reads == [True, True]
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        write_generator_csv(loadshed_traj, tmp_path / "g.csv")
+
+        def reads():
+            back = read_trajectory_csv(tmp_path / "t.csv", omega_s=377.0)
+            gen = read_generator_csv(tmp_path / "g.csv")
+            return [back.times, back.v, back.theta] + [
+                gen[key] for key in ("times", "delta", "omega", "e_q", "p_m",
+                                     "p_e", "q_e")]
+
+        want = [traj.times, traj.v, traj.theta, loadshed_traj.times,
+                loadshed_traj.delta, loadshed_traj.omega, loadshed_traj.e_q,
+                loadshed_traj.p_m, loadshed_traj.p_e, loadshed_traj.q_e]
+        kept = reads()
+        fileio._written.clear()
+        parsed = reads()
+        assert kept_reads == [True, True, False, False]
+        for a in kept + parsed:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+        # the arrays handed out, and a later read, hold the written bits
+        for a, b in zip(kept + parsed + reads(), want * 3):
+            assert bits(a) == bits(b)
 
     def test_non_finite_values_are_not_kept(self, tmp_path, kept_reads):
         traj = hand_built_trajectory()
