@@ -1,8 +1,12 @@
 """Case/trajectory/report file formats.
 
-Case files are JSON mirroring the NetworkCase fields (angles in radians,
-impedances per-unit on s_base, H in seconds on machine base). A recorded
-run is two CSVs, both described by ``_SERIES``: the trajectory
+A case file is JSON holding the fields of NetworkCase and its spec
+dataclasses (angles in radians, impedances per-unit on s_base, H in
+seconds on machine base), read and written by one walk over the specs'
+fields and type hints: see ``_read`` and ``_write``. A value of the wrong
+type, or a required field left out, raises a CaseError naming its key.
+
+A recorded run is two CSVs, both described by ``_SERIES``: the trajectory
 (``t,v_1,theta_1,...``, event times in a leading ``# events:`` line) and
 the generator series (``t,delta_1,omega_1,eq_1,pm_1,pe_1,qe_1,...``).
 
@@ -40,6 +44,8 @@ import functools
 import hashlib
 import json
 import math
+import types
+import typing
 import warnings
 from pathlib import Path
 
@@ -48,17 +54,7 @@ import numpy as np
 from . import __version__
 from .cf_estimator import uniform_step
 from .dynamics import Trajectory
-from .grid_model import (
-    BusSpec,
-    CaseError,
-    Event,
-    ExciterSpec,
-    GeneratorSpec,
-    GovernorSpec,
-    LineSpec,
-    LoadSpec,
-    NetworkCase,
-)
+from .grid_model import CaseError, Event, NetworkCase
 
 _FMT = "%.17g"  # 17 significant digits: every double round-trips
 _CHUNK = 1 << 14  # values formatted per step, bounding the work arrays
@@ -382,91 +378,92 @@ def _kept(kind: str, path: Path) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # case JSON
 
+# JSON keys that differ from the name of the spec field they hold
+_KEYS = {"from_bus": "from", "to_bus": "to", "h": "H", "d": "D"}
+# an event's own keys; every other key of its object is one of its params
+_EVENT_KEYS = ("time", "kind", "description")
+_EXPECTED = {float: "a number", int: "an integer", str: "a string",
+             bool: "true or false", list: "a list"}
+
+
+@functools.cache
+def _fields(spec: type) -> list[tuple[dataclasses.Field, str, object]]:
+    """Each field of the dataclass ``spec``, its JSON key and its type."""
+    hints = typing.get_type_hints(spec)
+    return [(f, _KEYS.get(f.name, f.name), hints[f.name])
+            for f in dataclasses.fields(spec)]
+
+
+def _read(hint, value, key: str):
+    """The JSON ``value`` read as type ``hint``, or a CaseError naming
+    ``key``. A float takes any number but a bool; an int, str or bool
+    exactly that type; a spec or dict an object, whose members are read by
+    their own hints; null is taken only by ``X | None``."""
+    if typing.get_origin(hint) is types.UnionType:  # X | None
+        return None if value is None \
+            else _read(typing.get_args(hint)[0], value, key)
+    kind, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    spec = dataclasses.is_dataclass(kind)
+    if spec or kind is dict:
+        ok = isinstance(value, dict)
+    elif kind is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        shown = json.dumps(value)
+        raise CaseError(f"{'case field ' + key if key else 'case file'}: "
+                        f"expected {_EXPECTED.get(kind, 'an object')}, got "
+                        f"{shown[:40]}{'...' * (len(shown) > 40)}")
+    if kind is list:
+        return [_read(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+    if kind is dict and args:
+        return {k: _read(args[1], v, f"{key}.{k}") for k, v in value.items()}
+    if not spec:
+        return value
+    if kind is Event:
+        value = {**{k: value[k] for k in _EVENT_KEYS if k in value},
+                 "params": {k: v for k, v in value.items()
+                            if k not in _EVENT_KEYS}}
+    found = {}
+    for f, name, field_hint in _fields(kind):
+        where = f"{key}.{name}" if key else name
+        if name in value:
+            found[f.name] = _read(field_hint, value[name], where)
+        elif (f.default is dataclasses.MISSING
+              and f.default_factory is dataclasses.MISSING):
+            raise CaseError(f"case field {where}: missing")
+    return kind(**found)
+
+
+def _write(value):
+    """The JSON form of a spec, or of a list or dict of them: each field
+    under its JSON key, None fields left out, and an event's params in the
+    place of its ``params`` field. Other values are returned as they are."""
+    if isinstance(value, list):
+        return [_write(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _write(v) for k, v in value.items()}
+    if not dataclasses.is_dataclass(value):
+        return value
+    out = {}
+    for f, name, _ in _fields(type(value)):
+        item = getattr(value, f.name)
+        if isinstance(value, Event) and name == "params":
+            out.update(item)
+        elif item is not None:
+            out[name] = _write(item)
+    return out
+
+
 def case_from_dict(d: dict) -> NetworkCase:
-    try:
-        buses = [
-            BusSpec(id=b["id"], kind=b["kind"], base_kv=b["base_kv"],
-                    subnet=b["subnet"], v_set=b.get("v_set"))
-            for b in d["buses"]
-        ]
-        lines = [
-            LineSpec(from_bus=ln["from"], to_bus=ln["to"], r=ln["r"],
-                     x=ln["x"], b_sh=ln.get("b_sh", 0.0),
-                     tap=ln.get("tap", 1.0),
-                     in_service=ln.get("in_service", True))
-            for ln in d["lines"]
-        ]
-        gens = []
-        for g in d["generators"]:
-            gov = g.get("governor")
-            exc = g.get("exciter")
-            gens.append(GeneratorSpec(
-                bus=g["bus"], h=g["H"], d=g["D"], xdp=g["xdp"],
-                s_machine=g["s_machine"], p_set=g.get("p_set", 0.0),
-                governor=GovernorSpec(r_gov=gov["r_gov"], t_gov=gov["t_gov"])
-                if gov else None,
-                exciter=ExciterSpec(k_ex=exc["k_ex"], t_ex=exc["t_ex"],
-                                    v_ref=exc.get("v_ref"))
-                if exc else None,
-            ))
-        loads = [LoadSpec(bus=l["bus"], p=l["p"], q=l["q"])
-                 for l in d["loads"]]
-        events = []
-        for ev in d.get("events", []):
-            params = {k: v for k, v in ev.items()
-                      if k not in ("time", "kind", "description")}
-            events.append(Event(time=ev["time"], kind=ev["kind"],
-                                params=params,
-                                description=ev.get("description", "")))
-        case = NetworkCase(
-            s_base=d["s_base"], f_nominal=d["f_nominal"], buses=buses,
-            lines=lines, generators=gens, loads=loads,
-            subnets={k: list(v) for k, v in d["subnets"].items()},
-            events=events,
-        )
-    except KeyError as exc:
-        raise CaseError(f"missing case field {exc.args[0]!r}") from exc
+    case = _read(NetworkCase, d, "")
     case.validate()
     return case
 
 
 def case_to_dict(case: NetworkCase) -> dict:
-    def gen_dict(g: GeneratorSpec) -> dict:
-        out: dict = {"bus": g.bus, "H": g.h, "D": g.d, "xdp": g.xdp,
-                     "s_machine": g.s_machine, "p_set": g.p_set}
-        if g.governor:
-            out["governor"] = {"r_gov": g.governor.r_gov,
-                               "t_gov": g.governor.t_gov}
-        if g.exciter:
-            exc = {"k_ex": g.exciter.k_ex, "t_ex": g.exciter.t_ex}
-            if g.exciter.v_ref is not None:
-                exc["v_ref"] = g.exciter.v_ref
-            out["exciter"] = exc
-        return out
-
-    return {
-        "s_base": case.s_base,
-        "f_nominal": case.f_nominal,
-        "buses": [
-            {"id": b.id, "kind": b.kind, "base_kv": b.base_kv,
-             "subnet": b.subnet,
-             **({"v_set": b.v_set} if b.v_set is not None else {})}
-            for b in case.buses
-        ],
-        "lines": [
-            {"from": ln.from_bus, "to": ln.to_bus, "r": ln.r, "x": ln.x,
-             "b_sh": ln.b_sh, "tap": ln.tap, "in_service": ln.in_service}
-            for ln in case.lines
-        ],
-        "generators": [gen_dict(g) for g in case.generators],
-        "loads": [{"bus": l.bus, "p": l.p, "q": l.q} for l in case.loads],
-        "subnets": {k: list(v) for k, v in case.subnets.items()},
-        "events": [
-            {"time": ev.time, "kind": ev.kind, **ev.params,
-             "description": ev.description}
-            for ev in case.events
-        ],
-    }
+    return _write(case)
 
 
 def load_case(path: str | Path) -> NetworkCase:

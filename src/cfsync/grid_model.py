@@ -7,6 +7,7 @@ constants are seconds on the machine base ``s_machine``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +77,12 @@ class LoadSpec:
     q: float
 
 
-EVENT_KINDS = ("load_scale", "line_trip", "q_injection_step")
+# the params ``apply_event`` reads, by event kind
+EVENT_PARAMS = {
+    "load_scale": ("bus", "p_factor", "q_factor"),
+    "line_trip": ("from", "to"),
+    "q_injection_step": ("bus", "dq"),
+}
 
 
 @dataclass(frozen=True)
@@ -167,8 +173,16 @@ class NetworkCase:
         for ev in self.events:
             if ev.time < 0:
                 raise CaseError("event time must be >= 0")
-            if ev.kind not in EVENT_KINDS:
+            if ev.kind not in EVENT_PARAMS:
                 raise CaseError(f"unknown event kind {ev.kind!r}")
+            for name in EVENT_PARAMS[ev.kind]:
+                value = ev.params.get(name)
+                if isinstance(value, bool) \
+                        or not isinstance(value, numbers.Real):
+                    raise CaseError(
+                        f"{ev.kind} event at t={ev.time}: param {name!r} "
+                        + ("is missing" if name not in ev.params
+                           else f"must be a number, not {value!r}"))
             if ev.kind in ("load_scale", "q_injection_step"):
                 if ev.params["bus"] not in known:
                     raise CaseError(f"event at unknown bus {ev.params['bus']}")

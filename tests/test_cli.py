@@ -193,6 +193,52 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("path, edit, key", [
+        (CASE, lambda d: d.update(buses=5), "case field buses:"),
+        (CASE, lambda d: d["generators"][0].update(H="23"),
+         "generators[0].H"),
+        (CASE, lambda d: d["lines"][3].update(x="0.05"), "lines[3].x"),
+        (CASE, lambda d: d["loads"][0].update(p="1.2"), "loads[0].p"),
+        (CASE, lambda d: d.update(subnets=[]), "case field subnets:"),
+        (CASE, lambda d: d["subnets"].update(S1=5), "subnets.S1"),
+        (CASE, lambda d: d["lines"].__setitem__(0, 7), "lines[0]:"),
+        (CASE, lambda d: d.update(s_base=None), "s_base"),
+        (CASE, lambda d: d["lines"][0].update(in_service=0),
+         "lines[0].in_service"),
+        (CASE, lambda d: d["generators"][1].update(H=True),
+         "generators[1].H"),
+        (CASE, lambda d: d["generators"][2].update(governor={}),
+         "generators[2].governor.r_gov"),
+        (SHED, lambda d: d["events"][0].pop("bus"), "param 'bus'"),
+        (SHED, lambda d: d["events"][0].pop("q_factor"), "param 'q_factor'"),
+        (SHED, lambda d: d["events"].__setitem__(
+            0, {"time": 2.0, "kind": "line_trip", "from": 5}), "param 'to'"),
+        (SHED, lambda d: d["events"].__setitem__(
+            0, {"time": 2.0, "kind": "q_injection_step", "bus": 8}),
+         "param 'dq'"),
+        (SHED, lambda d: d["events"][0].update(p_factor="0.5"),
+         "param 'p_factor'"),
+        (SHED, lambda d: d["events"][0].update(bus=True), "param 'bus'"),
+    ], ids=["buses_a_number", "H_a_string", "x_a_string", "p_a_string",
+            "subnets_a_list", "subnet_a_number", "line_a_number",
+            "s_base_null", "in_service_0", "H_true", "governor_empty",
+            "no_bus", "no_q_factor", "no_to", "no_dq", "p_factor_a_string",
+            "bus_true"])
+    def test_malformed_case_exits_2(self, tmp_path, capsys, path, edit, key):
+        # each used to end in a traceback (exit 1), a disconnected network
+        # (in_service 0, exit 4) or a run (H true as 1 s, governor {} as
+        # none, an event bus true as bus 1)
+        data = json.loads(Path(path).read_text())
+        edit(data)
+        bad = tmp_path / "case.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["simulate", "--case", str(bad), "--t-end", "0.5",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_neither_case_nor_manifest_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--outdir", str(tmp_path)])
         assert rc == 2

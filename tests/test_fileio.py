@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import hashlib
 import importlib.util
+import json
+import operator
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -14,11 +17,24 @@ from cfsync import cli, fileio
 from cfsync.dynamics import Trajectory
 from cfsync.fileio import (
     format_number,
+    load_case,
     read_generator_csv,
     read_trajectory_csv,
+    save_case,
     write_csv,
     write_generator_csv,
     write_trajectory_csv,
+)
+from cfsync.grid_model import (
+    BusSpec,
+    CaseError,
+    Event,
+    ExciterSpec,
+    GeneratorSpec,
+    GovernorSpec,
+    LineSpec,
+    LoadSpec,
+    NetworkCase,
 )
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_load_shed.py"
@@ -427,3 +443,255 @@ class TestReadBack:
         assert sorted(parsed) == sorted(kept)
         for name in kept:
             assert parsed[name] == kept[name], name
+
+
+# save_case's text for GOLDEN_CASE: every field that may be None is None
+# in one spec and set in another, and an event has a description
+GOLDEN_TEXT = """\
+{
+  "s_base": 100.0,
+  "f_nominal": 50.0,
+  "buses": [
+    {
+      "id": 1,
+      "kind": "slack",
+      "base_kv": 16.5,
+      "subnet": "A",
+      "v_set": 1.04
+    },
+    {
+      "id": 2,
+      "kind": "pv",
+      "base_kv": 18.0,
+      "subnet": "A",
+      "v_set": 1.025
+    },
+    {
+      "id": 3,
+      "kind": "pv",
+      "base_kv": 13.8,
+      "subnet": "A",
+      "v_set": 1.025
+    },
+    {
+      "id": 4,
+      "kind": "pq",
+      "base_kv": 230.0,
+      "subnet": "A"
+    }
+  ],
+  "lines": [
+    {
+      "from": 1,
+      "to": 4,
+      "r": 0.01,
+      "x": 0.085,
+      "b_sh": 0.176,
+      "tap": 1.0,
+      "in_service": true
+    },
+    {
+      "from": 2,
+      "to": 4,
+      "r": 0.0,
+      "x": 0.0625,
+      "b_sh": 0.0,
+      "tap": 1.05,
+      "in_service": false
+    }
+  ],
+  "generators": [
+    {
+      "bus": 1,
+      "H": 23.64,
+      "D": 47.3,
+      "xdp": 0.0608,
+      "s_machine": 100.0,
+      "p_set": 0.7,
+      "governor": {
+        "r_gov": 0.05,
+        "t_gov": 0.5
+      },
+      "exciter": {
+        "k_ex": 50.0,
+        "t_ex": 0.05,
+        "v_ref": 1.04
+      }
+    },
+    {
+      "bus": 2,
+      "H": 6.4,
+      "D": 12.8,
+      "xdp": 0.1198,
+      "s_machine": 100.0,
+      "p_set": 0.0,
+      "exciter": {
+        "k_ex": 40.0,
+        "t_ex": 0.1
+      }
+    },
+    {
+      "bus": 3,
+      "H": 3.01,
+      "D": 6.0,
+      "xdp": 0.1813,
+      "s_machine": 100.0,
+      "p_set": 0.0,
+      "governor": {
+        "r_gov": 0.05,
+        "t_gov": 0.5
+      }
+    }
+  ],
+  "loads": [
+    {
+      "bus": 4,
+      "p": 1.25,
+      "q": 0.5
+    }
+  ],
+  "subnets": {
+    "A": [
+      1,
+      2,
+      3,
+      4
+    ]
+  },
+  "events": [
+    {
+      "time": 1.0,
+      "kind": "line_trip",
+      "from": 1,
+      "to": 4,
+      "description": ""
+    },
+    {
+      "time": 2.0,
+      "kind": "q_injection_step",
+      "bus": 4,
+      "dq": 0.2,
+      "description": "capacitor bank"
+    }
+  ]
+}
+"""
+
+GOLDEN_CASE = NetworkCase(
+    s_base=100.0, f_nominal=50.0,
+    buses=[BusSpec(1, "slack", 16.5, "A", v_set=1.04),
+           BusSpec(2, "pv", 18.0, "A", v_set=1.025),
+           BusSpec(3, "pv", 13.8, "A", v_set=1.025),
+           BusSpec(4, "pq", 230.0, "A")],
+    lines=[LineSpec(1, 4, 0.01, 0.085, b_sh=0.176),
+           LineSpec(2, 4, 0.0, 0.0625, tap=1.05, in_service=False)],
+    generators=[
+        GeneratorSpec(1, 23.64, 47.3, 0.0608, 100.0, p_set=0.7,
+                      governor=GovernorSpec(0.05, 0.5),
+                      exciter=ExciterSpec(50.0, 0.05, v_ref=1.04)),
+        GeneratorSpec(2, 6.4, 12.8, 0.1198, 100.0,
+                      exciter=ExciterSpec(40.0, 0.1)),
+        GeneratorSpec(3, 3.01, 6.0, 0.1813, 100.0,
+                      governor=GovernorSpec(0.05, 0.5))],
+    loads=[LoadSpec(4, 1.25, 0.5)],
+    subnets={"A": [1, 2, 3, 4]},
+    events=[Event(1.0, "line_trip", {"from": 1, "to": 4}),
+            Event(2.0, "q_injection_step", {"bus": 4, "dq": 0.2},
+                  "capacitor bank")])
+
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def network_cases(draw):
+    """A case that passes validate, with each field that may be None drawn
+    None or set, one event of each kind, and a param named ``params``."""
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=5,
+                        unique=True))
+    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3,
+                          unique=True))
+    kinds = ["slack"] + [draw(st.sampled_from(["pv", "pq"])) for _ in ids[1:]]
+    buses = [BusSpec(i, k, draw(NUMBERS), draw(st.sampled_from(names)),
+                     draw(POSITIVE if k != "pq" else st.none() | POSITIVE))
+             for i, k in zip(ids, kinds)]
+    ends = st.lists(st.sampled_from(ids), min_size=2, max_size=2,
+                    unique=True)
+    lines = [LineSpec(*draw(ends), draw(NUMBERS), draw(NUMBERS),
+                      draw(NUMBERS), draw(NUMBERS),
+                      n == 0 or draw(st.booleans()))  # line 0 is tripped
+             for n in range(draw(st.integers(1, 4)))]
+    generators = [
+        GeneratorSpec(
+            bus, draw(POSITIVE), draw(POSITIVE | st.just(0.0)),
+            draw(POSITIVE), draw(NUMBERS), draw(NUMBERS),
+            draw(st.none() | st.builds(GovernorSpec, POSITIVE, NUMBERS)),
+            draw(st.none() | st.builds(ExciterSpec, NUMBERS, NUMBERS,
+                                       st.none() | NUMBERS)))
+        for bus in draw(st.lists(st.sampled_from(ids), unique=True))]
+    loads = [LoadSpec(draw(st.sampled_from(ids)), draw(NUMBERS),
+                      draw(NUMBERS))
+             for _ in range(draw(st.integers(0, 3)))]
+    json_values = st.none() | st.booleans() | NUMBERS | st.text() \
+        | st.lists(st.integers())
+    bus, time, text = st.sampled_from(ids), POSITIVE | st.just(0.0), st.text()
+    events = [
+        Event(draw(time), "load_scale", {"bus": draw(bus),
+                                         "p_factor": draw(NUMBERS),
+                                         "q_factor": draw(NUMBERS)},
+              draw(text)),
+        Event(draw(time), "line_trip", {"from": lines[0].from_bus,
+                                        "to": lines[0].to_bus},
+              draw(text)),
+        Event(draw(time), "q_injection_step",
+              {"bus": draw(bus), "dq": draw(NUMBERS),
+               "params": draw(json_values)}, draw(text))]
+    return NetworkCase(
+        draw(POSITIVE), draw(POSITIVE), buses, lines, generators, loads,
+        {name: [b.id for b in buses if b.subnet == name] for name in names},
+        draw(st.permutations(events)))
+
+
+class TestCaseJson:
+    def test_save_case_text_is_pinned(self, tmp_path):
+        path = tmp_path / "case.json"
+        save_case(GOLDEN_CASE, path)
+        assert path.read_text() == GOLDEN_TEXT
+        assert load_case(path) == GOLDEN_CASE
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(network_cases())
+    def test_load_inverts_save(self, tmp_path, case):
+        path = tmp_path / "case.json"
+        save_case(case, path)
+        assert load_case(path) == case
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(network_cases(), st.data())
+    def test_a_value_of_the_wrong_type_is_named(self, tmp_path, case, data):
+        # a number becomes a string, a string a number and a bool an int;
+        # the extra param named "params" may hold any value
+        def leaves(obj, path):
+            if not isinstance(obj, (dict, list)):
+                yield path
+                return
+            for k, v in (obj.items() if isinstance(obj, dict)
+                         else enumerate(obj)):
+                if k != "params":
+                    yield from leaves(v, path + [k])
+
+        doc = fileio.case_to_dict(case)
+        path = data.draw(st.sampled_from(list(leaves(doc, []))))
+        *parents, last = path
+        holder = functools.reduce(operator.getitem, parents, doc)
+        value = holder[last]
+        holder[last] = (int(value) if isinstance(value, bool)
+                        else 1 if isinstance(value, str) else str(value))
+        out = tmp_path / "case.json"
+        out.write_text(json.dumps(doc))
+        with pytest.raises(CaseError) as err:
+            load_case(out)
+        assert str([k for k in path if isinstance(k, str)][-1]) \
+            in str(err.value)
