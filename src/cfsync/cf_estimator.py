@@ -11,11 +11,12 @@ divided by their count.
 The estimator takes blocks of rows of about ``_BLOCK_VALUES`` values, each
 with the halo rows its stencil and moving average need, through log or
 angle, derivative and average in turn. Beyond its two (n_samples, n_bus)
-outputs it holds a few block-sized temporaries (about 2.7 MiB at 270
+outputs it holds a few block-sized temporaries (about 2 MiB at 270
 buses), and every derivative bit is that of np.gradient over the whole
-array. Only a series whose angle steps by pi or more is unwrapped, a block
-at a time too: each block carries on the running sum of np.unwrap's
-corrections from the block before, and gets its bits.
+array. Only a series whose angle steps by pi or more is unwrapped: by
+np.unwrap, a block of whole columns at a time (columns unwrap on their
+own), into eps's output array, which holds the angles until omega is
+taken from them and eps is written over them.
 """
 from __future__ import annotations
 
@@ -112,39 +113,6 @@ def _steps_below_pi(x: np.ndarray) -> bool:
     return True
 
 
-def _unwrapped_rows(theta: np.ndarray):
-    """``rows_of`` for ``np.unwrap(theta, axis=0)``, bit for bit, for the
-    requests (s0, s1) of ``_smoothed_derivative``: each starts no earlier
-    than the one before and no later than its last row.
-
-    np.unwrap adds to row i the running sum, in row order, of the
-    corrections of the steps before it. Each request sums its own steps'
-    corrections onto the sum it starts from, which the request before it
-    computed, so no (n, width) temporary exists."""
-    # the first row of the last request, the sum added to it (None on row
-    # 0, which gets none) and the sums added to its later rows
-    last: list = [0, None, None]
-
-    def rows_of(s0: int, s1: int) -> np.ndarray:
-        r, first, rest = last
-        start = None if s0 == 0 else first if s0 == r else rest[s0 - r - 1]
-        out = theta[s0:s1].copy()
-        step = np.diff(out, axis=0)
-        # np.unwrap's correction of each step, for period 2 pi
-        fold = np.mod(step + np.pi, 2 * np.pi) - np.pi
-        np.copyto(fold, np.pi, where=(fold == -np.pi) & (step > 0))
-        fold -= step
-        np.copyto(fold, 0, where=np.abs(step) < np.pi)
-        if start is not None:
-            fold[:1] += start
-            out[0] += start
-        out[1:] += np.cumsum(fold, axis=0, out=fold)
-        last[:] = s0, start, fold
-        return out
-
-    return rows_of
-
-
 def _average_rows(out: np.ndarray, d: np.ndarray, d0: int, r0: int, n: int,
                   window: int) -> None:
     """Rows r0:r0 + len(out) of the centred moving average of an n-row 2-D
@@ -164,18 +132,22 @@ def _average_rows(out: np.ndarray, d: np.ndarray, d0: int, r0: int, n: int,
             + 1.0)[:, None]
 
 
-def _smoothed_derivative(rows_of, n: int, width: int, dt: float, window: int,
-                         offset: float | None = None) -> np.ndarray:
+def _smoothed_derivative(f: np.ndarray, dt: float, window: int,
+                         log: bool = False, offset: float | None = None,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """The centred moving average over ``window`` rows of
-    ``np.gradient(F, dt, axis=0, edge_order=2) [+ offset]``, for the
-    (n, width) series F whose rows s0:s1 ``rows_of(s0, s1)`` gives.
+    ``np.gradient(F, dt, axis=0, edge_order=2) [+ offset]``, F being the
+    (n, width) array ``f``, or ``np.log(f)`` with ``log``. It is written
+    to ``out``, a new array if None, which must not overlap ``f``.
 
     Works a block of rows at a time: each reads its rows plus the halo its
     moving average and stencil need, so no (n, width) temporary exists.
     With one scalar step, np.gradient of a block gives the whole array's
     bits on every row it differentiates centrally and on F's own first and
     last rows; its one-sided rows at a block's inner ends are not kept."""
-    out = np.empty((n, width))
+    n, width = f.shape
+    if out is None:
+        out = np.empty((n, width))
     before, after = window // 2, (window - 1) // 2
     step = block_len(width)
     for r0 in range(0, n, step):
@@ -183,8 +155,8 @@ def _smoothed_derivative(rows_of, n: int, width: int, dt: float, window: int,
         d0, d1 = max(0, r0 - before), min(n, r1 + after)  # rows averaged
         # sample rows their stencils take: neighbours, or 3 at an end
         s0, s1 = max(0, min(d0 - 1, n - 3)), min(n, max(d1 + 1, 3))
-        d = np.gradient(rows_of(s0, s1), dt, axis=0,
-                        edge_order=2)[d0 - s0:d1 - s0]
+        rows = np.log(f[s0:s1]) if log else f[s0:s1]
+        d = np.gradient(rows, dt, axis=0, edge_order=2)[d0 - s0:d1 - s0]
         if offset is not None:
             d += offset
         if window == 1:
@@ -206,10 +178,11 @@ def estimate_complex_frequency(
     derivative; a non-uniform grid raises ValueError. eps smooths
     ``np.gradient(np.log(v), dt, axis=0, edge_order=2)`` and omega smooths
     ``np.gradient(theta, dt, axis=0, edge_order=2) + omega_s``, theta
-    through ``np.unwrap`` only where it steps by pi or more. Row i of
-    either averages the derivative rows i - smoothing_window // 2 to
-    i + (smoothing_window - 1) // 2 that exist: their left-to-right sum
-    from 0.0, divided by their count. Window 1 keeps the derivative.
+    through ``np.unwrap(theta, axis=0)`` only where it steps by pi or
+    more. Row i of either averages the derivative rows
+    i - smoothing_window // 2 to i + (smoothing_window - 1) // 2 that
+    exist: their left-to-right sum from 0.0, divided by their count.
+    Window 1 keeps the derivative.
     """
     times = np.asarray(traj.times, dtype=float)
     v = np.asarray(traj.v, dtype=float)
@@ -228,11 +201,15 @@ def estimate_complex_frequency(
             raise ValueError(f"non-positive voltage at bus "
                              f"{traj.bus_ids[k]}, t={times[lo + i]:.6g} s")
 
-    eps = _smoothed_derivative(lambda s0, s1: np.log(v[s0:s1]), n, width,
-                               dt, smoothing_window)
-    angle = (lambda s0, s1: theta[s0:s1]) if _steps_below_pi(theta) \
-        else _unwrapped_rows(theta)
-    omega = _smoothed_derivative(angle, n, width, dt, smoothing_window,
+    eps = np.empty((n, width))
+    angle = theta
+    if not _steps_below_pi(theta):
+        angle = eps  # holds the unwrapped angles until omega is taken
+        cols = block_len(n)
+        for c0 in range(0, width, cols):
+            eps[:, c0:c0 + cols] = np.unwrap(theta[:, c0:c0 + cols], axis=0)
+    omega = _smoothed_derivative(angle, dt, smoothing_window,
                                  offset=traj.omega_s)
+    _smoothed_derivative(v, dt, smoothing_window, log=True, out=eps)
     return ComplexFrequencySeries(times=times, bus_ids=list(traj.bus_ids),
                                   eps=eps, omega=omega)

@@ -732,7 +732,6 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     the current network; the steps up to the next event are not taken, and
     their recorded rows repeat that state."""
     config.validate()
-    case.validate()
     pf = solve_power_flow(case)
     state, net = initialize_dynamics(case, pf)
 

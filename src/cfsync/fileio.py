@@ -4,7 +4,8 @@ A case file is JSON holding the fields of NetworkCase and its spec
 dataclasses (angles in radians, impedances per-unit on s_base, H in
 seconds on machine base), read and written by one walk over the specs'
 fields and type hints: see ``_read`` and ``_write``. A value of the wrong
-type, or a required field left out, raises a CaseError naming its key.
+type or a non-finite number, a required field left out, or a key that
+names no field raises a CaseError naming its key.
 
 A recorded run is two CSVs, both described by ``_SERIES``: the trajectory
 (``t,v_1,theta_1,...``, event times in a leading ``# events:`` line) and
@@ -54,7 +55,7 @@ import numpy as np
 from . import __version__
 from .cf_estimator import uniform_step
 from .dynamics import Trajectory
-from .grid_model import CaseError, Event, NetworkCase
+from .grid_model import CaseError, Event, NetworkCase, is_finite_number
 
 _FMT = "%.17g"  # 17 significant digits: every double round-trips
 _CHUNK = 1 << 14  # values formatted per step, bounding the work arrays
@@ -382,7 +383,7 @@ def _kept(kind: str, path: Path) -> np.ndarray | None:
 _KEYS = {"from_bus": "from", "to_bus": "to", "h": "H", "d": "D"}
 # an event's own keys; every other key of its object is one of its params
 _EVENT_KEYS = ("time", "kind", "description")
-_EXPECTED = {float: "a number", int: "an integer", str: "a string",
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string",
              bool: "true or false", list: "a list"}
 
 
@@ -396,9 +397,10 @@ def _fields(spec: type) -> list[tuple[dataclasses.Field, str, object]]:
 
 def _read(hint, value, key: str):
     """The JSON ``value`` read as type ``hint``, or a CaseError naming
-    ``key``. A float takes any number but a bool; an int, str or bool
-    exactly that type; a spec or dict an object, whose members are read by
-    their own hints; null is taken only by ``X | None``."""
+    ``key``. A float takes any finite number but a bool; an int, str or
+    bool exactly that type; a spec or dict an object, whose members are
+    read by their own hints; null is taken only by ``X | None``. A spec's
+    object may hold no key that names none of its fields."""
     if typing.get_origin(hint) is types.UnionType:  # X | None
         return None if value is None \
             else _read(typing.get_args(hint)[0], value, key)
@@ -407,7 +409,7 @@ def _read(hint, value, key: str):
     if spec or kind is dict:
         ok = isinstance(value, dict)
     elif kind is float:
-        ok = type(value) in (int, float)
+        ok = type(value) in (int, float) and is_finite_number(value)
     else:
         ok = type(value) is kind
     if not ok:
@@ -425,6 +427,14 @@ def _read(hint, value, key: str):
         value = {**{k: value[k] for k in _EVENT_KEYS if k in value},
                  "params": {k: v for k, v in value.items()
                             if k not in _EVENT_KEYS}}
+    names = [name for _, name, _ in _fields(kind)]
+    for name in value:
+        if name not in names:
+            import difflib  # on this error only: start-up stays without it
+            near = difflib.get_close_matches(name, names, n=1)
+            raise CaseError(
+                f"case field {key + '.' if key else ''}{name}: unknown key"
+                + (f", did you mean {near[0]!r}?" if near else ""))
     found = {}
     for f, name, field_hint in _fields(kind):
         where = f"{key}.{name}" if key else name

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,13 @@ class CaseError(ValueError):
 
 class PowerFlowError(RuntimeError):
     """Newton power flow failed or the network is unsolvable."""
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that is finite as a
+    float: not NaN or ±inf, and no int beyond the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -134,9 +142,15 @@ class NetworkCase:
                 raise CaseError(f"bus {b.id}: unknown kind {b.kind!r}")
             if b.kind in ("slack", "pv") and b.v_set is None:
                 raise CaseError(f"bus {b.id}: {b.kind} bus requires v_set")
+            if b.v_set is not None and b.v_set <= 0:
+                raise CaseError(f"bus {b.id}: v_set must be > 0")
         for ln in self.lines:
             if ln.from_bus == ln.to_bus:
                 raise CaseError(f"line {ln.key}: from == to")
+            if ln.r == 0 and ln.x == 0:
+                raise CaseError(f"line {ln.key}: r and x must not both be 0")
+            if ln.tap <= 0:
+                raise CaseError(f"line {ln.key}: tap must be > 0")
             for end in ln.key:
                 if end not in known:
                     raise CaseError(f"line {ln.key}: unknown bus {end}")
@@ -153,8 +167,15 @@ class NetworkCase:
                 raise CaseError(f"generator at bus {g.bus}: D must be >= 0")
             if g.xdp <= 0:
                 raise CaseError(f"generator at bus {g.bus}: xdp must be > 0")
+            if g.s_machine <= 0:
+                raise CaseError(
+                    f"generator at bus {g.bus}: s_machine must be > 0")
             if g.governor is not None and g.governor.r_gov <= 0:
                 raise CaseError(f"generator at bus {g.bus}: R_gov must be > 0")
+            if g.governor is not None and g.governor.t_gov <= 0:
+                raise CaseError(f"generator at bus {g.bus}: t_gov must be > 0")
+            if g.exciter is not None and g.exciter.t_ex <= 0:
+                raise CaseError(f"generator at bus {g.bus}: t_ex must be > 0")
         for ld in self.loads:
             if ld.bus not in known:
                 raise CaseError(f"load at unknown bus {ld.bus}")
@@ -177,12 +198,11 @@ class NetworkCase:
                 raise CaseError(f"unknown event kind {ev.kind!r}")
             for name in EVENT_PARAMS[ev.kind]:
                 value = ev.params.get(name)
-                if isinstance(value, bool) \
-                        or not isinstance(value, numbers.Real):
+                if not is_finite_number(value):
                     raise CaseError(
                         f"{ev.kind} event at t={ev.time}: param {name!r} "
                         + ("is missing" if name not in ev.params
-                           else f"must be a number, not {value!r}"))
+                           else f"must be a finite number, not {value!r}"))
             if ev.kind in ("load_scale", "q_injection_step"):
                 if ev.params["bus"] not in known:
                     raise CaseError(f"event at unknown bus {ev.params['bus']}")

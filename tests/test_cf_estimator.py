@@ -396,9 +396,10 @@ class TestBlockwise:
 
     def test_wrapped_trip_unwraps_a_block_at_a_time(self, traced_peak):
         # 5,001 x 270 angles wrapped into (-pi, pi], each bus turning at its
-        # own speed, so that wraps fall in every block and corrections
-        # carry across each block boundary. Whole-array np.unwrap held
-        # 41 MiB beyond the two 10.3 MiB outputs here
+        # own speed, so that wraps fall in every block of columns the
+        # unwrap takes and in every block of rows the derivative takes.
+        # Whole-array np.unwrap, with its temporaries, held 41 MiB beyond
+        # the two 10.3 MiB outputs here
         rng = np.random.default_rng(0)
         t = np.arange(5001) * 2e-3
         phase = rng.uniform(0, 2 * math.pi, 270)
@@ -410,6 +411,10 @@ class TestBlockwise:
             270)
         assert set(blocks) == set(range(5000 // cf_estimator.block_len(270)
                                         + 1))
+        cols = np.flatnonzero(wraps.any(axis=0)) // cf_estimator.block_len(
+            5001)
+        assert set(cols) == set(range(269 // cf_estimator.block_len(5001)
+                                      + 1))
         traj = make_traj(t, v, theta)
         cf, peak = traced_peak(lambda: estimate_complex_frequency(traj))
         outputs = cf.eps.nbytes + cf.omega.nbytes

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import json
+import operator
+import shutil
 import warnings
 from pathlib import Path
 
@@ -219,15 +222,38 @@ class TestSimulate:
         (SHED, lambda d: d["events"][0].update(p_factor="0.5"),
          "param 'p_factor'"),
         (SHED, lambda d: d["events"][0].update(bus=True), "param 'bus'"),
+        (SHED, lambda d: d["events"][0].update(time=float("nan")),
+         "events[0].time"),
+        (SHED, lambda d: d["generators"][0].update(H=float("inf")),
+         "generators[0].H"),
+        (SHED, lambda d: d.update(s_base=float("nan")), "s_base"),
+        (SHED, lambda d: d["events"].__setitem__(
+            0, {"time": 2.0, "kind": "q_injection_step", "bus": 8,
+                "dq": float("nan")}), "param 'dq'"),
+        (SHED, lambda d: d["lines"][0].update(in_servce=False),
+         "lines[0].in_servce: unknown key, did you mean 'in_service'?"),
+        (SHED, lambda d: d["lines"][0].update(r=0.0, x=0.0), "r and x"),
+        (SHED, lambda d: d["lines"][0].update(tap=0), "tap"),
+        (SHED, lambda d: d["generators"][0].update(s_machine=0),
+         "s_machine"),
+        (SHED, lambda d: d["generators"][0]["governor"].update(t_gov=0),
+         "t_gov"),
+        (SHED, lambda d: d["generators"][0].update(
+            exciter={"k_ex": 50.0, "t_ex": 0}), "t_ex"),
     ], ids=["buses_a_number", "H_a_string", "x_a_string", "p_a_string",
             "subnets_a_list", "subnet_a_number", "line_a_number",
             "s_base_null", "in_service_0", "H_true", "governor_empty",
             "no_bus", "no_q_factor", "no_to", "no_dq", "p_factor_a_string",
-            "bus_true"])
+            "bus_true", "time_nan", "H_inf", "s_base_nan", "dq_nan",
+            "in_service_misspelled", "r_x_zero", "tap_0", "s_machine_0",
+            "t_gov_0", "t_ex_0"])
     def test_malformed_case_exits_2(self, tmp_path, capsys, path, edit, key):
-        # each used to end in a traceback (exit 1), a disconnected network
-        # (in_service 0, exit 4) or a run (H true as 1 s, governor {} as
-        # none, an event bus true as bus 1)
+        # each used to end in a traceback (exit 1: a NaN event time, and a
+        # zero divisor: r = x = 0, tap, s_machine, t_gov or t_ex), a
+        # disconnected network (in_service 0, exit 4), a numerical error
+        # (s_base NaN, dq NaN: exit 4) or a run (H true as 1 s, H infinite,
+        # governor {} as none, an event bus true as bus 1, a misspelled
+        # in_service as in service)
         data = json.loads(Path(path).read_text())
         edit(data)
         bad = tmp_path / "case.json"
@@ -873,6 +899,83 @@ class TestMalformedRecordedRun:
             rc = main(command + ["--traj", traj,
                                  "--outdir", str(run / "out")])
             assert rc in (0, 2, 3), (command, rc)
+
+
+def json_paths(doc, path=()):
+    """The key or index path of every value in the JSON document ``doc``
+    below its root, in document order."""
+    items = doc.items() if isinstance(doc, dict) \
+        else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield [*path, k]
+        yield from json_paths(v, [*path, k])
+
+
+class TestMalformedCase:
+    """The case-file twin of TestMalformedRecordedRun: no edit of a saved
+    case makes ``simulate`` raise. It runs (exit 0) or exits 2, 3 or 4 with
+    an error and no trajectory, and it exits 2 on a non-finite number, a
+    value of another type, a duplicated bus id or a misspelled spec key."""
+
+    # 3 s, so that the load shed's event at 2 s is applied; an edited
+    # event time may fall beyond that, which warns
+    @pytest.mark.filterwarnings("ignore:event at t=.* is beyond t_end")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_simulate_exits_with_a_code(self, tmp_path, capsys, data):
+        case = tmp_path / "saved.json"
+        save_case(load_case(SHED), case)
+        doc = json.loads(case.read_text())
+        edit = data.draw(st.sampled_from([
+            "drop", "retype", "nan", "inf", "-inf", "zero", "negative",
+            "misspell", "duplicate_id"]), label="edit")
+        paths = list(json_paths(doc))
+        if edit == "misspell":
+            paths = [p for p in paths if isinstance(p[-1], str)]
+        path = data.draw(st.sampled_from(paths), label="path")
+        *parents, last = path
+        holder = functools.reduce(operator.getitem, parents, doc)
+        value = holder[last]
+        # an event keeps unknown keys as params, and a subnet's name is
+        # free, so a misspelling under either may still be a valid case
+        must_reject = edit in ("retype", "nan", "inf", "-inf",
+                               "duplicate_id") or edit == "misspell" and (
+            len(path) == 1 or path[0] not in ("events", "subnets"))
+        if edit == "drop":
+            del holder[last]
+        elif edit == "retype":
+            holder[last] = 1 if isinstance(value, str) else json.dumps(value)
+        elif edit == "misspell":
+            i = data.draw(st.integers(0, len(last) - 1), label="letter")
+            name = last[:i] + last[i + 1:]
+            holder[name + "_" * (name in holder)] = holder.pop(last)
+        elif edit == "duplicate_id":
+            i, j = data.draw(st.lists(st.integers(0, len(doc["buses"]) - 1),
+                                      min_size=2, max_size=2, unique=True),
+                             label="buses")
+            doc["buses"][i]["id"] = doc["buses"][j]["id"]
+        else:
+            holder[last] = {
+                "nan": float("nan"), "inf": float("inf"),
+                "-inf": float("-inf"), "zero": 0,
+                "negative": -abs(value) if type(value) in (int, float)
+                and value else -1}[edit]
+        case.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        rc = main(["simulate", "--case", str(case), "--t-end", "3",
+                   "--dt", "0.01", "--outdir", str(out)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert not must_reject, (edit, path)
+            assert (out / "trajectory.csv").exists()
+        else:
+            assert rc in ((2,) if must_reject else (2, 3, 4)), (edit, path,
+                                                                err)
+            assert err.startswith("error: ")
+            assert not (out / "trajectory.csv").exists()
 
 
 class TestRoundTrips:

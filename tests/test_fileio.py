@@ -617,16 +617,17 @@ def network_cases(draw):
              for i, k in zip(ids, kinds)]
     ends = st.lists(st.sampled_from(ids), min_size=2, max_size=2,
                     unique=True)
-    lines = [LineSpec(*draw(ends), draw(NUMBERS), draw(NUMBERS),
-                      draw(NUMBERS), draw(NUMBERS),
+    impedances = st.tuples(NUMBERS, NUMBERS).filter(lambda z: z != (0, 0))
+    lines = [LineSpec(*draw(ends), *draw(impedances), draw(NUMBERS),
+                      draw(POSITIVE),
                       n == 0 or draw(st.booleans()))  # line 0 is tripped
              for n in range(draw(st.integers(1, 4)))]
     generators = [
         GeneratorSpec(
             bus, draw(POSITIVE), draw(POSITIVE | st.just(0.0)),
-            draw(POSITIVE), draw(NUMBERS), draw(NUMBERS),
-            draw(st.none() | st.builds(GovernorSpec, POSITIVE, NUMBERS)),
-            draw(st.none() | st.builds(ExciterSpec, NUMBERS, NUMBERS,
+            draw(POSITIVE), draw(POSITIVE), draw(NUMBERS),
+            draw(st.none() | st.builds(GovernorSpec, POSITIVE, POSITIVE)),
+            draw(st.none() | st.builds(ExciterSpec, NUMBERS, POSITIVE,
                                        st.none() | NUMBERS)))
         for bus in draw(st.lists(st.sampled_from(ids), unique=True))]
     loads = [LoadSpec(draw(st.sampled_from(ids)), draw(NUMBERS),

@@ -265,6 +265,13 @@ class TestApplyEvent:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("v_set", [0.0, -1.0])
+    def test_non_positive_v_set_rejected(self, v_set):
+        case = two_bus_case()
+        case.buses[0] = dataclasses.replace(case.buses[0], v_set=v_set)
+        with pytest.raises(CaseError, match="bus 1: v_set must be > 0"):
+            case.validate()
+
     def test_subnets_must_cover_buses(self):
         case = two_bus_case()
         case.subnets = {"A": [1]}
