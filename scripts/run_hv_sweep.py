@@ -8,7 +8,6 @@ inverse proportion.
 import argparse
 import sys
 
-from cfsync import bundled_case_path
 from cfsync.cli import main as cli
 
 
@@ -21,8 +20,7 @@ def run() -> int:
     ap.add_argument("--t-end", type=float, default=5.0)
     args = ap.parse_args()
 
-    return cli(["inertia", "--case", str(bundled_case_path("wscc9")),
-                "--sweep", args.h_v, "--q-step", str(args.q_step),
+    return cli(["inertia", "--sweep", args.h_v, "--q-step", str(args.q_step),
                 "--sweep-t-end", str(args.t_end),
                 "--outdir", args.outdir])
 

@@ -299,6 +299,8 @@ def cmd_inertia(args) -> int:
         raise InputError("nothing to do: pass --traj and/or --sweep")
 
     if args.traj:
+        if not args.case:
+            raise InputError("--case is required with --traj")
         case = load_case(args.case)
         gen_path = Path(args.gen) if args.gen \
             else Path(args.traj).with_name(Path(args.traj).stem + "_gen.csv")
@@ -496,9 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pi = sub.add_parser("inertia", help="generalized-inertia estimation")
-    pi.add_argument("--case", required=True,
-                    help="case JSON path, for its omega_s; a sweep-only run "
-                         "(--sweep without --traj) does not read it")
+    pi.add_argument("--case", help="case JSON path, for its omega_s; "
+                                   "needed only with --traj")
     pi.add_argument("--traj", help="trajectory CSV for estimation")
     pi.add_argument("--gen", help="generator-series CSV "
                                   "(default: <traj>_gen.csv)")

@@ -6,15 +6,18 @@ first-order exciter and droop governor. Loads are constant admittances, so the
 network is linear in the machine EMFs. The machine state is one C-contiguous
 (4, n_gen) array, the rows delta, omega, e_q and p_m, from
 ``initialize_dynamics`` through both kernels to the recorder. Each network
-state (the initial one and each one after an event) is Kron-reduced once to the
-machines' internal nodes: one (2 n_gen x n_gen) matrix maps the EMFs to the
-machine currents and the terminal voltages, and each derivative evaluation is
-one small matvec on it. Each network state binds one segment kernel, ``run``,
-on the path fixed when the network is built, and ``simulate`` calls it once
-per stretch between events; ``step`` is its one-step case. A network of at
-most ``_FLOAT_MAX_GEN`` (nine) machines steps in Python floats and complex,
-because on a few machines numpy's per-call cost outweighs its arithmetic. Its
-kernel is straight-line code with one local per state component (the
+state is a value, fixed once built: ``initialize_dynamics`` builds and binds
+the one before any event, and ``DynamicNetwork.apply_event`` returns the one
+after an event, leaving the state it is called on as it was. Each network
+state is Kron-reduced once to the machines' internal nodes: one (2 n_gen x
+n_gen) matrix maps the EMFs to the machine currents and the terminal
+voltages, and each derivative evaluation is one small matvec on it. Each
+network state binds one segment kernel, ``run``, on the path of the first
+state, and ``simulate`` calls it once per stretch between events; ``step``
+is its one-step case. A network of at most ``_FLOAT_MAX_GEN`` (nine)
+machines steps in Python floats and complex, because on a few machines
+numpy's per-call cost outweighs its arithmetic. Its kernel is
+straight-line code with one local per state component (the
 flattened state, row after row), generated and compiled once per shape
 (machine count, exciters or not) and bound to each network state's matrix
 entries and constants as closure variables. Larger networks step in numpy,
@@ -35,7 +38,6 @@ removed), so an undisturbed equilibrium has constant theta.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -133,7 +135,8 @@ class SimConfig:
 
 
 class DynamicNetwork:
-    """Algebraic network plus machine parameters for the dynamic phase.
+    """One network state of the dynamic phase: the algebraic network plus
+    machine parameters, bound to the operating point.
 
     The augmented admittance matrix ``y_aug`` folds in constant-admittance
     loads and the machine Norton shunts yd = 1/(j x'd); internal EMFs inject
@@ -147,27 +150,29 @@ class DynamicNetwork:
     n_gen) maps those currents to bus voltages. ``k_red`` stacks the
     Kron-reduced internal-node admittance Y_int (machine currents from
     EMFs) over the terminal-voltage transfer Z[gen, gen] diag(yd).
-    ``floats`` is fixed when the network is built: whether it steps in
-    Python floats (at most ``_FLOAT_MAX_GEN`` machines) or in numpy. Once
-    ``initialize_dynamics`` has set the constants, ``run`` is this network
-    state's segment kernel (see ``_segment_kernel``), bound to its
-    ``k_red`` and constants. On the float path ``float_derivs(x)`` is the
-    generated kernel's derivative on the flattened machine state (all
-    angles, then speeds, EMFs and mechanical powers); on the numpy path it
-    stays None.
+    ``tripped`` holds the lines tripped so far, each as the set of its
+    two bus ids. ``floats`` is whether it steps in Python floats (at most
+    ``_FLOAT_MAX_GEN`` machines when the first state is built) or in numpy.
+    ``_bind_kernel`` sets the operating point ``pm0``, ``e0`` and ``v_ref``
+    and this state's segment kernel ``run`` (see ``_segment_kernel``); on
+    the float path ``float_derivs(x)`` is the generated kernel's derivative
+    on the flattened machine state (all angles, then speeds, EMFs and
+    mechanical powers), and on the numpy path it is None.
 
-    ``rebuild`` and ``apply_event`` replace these arrays rather than write
-    into them, so a shallow copy keeps the network state it was taken in.
+    A state is a value: ``initialize_dynamics`` binds the first, and
+    ``apply_event`` returns each next one, bound. Nothing writes into a
+    bound state.
     """
 
     def __init__(self, case: NetworkCase, ybus: np.ndarray,
-                 load_adm: np.ndarray):
+                 load_adm: np.ndarray,
+                 tripped: frozenset[frozenset[int]] = frozenset()):
         self.case = case
         self.ws = case.omega_s
         idx = case.bus_index()
         gens = case.generators
-        self.n_gen = len(gens)
-        self.floats = self.n_gen <= _FLOAT_MAX_GEN
+        self.n_gen = ng = len(gens)
+        self.floats = ng <= _FLOAT_MAX_GEN
         self.gen_bus = np.array([idx[g.bus] for g in gens])
         self.xdp = np.array([g.xdp for g in gens])
         self.yd = 1.0 / (1j * self.xdp)
@@ -187,28 +192,10 @@ class DynamicNetwork:
                                for g in gens])
         self.inv_r_gov = np.array([1.0 / g.governor.r_gov if g.governor
                                    else 0.0 for g in gens])
-        # filled by initialize_dynamics
-        self.pm0 = np.zeros(self.n_gen)
-        self.e0 = np.ones(self.n_gen)
-        self.v_ref = np.ones(self.n_gen)
         self.ybus = ybus
         self.load_adm = load_adm
-        self.tripped: frozenset[frozenset[int]] = frozenset()
-        self.y_aug: np.ndarray | None = None
-        self.nbr_bus: np.ndarray | None = None
-        self.nbr_idx: np.ndarray | None = None
-        self.nbr_w: np.ndarray | None = None
-        self.nbr_len: list[int] = []
-        self.nbr_gen: np.ndarray | None = None
-        self.zg: np.ndarray | None = None
-        self.k_red: np.ndarray | None = None
-        self.float_derivs = None
-        self.run = None
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        n, ng = self.case.n_bus, self.n_gen
-        y = self.ybus + np.diag(self.load_adm)
+        self.tripped = tripped
+        y = ybus + np.diag(load_adm)
         y[self.gen_bus, self.gen_bus] += self.yd
         self.y_aug = y
         nonzero = y != 0
@@ -221,7 +208,7 @@ class DynamicNetwork:
         self.nbr_len = [int(np.count_nonzero(count > k))
                         for k in range(count.max())]
         self.nbr_gen = np.argsort(self.nbr_bus)[self.gen_bus]
-        unit = np.zeros((n, ng), dtype=complex)
+        unit = np.zeros((case.n_bus, ng), dtype=complex)
         unit[self.gen_bus, np.arange(ng)] = 1.0
         try:
             self.zg = np.linalg.solve(y, unit)  # generator columns of y^-1
@@ -230,15 +217,16 @@ class DynamicNetwork:
         z_term = self.zg[self.gen_bus] * self.yd  # Z[gen, gen] diag(yd)
         y_int = np.diag(self.yd) - self.yd[:, None] * z_term
         self.k_red = np.vstack([y_int, z_term])
-        if self.run is not None:
-            self._bind_kernel()
 
-    def _bind_kernel(self) -> None:
-        """Bind this network state's segment kernel as ``run``: on the
-        float path over the generated kernel of its shape (whose derivative
-        is also bound, as ``float_derivs``), on the numpy path over
-        ``_numpy_kernel``; both bound to its ``k_red`` and per-machine
-        constants."""
+    def _bind_kernel(self, pm0: np.ndarray, e0: np.ndarray,
+                     v_ref: np.ndarray) -> None:
+        """Set the operating point (mechanical powers, EMF magnitudes and
+        exciter references) and bind this network state's segment kernel
+        as ``run``: on the float path over the generated kernel of its
+        shape (whose derivative is also bound, as ``float_derivs``), on the
+        numpy path over ``_numpy_kernel``; both bound to its ``k_red`` and
+        per-machine constants."""
+        self.pm0, self.e0, self.v_ref = pm0, e0, v_ref
         ng = self.n_gen
         if self.floats:
             rows = self.k_red if self.any_exc else self.k_red[:ng]
@@ -259,39 +247,39 @@ class DynamicNetwork:
             self.float_derivs = float_derivs
         else:
             rk4, trapezoidal = _numpy_kernel(self)
+            self.float_derivs = None
         self.run = _segment_kernel(ng, self.floats, rk4, trapezoidal)
 
-    def apply_event(self, event: Event) -> None:
-        line = None
+    def apply_event(self, event: Event) -> DynamicNetwork:
+        """The network state after ``event``: bound to this state's
+        operating point and on its path. This state is left as it was."""
+        tripped = self.tripped
         if event.kind == "line_trip":
             line = frozenset((event.params["from"], event.params["to"]))
-            if line in self.tripped:
+            if line in tripped:
                 raise CaseError(
                     f"line ({event.params['from']}, {event.params['to']}) "
                     "is already tripped")
-        self.ybus, self.load_adm = apply_event(
-            self.ybus, self.load_adm, event, self.case)
-        if line is not None:
-            self.tripped = self.tripped | {line}
-        self.rebuild()
+            tripped = tripped | {line}
+        ybus, load_adm = apply_event(self.ybus, self.load_adm, event,
+                                     self.case)
+        nxt = DynamicNetwork(self.case, ybus, load_adm, tripped)
+        nxt.floats = self.floats
+        nxt._bind_kernel(self.pm0, self.e0, self.v_ref)
+        return nxt
 
-    def reduced(self, delta: np.ndarray, e_q: np.ndarray,
-                terminal: bool = True):
+    def reduced(self, delta: np.ndarray, e_q: np.ndarray):
         """Machine electrical power and terminal-voltage magnitudes from the
         Kron-reduced network, for rotor angles ``delta`` and EMF magnitudes
-        ``e_q``, computed as a step of this network computes them; without
-        ``terminal`` the second is None."""
+        ``e_q``, computed as a step of this network computes them."""
         ng = self.n_gen
         if self.floats:  # as the float kernel computes them
             e = list(map(rect, e_q.tolist(), delta.tolist()))
             out = [functools.reduce(add, map(mul, row, e), 0)
-                   for row in self.k_red[:2 * ng if terminal else ng].tolist()]
+                   for row in self.k_red.tolist()]
             pe = [u.real * v.real + u.imag * v.imag for u, v in zip(e, out)]
-            v_abs = [abs(v) for v in out[ng:]]
-            return np.array(pe), np.array(v_abs) if terminal else None
+            return np.array(pe), np.array([abs(v) for v in out[ng:]])
         e_cplx = e_q * np.exp(1j * delta)
-        if not terminal:
-            return (e_cplx * np.conj(self.k_red[:ng] @ e_cplx)).real, None
         out = self.k_red @ e_cplx
         return (e_cplx * np.conj(out[:ng])).real, np.abs(out[ng:])
 
@@ -368,13 +356,11 @@ def initialize_dynamics(
         )
     # p_m = p_e: an exact fixed point of the dynamic equations
     state = np.array([delta, np.full(net.n_gen, case.omega_s), e_q, pe0])
-    net.pm0, net.e0 = pe0, e_q
-    net.v_ref = np.array([
+    net._bind_kernel(pe0, e_q, np.array([
         (g.exciter.v_ref if (g.exciter and g.exciter.v_ref is not None)
          else v_term[k])
         for k, g in enumerate(case.generators)
-    ])
-    net._bind_kernel()
+    ]))
     return state, net
 
 
@@ -763,11 +749,11 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     while True:
         ev_start = ev_pos
         while ev_pos < len(pending) and pending[ev_pos][0] == i:
-            net.apply_event(pending[ev_pos][1])
+            net = net.apply_event(pending[ev_pos][1])
             event_times.append(i * dt)
             ev_pos += 1
         if i == 0 or ev_pos > ev_start:
-            segments.append(((i + every - 1) // every, copy.copy(net)))
+            segments.append(((i + every - 1) // every, net))
         if i == n_steps:
             break
         stop = pending[ev_pos][0] if ev_pos < len(pending) else n_steps

@@ -154,12 +154,16 @@ class NetworkCase:
             for end in ln.key:
                 if end not in known:
                     raise CaseError(f"line {ln.key}: unknown bus {end}")
+        kinds = {b.id: b.kind for b in self.buses}
         gen_buses: set[int] = set()
         for g in self.generators:
             if g.bus not in known:
                 raise CaseError(f"generator at unknown bus {g.bus}")
             if g.bus in gen_buses:
                 raise CaseError(f"bus {g.bus}: more than one generator")
+            if kinds[g.bus] == "pq":
+                raise CaseError(
+                    f"generator at pq bus {g.bus} is not supported")
             gen_buses.add(g.bus)
             if g.h <= 0:
                 raise CaseError(f"generator at bus {g.bus}: H must be > 0")
@@ -176,6 +180,9 @@ class NetworkCase:
                 raise CaseError(f"generator at bus {g.bus}: t_gov must be > 0")
             if g.exciter is not None and g.exciter.t_ex <= 0:
                 raise CaseError(f"generator at bus {g.bus}: t_ex must be > 0")
+        for b in self.buses:
+            if b.kind != "pq" and b.id not in gen_buses:
+                raise CaseError(f"bus {b.id}: {b.kind} bus has no generator")
         for ld in self.loads:
             if ld.bus not in known:
                 raise CaseError(f"load at unknown bus {ld.bus}")
@@ -305,9 +312,6 @@ def solve_power_flow(
     p_spec = np.zeros(n)
     q_spec = np.zeros(n)
     for g in case.generators:
-        b = case.buses[idx[g.bus]]
-        if b.kind == "pq":
-            raise CaseError(f"generator at pq bus {g.bus} is not supported")
         p_spec[idx[g.bus]] += g.p_set
     for ld in case.loads:
         p_spec[idx[ld.bus]] -= ld.p

@@ -240,20 +240,29 @@ class TestSimulate:
          "t_gov"),
         (SHED, lambda d: d["generators"][0].update(
             exciter={"k_ex": 50.0, "t_ex": 0}), "t_ex"),
+        (SHED, lambda d: d["generators"].pop(0),
+         "bus 1: slack bus has no generator"),
+        (SHED, lambda d: d["generators"].pop(1),
+         "bus 2: pv bus has no generator"),
+        (SHED, lambda d: d["generators"].pop(2),
+         "bus 3: pv bus has no generator"),
+        (SHED, lambda d: d["generators"][1].update(bus=5),
+         "generator at pq bus 5 is not supported"),
     ], ids=["buses_a_number", "H_a_string", "x_a_string", "p_a_string",
             "subnets_a_list", "subnet_a_number", "line_a_number",
             "s_base_null", "in_service_0", "H_true", "governor_empty",
             "no_bus", "no_q_factor", "no_to", "no_dq", "p_factor_a_string",
             "bus_true", "time_nan", "H_inf", "s_base_nan", "dq_nan",
             "in_service_misspelled", "r_x_zero", "tap_0", "s_machine_0",
-            "t_gov_0", "t_ex_0"])
+            "t_gov_0", "t_ex_0", "no_gen_1", "no_gen_2", "no_gen_3",
+            "gen_at_pq_bus"])
     def test_malformed_case_exits_2(self, tmp_path, capsys, path, edit, key):
         # each used to end in a traceback (exit 1: a NaN event time, and a
         # zero divisor: r = x = 0, tap, s_machine, t_gov or t_ex), a
         # disconnected network (in_service 0, exit 4), a numerical error
-        # (s_base NaN, dq NaN: exit 4) or a run (H true as 1 s, H infinite,
-        # governor {} as none, an event bus true as bus 1, a misspelled
-        # in_service as in service)
+        # (s_base NaN, dq NaN, a slack or pv bus without a generator: exit
+        # 4) or a run (H true as 1 s, H infinite, governor {} as none, an
+        # event bus true as bus 1, a misspelled in_service as in service)
         data = json.loads(Path(path).read_text())
         edit(data)
         bad = tmp_path / "case.json"
@@ -402,12 +411,27 @@ class TestAnalyze:
 
 class TestInertia:
     def test_sweep_only_run_does_not_read_the_case(self, tmp_path):
-        # --case is required, but only --traj takes omega_s from it
+        # only --traj takes omega_s from the case, so a sweep never opens
+        # one it is given
         rc = main(["inertia", "--case", str(tmp_path / "absent.json"),
                    "--sweep", "1", "--sweep-t-end", "0.1",
                    "--outdir", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "hv_sweep.csv").exists()
+
+    def test_sweep_without_case_runs(self, tmp_path):
+        # --case is required only with --traj
+        rc = main(["inertia", "--sweep", "1", "--sweep-t-end", "0.1",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "hv_sweep.csv").exists()
+
+    def test_traj_without_case_exits_2(self, simdir, tmp_path, capsys):
+        rc = main(["inertia", "--traj", str(simdir / "trajectory.csv"),
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "--case is required with --traj" in capsys.readouterr().err
+        assert not (tmp_path / "inertia.json").exists()
 
     def test_sweep_peaks_strictly_decreasing(self, tmp_path):
         rc = main(["inertia", "--case", CASE, "--sweep", "1,2,4",

@@ -1,5 +1,4 @@
 import ast
-import copy
 import dataclasses
 import functools
 import math
@@ -150,7 +149,7 @@ class TestStateLayout:
             assert state.flags.c_contiguous, path
             assert (state[1] == case.omega_s).all(), path
             np.testing.assert_array_equal(state[3], net.pm0)
-            net.apply_event(case.events[0])  # off the fixed point
+            net = net.apply_event(case.events[0])  # off the fixed point
             for integrator in INTEGRATORS:
                 nxt = step(state, net, 1e-3, integrator)
                 assert nxt.shape == (4, 3), (path, integrator)
@@ -308,7 +307,7 @@ def numpy_oracle_derivs(state, net):
     """The numpy derivative as whole-array expressions, each result a new
     array: the operations of the numpy kernel in its order."""
     delta, omega, e_q, p_m = state
-    pe, v_abs = net.reduced(delta, e_q, net.any_exc)
+    pe, v_abs = net.reduced(delta, e_q)
     d_delta = omega - net.ws
     slip = d_delta / net.ws
     d_eq = (net.c_vref * (net.v_ref - v_abs) - net.c_eq * (e_q - net.e0)
@@ -351,8 +350,8 @@ def kernel_steps(monkeypatch):
     steps = {"floats": 0, "numpy": 0}
     bind = dynamics.DynamicNetwork._bind_kernel
 
-    def counted(net):
-        bind(net)
+    def counted(net, pm0, e0, v_ref):
+        bind(net, pm0, e0, v_ref)
         run = net.run
 
         def counted_run(*args):
@@ -397,8 +396,7 @@ def float_networks(which):
     assert net.floats and net.float_derivs is not None
     nets = [net]
     for event in (trip, inject):
-        nets.append(copy.copy(nets[-1]))
-        nets[-1].apply_event(event)
+        nets.append(nets[-1].apply_event(event))
     return state, nets
 
 
@@ -433,8 +431,8 @@ class TestFloatPath:
         rng = np.random.default_rng(3)
         for event in (None, trip, inject):
             if event is not None:
-                net_np.apply_event(event)
-                net_fl.apply_event(event)
+                net_np = net_np.apply_event(event)
+                net_fl = net_fl.apply_event(event)
             for _ in range(5):
                 x = state.copy()
                 x[0] += rng.normal(0.0, 0.3, net_np.n_gen)
@@ -485,12 +483,12 @@ class TestFloatPath:
         # from the initial state, and put through the record pass
         case = wscc9_loadshed
         state, net = initialize_dynamics(case, solve_power_flow(case))
-        nets = [(0, copy.copy(net))]
+        nets = [(0, net)]
         states = [state]
         for i in range(1, 20001):
             if i == 2001:  # the shed at t = 2 s takes effect at step 2000
-                net.apply_event(case.events[0])
-                nets.append((2000, copy.copy(net)))
+                net = net.apply_event(case.events[0])
+                nets.append((2000, net))
             states.append(oracle_step(states[-1], net, 1e-3, "rk4"))
         assert dynamics.step_index(case.events[0].time, 1e-3) == 2000
         rec = np.ascontiguousarray(np.array(states).transpose(1, 0, 2))
@@ -518,7 +516,7 @@ class TestFloatPath:
             state, net = initialize_dynamics(case, pf)
             monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", later)
             for event in (trip, inject):
-                net.apply_event(event)
+                net = net.apply_event(event)
             for integrator in INTEGRATORS:
                 kernel_steps.update(floats=0, numpy=0)
                 got = step(state, net, 1e-3, integrator)
@@ -538,7 +536,7 @@ class TestFloatPath:
         _, a = initialize_dynamics(wscc9, solve_power_flow(wscc9))
         _, b = initialize_dynamics(other, solve_power_flow(other))
         code = a.float_derivs.__code__
-        a.apply_event(Event(0.0, "line_trip", TRIP))
+        a = a.apply_event(Event(0.0, "line_trip", TRIP))
         info = dynamics._float_kernel.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert a.float_derivs.__code__ is code is b.float_derivs.__code__
@@ -621,7 +619,7 @@ class TestReducedNetwork:
             rng = np.random.default_rng(0)
             for trip in (None, Event(0.0, "line_trip", TRIP)):
                 if trip is not None:
-                    net.apply_event(trip)
+                    net = net.apply_event(trip)
                 for _ in range(5):
                     delta = state[0] + rng.normal(0.0, 0.3, net.n_gen)
                     e_q = state[2] * rng.uniform(0.9, 1.1, net.n_gen)
@@ -637,11 +635,37 @@ class TestReducedNetwork:
 
     def test_second_trip_of_a_line_is_refused(self, wscc9):
         _, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
-        net.apply_event(Event(1.0, "line_trip", {"from": 5, "to": 7}))
+        net = net.apply_event(Event(1.0, "line_trip", {"from": 5, "to": 7}))
         y_once = net.ybus.copy()
         with pytest.raises(CaseError, match="already tripped"):
             net.apply_event(Event(2.0, "line_trip", {"from": 7, "to": 5}))
         np.testing.assert_array_equal(net.ybus, y_once)
+
+    def test_event_leaves_its_receiver_as_it_was(self, wscc9_loadshed,
+                                                 each_path):
+        # apply_event returns the next network state; the one it is called
+        # on keeps its arrays, lines and kernel, and steps as before
+        case = wscc9_loadshed
+        for path in each_path():
+            state, net = initialize_dynamics(case, solve_power_flow(case))
+            x = state.copy()
+            x[0, 0] += 0.1  # off the fixed point
+            before = step(x, net, 1e-3).tobytes()
+            names = ("ybus", "k_red", "zg", "tripped", "run")
+            kept = {name: getattr(net, name) for name in names}
+            bits = {name: kept[name].tobytes() for name in names[:3]}
+            for event in (case.events[0], Event(0.0, "line_trip", TRIP)):
+                nxt = net.apply_event(event)
+                assert isinstance(nxt, dynamics.DynamicNetwork), path
+                assert nxt is not net, path
+                for name in names:
+                    assert getattr(net, name) is kept[name], (path, name)
+                for name, b in bits.items():
+                    assert getattr(net, name).tobytes() == b, (path, name)
+                assert net.tripped == frozenset(), path
+                assert step(x, net, 1e-3).tobytes() == before, path
+                assert step(x, nxt, 1e-3).tobytes() != before, path
+            assert nxt.tripped == {frozenset((5, 7))}, path
 
 
 def per_row_oracle(case, config):
@@ -654,7 +678,7 @@ def per_row_oracle(case, config):
     for i in range(n_steps + 1):
         for ev in pending:
             if int(math.ceil(ev.time / config.dt - 1e-9)) == i:
-                net.apply_event(ev)
+                net = net.apply_event(ev)
         if i % config.record_every == 0:
             e = state[2] * np.exp(1j * state[0])
             v = net.solve(e)
@@ -800,7 +824,7 @@ class TestSegmentKernel:
         rows = [state]
         for i in range(1, 301):
             if i - 1 in (50, 101):
-                net.apply_event(case.events[(i - 1) // 100])
+                net = net.apply_event(case.events[(i - 1) // 100])
             state = numpy_oracle_step(state, net, 1e-3, integrator)
             if i % 3 == 0:
                 rows.append(state)
@@ -821,7 +845,7 @@ class TestSegmentKernel:
         wild = [-0.0, 1e300, math.inf, -math.inf, math.nan]
         for event in (None, trip, inject):
             if event is not None:
-                net.apply_event(event)
+                net = net.apply_event(event)
             for n in range(60):
                 x = state.copy()
                 for row, scale in enumerate((1.0, 10.0, 0.2, 0.5)):
@@ -849,7 +873,7 @@ class TestSegmentKernel:
             monkeypatch.setattr(dynamics, "_STEP_BLOCK", 7 * 4 * 3 * (
                 32 if path == "floats" else 8))
             state, net = initialize_dynamics(case, solve_power_flow(case))
-            net.apply_event(case.events[0])
+            net = net.apply_event(case.events[0])
             for _ in range(81):
                 state = step(state, net, 0.02)
             with pytest.raises(SimulationError,
@@ -865,7 +889,7 @@ class TestSegmentKernel:
         case = wscc9_loadshed
         for path in each_path():
             state, net = initialize_dynamics(case, solve_power_flow(case))
-            net.apply_event(case.events[0])
+            net = net.apply_event(case.events[0])
             before = state.copy()
             taken, first = net.run(state, 1e-3, 5)
             kept = first.copy()
@@ -890,7 +914,7 @@ class TestNeighbourResidual:
         for event in (None, Event(0.0, "line_trip", {"from": 5, "to": 7}),
                       Event(0.0, "q_injection_step", {"bus": 8, "dq": 0.2})):
             if event is not None:
-                net.apply_event(event)
+                net = net.apply_event(event)
             # the lists hold exactly the nonzeros of y_aug, zeros past them
             rebuilt = np.zeros_like(net.y_aug)
             for k, n in enumerate(net.nbr_len):

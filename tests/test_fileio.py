@@ -629,7 +629,9 @@ def network_cases(draw):
             draw(st.none() | st.builds(GovernorSpec, POSITIVE, POSITIVE)),
             draw(st.none() | st.builds(ExciterSpec, NUMBERS, POSITIVE,
                                        st.none() | NUMBERS)))
-        for bus in draw(st.lists(st.sampled_from(ids), unique=True))]
+        # one generator at each slack or pv bus, none at a pq bus
+        for bus in draw(st.permutations(
+            [b.id for b in buses if b.kind != "pq"]))]
     loads = [LoadSpec(draw(st.sampled_from(ids)), draw(NUMBERS),
                       draw(NUMBERS))
              for _ in range(draw(st.integers(0, 3)))]
