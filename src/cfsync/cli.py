@@ -40,7 +40,7 @@ from .inertia import (
     simulate_capacitor_bus,
 )
 from .metrics import disturbance_region, node_metrics, subnet_metrics
-from .sync_detector import SyncConfig, evaluate, row_diameters
+from .sync_detector import SyncConfig, evaluate, final_window, row_diameters
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -247,6 +247,13 @@ def cmd_analyze(args) -> int:
                 else "the trajectory's first event, t_event ="
             raise ValueError(f"{given} {config.t_event!r} is after the end "
                              f"of the analysis, t_end = {config.t_end!r}")
+        try:
+            final_window(traj.times, config)
+        except ValueError as exc:
+            raise ValueError(
+                f"--window {config.window!r} is too short for the "
+                f"trajectory's step {float(traj.times[1] - traj.times[0])!r}:"
+                f" {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = build_report(traj, case, config, smoothing_window,
@@ -355,7 +362,7 @@ def cmd_inertia(args) -> int:
     if args.sweep:
         h_values = _sweep_values(args.sweep)
         model = CapacitorBusModel(
-            c_eq=args.c_eq, s_base=args.cap_s_base, v0=args.v0,
+            s_base=args.cap_s_base, v0=args.v0,
             q_step=args.q_step, t_step=args.t_step,
             q_load_coeff=args.q_load_coeff)
         try:
@@ -388,10 +395,6 @@ def cmd_inertia(args) -> int:
 
 def cmd_plotdata(args) -> int:
     outdir = _outdir(args)
-    if args.kind not in PLOT_KINDS:
-        raise InputError(
-            f"unknown figure kind {args.kind!r}; valid kinds: "
-            + ", ".join(PLOT_KINDS))
     report = _read("report", args.report)
     omega_s = _field(report, "report", "config.estimator.omega_s")
     smoothing_window = _field(report, "report",
@@ -402,8 +405,6 @@ def cmd_plotdata(args) -> int:
             f"be >= 1, got {smoothing_window}")
     nodes = _field(report, "report", "nodes", dict)
 
-    if not args.traj:
-        raise InputError(f"--traj is required for kind {args.kind!r}")
     traj = _read("trajectory", args.traj, read_trajectory_csv,
                  omega_s=omega_s)
     series = _estimate(traj, smoothing_window, args.traj)
@@ -509,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--smoothing-window", type=int, default=5)
     pi.add_argument("--sweep", help="comma-separated H_v values for the "
                                     "capacitor-bus sweep")
-    pi.add_argument("--c-eq", type=float, default=4.0)
     pi.add_argument("--cap-s-base", type=float, default=1.0)
     pi.add_argument("--v0", type=float, default=1.0)
     pi.add_argument("--q-step", type=float, default=0.1)
@@ -524,16 +524,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("plotdata", help="emit tidy per-figure CSVs")
     pp.add_argument("--report", required=True)
-    pp.add_argument("--traj")
-    pp.add_argument("--kind", required=True)
+    pp.add_argument("--traj", required=True)
+    pp.add_argument("--kind", required=True, choices=PLOT_KINDS)
     pp.add_argument("--outdir")
     pp.set_defaults(func=cmd_plotdata)
     return p
 
 
+def _check_finite(args) -> None:
+    """A ConfigError naming the first float option, or element of one,
+    that is NaN or infinite."""
+    for name, value in vars(args).items():
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(f"--{name.replace('_', '-')} must be a "
+                                  f"finite number, got {x!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (CaseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,26 +13,27 @@ state is Kron-reduced once to the machines' internal nodes: one (2 n_gen x
 n_gen) matrix maps the EMFs to the machine currents and the terminal
 voltages, and each derivative evaluation is one small matvec on it. Each
 network state binds one segment kernel, ``run``, on the path of the first
-state, and ``simulate`` calls it once per stretch between events; ``step``
-is its one-step case. A network of at most ``_FLOAT_MAX_GEN`` (nine)
-machines steps in Python floats and complex, because on a few machines
-numpy's per-call cost outweighs its arithmetic. Its kernel is
-straight-line code with one local per state component (the
+state; ``step`` is its one-step case. A network of at most
+``_FLOAT_MAX_GEN`` (nine) machines steps in Python floats and complex,
+because on a few machines numpy's per-call cost outweighs its arithmetic.
+Its kernel is straight-line code with one local per state component (the
 flattened state, row after row), generated and compiled once per shape
 (machine count, exciters or not) and bound to each network state's matrix
 entries and constants as closure variables. Larger networks step in numpy,
 on buffers preallocated per network state (the crossover is measured at
 ``_FLOAT_MAX_GEN``). One step loop drives both paths and both integrators,
-and both paths run one trapezoidal iteration, each over its own
-derivative. The initial state is computed on the path that steps it, so
-it is an exact fixed point of that path. The integration stores only machine
-states, in blocks of at most ``_STEP_BLOCK`` bytes, and stops a segment at
-a bit-exact fixed point (the initial state is one): the rows up to the next
-event repeat it. Bus voltages, electrical powers and the residual against the
-full augmented admittance matrix are computed afterwards, for every recorded
-row, by one record pass per network segment in blocks of ``_RECORD_BLOCK``
-rows. The residual multiplies through padded neighbour lists of that matrix
-(its nonzeros, bus by bus), in numpy alone.
+and both paths run one trapezoidal iteration, each over its own derivative.
+The initial state is computed on the path that steps it, so it is an exact
+fixed point of that path. The integration stores only machine states, in
+blocks of at most ``_STEP_BLOCK`` bytes, and stops a segment at a bit-exact
+fixed point (the initial state is one): the rows up to the next event repeat
+it. ``simulate`` is one walk over the run's stretches, which start at step 0
+and at each event's step: each network state steps its stretch with one
+``run`` call, then records its rows, the bus voltages, electrical powers and
+the residual against the full augmented admittance matrix, by one record
+pass in blocks of ``_RECORD_BLOCK`` rows. The residual multiplies through
+padded neighbour lists of that matrix (its nonzeros, bus by bus), in numpy
+alone.
 Recorded angles are in the synchronous reference frame (nominal rotation
 removed), so an undisturbed equilibrium has constant theta.
 """
@@ -89,10 +90,10 @@ class SimulationError(RuntimeError):
 
 def step_count(t_end: float, dt: float) -> int:
     """The number of dt steps to t_end. Raises ValueError unless both are
-    positive and t_end is a whole number of steps, to within float noise
-    (1e-9 of t_end)."""
-    if not (t_end > 0 and dt > 0):
-        raise ValueError(f"need t_end > 0 and dt > 0 (t_end={t_end}, "
+    finite and positive and t_end is a whole number of steps, to within
+    float noise (1e-9 of t_end)."""
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"need finite t_end > 0 and dt > 0 (t_end={t_end}, "
                          f"dt={dt})")
     n = round(t_end / dt)
     if not abs(n * dt - t_end) <= 1e-9 * t_end:
@@ -676,103 +677,96 @@ class Trajectory:
     max_residual: float = 0.0
 
 
-def _record_pass(segments: list[tuple[int, DynamicNetwork]],
-                 times: np.ndarray, delta: np.ndarray, e_q: np.ndarray):
-    """Bus voltage magnitudes and angles, machine p_e and q_e, and the
-    largest residual against the full augmented admittance matrix, for
-    every recorded row.
+def _record_pass(net: DynamicNetwork, delta: np.ndarray, e_q: np.ndarray,
+                 times: np.ndarray, v: np.ndarray, theta: np.ndarray,
+                 p_e: np.ndarray, q_e: np.ndarray) -> float:
+    """Bus voltage magnitudes and angles and machine p_e and q_e of one
+    stretch's recorded rows, all held by ``net``, written into the row
+    views ``v``, ``theta``, ``p_e`` and ``q_e``; returns the stretch's
+    largest residual against the full augmented admittance matrix.
 
-    ``segments`` lists (first row, network) in row order; each network
-    holds up to the next segment's first row. Rows are processed in blocks
-    of ``_RECORD_BLOCK``, so temporaries do not grow with the row count.
+    Rows are processed in blocks of ``_RECORD_BLOCK`` from the stretch's
+    first row, so temporaries do not grow with the row count.
     """
-    n_rec, ng = delta.shape
-    nb = segments[0][1].case.n_bus
-    v = np.empty((n_rec, nb))
-    theta = np.empty((n_rec, nb))
-    p_e = np.empty((n_rec, ng))
-    q_e = np.empty((n_rec, ng))
     max_res = 0.0
-    stops = [first for first, _ in segments[1:]] + [n_rec]
-    for (first, net), stop in zip(segments, stops):
-        for lo in range(first, stop, _RECORD_BLOCK):
-            rows = slice(lo, min(lo + _RECORD_BLOCK, stop))
-            e_cplx = e_q[rows] * np.exp(1j * delta[rows])
-            vbus = net.solve(e_cplx)
-            finite = np.isfinite(vbus).all(axis=1)
-            if not finite.all():
-                t_bad = times[lo + int(np.argmin(finite))]
-                raise SimulationError(f"non-finite bus voltage at t={t_bad}")
-            v[rows] = np.abs(vbus)
-            theta[rows] = np.angle(vbus)
-            p_e[rows], q_e[rows] = net.machine_power(e_cplx, vbus)
-            max_res = max(max_res, net.residual(e_cplx, vbus))
-    return v, theta, p_e, q_e, max_res
+    for lo in range(0, len(times), _RECORD_BLOCK):
+        rows = slice(lo, lo + _RECORD_BLOCK)
+        e_cplx = e_q[rows] * np.exp(1j * delta[rows])
+        vbus = net.solve(e_cplx)
+        finite = np.isfinite(vbus).all(axis=1)
+        if not finite.all():
+            t_bad = times[lo + int(np.argmin(finite))]
+            raise SimulationError(f"non-finite bus voltage at t={t_bad}")
+        v[rows] = np.abs(vbus)
+        theta[rows] = np.angle(vbus)
+        p_e[rows], q_e[rows] = net.machine_power(e_cplx, vbus)
+        max_res = max(max_res, net.residual(e_cplx, vbus))
+    return max_res
 
 
 def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     """Run power flow, initialize machines, and integrate to t_end with timed
-    events snapped to the step grid.
-
-    A step that returns its input bit for bit has reached a fixed point of
-    the current network; the steps up to the next event are not taken, and
-    their recorded rows repeat that state."""
+    events snapped to the step grid, one stretch at a time: each applies
+    the events of its first step, steps its network state to the next
+    event and records its rows (the row at an event belongs to the stretch
+    after it). A step that returns its input bit for bit has reached a
+    fixed point of the stretch's network; the steps up to the next event
+    are not taken, and their recorded rows repeat that state."""
     config.validate()
     pf = solve_power_flow(case)
     state, net = initialize_dynamics(case, pf)
 
     dt = config.dt
     n_steps = step_count(config.t_end, dt)
-    events = sorted(case.events, key=lambda e: e.time)
-    pending: list[tuple[int, Event]] = []
-    for ev in events:
+    # the events of each stretch, by the step they take effect
+    stretches: dict[int, list[Event]] = {0: []}
+    for ev in sorted(case.events, key=lambda e: e.time):
         i_ev = step_index(ev.time, dt)
         if i_ev > n_steps:
             warnings.warn(
                 f"event at t={ev.time} s is beyond t_end={config.t_end} s; "
                 "ignored")
             continue
-        pending.append((i_ev, ev))
+        stretches.setdefault(i_ev, []).append(ev)
+    starts = sorted(stretches)
 
     every = config.record_every
     times = np.arange(0, n_steps + 1, every) * dt
     n_rec = len(times)
+    ng, nb = net.n_gen, case.n_bus
     # the machine state's rows (delta, omega, e_q, p_m) per recorded row
-    rec = np.empty((4, n_rec, net.n_gen))
-    # (first recorded row, network in force from that row on)
-    segments: list[tuple[int, DynamicNetwork]] = []
+    rec = np.empty((4, n_rec, ng))
+    delta, omega, e_q, p_m = rec
+    v, theta = np.empty((n_rec, nb)), np.empty((n_rec, nb))
+    p_e, q_e = np.empty((n_rec, ng)), np.empty((n_rec, ng))
     event_times: list[float] = []
+    max_res = 0.0
 
     rec[:, 0] = state
-    ev_pos = 0
-    i = 0
-    while True:
-        ev_start = ev_pos
-        while ev_pos < len(pending) and pending[ev_pos][0] == i:
-            net = net.apply_event(pending[ev_pos][1])
+    # each stretch runs from its start to the next one; the last one's end,
+    # n_steps + 1, puts the row of step n_steps into it
+    for i, end in zip(starts, starts[1:] + [n_steps + 1]):
+        stop = min(end, n_steps)
+        for ev in stretches[i]:
+            net = net.apply_event(ev)
             event_times.append(i * dt)
-            ev_pos += 1
-        if i == 0 or ev_pos > ev_start:
-            segments.append(((i + every - 1) // every, net))
-        if i == n_steps:
-            break
-        stop = pending[ev_pos][0] if ev_pos < len(pending) else n_steps
-        taken, state = net.run(state, dt, stop - i, config.integrator, rec,
-                               i, every)
-        if i + taken < stop:
-            # a fixed point (the initial state is one): every step up to
-            # the next event returns it again, so its rows repeat it
-            rec[:, (i + taken) // every + 1:stop // every + 1] = \
-                state[:, None]
-        i = stop
-
-    delta, omega, e_q, p_m = rec
-    v_rec, th_rec, p_e, q_e, max_res = _record_pass(
-        segments, times, delta, e_q)
+        if i < stop:
+            taken, state = net.run(state, dt, stop - i, config.integrator,
+                                   rec, i, every)
+            if i + taken < stop:
+                # a fixed point (the initial state is one): every step up to
+                # the next event returns it again, so its rows repeat it
+                rec[:, (i + taken) // every + 1:stop // every + 1] = \
+                    state[:, None]
+        # this stretch's rows: up to the next stretch's first row
+        rows = slice((i + every - 1) // every, (end + every - 1) // every)
+        max_res = max(max_res, _record_pass(
+            net, delta[rows], e_q[rows], times[rows], v[rows], theta[rows],
+            p_e[rows], q_e[rows]))
 
     return Trajectory(
         times=times, bus_ids=[b.id for b in case.buses],
-        v=v_rec, theta=th_rec,
+        v=v, theta=theta,
         gen_buses=[g.bus for g in case.generators],
         delta=delta, omega=omega, e_q=e_q, p_m=p_m, p_e=p_e, q_e=q_e,
         event_times=event_times, omega_s=case.omega_s,

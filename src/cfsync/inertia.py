@@ -31,7 +31,6 @@ class EstimationError(ValueError):
 
 @dataclass
 class CapacitorBusModel:
-    c_eq: float          # equivalent capacitance, p.u.
     s_base: float
     v0: float            # pre-step equilibrium voltage, p.u.
     q_step: float        # reactive supply step magnitude, p.u.
@@ -39,8 +38,8 @@ class CapacitorBusModel:
     q_load_coeff: float  # B in Q_e = B * v^2
 
     def validate(self) -> None:
-        if self.c_eq <= 0 or self.v0 <= 0 or self.s_base <= 0:
-            raise ValueError("c_eq, v0, s_base must be > 0")
+        if self.v0 <= 0 or self.s_base <= 0:
+            raise ValueError("v0, s_base must be > 0")
         if self.q_load_coeff <= 0:
             raise ValueError("q_load_coeff must be > 0 for an equilibrium")
 

@@ -73,10 +73,10 @@ class SyncConfig:
     def validate(self) -> None:
         if not (0.0 < self.window < self.t_end):
             raise ValueError("need 0 < window < t_end")
-        if self.resolved_t_coarse() > self.t_end - self.window + T_SLACK:
+        if not self.resolved_t_coarse() <= self.t_end - self.window + T_SLACK:
             raise ValueError("t_coarse must be <= t_end - window")
         for name in ("tol_eps", "tol_omega", "tol_node", "tol_eq"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.limit_mode not in ("endpoint", "window_mean"):
             raise ValueError(f"unknown limit_mode {self.limit_mode!r}")
@@ -329,6 +329,19 @@ def row_diameters(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def final_window(times: np.ndarray, config: SyncConfig) -> slice:
+    """The rows of the final window, [t_end - window, t_end]; a ValueError
+    if it holds fewer than the 2 samples a fluctuation needs."""
+    final = window_slice(times, config.t_end - config.window, config.t_end)
+    held = final.stop - final.start
+    if held < 2:
+        raise ValueError(
+            f"the final window [{config.t_end - config.window!r}, "
+            f"{config.t_end!r}] holds {held} sample(s); a fluctuation "
+            "needs at least 2")
+    return final
+
+
 def _node_verdicts(
     bus_ids: list[int],
     times: np.ndarray,
@@ -347,7 +360,7 @@ def _node_verdicts(
                                     config.tol_omega, config.window,
                                     config.t_event)
 
-    final = window_slice(times, config.t_end - config.window, config.t_end)
+    final = final_window(times, config)
     fluctuation = row_diameters(
         np.ascontiguousarray((eps[final] + 1j * omega[final]).T))
 

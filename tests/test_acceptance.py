@@ -143,7 +143,7 @@ def test_criterion_5_damping_fit_recovery():
 
 
 def test_criterion_6_voltage_inertia_inverse_proportionality():
-    model = CapacitorBusModel(c_eq=2.0, s_base=100.0, v0=1.0, q_step=10.0,
+    model = CapacitorBusModel(s_base=100.0, v0=1.0, q_step=10.0,
                               t_step=0.5, q_load_coeff=50.0)
     out = simulate_capacitor_bus(model, [1.0, 2.0, 4.0], 5.0, 1e-3)
     i0 = int(np.searchsorted(out.times, model.t_step))

@@ -396,6 +396,21 @@ class TestAnalyze:
         assert f"bad.csv: {message}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("window", ["0.0005", "1e-9"])
+    def test_window_under_one_step_exits_3(self, simdir, tmp_path, capsys,
+                                           window):
+        # a final window of one sample has fluctuation 0.0, so every node
+        # was reported converged
+        rc = main(["analyze", "--traj", str(simdir / "trajectory.csv"),
+                   "--case", SHED, "--window", window,
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"--window {float(window)!r} is too short for the " \
+            "trajectory's step 0.001" in err
+        assert "holds 1 sample(s)" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_wrong_case_for_trajectory_exits_2(self, simdir, tmp_path):
         case = load_case(CASE)
         case.buses = case.buses[:-1]
@@ -407,6 +422,51 @@ class TestAnalyze:
         rc = main(["analyze", "--traj", str(simdir / "trajectory.csv"),
                    "--case", str(small), "--outdir", str(tmp_path)])
         assert rc == 2
+
+
+class TestNonFiniteOptions:
+    """A NaN or infinite number exits 3, naming where it was given, and
+    writes nothing. ``TRAJ`` stands for the shared load-shed run and
+    ``MANIFEST`` for its manifest with ``sim_config.t_end`` infinite."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--case", SHED, "--t-end", "inf"],
+         "--t-end must be a finite number, got inf"),
+        (["inertia", "--sweep", "1,2", "--sweep-t-end", "inf"],
+         "--sweep-t-end must be a finite number, got inf"),
+        (["simulate", "--from-manifest", "MANIFEST"],
+         "need finite t_end > 0 and dt > 0 (t_end=inf, dt=0.001)"),
+        (["analyze", "--traj", "TRAJ", "--case", SHED, "--t-event", "nan"],
+         "--t-event must be a finite number, got nan"),
+        (["analyze", "--traj", "TRAJ", "--case", SHED, "--t-coarse", "nan"],
+         "--t-coarse must be a finite number, got nan"),
+        (["analyze", "--traj", "TRAJ", "--case", SHED, "--tol-eps", "nan"],
+         "--tol-eps must be a finite number, got nan"),
+        (["analyze", "--traj", "TRAJ", "--case", SHED, "--tol-eq", "inf"],
+         "--tol-eq must be a finite number, got inf"),
+        (["inertia", "--sweep", "1,2", "--cap-s-base", "inf"],
+         "--cap-s-base must be a finite number, got inf"),
+        (["inertia", "--traj", "TRAJ", "--case", SHED,
+          "--window", "2.005", "inf"],
+         "--window must be a finite number, got inf"),
+        (["inertia", "--sweep", "1,2", "--t-step", "nan"],
+         "--t-step must be a finite number, got nan"),
+    ], ids=["simulate_t_end", "sweep_t_end", "manifest_t_end",
+            "analyze_t_event", "analyze_t_coarse", "analyze_tol_eps",
+            "analyze_tol_eq", "inertia_cap_s_base", "inertia_window",
+            "inertia_t_step"])
+    def test_exits_3(self, simdir, tmp_path, capsys, argv, message):
+        manifest = json.loads(
+            (simdir / "trajectory_manifest.json").read_text())
+        manifest["sim_config"]["t_end"] = float("inf")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        paths = {"TRAJ": str(simdir / "trajectory.csv"),
+                 "MANIFEST": str(tmp_path / "manifest.json")}
+        out = tmp_path / "out"
+        rc = main([paths.get(a, a) for a in argv] + ["--outdir", str(out)])
+        assert rc == 3
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 class TestInertia:
@@ -710,18 +770,23 @@ class TestPlotdata:
         assert rc == 0
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_hv_sweep_kind_exits_2(self, reportdir, tmp_path):
+    def test_hv_sweep_kind_exits_2(self, simdir, reportdir, tmp_path,
+                                   capsys):
         # the H_v sweep has one path: inertia --sweep
-        rc = main(["plotdata", "--report", str(reportdir / "report.json"),
-                   "--kind", "hv_sweep", "--outdir", str(tmp_path)])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["plotdata", "--report", str(reportdir / "report.json"),
+                  "--traj", str(simdir / "trajectory.csv"),
+                  "--kind", "hv_sweep", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'hv_sweep'" in capsys.readouterr().err
         assert not (tmp_path / "hv_sweep.csv").exists()
 
     def test_unknown_kind_lists_valid_ones(self, reportdir, tmp_path,
                                            capsys):
-        rc = main(["plotdata", "--report", str(reportdir / "report.json"),
-                   "--kind", "bogus", "--outdir", str(tmp_path)])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["plotdata", "--report", str(reportdir / "report.json"),
+                  "--kind", "bogus", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         for kind in ("eps", "omega", "subnet_spread", "damping"):
             assert kind in err
@@ -780,10 +845,12 @@ class TestPlotdata:
         assert not (tmp_path / f"{kind}.csv").exists()
 
     def test_without_traj_exits_2(self, reportdir, tmp_path, capsys):
-        rc = main(["plotdata", "--report", str(reportdir / "report.json"),
-                   "--kind", "eps", "--outdir", str(tmp_path)])
-        assert rc == 2
-        assert "--traj is required for kind 'eps'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["plotdata", "--report", str(reportdir / "report.json"),
+                  "--kind", "eps", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --traj" in \
+            capsys.readouterr().err
         assert not (tmp_path / "eps.csv").exists()
 
     def test_unreadable_report_exits_2(self, simdir, tmp_path, capsys):

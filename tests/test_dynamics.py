@@ -105,6 +105,15 @@ class TestConfigValidation:
     def test_float_noise_in_the_step_count_is_accepted(self, t_end, dt):
         SimConfig(t_end=t_end, dt=dt).validate()
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.inf), (1.0, math.nan),
+        (-math.inf, 1e-3)])
+    def test_step_count_needs_finite_numbers(self, t_end, dt):
+        # an infinite t_end raised OverflowError from round(), and an
+        # infinite dt said t_end was not a whole number of its steps
+        with pytest.raises(ValueError, match="need finite t_end > 0"):
+            dynamics.step_count(t_end, dt)
+
     def test_strided_record_is_uniform(self, wscc9):
         traj = simulate(wscc9, SimConfig(t_end=0.2, dt=1e-3,
                                          record_every=8))
@@ -495,7 +504,7 @@ class TestFloatPath:
         for k, name in enumerate(("delta", "omega", "e_q", "p_m")):
             assert getattr(loadshed_traj, name).tobytes() == \
                 np.ascontiguousarray(rec[k]).tobytes(), name
-        v, theta, p_e, q_e, res = dynamics._record_pass(
+        v, theta, p_e, q_e, res = record(
             nets, loadshed_traj.times, rec[0], rec[2])
         for name, want in (("v", v), ("theta", theta), ("p_e", p_e),
                            ("q_e", q_e)):
@@ -692,6 +701,24 @@ def per_row_oracle(case, config):
             np.array(qe), max(res))
 
 
+def record(stretches, times, delta, e_q):
+    """The record pass over the rows of ``stretches``, (first row, network)
+    in row order, each holding up to the next one's first row: v, theta,
+    p_e, q_e and the largest residual."""
+    n_rec, ng = delta.shape
+    nb = stretches[0][1].case.n_bus
+    v, theta = np.empty((n_rec, nb)), np.empty((n_rec, nb))
+    p_e, q_e = np.empty((n_rec, ng)), np.empty((n_rec, ng))
+    res = 0.0
+    stops = [first for first, _ in stretches[1:]] + [n_rec]
+    for (first, net), stop in zip(stretches, stops):
+        rows = slice(first, stop)
+        res = max(res, dynamics._record_pass(
+            net, delta[rows], e_q[rows], times[rows], v[rows], theta[rows],
+            p_e[rows], q_e[rows]))
+    return v, theta, p_e, q_e, res
+
+
 SHED = {"bus": 6, "p_factor": 0.5, "q_factor": 0.5}
 TRIP = {"from": 5, "to": 7}
 
@@ -703,7 +730,11 @@ class TestRecordPass:
         ([Event(0.0495, "load_scale", SHED),
           Event(0.05, "line_trip", TRIP)], 1),                 # one step
         ([Event(0.102, "load_scale", SHED)], 4),               # between rows
-    ], ids=["first_step", "last_step", "two_on_one_step", "between_rows"])
+        ([Event(0.1005, "load_scale", SHED),
+          Event(0.1015, "line_trip", TRIP)], 4),               # no row
+        ([Event(0.2, "load_scale", SHED)], 4),                 # last row
+    ], ids=["first_step", "last_step", "two_on_one_step", "between_rows",
+            "two_in_one_interval", "last_step_every_4"])
     def test_matches_per_row_oracle(self, wscc9, monkeypatch, events,
                                     record_every):
         # small blocks, of the record pass and of the kernel's recorded
@@ -735,7 +766,7 @@ class TestRecordPass:
         delta[[23, 31], 1] = np.nan
         with pytest.raises(SimulationError,
                            match=f"non-finite bus voltage at t={times[23]}$"):
-            dynamics._record_pass([(0, net), (20, net)], times, delta, e_q)
+            record([(0, net), (20, net)], times, delta, e_q)
 
     def test_peak_memory_does_not_grow_with_rows(self, wscc9, traced_peak):
         state, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
@@ -745,7 +776,7 @@ class TestRecordPass:
             times = np.arange(n_rows) * 1e-3
             delta = state[0] + rng.normal(0.0, 0.1, (n_rows, net.n_gen))
             e_q = np.broadcast_to(state[2], delta.shape).copy()
-            out, peak = traced_peak(lambda: dynamics._record_pass(
+            out, peak = traced_peak(lambda: record(
                 [(0, net)], times, delta, e_q))
             excess.append(peak - sum(a.nbytes for a in out[:4]))
         # 16x the rows: the temporaries beyond the outputs stay put

@@ -191,7 +191,7 @@ class TestGeneralizedInertiaSeries:
 
 
 def default_model(**kw):
-    args = dict(c_eq=2.0, s_base=100.0, v0=1.0, q_step=10.0, t_step=0.5,
+    args = dict(s_base=100.0, v0=1.0, q_step=10.0, t_step=0.5,
                 q_load_coeff=50.0)
     args.update(kw)
     return CapacitorBusModel(**args)

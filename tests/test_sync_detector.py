@@ -440,6 +440,21 @@ class TestNodeVerdict:
         v = node_verdict(1, t, eps, np.full_like(t, WS), cfg)
         assert not v.converged
 
+    @pytest.mark.parametrize("window", [0.005, 1e-9])
+    def test_window_under_two_samples_raises(self, window):
+        # one sample always has fluctuation 0.0: every node converged
+        t = np.arange(0, 10.001, 0.01)
+        eps = np.where(np.arange(len(t)) % 2 == 0, 1.0, -1.0)
+        cfg = SyncConfig(t_end=10.0, window=window)
+        with pytest.raises(ValueError, match=r"holds 1 sample\(s\)"):
+            node_verdict(1, t, eps, np.full_like(t, WS), cfg)
+
+    @pytest.mark.parametrize("field", ["tol_eps", "tol_omega", "tol_node",
+                                       "tol_eq", "t_coarse"])
+    def test_nan_fails_validation(self, field):
+        with pytest.raises(ValueError, match=field):
+            SyncConfig(t_end=10.0, **{field: math.nan}).validate()
+
     def test_window_mean_limit_mode(self):
         t = np.arange(0, 10.001, 0.01)
         cfg = SyncConfig(t_end=10.0, limit_mode="window_mean")
