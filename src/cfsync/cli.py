@@ -542,7 +542,10 @@ def _check_finite(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors, --help and --version
+        return exc.code
     try:
         _check_finite(args)
         return args.func(args)

@@ -27,16 +27,18 @@ bound is. The work arrays are reused because a chunk's arrays are of the
 size at which malloc maps and unmaps fresh pages for each one (see
 ``_Work``).
 
-A recorded run's rows are laid out once, in the array its CSV is written
-from. The last trajectory CSV and the last generator CSV this process
-wrote keep that array in memory, read-only, when all their values are
-finite, with the file's size and the SHA-256 of its bytes, hashed as
-``write_csv`` writes them. Reading a file of that size hashes it,
-streamed; if the digest matches, the kept array itself is returned instead
-of parsing the text, which gives the same doubles because every finite
-double round-trips through ``%.17g``. Any other file is parsed. Either way
-the arrays read back are read-only: an in-place write raises ValueError,
-so no caller can change what a later read returns.
+The last trajectory CSV and the last generator CSV this process wrote or
+read are kept in memory as one read-only array each, keyed by the file's
+size and the SHA-256 of its bytes. A written file's array is the one its
+rows were laid out in, kept when all its values are finite, with the bytes
+hashed as ``write_csv`` writes them; a read file's array is the one parsed
+from it. Every read hashes the file, streamed: if the size and digest are
+those of the kind's entry, the kept array itself is returned; otherwise
+the file is parsed once and its array replaces the entry. A kept array
+written by this process gives the doubles parsing would, because every
+finite double round-trips through ``%.17g``. Either way the arrays read
+back are read-only: an in-place write raises ValueError, so no caller can
+change what a later read returns.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import types
 import typing
 import warnings
@@ -353,27 +356,18 @@ def write_csv(path: str | Path, header: list[str],
 
 
 @dataclasses.dataclass
-class _Written:
+class _Kept:
     size: int
     digest: str
     data: np.ndarray
 
 
-# The last trajectory and generator CSV written by this process, by kind,
-# so that later commands in the same process (scripts/run_load_shed.py runs
-# six on the trajectory it simulates) read them back without parsing.
-_written: dict[str, _Written] = {}
-
-
-def _kept(kind: str, path: Path) -> np.ndarray | None:
-    """The read-only array kept for ``kind`` if ``path`` holds exactly the
-    bytes written for it, else None. Only a file of the kept size is
-    hashed."""
-    entry = _written.get(kind)
-    if entry is None or path.stat().st_size != entry.size \
-            or sha256_file(path) != entry.digest:
-        return None
-    return entry.data
+# The last trajectory and generator CSV this process wrote or read, by
+# kind, so that later commands in the same process read the same bytes
+# back without parsing: scripts/run_load_shed.py reads the trajectory it
+# simulates six times, and analyze then plotdata read one trajectory in
+# turn.
+_kept: dict[str, _Kept] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +506,7 @@ def _write_series(kind: str, traj: Trajectory, ids: list[int],
     """Write the ``kind`` series of ``traj`` for the buses ``ids``.
 
     The rows are laid out once, in one (n_samples, n_columns) array, and
-    written from it. It is kept read-only for ``_kept`` when every value
+    written from it. It is kept read-only in ``_kept`` when every value
     is finite (only then does the text round-trip bit for bit), with the
     size and SHA-256 of the bytes written."""
     series = _SERIES[kind]
@@ -520,15 +514,15 @@ def _write_series(kind: str, traj: Trajectory, ids: list[int],
     data[:, 0] = traj.times
     for j, field in enumerate(series.values()):
         data[:, 1 + j::len(series)] = getattr(traj, field)
-    _written.pop(kind, None)
+    _kept.pop(kind, None)
     digest = hashlib.sha256()
     write_csv(path, ["t"] + [f"{p}_{b}" for b in ids for p in series],
               [data], comment=comment, digest=digest)
     # nan and infinities reach the min or the max: no full-size mask
     if np.isfinite([data.min(initial=0.0), data.max(initial=0.0)]).all():
         data.flags.writeable = False
-        _written[kind] = _Written(Path(path).stat().st_size,
-                                  digest.hexdigest(), data)
+        _kept[kind] = _Kept(Path(path).stat().st_size, digest.hexdigest(),
+                            data)
 
 
 def _read_series(kind: str, path: str | Path, comment: str | None = None
@@ -538,11 +532,17 @@ def _read_series(kind: str, path: str | Path, comment: str | None = None
     ``kind`` CSV. Raises ValueError, naming the file, unless the header is
     exactly ``t`` then the ``_SERIES`` columns of each bus, every row has a
     value under each name and the time grid is uniform. The times and
-    series are read-only views of one array, kept (``_kept``) or parsed."""
+    series are read-only views of one array: the kind's kept one if the
+    file has its size and SHA-256, else the parsed one, which replaces it
+    in ``_kept``. The file is hashed once, through the binary buffer of
+    the handle it is then read from."""
     path = Path(path)
     series = _SERIES[kind]
-    kept = _kept(kind, path)
     with path.open() as f:
+        stamp = _stamp(f)
+        digest = _sha256(f.buffer)
+        size = f.buffer.tell()
+        f.seek(0)
         line, text = f.readline(), None
         if comment is not None and line.startswith(f"# {comment}"):
             text, line = line[len(comment) + 2:].strip(), f.readline()
@@ -553,9 +553,11 @@ def _read_series(kind: str, path: str | Path, comment: str | None = None
             raise ValueError(
                 f"{path}: malformed {kind} header (need t, then "
                 f"{', '.join(p + '_b' for p in series)} for each bus b)")
-        if kept is not None:
-            data = kept
+        entry = _kept.get(kind)
+        if entry is not None and (entry.size, entry.digest) == (size, digest):
+            data = entry.data
         else:
+            _kept.pop(kind, None)  # never two tables of one kind at once
             with warnings.catch_warnings():
                 # a header without rows: the time grid check below says so
                 warnings.filterwarnings(
@@ -563,6 +565,10 @@ def _read_series(kind: str, path: str | Path, comment: str | None = None
                     UserWarning)
                 data = np.loadtxt(f, delimiter=",", ndmin=2)
             data.flags.writeable = False
+            # a file written to while it was read may not hold the bytes
+            # that were hashed
+            if _stamp(f) == stamp:
+                _kept[kind] = _Kept(size, digest, data)
     if len(data) and data.shape[1] != len(names):
         raise ValueError(f"{path}: {data.shape[1]} values a row under "
                          f"{len(names)} column names")
@@ -584,8 +590,8 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 def read_trajectory_csv(path: str | Path, omega_s: float) -> Trajectory:
     """The Trajectory of a CSV from ``write_trajectory_csv``, with no
     generator series. Its times, v and theta are read-only views of one
-    array: the one kept from writing that file in this process, if its
-    bytes are unchanged, else the parsed one."""
+    array: the one kept from writing or reading that file in this process,
+    if its bytes are unchanged, else the parsed one."""
     events, bus_ids, times, series = _read_series("trajectory", path,
                                                   comment="events:")
     return Trajectory(
@@ -644,14 +650,26 @@ def write_json(obj, path: str | Path) -> None:
                    allow_nan=False) + "\n")
 
 
-def sha256_file(path: str | Path) -> str:
-    """The hex SHA-256 of a file, read in 1 MiB blocks into one buffer."""
+def _sha256(f) -> str:
+    """The hex SHA-256 of the rest of the binary file ``f``, read in
+    1 MiB blocks into one buffer."""
     h = hashlib.sha256()
     block = memoryview(bytearray(1 << 20))
-    with Path(path).open("rb", buffering=0) as f:
-        while n := f.readinto(block):
-            h.update(block[:n])
+    while n := f.readinto(block):
+        h.update(block[:n])
     return h.hexdigest()
+
+
+def _stamp(f) -> tuple[int, int]:
+    """The size and modification time of the open file ``f``."""
+    st = os.fstat(f.fileno())
+    return st.st_size, st.st_mtime_ns
+
+
+def sha256_file(path: str | Path) -> str:
+    """The hex SHA-256 of a file."""
+    with Path(path).open("rb", buffering=0) as f:
+        return _sha256(f)
 
 
 def build_manifest(case_path: str | Path, sim_config,

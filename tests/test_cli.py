@@ -469,6 +469,17 @@ class TestNonFiniteOptions:
         assert not [p for p in out.rglob("*") if p.is_file()]
 
 
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--version"], 0, "out", cli.__version__),
+    (["--help"], 0, "out", "usage: cfsync"),
+    (["simulate", "--bogus"], 2, "err", "unrecognized arguments: --bogus"),
+], ids=["version", "help", "usage_error"])
+def test_main_returns_argparse_exit_codes(capsys, argv, code, stream, text):
+    # an in-process caller gets a code, not SystemExit
+    assert main(argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
+
 class TestInertia:
     def test_sweep_only_run_does_not_read_the_case(self, tmp_path):
         # only --traj takes omega_s from the case, so a sweep never opens
@@ -773,20 +784,18 @@ class TestPlotdata:
     def test_hv_sweep_kind_exits_2(self, simdir, reportdir, tmp_path,
                                    capsys):
         # the H_v sweep has one path: inertia --sweep
-        with pytest.raises(SystemExit) as exc:
-            main(["plotdata", "--report", str(reportdir / "report.json"),
-                  "--traj", str(simdir / "trajectory.csv"),
-                  "--kind", "hv_sweep", "--outdir", str(tmp_path)])
-        assert exc.value.code == 2
+        rc = main(["plotdata", "--report", str(reportdir / "report.json"),
+                   "--traj", str(simdir / "trajectory.csv"),
+                   "--kind", "hv_sweep", "--outdir", str(tmp_path)])
+        assert rc == 2
         assert "invalid choice: 'hv_sweep'" in capsys.readouterr().err
         assert not (tmp_path / "hv_sweep.csv").exists()
 
     def test_unknown_kind_lists_valid_ones(self, reportdir, tmp_path,
                                            capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["plotdata", "--report", str(reportdir / "report.json"),
-                  "--kind", "bogus", "--outdir", str(tmp_path)])
-        assert exc.value.code == 2
+        rc = main(["plotdata", "--report", str(reportdir / "report.json"),
+                   "--kind", "bogus", "--outdir", str(tmp_path)])
+        assert rc == 2
         err = capsys.readouterr().err
         for kind in ("eps", "omega", "subnet_spread", "damping"):
             assert kind in err
@@ -845,10 +854,9 @@ class TestPlotdata:
         assert not (tmp_path / f"{kind}.csv").exists()
 
     def test_without_traj_exits_2(self, reportdir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["plotdata", "--report", str(reportdir / "report.json"),
-                  "--kind", "eps", "--outdir", str(tmp_path)])
-        assert exc.value.code == 2
+        rc = main(["plotdata", "--report", str(reportdir / "report.json"),
+                   "--kind", "eps", "--outdir", str(tmp_path)])
+        assert rc == 2
         assert "the following arguments are required: --traj" in \
             capsys.readouterr().err
         assert not (tmp_path / "eps.csv").exists()

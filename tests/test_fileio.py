@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import operator
+import os
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfsync import cli, fileio
+from cfsync import bundled_case_path, cli, fileio
 from cfsync.dynamics import Trajectory
 from cfsync.fileio import (
     format_number,
@@ -252,18 +253,44 @@ class TestReadGenerator:
 @pytest.fixture
 def kept_reads(monkeypatch):
     """A fresh, empty read-back store, and a list that records for each
-    lookup whether it was served from memory."""
-    monkeypatch.setattr(fileio, "_written", {})
+    read whether it was served from memory: it was if the kind's entry
+    is the one the read found."""
+    monkeypatch.setattr(fileio, "_kept", {})
     hits = []
-    lookup = fileio._kept
+    read = fileio._read_series
 
-    def counting(kind, path):
-        out = lookup(kind, path)
-        hits.append(out is not None)
+    def counting(kind, *args, **kwargs):
+        entry = fileio._kept.get(kind)
+        out = read(kind, *args, **kwargs)
+        hits.append(entry is not None and fileio._kept.get(kind) is entry)
         return out
 
-    monkeypatch.setattr(fileio, "_kept", counting)
+    monkeypatch.setattr(fileio, "_read_series", counting)
     return hits
+
+
+def counted(monkeypatch, owner, name, on_call=None):
+    """Patch ``owner.name`` to count its calls in the list returned, and
+    call ``on_call()`` first on each."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(on_call() if on_call else None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def read_back(origin, *reads):
+    """Leave the kept entries of the files just written (origin
+    "written"), or drop them and make them by reading each file once
+    (origin "read"); ``reads`` are the reading calls."""
+    if origin == "read":
+        fileio._kept.clear()
+        for read in reads:
+            read()
 
 
 def bits(a):
@@ -282,8 +309,9 @@ def hand_built_trajectory():
 
 
 class TestReadBack:
-    """A trajectory or generator CSV this process wrote is read back from
-    memory while its bytes are unchanged, bit-equal to parsing it."""
+    """A trajectory or generator CSV this process wrote or read is read
+    back from memory while its bytes are unchanged, bit-equal to parsing
+    it."""
 
     def test_trajectory_hit_is_bit_equal_to_loadtxt(self, loadshed_traj,
                                                     tmp_path, kept_reads):
@@ -312,19 +340,24 @@ class TestReadBack:
         assert back["gen_buses"] == loadshed_traj.gen_buses
         assert kept_reads == [True]
 
-    def test_same_size_edit_is_parsed(self, tmp_path, kept_reads):
+    @pytest.mark.parametrize("origin", ["written", "read"])
+    def test_same_size_edit_is_parsed(self, tmp_path, kept_reads, origin):
         out = tmp_path / "t.csv"
         write_trajectory_csv(hand_built_trajectory(), out)
+        read_back(origin, lambda: read_trajectory_csv(out, omega_s=377.0))
+        assert fileio._kept["trajectory"].data[3, 1] == 1 / 3
         text = out.read_text()
         edited = text.replace("0.33333333333333331", "0.33333333333333341")
         assert len(edited) == len(text) and edited != text
         out.write_text(edited)
         back = read_trajectory_csv(out, omega_s=377.0)
-        assert kept_reads == [False]
+        assert kept_reads == [False] * (1 + (origin == "read"))
         assert back.v[3, 0] == 0.33333333333333341
+        assert fileio._kept["trajectory"].data[3, 1] == 0.33333333333333341
 
+    @pytest.mark.parametrize("origin", ["written", "read"])
     def test_returned_arrays_are_read_only(self, loadshed_traj, tmp_path,
-                                           kept_reads):
+                                           kept_reads, origin):
         # the kept array is handed out, not copied, and a parsed one alike
         traj = hand_built_trajectory()
         write_trajectory_csv(traj, tmp_path / "t.csv")
@@ -340,10 +373,12 @@ class TestReadBack:
         want = [traj.times, traj.v, traj.theta, loadshed_traj.times,
                 loadshed_traj.delta, loadshed_traj.omega, loadshed_traj.e_q,
                 loadshed_traj.p_m, loadshed_traj.p_e, loadshed_traj.q_e]
+        read_back(origin, reads)
         kept = reads()
-        fileio._written.clear()
+        fileio._kept.clear()
         parsed = reads()
-        assert kept_reads == [True, True, False, False]
+        assert kept_reads == [False, False] * (origin == "read") + [
+            True, True, False, False]
         for a in kept + parsed:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 7.0
@@ -358,7 +393,7 @@ class TestReadBack:
         traj = dataclasses.replace(traj, v=traj.v.copy())
         traj.v[2, 1] = np.nan
         write_trajectory_csv(traj, tmp_path / "t.csv")
-        assert fileio._written == {}
+        assert fileio._kept == {}
         back = read_trajectory_csv(tmp_path / "t.csv", omega_s=377.0)
         assert np.isnan(back.v[2, 1])
 
@@ -380,7 +415,7 @@ class TestReadBack:
         write_trajectory_csv(loadshed_traj, tmp_path / "t.csv")
         write_generator_csv(loadshed_traj, tmp_path / "g.csv")
         for kind, name in (("trajectory", "t.csv"), ("generator", "g.csv")):
-            entry = fileio._written[kind]
+            entry = fileio._kept[kind]
             assert entry.digest == sha256(tmp_path / name), kind
             assert entry.size == (tmp_path / name).stat().st_size, kind
         digest = hashlib.sha256()
@@ -389,29 +424,82 @@ class TestReadBack:
                   comment="events: 0.5", digest=digest)
         assert digest.hexdigest() == sha256(tmp_path / "o.csv")
 
-    def test_no_hash_without_a_kept_entry_of_that_size(
+    def test_each_read_hashes_once_and_a_miss_replaces_the_entry(
             self, loadshed_traj, tmp_path, kept_reads, monkeypatch):
-        digests = []
-        sha256 = fileio.sha256_file
-
-        def counting(path):
-            digests.append(path)
-            return sha256(path)
-
-        # no entry for generator CSVs; one of another size for trajectories
         write_generator_csv(loadshed_traj, tmp_path / "g.csv")
-        fileio._written.pop("generator")
-        write_trajectory_csv(loadshed_traj, tmp_path / "kept.csv")
-        monkeypatch.setattr(fileio, "sha256_file", counting)
-        read_generator_csv(tmp_path / "g.csv")
-        write_csv(tmp_path / "other.csv", ["t", "v_1", "theta_1"],
+        generator = fileio._kept["generator"]
+        write_trajectory_csv(loadshed_traj, tmp_path / "a.csv")
+        written = fileio._kept["trajectory"]
+        write_csv(tmp_path / "b.csv", ["t", "v_1", "theta_1"],
                   [np.arange(4) * 0.5, np.ones(4), np.zeros(4)],
                   comment="events: ")
-        read_trajectory_csv(tmp_path / "other.csv", omega_s=377.0)
-        assert digests == []
-        read_trajectory_csv(tmp_path / "kept.csv", omega_s=377.0)
-        assert len(digests) == 1
-        assert kept_reads == [False, False, True]
+        hashes = counted(monkeypatch, fileio, "_sha256")
+        # whether a trajectory entry is still held when a parse starts
+        parses = counted(monkeypatch, np, "loadtxt",
+                         lambda: "trajectory" in fileio._kept)
+        counts = []
+        for name in ("a.csv", "b.csv", "b.csv", "a.csv", "a.csv"):
+            read_trajectory_csv(tmp_path / name, omega_s=377.0)
+            entry = fileio._kept["trajectory"]
+            assert entry.size == (tmp_path / name).stat().st_size, name
+            counts.append((len(hashes), len(parses)))
+        assert kept_reads == [True, False, True, False, True]
+        assert counts == [(1, 0), (2, 1), (3, 1), (4, 2), (5, 2)]
+        assert parses == [False, False]
+        assert entry.digest == written.digest and entry is not written
+        assert fileio._kept["generator"] is generator
+
+    def test_a_file_changed_while_read_is_not_kept(self, tmp_path,
+                                                   kept_reads, monkeypatch):
+        out = tmp_path / "t.csv"
+        write_trajectory_csv(hand_built_trajectory(), out)
+        fileio._kept.clear()
+        # the file's modification time moves between the hash and the parse
+        counted(monkeypatch, np, "loadtxt", lambda: os.utime(out, ns=(0, 0)))
+        back = read_trajectory_csv(out, omega_s=377.0)
+        assert back.v[3, 0] == 1 / 3
+        assert fileio._kept == {}
+
+    def test_analyze_and_plotdata_parse_a_file_they_did_not_write_once(
+            self, loadshed_traj, tmp_path, monkeypatch, kept_reads):
+        # written by np.savetxt, as another program would write it
+        traj, case = tmp_path / "traj.csv", bundled_case_path("wscc9_loadshed")
+        data = np.column_stack([loadshed_traj.times] + [
+            np.stack([loadshed_traj.v[:, k], loadshed_traj.theta[:, k]], 1)
+            for k in range(len(loadshed_traj.bus_ids))])
+        with traj.open("w") as f:
+            f.write("# events: " + ",".join(
+                map(format_number, loadshed_traj.event_times)) + "\n")
+            f.write("t," + ",".join(f"v_{b},theta_{b}"
+                                    for b in loadshed_traj.bus_ids) + "\n")
+            np.savetxt(f, data, fmt="%.17g", delimiter=",")
+        parses = counted(monkeypatch, np, "loadtxt")
+
+        def run(where):
+            out = tmp_path / where
+            assert cli.main(["analyze", "--traj", str(traj), "--case",
+                             str(case), "--outdir", str(out)]) == 0
+            for kind in ("subnet_spread", "damping"):
+                assert cli.main(["plotdata", "--report",
+                                 str(out / "report.json"), "--traj",
+                                 str(traj), "--kind", kind, "--outdir",
+                                 str(out)]) == 0
+            return {name: (out / name).read_bytes() for name in
+                    ("report.json", "subnet_spread.csv", "damping.csv")}
+
+        kept = run("kept")
+        assert len(parses) == 1
+        assert kept_reads == [False, True, True]
+
+        def cleared(*args, read=cli.read_trajectory_csv, **kwargs):
+            fileio._kept.clear()
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_trajectory_csv", cleared)
+        parsed = run("parsed")
+        assert len(parses) == 4
+        for name in kept:
+            assert parsed[name] == kept[name], name
 
     def test_load_shed_script_output_does_not_depend_on_read_back(
             self, tmp_path, monkeypatch, kept_reads):
@@ -435,7 +523,7 @@ class TestReadBack:
         assert kept_reads == [True] * 7
         for name in ("read_trajectory_csv", "read_generator_csv"):
             def cleared(*args, read=getattr(cli, name), **kwargs):
-                fileio._written.clear()
+                fileio._kept.clear()
                 return read(*args, **kwargs)
             monkeypatch.setattr(cli, name, cleared)
         parsed = run("parsed")
