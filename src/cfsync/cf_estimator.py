@@ -77,12 +77,6 @@ def uniform_step(times: np.ndarray) -> float:
     return dt
 
 
-def window_mask(times, t0: float = -np.inf, t1: float = np.inf) -> np.ndarray:
-    """Samples of ``times`` in [t0, t1], ends widened by ``T_SLACK``."""
-    times = np.asarray(times, dtype=float)
-    return (times >= t0 - T_SLACK) & (times <= t1 + T_SLACK)
-
-
 def block_len(width: int) -> int:
     """How many rows (or columns) of ``width`` values each make one block
     of about _BLOCK_VALUES values, at least one."""
@@ -90,16 +84,17 @@ def block_len(width: int) -> int:
 
 
 def window_slice(times, t0: float = -np.inf, t1: float = np.inf) -> slice:
-    """The samples of ``window_mask(times, t0, t1)`` as one slice, a view
-    where the mask would copy; a ValueError if they are not consecutive
-    rows, as they are on an increasing time grid."""
-    rows = np.flatnonzero(window_mask(times, t0, t1))
-    if not len(rows):
+    """The analysis's one window rule: the rows of ``times`` that [t0, t1]
+    holds, t0 - T_SLACK <= t <= t1 + T_SLACK, as a slice (so a view); empty
+    if none, and a ValueError unless ``times`` is strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if not (np.diff(times) > 0.0).all():
+        raise ValueError("times are not strictly increasing")
+    lo, hi = t0 - T_SLACK, t1 + T_SLACK
+    if not lo <= hi:
         return slice(0, 0)
-    if rows[-1] - rows[0] != len(rows) - 1:
-        raise ValueError("time window is not one run of rows: times are not "
-                         "increasing")
-    return slice(int(rows[0]), int(rows[-1]) + 1)
+    return slice(int(np.searchsorted(times, lo, side="left")),
+                 int(np.searchsorted(times, hi, side="right")))
 
 
 def _steps_below_pi(x: np.ndarray) -> bool:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cf_estimator import T_SLACK, estimate_complex_frequency, window_mask
+from .cf_estimator import T_SLACK, estimate_complex_frequency, window_slice
 from .dynamics import SimConfig, SimulationError, simulate
 from .fileio import (
     build_manifest,
@@ -237,8 +237,9 @@ def cmd_analyze(args) -> int:
     t_last = float(traj.times[-1])
     try:
         config.validate()
-        if config.window >= t_last - traj.times[0]:
-            raise ValueError("window exceeds the trajectory span")
+        if config.window >= config.t_end - traj.times[0]:
+            raise ValueError(f"--window {config.window!r} exceeds the "
+                             f"trajectory's span to t_end {config.t_end!r}")
         if config.t_end > t_last + T_SLACK:
             raise ValueError(f"--t-end {config.t_end!r} is after the "
                              f"trajectory's last sample, t = {t_last!r}")
@@ -327,11 +328,11 @@ def cmd_inertia(args) -> int:
             window = (t_event, min(t_event + 2.0, float(times[-1])))
             given = "--t-event" if args.t_event is not None \
                 else "the trajectory's first event"
-        mask = window_mask(times, *window)  # the samples both fits use
-        if np.count_nonzero(mask) < 2:  # so also a reversed window
+        rows = window_slice(times, *window)  # the samples both fits use
+        if rows.stop - rows.start < 2:  # so also a reversed window
             raise ConfigError(
                 f"{given} gives the inertia window {list(window)!r}, which "
-                f"holds {np.count_nonzero(mask)} of the trajectory's "
+                f"holds {rows.stop - rows.start} of the trajectory's "
                 f"samples, t = {float(times[0])!r} .. {float(times[-1])!r}; "
                 f"a fit needs at least 2")
         result["window"] = list(window)
@@ -356,7 +357,7 @@ def cmd_inertia(args) -> int:
             if est["m"] is not None and est["h_v"] is not None:
                 zeta = generalized_inertia_series(
                     est["h_v"], est["m"], times, eps, gen["omega"][:, k])
-                est["zeta_peak"] = float(np.abs(zeta[mask]).max())
+                est["zeta_peak"] = float(np.abs(zeta[rows]).max())
             result["estimates"].append(est)
 
     if args.sweep:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf_estimator import uniform_step, window_mask
+from .cf_estimator import uniform_step, window_slice
 from .dynamics import step_count, step_index
 
 
@@ -59,21 +59,32 @@ def capacitor_voltage_inertia(v: float, c_eq: float, s_base: float) -> float:
     return v * v * c_eq / (2.0 * s_base)
 
 
-def _scalar_fit(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Least-squares gain k for y = k*x, plus the normalized residual."""
-    denom = float(np.dot(x, x))
-    k = float(np.dot(y, x)) / denom
-    scale = float(np.linalg.norm(y))
-    res = float(np.linalg.norm(y - k * x)) / scale if scale > 0 else 0.0
-    return k, res
-
-
 def _omega_dot(times, omega: np.ndarray, error: type[ValueError]):
     """domega/dt on the step of the uniform grid ``times``; ``error`` if
     there are fewer than the 3 samples its stencils take."""
     if len(omega) < 3:
         raise error(f"domega/dt needs at least 3 samples, got {len(omega)}")
     return np.gradient(omega, uniform_step(times), edge_order=2)
+
+
+def _windowed_fit(times, y, x, window: tuple[float, float] | None,
+                  excursion: str, regressor: str) -> tuple[float, float]:
+    """Least-squares gain k for y = k*x over the ``window_slice`` of
+    ``window`` (every sample if None), and the normalized residual; an
+    EstimationError naming the ``excursion`` of x, the ``regressor``, if
+    fewer than 2 windowed |x| exceed _EXCURSION. The windowed samples are
+    made contiguous, since a strided dot product may round differently."""
+    rows = window_slice(times, *(window or ()))
+    x = np.ascontiguousarray(np.asarray(x, dtype=float)[rows])
+    y = np.ascontiguousarray(np.asarray(y, dtype=float)[rows])
+    if np.count_nonzero(np.abs(x) > _EXCURSION) < 2:
+        raise EstimationError(
+            f"no {excursion} excursion in window: fewer than 2 samples with "
+            f"|{regressor}| > {_EXCURSION:g}")
+    k = float(np.dot(y, x)) / float(np.dot(x, x))
+    scale = float(np.linalg.norm(y))
+    res = float(np.linalg.norm(y - k * x)) / scale if scale > 0 else 0.0
+    return k, res
 
 
 def estimate_frequency_inertia(
@@ -88,13 +99,8 @@ def estimate_frequency_inertia(
     grid, before the window picks its samples."""
     omega_dot = _omega_dot(times, np.asarray(omega, dtype=float),
                            EstimationError)
-    mask = window_mask(times, *(window or ()))
-    wd, wp = omega_dot[mask], np.asarray(dp, dtype=float)[mask]
-    if np.count_nonzero(np.abs(wd) > _EXCURSION) < 2:
-        raise EstimationError(
-            f"no frequency excursion in window: fewer than 2 samples with "
-            f"|domega/dt| > {_EXCURSION:g}")
-    return _scalar_fit(wp, wd)
+    return _windowed_fit(times, dp, omega_dot, window, "frequency",
+                         "domega/dt")
 
 
 def estimate_voltage_inertia(
@@ -104,14 +110,7 @@ def estimate_voltage_inertia(
     window: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Fit H_v in dq = H_v * eps over the window; returns (H_v, residual)."""
-    mask = window_mask(times, *(window or ()))
-    we = np.asarray(eps, dtype=float)[mask]
-    wq = np.asarray(dq, dtype=float)[mask]
-    if np.count_nonzero(np.abs(we) > _EXCURSION) < 2:
-        raise EstimationError(
-            f"no voltage excursion in window: fewer than 2 samples with "
-            f"|eps| > {_EXCURSION:g}")
-    return _scalar_fit(wq, we)
+    return _windowed_fit(times, dq, eps, window, "voltage", "eps")
 
 
 def generalized_inertia_series(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf_estimator import window_mask, window_slice
+from .cf_estimator import window_slice
 from .sync_detector import NodeVerdict, SyncConfig
 
 FIT_QUALITY_FLOOR = 0.8  # below this R^2 a damping fit is flagged as unfit
@@ -72,12 +72,10 @@ class DisturbanceRegion:
 
 def overshoot(times: np.ndarray, x: np.ndarray, t_start: float,
               t_stop: float) -> float:
-    """Peak-to-valley span of x over [t_start, t_stop]."""
-    x = np.asarray(x, dtype=float)
-    mask = window_mask(times, t_start, t_stop)
-    if not mask.any():
+    """Peak-to-valley span of x over the window [t_start, t_stop]."""
+    seg = np.asarray(x, dtype=float)[window_slice(times, t_start, t_stop)]
+    if not len(seg):
         raise ValueError("empty overshoot window")
-    seg = x[mask]
     return float(seg.max() - seg.min())
 
 
@@ -112,16 +110,14 @@ def _log_linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def fit_damping(times: np.ndarray, x: np.ndarray, limit: float,
                 t_event: float) -> DampingFit:
-    """Exponential envelope fit of |x - limit| after t_event.
+    """Exponential envelope fit of |x - limit| from t_event to the last sample.
 
     Uses the peak envelope (log-linear least squares over local maxima) when
     at least 3 peaks exist, else falls back to all samples with a nonzero
     deviation. A signal already at its limit is reported as fully damped."""
-    times = np.asarray(times, dtype=float)
-    x = np.asarray(x, dtype=float)
-    mask = window_mask(times, t_event)
-    t = times[mask]
-    dev = np.abs(x[mask] - limit)
+    rows = window_slice(times, t_event)
+    t = np.asarray(times, dtype=float)[rows]
+    dev = np.abs(np.asarray(x, dtype=float)[rows] - limit)
     if dev.max(initial=0.0) <= _ZERO_DEV:
         return DampingFit(sigma=math.inf, amplitude=0.0, r_squared=1.0,
                           method="fully_damped")
@@ -147,6 +143,9 @@ def node_metrics(
     verdict: NodeVerdict,
     config: SyncConfig,
 ) -> NodeMetrics:
+    """One node's indices, each window a slice of its series cut at t_end."""
+    cut = window_slice(times, t1=config.t_end)
+    times, eps, omega = times[cut], eps[cut], omega[cut]
     t_eps, t_omega = verdict.t_eps, verdict.t_omega
     both = t_eps is not None and t_omega is not None
     # overshoot runs to the node's settling time T_end_k, else to t_end

@@ -10,16 +10,16 @@ pairwise.
 ``evaluate`` judges all buses in one pass over the (n_samples, n_bus)
 series: one trailing-max sweep per component, and one batched diameter over
 the (n_bus, w) final windows. The sweep takes blocks of bus columns of
-about ``cf_estimator._BLOCK_VALUES`` deviations, and the coarse segment and
-final windows are read as slices, so the pass holds a few copies of those
-windows, never of the whole series. Every diameter, of a window or of a
-set of limits, is bit-equal to the all-pairs maximum and comes from one
-bound-and-prune on a power-of-two tree of blocks (``_tree_max``): a block
-pair is split only while its anchor distance plus both radii can reach the
-largest distance measured, and the leaf pairs left are measured. Windows
-keep time order, where a settling trajectory prunes to a few pairs per
-level; a row that keeps too many is rerun on a k-d layout of its distinct
-points. numpy alone does the work.
+about ``cf_estimator._BLOCK_VALUES`` deviations, and every window is a
+``window_slice`` of the series cut at t_end, so the pass holds a few
+copies of those windows, never of the whole series. Every diameter, of a
+window or of a set of limits, is bit-equal to the all-pairs maximum and
+comes from one bound-and-prune on a power-of-two tree of blocks
+(``_tree_max``): a block pair is split only while its anchor distance plus
+both radii can reach the largest distance measured, and the leaf pairs
+left are measured. Windows keep time order, where a settling trajectory
+prunes to a few pairs per level; a row that keeps too many is rerun on a
+k-d layout of its distinct points. numpy alone does the work.
 """
 from __future__ import annotations
 
@@ -163,7 +163,9 @@ def find_convergence_time(
     t_event: float,
 ) -> float | None | list[float | None]:
     """First sample instant t >= t_event + window whose trailing window
-    [t - window, t] keeps |x - target| below tol; None if never.
+    [t - window, t] keeps |x - target| below tol; None if never. Every
+    trailing window holds as many rows as the last one, ``window_slice(
+    times, times[-1] - window)``; a ValueError if no sample precedes it.
 
     ``x`` may carry a trailing bus axis, (n_samples, n_bus), with one
     target per bus; then the result is a list with one time (or None) per
@@ -172,13 +174,13 @@ def find_convergence_time(
     the block temporaries hold no more than that."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
-    dt = uniform_step(times)
-    w = int(round(window / dt)) + 1
-    if w > len(times):
+    uniform_step(times)  # w rows span the window only on a uniform grid
+    if not window_slice(times, t1=times[-1] - window).stop:
         raise ValueError("window exceeds series span")
+    w = len(times[window_slice(times, times[-1] - window)])
     cols = x if x.ndim > 1 else x[:, None]
     # windows ending before the first admissible instant are not swept
-    lo = max(w - 1, int(np.searchsorted(times, t_event + window - T_SLACK)))
+    lo = max(w - 1, window_slice(times, t_event + window).start)
     end_times = times[lo:]
     hits: list[float | None] = [None] * cols.shape[1]
     if len(end_times):
@@ -352,7 +354,8 @@ def _node_verdicts(
     """Verdicts for the columns of (n_samples, n_bus) eps and omega series,
     one per bus id, in one pass over all of them."""
     config.validate()
-    times = np.asarray(times, dtype=float)
+    cut = window_slice(times, t1=config.t_end)  # every window is a slice
+    times, eps, omega = times[cut], eps[cut], omega[cut]
     coarse_eps, coarse_omega = _coarse_limits(times, eps, omega, config)
     t_eps = find_convergence_time(times, eps, coarse_eps, config.tol_eps,
                                   config.window, config.t_event)
@@ -365,8 +368,7 @@ def _node_verdicts(
         np.ascontiguousarray((eps[final] + 1j * omega[final]).T))
 
     if config.limit_mode == "endpoint":
-        i_end = int(np.searchsorted(times, config.t_end + T_SLACK) - 1)
-        lim_eps, lim_omega = eps[i_end], omega[i_end]
+        lim_eps, lim_omega = eps[-1], omega[-1]
     else:
         lim_eps, lim_omega = _row_means(eps[final]), _row_means(omega[final])
     verdicts = []
@@ -451,7 +453,8 @@ def evaluate(
     subnets: dict[str, list[int]],
     config: SyncConfig,
 ) -> SyncReport:
-    """Node, subnet, and global verdicts for a complex-frequency series."""
+    """Node, subnet, and global verdicts for a complex-frequency series,
+    cut at ``config.t_end``: no sample after it is read."""
     nodes = {v.bus: v for v in _node_verdicts(
         series.bus_ids, series.times, series.eps, series.omega, config)}
     subs: dict[str, SubnetVerdict] = {}

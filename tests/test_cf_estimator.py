@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsync import cf_estimator
-from cfsync.cf_estimator import estimate_complex_frequency, uniform_step
+from cfsync.cf_estimator import (
+    T_SLACK,
+    estimate_complex_frequency,
+    uniform_step,
+    window_slice,
+)
 from cfsync.dynamics import Trajectory
 
 WS = 2 * math.pi * 60
@@ -179,6 +184,68 @@ class TestUniformStep:
     def test_rejected(self, times):
         with pytest.raises(ValueError, match="time grid"):
             uniform_step(np.array(times))
+
+
+def window_end(data, times, dt, label):
+    """A window end drawn on a sample, between two, within a few T_SLACK
+    of one, exactly T_SLACK off one, infinite or nan."""
+    kind = data.draw(st.sampled_from(
+        ["on", "between", "near", "slack", "inf", "nan"]), label=label)
+    if kind == "inf":
+        return data.draw(st.sampled_from([-np.inf, np.inf]), label=label)
+    if kind == "nan":
+        return np.nan
+    base = times[data.draw(st.integers(0, len(times) - 1), label=label)] \
+        if len(times) else 0.0
+    if kind == "between":
+        return base + data.draw(st.floats(-1.0, 1.0), label=label) * dt
+    if kind == "near":
+        return base + data.draw(st.floats(-3.0, 3.0), label=label) * T_SLACK
+    if kind == "slack":
+        return base + data.draw(st.sampled_from([-T_SLACK, T_SLACK]),
+                                label=label)
+    return base
+
+
+class TestWindowSlice:
+    """window_slice is the one rule that turns a time window into rows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_selects_the_samples_within_slack_of_the_window(self, data):
+        n = data.draw(st.integers(0, 50), label="n")
+        dt = data.draw(st.sampled_from([1e-4, 2.5e-4, 1e-3, 0.01, 0.1, 1.0]),
+                       label="dt")
+        t_first = data.draw(st.floats(-50.0, 50.0), label="t_first")
+        times = t_first + np.arange(n) * dt
+        t0 = window_end(data, times, dt, "t0")
+        t1 = window_end(data, times, dt, "t1")
+        reference = (times >= t0 - T_SLACK) & (times <= t1 + T_SLACK)
+        rows = window_slice(times, t0, t1)
+        assert rows.step is None
+        assert np.array_equal(np.arange(n)[rows], np.flatnonzero(reference))
+
+    @pytest.mark.parametrize("t0, t1", [(0.5, 0.3), (2.0, 3.0),
+                                        (-2.0, -1.0), (0.41, 0.49)])
+    def test_empty_window_is_an_empty_slice(self, t0, t1):
+        times = np.arange(11) * 0.1
+        rows = window_slice(times, t0, t1)
+        assert rows.stop - rows.start == 0
+        assert len(times[rows]) == 0
+
+    def test_default_ends_take_every_row(self):
+        times = np.arange(5) * 0.25
+        assert window_slice(times) == slice(0, 5)
+        assert window_slice(times, t1=0.5) == slice(0, 3)
+        assert window_slice(times, 0.5) == slice(2, 5)
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0],
+        [0.0, np.nan, 2.0],
+    ], ids=["repeat", "step_back", "decreasing", "nan"])
+    def test_non_increasing_times_raise(self, times):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            window_slice(np.array(times), 0.0, 1.0)
 
 
 def same_bits(a, b):

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cfsync import bundled_case_path, cli
-from cfsync.cf_estimator import estimate_complex_frequency, window_mask
+from cfsync.cf_estimator import estimate_complex_frequency, window_slice
 from cfsync.cli import main
 from cfsync.fileio import (
     load_case,
@@ -411,6 +411,36 @@ class TestAnalyze:
         assert "holds 1 sample(s)" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_nothing_after_t_end_is_read(self, tmp_path):
+        # a 20 s load shed analysed to 8 s: convergence is judged on
+        # [0, 8] s, so no node can converge after it
+        assert main(["simulate", "--case", SHED, "--t-end", "20",
+                     "--outdir", str(tmp_path)]) == 0
+        assert main(["analyze", "--traj", str(tmp_path / "trajectory.csv"),
+                     "--case", SHED, "--t-end", "8",
+                     "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for node in report["nodes"].values():
+            for key in ("t_eps", "t_omega"):
+                assert node[key] is None or node[key] <= 8.0, (key, node)
+
+    def test_window_longer_than_the_span_to_t_end_exits_3(
+            self, simdir, tmp_path, capsys):
+        # the run starts at 5 s: [5, 8] s is shorter than a 4 s window,
+        # though [5, 10] s is not
+        traj = read_trajectory_csv(simdir / "trajectory.csv",
+                                   omega_s=load_case(SHED).omega_s)
+        traj.times = traj.times + 5.0
+        write_trajectory_csv(traj, tmp_path / "late.csv")
+        rc = main(["analyze", "--traj", str(tmp_path / "late.csv"),
+                   "--case", SHED, "--t-end", "8", "--window", "4",
+                   "--t-coarse", "4", "--t-event", "6",
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert "--window 4.0 exceeds the trajectory's span to t_end 8.0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_wrong_case_for_trajectory_exits_2(self, simdir, tmp_path):
         case = load_case(CASE)
         case.buses = case.buses[:-1]
@@ -551,7 +581,7 @@ class TestInertia:
         assert rc == 0
         times = read_trajectory_csv(simdir / "trajectory.csv",
                                     omega_s=load_case(SHED).omega_s).times
-        last = np.flatnonzero(window_mask(times, 2.005, 2.3))[-1]
+        last = window_slice(times, 2.005, 2.3).stop - 1
         assert times[last] > 2.3
         assert len(seen) == len(load_case(SHED).generators)
         for got in seen:
@@ -573,13 +603,13 @@ class TestInertia:
                                    omega_s=case.omega_s)
         omega = read_generator_csv(simdir / "trajectory_gen.csv")["omega"]
         series = estimate_complex_frequency(traj)
-        mask = window_mask(traj.times, *window)
+        rows = window_slice(traj.times, *window)
         result = json.loads((tmp_path / "inertia.json").read_text())
         for k, est in enumerate(result["estimates"]):
             zeta = generalized_inertia_series(
                 est["h_v"], est["m"], traj.times, series.node(est["bus"])[0],
                 omega[:, k])
-            assert est["zeta_peak"] == float(np.abs(zeta[mask]).max())
+            assert est["zeta_peak"] == float(np.abs(zeta[rows]).max())
 
     @pytest.mark.parametrize("window", [("30", "40"), ("5", "3"),
                                         ("2.005", "2.005")],

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from cfsync import sync_detector
-from cfsync.cf_estimator import ComplexFrequencySample
+from cfsync.cf_estimator import (
+    ComplexFrequencySample,
+    ComplexFrequencySeries,
+    estimate_complex_frequency,
+    window_slice,
+)
 from cfsync.metrics import (
     disturbance_region,
     fit_damping,
@@ -16,7 +21,12 @@ from cfsync.metrics import (
     overshoot,
     subnet_metrics,
 )
-from cfsync.sync_detector import NodeVerdict, SyncConfig, row_diameters
+from cfsync.sync_detector import (
+    NodeVerdict,
+    SyncConfig,
+    evaluate,
+    row_diameters,
+)
 
 
 def verdict(bus, t_eps, t_omega, eps_lim=0.0, om_lim=377.0, converged=True):
@@ -176,6 +186,33 @@ class TestNodeMetrics:
                          verdict(1, te, to), SyncConfig(t_end=60.0))
         assert m.s_eps * te == pytest.approx(1.0)
         assert m.s_omega * to == pytest.approx(1.0)
+
+
+class TestNothingAfterTEnd:
+    """The analysis of [0, t_end] reads no sample after t_end: moving
+    every eps and omega after it changes no verdict and no metric."""
+
+    def test_verdicts_and_metrics_ignore_later_samples(
+            self, loadshed_traj, wscc9_loadshed):
+        series = estimate_complex_frequency(loadshed_traj)
+        config = SyncConfig(t_end=8.0, t_event=2.0)
+        after = window_slice(series.times, t1=config.t_end).stop
+        assert after < len(series.times)
+        eps, omega = series.eps.copy(), series.omega.copy()
+        eps[after:] += 1.0
+        omega[after:] += 1.0
+        moved = ComplexFrequencySeries(series.times, series.bus_ids, eps,
+                                       omega)
+        reports = [evaluate(s, wscc9_loadshed.subnets, config)
+                   for s in (series, moved)]
+        assert reports[1].nodes == reports[0].nodes
+        for v in reports[0].nodes.values():
+            assert v.t_eps is None or v.t_eps <= config.t_end
+            assert v.t_omega is None or v.t_omega <= config.t_end
+            assert node_metrics(series.times, *moved.node(v.bus), v,
+                                config) \
+                == node_metrics(series.times, *series.node(v.bus), v,
+                                config)
 
 
 class TestSubnetMetrics:

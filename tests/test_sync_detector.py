@@ -13,6 +13,7 @@ from cfsync.cf_estimator import (
     ComplexFrequencySample,
     ComplexFrequencySeries,
     estimate_complex_frequency,
+    window_slice,
 )
 from cfsync.dynamics import SimConfig, Trajectory, simulate
 from cfsync.fileio import write_json
@@ -26,6 +27,7 @@ from cfsync.sync_detector import (
     _pairwise_max,
     _row_means,
     evaluate,
+    final_window,
     find_convergence_time,
     global_verdict,
     node_verdict,
@@ -397,6 +399,36 @@ class TestFindConvergenceTime:
             assert b is None
         else:
             assert b == pytest.approx(a + shift, abs=1e-9)
+
+
+class TestConvergenceWindowRows:
+    """Each trailing convergence window holds the rows the window rule
+    gives the final window, however the window falls between samples."""
+
+    @pytest.mark.parametrize("window, expected", [(1.0006, 3.000),
+                                                  (0.9996, 2.999)])
+    def test_window_between_samples(self, window, expected):
+        t = np.arange(4001) * 1e-3
+        x = (np.arange(len(t)) < 2000).astype(float)  # 1 before t = 2 s
+        got = find_convergence_time(t, x, 0.0, 0.5, window, 0.0)
+        assert got == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_trailing_and_final_windows_hold_the_same_rows(self, data):
+        dt = data.draw(st.floats(1e-4, 0.1), label="dt")
+        n = data.draw(st.integers(10, 400), label="n")
+        t = data.draw(st.floats(-10.0, 10.0), label="t_first") \
+            + np.arange(n) * dt
+        window = data.draw(st.floats(1.0, n - 2.0), label="steps") * dt
+        config = SyncConfig(t_end=float(t[-1]), window=window)
+        final = final_window(t, config)
+        w = final.stop - final.start
+        m = data.draw(st.integers(1, n - w), label="ones")  # rows of 1
+        x = (np.arange(n) < m).astype(float)
+        got = find_convergence_time(t, x, 0.0, 0.5, window, float(t[0]))
+        # the first window of zeros is rows m .. m + w - 1
+        assert got == t[m + w - 1]
 
 
 def two_stage_signal(dt=1e-3, t_end=12.0):
