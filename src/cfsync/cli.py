@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cf_estimator import T_SLACK, estimate_complex_frequency, window_slice
+from .cf_estimator import estimate_complex_frequency, window_slice
 from .dynamics import SimConfig, SimulationError, simulate
 from .fileio import (
     build_manifest,
@@ -40,7 +40,7 @@ from .inertia import (
     simulate_capacitor_bus,
 )
 from .metrics import disturbance_region, node_metrics, subnet_metrics
-from .sync_detector import SyncConfig, evaluate, final_window, row_diameters
+from .sync_detector import SyncConfig, evaluate, row_diameters
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -234,27 +234,8 @@ def cmd_analyze(args) -> int:
     traj = _read("trajectory", args.traj, read_trajectory_csv,
                  omega_s=case.omega_s)
     config = _sync_config_from_args(args, traj)
-    t_last = float(traj.times[-1])
     try:
-        config.validate()
-        if config.window >= config.t_end - traj.times[0]:
-            raise ValueError(f"--window {config.window!r} exceeds the "
-                             f"trajectory's span to t_end {config.t_end!r}")
-        if config.t_end > t_last + T_SLACK:
-            raise ValueError(f"--t-end {config.t_end!r} is after the "
-                             f"trajectory's last sample, t = {t_last!r}")
-        if config.t_event > config.t_end:
-            given = "--t-event" if args.t_event is not None \
-                else "the trajectory's first event, t_event ="
-            raise ValueError(f"{given} {config.t_event!r} is after the end "
-                             f"of the analysis, t_end = {config.t_end!r}")
-        try:
-            final_window(traj.times, config)
-        except ValueError as exc:
-            raise ValueError(
-                f"--window {config.window!r} is too short for the "
-                f"trajectory's step {float(traj.times[1] - traj.times[0])!r}:"
-                f" {exc}") from None
+        config.validate(traj.times)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = build_report(traj, case, config, smoothing_window,

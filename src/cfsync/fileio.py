@@ -673,12 +673,11 @@ def sha256_file(path: str | Path) -> str:
 
 
 def build_manifest(case_path: str | Path, sim_config,
-                   sync_config=None, outputs: list[str] | None = None) -> dict:
+                   outputs: list[str] | None = None) -> dict:
     return {
         "tool_version": __version__,
         "case_path": str(case_path),
         "case_sha256": sha256_file(case_path),
         "sim_config": _jsonable(sim_config),
-        "sync_config": _jsonable(sync_config) if sync_config else None,
         "outputs": outputs or [],
     }

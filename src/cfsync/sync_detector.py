@@ -70,16 +70,36 @@ class SyncConfig:
     def resolved_t_coarse(self) -> float:
         return self.t_coarse if self.t_coarse is not None else self.t_end - 2.0
 
-    def validate(self) -> None:
-        if not (0.0 < self.window < self.t_end):
-            raise ValueError("need 0 < window < t_end")
-        if not self.resolved_t_coarse() <= self.t_end - self.window + T_SLACK:
-            raise ValueError("t_coarse must be <= t_end - window")
+    def validate(self, times: np.ndarray) -> None:
+        """The one check that this config fits the strictly increasing
+        series ``times``, past the series-free rules: t_end <= the last
+        sample, window < the span of the series cut at t_end, a sample in
+        [t_event, t_end], so t_event <= t_end, and 2 in the final window
+        (``final_window``). A NaN fails; times reach out by T_SLACK."""
+        if not 0.0 < self.window:
+            raise ValueError(f"window {self.window!r} must be > 0")
+        bound = self.t_end - self.window
+        if not self.resolved_t_coarse() <= bound + T_SLACK:
+            raise ValueError(f"t_coarse {self.resolved_t_coarse()!r} must be"
+                             f" <= t_end - window = {bound!r}")
         for name in ("tol_eps", "tol_omega", "tol_node", "tol_eq"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.limit_mode not in ("endpoint", "window_mean"):
             raise ValueError(f"unknown limit_mode {self.limit_mode!r}")
+        if not self.t_end <= times[-1] + T_SLACK:
+            raise ValueError(f"t_end {self.t_end!r} must be <= the series' "
+                             f"last sample, t = {float(times[-1])!r}")
+        cut = window_slice(times, t1=self.t_end)
+        first, last = float(times[0]), float(times[max(cut.stop, 1) - 1])
+        if not self.window < last - first:
+            raise ValueError(f"window {self.window!r} must be < the series' "
+                             f"span to t_end, t = {first!r} .. {last!r}")
+        event = window_slice(times, self.t_event, self.t_end)
+        if not event.start < event.stop:
+            raise ValueError(f"t_event {self.t_event!r} leaves no sample in "
+                             f"[t_event, t_end = {self.t_end!r}]")
+        final_window(times, self)
 
 
 @dataclass
@@ -130,11 +150,9 @@ def _coarse_limits(
     times: np.ndarray, eps: np.ndarray, omega: np.ndarray, config: SyncConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column eps and omega means over [t_coarse - window, t_end] of
-    (n_samples, n_bus) series."""
+    (n_samples, n_bus) series, a segment that holds the final window."""
     t0 = config.resolved_t_coarse() - config.window
     rows = window_slice(times, t0, config.t_end)
-    if rows.start == rows.stop:
-        raise ValueError("empty coarse segment")
     return _row_means(eps[rows]), _row_means(omega[rows])
 
 
@@ -338,9 +356,9 @@ def final_window(times: np.ndarray, config: SyncConfig) -> slice:
     held = final.stop - final.start
     if held < 2:
         raise ValueError(
-            f"the final window [{config.t_end - config.window!r}, "
-            f"{config.t_end!r}] holds {held} sample(s); a fluctuation "
-            "needs at least 2")
+            f"window {config.window!r} is too short: the final window "
+            f"[{config.t_end - config.window!r}, {config.t_end!r}] holds "
+            f"{held} sample(s); a fluctuation needs at least 2")
     return final
 
 
@@ -353,7 +371,7 @@ def _node_verdicts(
 ) -> list[NodeVerdict]:
     """Verdicts for the columns of (n_samples, n_bus) eps and omega series,
     one per bus id, in one pass over all of them."""
-    config.validate()
+    config.validate(times)
     cut = window_slice(times, t1=config.t_end)  # every window is a slice
     times, eps, omega = times[cut], eps[cut], omega[cut]
     coarse_eps, coarse_omega = _coarse_limits(times, eps, omega, config)
@@ -454,7 +472,8 @@ def evaluate(
     config: SyncConfig,
 ) -> SyncReport:
     """Node, subnet, and global verdicts for a complex-frequency series,
-    cut at ``config.t_end``: no sample after it is read."""
+    cut at ``config.t_end``: no sample after it is read. A ValueError
+    unless ``config.validate(series.times)`` passes."""
     nodes = {v.bus: v for v in _node_verdicts(
         series.bus_ids, series.times, series.eps, series.omega, config)}
     subs: dict[str, SubnetVerdict] = {}

@@ -1,7 +1,10 @@
+import collections
 import dataclasses
 import functools
+import itertools
 import json
 import operator
+import random
 import shutil
 import warnings
 from pathlib import Path
@@ -50,6 +53,15 @@ def reportdir(simdir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def shed_2ms(tmp_path_factory):
+    """The bundled load shed simulated for 10 s at 2 ms steps."""
+    d = tmp_path_factory.mktemp("cli_shed_2ms")
+    assert main(["simulate", "--case", SHED, "--t-end", "10", "--dt", "0.002",
+                 "--outdir", str(d)]) == 0
+    return d / "trajectory.csv"
+
+
+@pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
     """A 3 s load shed at 10 ms steps and the report analyze makes of it."""
     d = tmp_path_factory.mktemp("cli_short_run")
@@ -88,6 +100,20 @@ class TestSimulate:
                    str(simdir / "trajectory_manifest.json"),
                    "--outdir", str(tmp_path)])
         assert rc == 0
+        assert (tmp_path / "trajectory.csv").read_bytes() == \
+            (simdir / "trajectory.csv").read_bytes()
+
+    def test_replay_of_a_manifest_with_sync_config_null(self, simdir,
+                                                       tmp_path):
+        # manifests written before the key was dropped replay the same
+        manifest = json.loads(
+            (simdir / "trajectory_manifest.json").read_text())
+        assert "sync_config" not in manifest
+        manifest["sync_config"] = None
+        (tmp_path / "old_manifest.json").write_text(json.dumps(manifest))
+        assert main(["simulate", "--from-manifest",
+                     str(tmp_path / "old_manifest.json"),
+                     "--outdir", str(tmp_path)]) == 0
         assert (tmp_path / "trajectory.csv").read_bytes() == \
             (simdir / "trajectory.csv").read_bytes()
 
@@ -344,12 +370,12 @@ class TestAnalyze:
         assert "window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--t-end", "30"], "--t-end 30.0 is after the trajectory's last "
+        (["--t-end", "30"], "t_end 30.0 must be <= the series' last "
                             "sample, t = 5.0"),
-        (["--t-event", "6"], "--t-event 6.0 is after the end of the "
-                             "analysis, t_end = 5.0"),
-        (["--t-end", "1.5"], "the trajectory's first event, t_event = 2.0 is "
-                             "after the end of the analysis, t_end = 1.5"),
+        (["--t-event", "6"], "t_event 6.0 leaves no sample in [t_event, "
+                             "t_end = 5.0]"),
+        (["--t-end", "1.5"], "t_event 2.0 leaves no sample in [t_event, "
+                             "t_end = 1.5]"),
     ], ids=["t_end_after_the_run", "t_event_after_t_end",
             "recorded_event_after_t_end"])
     def test_window_outside_the_run_exits_3(self, simdir, tmp_path, capsys,
@@ -406,8 +432,8 @@ class TestAnalyze:
                    "--outdir", str(tmp_path)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert f"--window {float(window)!r} is too short for the " \
-            "trajectory's step 0.001" in err
+        assert f"window {float(window)!r} is too short: the final " \
+            "window" in err
         assert "holds 1 sample(s)" in err
         assert not (tmp_path / "report.json").exists()
 
@@ -437,9 +463,46 @@ class TestAnalyze:
                    "--t-coarse", "4", "--t-event", "6",
                    "--outdir", str(tmp_path)])
         assert rc == 3
-        assert "--window 4.0 exceeds the trajectory's span to t_end 8.0" \
-            in capsys.readouterr().err
+        assert "window 4.0 must be < the series' span to t_end, " \
+            "t = 5.0 .. 8.0" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-end", "9.9995", "--t-event", "9.9991"],
+         "t_event 9.9991 leaves no sample in [t_event, t_end = 9.9995]"),
+        (["--t-end", "8.001", "--window", "8.0005", "--t-coarse", "-1"],
+         "window 8.0005 must be < the series' span to t_end, t = 0.0 .. 8.0"),
+    ], ids=["no_sample_from_t_event_to_t_end", "window_past_the_cut_span"])
+    def test_windows_off_the_samples_exit_3(self, shed_2ms, tmp_path, capsys,
+                                            argv, message):
+        # both raised from inside the analysis, "empty overshoot window"
+        # and "window exceeds series span": a traceback and exit 1
+        rc = main(["analyze", "--traj", str(shed_2ms), "--case", SHED,
+                   *argv, "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_option_grid_exits_0_or_3(self, shed_2ms, tmp_path, capsys):
+        # every combination of t_end 9.9995 and 8.001, where each call
+        # that raised lies, and a seeded sample of the rest of the grid
+        grid = list(itertools.product(
+            [None, "10", "9.9995", "8.001", "8", "3", "2.0005", "1.5"],
+            [None, "0.5", "0.0015", "3", "7.999", "8.0005", "9.5"],
+            [None, "0", "1.9999", "8.0005", "9.9991", "-1"],
+            [None, "-1", "0", "5"]))
+        near = [c for c in grid if c[0] in ("9.9995", "8.001")]
+        rest = [c for c in grid if c not in near]
+        codes = collections.Counter()
+        for combo in near + random.Random(0).sample(rest, 64):
+            argv = ["analyze", "--traj", str(shed_2ms), "--case", SHED,
+                    "--outdir", str(tmp_path)]
+            for option, value in zip(("--t-end", "--window", "--t-event",
+                                      "--t-coarse"), combo):
+                argv += [option, value] if value is not None else []
+            codes[main(argv)] += 1
+        capsys.readouterr()
+        assert set(codes) == {0, 3}, codes
 
     def test_wrong_case_for_trajectory_exits_2(self, simdir, tmp_path):
         case = load_case(CASE)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -305,13 +306,6 @@ class TestCoarseLimit:
                                    cfg)
         assert out == pytest.approx(expected, abs=1e-15)
 
-    def test_empty_segment(self):
-        t = np.arange(0, 5.0, 0.01)
-        cfg = SyncConfig(t_end=20.0, t_coarse=18.0)
-        with pytest.raises(ValueError, match="empty coarse segment"):
-            _coarse_limits(t, np.zeros((len(t), 1)), np.zeros((len(t), 1)),
-                           cfg)
-
 
 class TestRowMeans:
     @settings(max_examples=80, deadline=None)
@@ -482,10 +476,12 @@ class TestNodeVerdict:
             node_verdict(1, t, eps, np.full_like(t, WS), cfg)
 
     @pytest.mark.parametrize("field", ["tol_eps", "tol_omega", "tol_node",
-                                       "tol_eq", "t_coarse"])
+                                       "tol_eq", "t_coarse", "window",
+                                       "t_end", "t_event"])
     def test_nan_fails_validation(self, field):
+        config = SyncConfig(**{"t_end": 10.0, field: math.nan})
         with pytest.raises(ValueError, match=field):
-            SyncConfig(t_end=10.0, **{field: math.nan}).validate()
+            config.validate(np.arange(0, 10.001, 0.01))
 
     def test_window_mean_limit_mode(self):
         t = np.arange(0, 10.001, 0.01)
@@ -599,6 +595,26 @@ class TestEvaluate:
         assert report.subnets["A"].internally_synced
         assert not report.subnets["B"].internally_synced
         assert report.global_verdict.status == "not_synchronized"
+
+    @pytest.mark.parametrize("start, config, message", [
+        (0.0, SyncConfig(t_end=9.0, window=4.0, t_coarse=5.0, t_event=2.0),
+         "t_end 9.0 must be <= the series' last sample, t = 6.0"),
+        (0.0, SyncConfig(t_end=6.0, t_event=7.0),
+         "t_event 7.0 leaves no sample in [t_event, t_end = 6.0]"),
+        (5.0, SyncConfig(t_end=8.0, window=4.0, t_coarse=4.0, t_event=6.0),
+         "window 4.0 must be < the series' span to t_end, t = 5.0 .. 8.0"),
+    ], ids=["t_end_after_the_series", "t_event_after_t_end",
+            "window_longer_than_a_late_series"])
+    def test_config_outside_the_series_raises(self, start, config, message):
+        # a 6 s series: the first two configs returned verdicts, the first
+        # a fluctuation of [5, 6] s alone, and the third raised from inside
+        # the pass, not from validation
+        t = start + np.linspace(0.0, 6.0, 601)
+        series = ComplexFrequencySeries(
+            times=t, bus_ids=[1, 2], eps=np.zeros((len(t), 2)),
+            omega=np.full((len(t), 2), WS))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(series, {"A": [1, 2]}, config)
 
 
 def record_calls(monkeypatch, name):
