@@ -1,6 +1,7 @@
 """Command-line entry points: simulate, analyze, inertia, plotdata.
 
-Exit codes: 0 success, 2 input error, 3 configuration error, 4 numerical
+Exit codes: 0 success, 2 input error or an output that cannot be written,
+3 configuration error, 4 numerical
 failure. The default output directory comes from $CFSYNC_OUTDIR (cwd if
 unset).
 """
@@ -257,7 +258,7 @@ def _grid(times: np.ndarray) -> str:
 
 def _sweep_values(text: str) -> list[float]:
     """The comma-separated H_v values of ``--sweep``, each a finite
-    number given once."""
+    number > 0 given once."""
     values = []
     for item in text.split(","):
         try:
@@ -267,6 +268,8 @@ def _sweep_values(text: str) -> list[float]:
                 f"--sweep value {item!r} is not a number") from None
         if not math.isfinite(h):
             raise ConfigError(f"--sweep value {item!r} is not finite")
+        if h <= 0:
+            raise ConfigError(f"--sweep value {item!r} is not > 0")
         if h in values:
             raise ConfigError(f"--sweep value {item!r} repeats H_v = "
                               f"{format_number(h)}")
@@ -416,6 +419,9 @@ def cmd_plotdata(args) -> int:
         write_csv(out, ["t"] + names, [series.times] + cols)
     else:  # damping
         out = outdir / "damping.csv"
+        # each envelope spans its fit's rows, from t_event; 0 elsewhere
+        t_event = _field(report, "report", "config.sync.t_event")
+        rows = window_slice(series.times, t_event)
         header, cols = ["t"], [series.times]
         for b in series.bus_ids:
             limit = _field(report, "report", f"nodes.{b}.coarse.eps")
@@ -423,12 +429,12 @@ def cmd_plotdata(args) -> int:
                          (dict, type(None))) or {}
             header += [f"dev_eps_{b}", f"fit_eps_{b}"]
             cols.append(np.abs(series.node(b)[0] - limit))
-            if fit.get("sigma") in ("inf", None):
-                cols.append(np.zeros_like(series.times))
-            else:
-                cols.append(_field(fit, "report fit", "amplitude")
-                            * np.exp(-_field(fit, "report fit", "sigma")
-                                     * series.times))
+            envelope = np.zeros_like(series.times)
+            if fit.get("sigma") not in ("inf", None):
+                envelope[rows] = _field(fit, "report fit", "amplitude") \
+                    * np.exp(-_field(fit, "report fit", "sigma")
+                             * (series.times[rows] - t_event))
+            cols.append(envelope)
         write_csv(out, header, cols)
     print(f"wrote {out}")
     return EXIT_OK
@@ -540,6 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PowerFlowError, SimulationError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # every input is read through _read or load_case
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry_point() -> None:

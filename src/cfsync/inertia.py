@@ -4,8 +4,9 @@ signal zeta = H_v*eps + j*M*domega/dt.
 M maps active-power imbalance to angular acceleration (M = 2H/omega_s for a
 synchronous machine); H_v maps reactive-power imbalance to the normalized rate
 of change of voltage magnitude, motivated by the stored energy of an
-equivalent capacitance at the bus. A single-bus capacitor model supports
-sweeping H_v and checking the inverse-proportionality of the voltage response.
+equivalent capacitance at the bus. A single-bus capacitor model, solved in
+closed form, supports sweeping H_v and checking the inverse-proportionality of
+the voltage response.
 Every domega/dt is taken on the step of the series' uniform time grid
 (``uniform_step``), so a non-uniform grid raises ValueError.
 """
@@ -140,44 +141,40 @@ def simulate_capacitor_bus(
     t_end: float,
     dt: float,
 ) -> CapacitorSweepResult:
-    """Integrate the single-bus voltage ODE for each voltage-inertia value.
+    """The single-bus voltage response to a reactive step, for each
+    voltage-inertia value, on the dt grid to t_end (whole steps).
 
-    dv/dt = v * (Q_m(t) - B v^2) / (2 s_base h_v), with Q_m stepping by
-    q_step at t_step from the pre-step equilibrium B v0^2. The returned eps
-    equals the instantaneous reactive imbalance over h_v, so eps right after
-    the step is q_step / (2 s_base h_v). t_end must be a whole number of
-    dt steps."""
+    dv/dt = v (Q - B v^2) gain, gain = 1 / (2 s_base h_v), where Q steps by
+    q_step from the equilibrium B v0^2 at t_step, snapped to the grid. With
+    u = v^-2 the ODE is linear, u' = 2 gain (B - Q u), so s seconds after
+    the step, with x = 2 gain Q s, u = u0 e^-x + 2 gain B s (1 - e^-x) / x,
+    the last factor 1 at x = 0. v is v0 to the step row, and eps, the
+    reactive imbalance times gain, is q_step / (2 s_base h_v) there. A
+    ValueError reports a voltage collapse at the first row where v is not
+    a finite number > 0."""
     model.validate()
-    if any(h <= 0 for h in h_v_values):
+    if any(not h > 0 for h in h_v_values):
         raise ValueError("h_v values must be > 0")
     b = model.q_load_coeff
     q0 = b * model.v0 ** 2
     n = step_count(t_end, dt)
     times = np.arange(n + 1) * dt
-    # snap the step to the grid; a whole RK4 step sees one q_m value so the
-    # pre-step equilibrium is preserved exactly up to the step instant
     i_step = step_index(model.t_step, dt)
+    gain = 1.0 / (2.0 * model.s_base * np.asarray(h_v_values, dtype=float))
 
-    v_out = np.empty((n + 1, len(h_v_values)))
-    eps_out = np.empty_like(v_out)
-    for j, h_v in enumerate(h_v_values):
-        gain = 1.0 / (2.0 * model.s_base * h_v)
-
-        def f(v: float, q: float) -> float:
-            return v * (q - b * v * v) * gain
-
-        v = model.v0
-        for i in range(n + 1):
-            q = q0 + (model.q_step if i >= i_step else 0.0)
-            if not v > 0.0:  # also catches NaN from a blown-up step
-                raise ValueError(f"voltage collapse at t={times[i]:.6g} s")
-            v_out[i, j] = v
-            eps_out[i, j] = (q - b * v * v) * gain
-            if i < n:
-                k1 = f(v, q)
-                k2 = f(v + 0.5 * dt * k1, q)
-                k3 = f(v + 0.5 * dt * k2, q)
-                k4 = f(v + dt * k3, q)
-                v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # v0 to the step row (the last row, if the step is later)
+    i0 = min(max(i_step, 0), n)
+    v = np.full((n + 1, len(h_v_values)), float(model.v0))
+    s = times[1:n + 1 - i0, None]
+    x = 2.0 * gain * (q0 + model.q_step) * s
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rise = np.where(x == 0.0, 1.0, -np.expm1(-x) / x)
+        v[i0 + 1:] = 1.0 / np.sqrt(
+            np.exp(-x) / model.v0 ** 2 + 2.0 * gain * b * s * rise)
+    bad = np.flatnonzero(~(np.isfinite(v) & (v > 0.0)).all(axis=1))
+    if len(bad):
+        raise ValueError(f"voltage collapse at t={times[bad[0]]:.6g} s")
+    q = q0 + np.where(np.arange(n + 1) >= i_step, model.q_step, 0.0)
     return CapacitorSweepResult(
-        times=times, h_v_values=list(h_v_values), v=v_out, eps=eps_out)
+        times=times, h_v_values=list(h_v_values), v=v,
+        eps=(q[:, None] - b * v * v) * gain)

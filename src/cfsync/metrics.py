@@ -110,13 +110,15 @@ def _log_linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def fit_damping(times: np.ndarray, x: np.ndarray, limit: float,
                 t_event: float) -> DampingFit:
-    """Exponential envelope fit of |x - limit| from t_event to the last sample.
+    """Exponential envelope fit of |x - limit| from t_event to the last
+    sample, amplitude * exp(-sigma (t - t_event)): the amplitude is the
+    envelope at t_event.
 
     Uses the peak envelope (log-linear least squares over local maxima) when
     at least 3 peaks exist, else falls back to all samples with a nonzero
     deviation. A signal already at its limit is reported as fully damped."""
     rows = window_slice(times, t_event)
-    t = np.asarray(times, dtype=float)[rows]
+    t = np.asarray(times, dtype=float)[rows] - t_event
     dev = np.abs(np.asarray(x, dtype=float)[rows] - limit)
     if dev.max(initial=0.0) <= _ZERO_DEV:
         return DampingFit(sigma=math.inf, amplitude=0.0, r_squared=1.0,

@@ -516,6 +516,36 @@ class TestAnalyze:
                    "--case", str(small), "--outdir", str(tmp_path)])
         assert rc == 2
 
+    def test_late_fast_decay_is_fitted_and_drawn(self, tmp_path):
+        # bus 1's voltage rings down at 40 1/s after an event at 18 s: the
+        # damping fit's intercept at t = 0, e^720, used to overflow
+        # math.exp, a traceback and exit 1
+        buses = list(load_case(CASE).bus_index())
+        t = np.arange(20001) * 1e-3
+        s = np.clip(t - 18.0, 0.0, None)
+        v = np.ones((len(t), len(buses)))
+        v[:, 0] += np.where(t >= 18.0, 0.01 * np.exp(-40 * s)
+                            * np.cos(10 * np.pi * s), 0.0)
+        header = ["t"] + [f"{k}_{b}" for b in buses for k in ("v", "theta")]
+        write_csv(tmp_path / "traj.csv", header,
+                  [t, np.stack([v, np.zeros_like(v)], axis=2)
+                   .reshape(len(t), -1)], comment="events: 18")
+        assert main(["analyze", "--traj", str(tmp_path / "traj.csv"),
+                     "--case", CASE, "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        fit = report["node_metrics"][str(buses[0])]["fit_eps"]
+        assert fit["method"] == "envelope"
+        assert fit["sigma"] == pytest.approx(40.0, rel=0.01)
+        assert main(["plotdata", "--report", str(tmp_path / "report.json"),
+                     "--traj", str(tmp_path / "traj.csv"), "--kind",
+                     "damping", "--outdir", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "damping.csv", delimiter=",",
+                          skiprows=1)
+        envelope = data[:, 2]
+        assert np.isfinite(envelope).all()
+        np.testing.assert_array_equal(envelope[:18000], 0.0)
+        assert envelope[18000] == fit["amplitude"]
+
 
 class TestNonFiniteOptions:
     """A NaN or infinite number exits 3, naming where it was given, and
@@ -795,10 +825,12 @@ class TestInertia:
         err = capsys.readouterr().err
         assert f"t_end={float(t_end)}" in err and f"dt={float(dt)}" in err
 
-    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", ""])
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "", "0",
+                                     "-2", "-0.0"])
     def test_malformed_sweep_value_exits_3(self, tmp_path, capsys, bad):
         # "abc" used to raise ValueError out of the command, "nan" to report
-        # a voltage collapse and "inf" to write a flat eps_hv_inf column
+        # a voltage collapse, "inf" to write a flat eps_hv_inf column and
+        # "0" or "-2" to say only that h_v values must be > 0
         rc = main(["inertia", "--case", CASE, "--sweep", f"1,{bad},2",
                    "--outdir", str(tmp_path)])
         assert rc == 3
@@ -847,6 +879,34 @@ class TestPlotdata:
         out = tmp_path / f"{kind}.csv"
         assert out.exists()
         assert out.read_text().splitlines()[0].startswith("t,")
+
+    def test_damping_envelope_starts_at_the_event(self, simdir, reportdir,
+                                                  tmp_path):
+        # each fit column is amplitude * exp(-sigma (t - t_event)) from
+        # t_event on, and 0 before, where the fit has no samples
+        report = json.loads((reportdir / "report.json").read_text())
+        t_event = report["config"]["sync"]["t_event"]
+        assert main(["plotdata", "--report", str(reportdir / "report.json"),
+                     "--traj", str(simdir / "trajectory.csv"),
+                     "--kind", "damping", "--outdir", str(tmp_path)]) == 0
+        header = (tmp_path / "damping.csv").read_text().splitlines()[0]
+        data = np.loadtxt(tmp_path / "damping.csv", delimiter=",",
+                          skiprows=1)
+        t = data[:, 0]
+        after = t >= t_event
+        drawn = 0
+        for bus, fit in ((b, m["fit_eps"])
+                         for b, m in report["node_metrics"].items()):
+            column = data[:, header.split(",").index(f"fit_eps_{bus}")]
+            np.testing.assert_array_equal(column[~after], 0.0)
+            if fit is None or fit["sigma"] == "inf":
+                continue
+            np.testing.assert_allclose(
+                column[after], fit["amplitude"]
+                * np.exp(-fit["sigma"] * (t[after] - t_event)), rtol=1e-12)
+            assert column[np.argmax(after)] == fit["amplitude"]
+            drawn += 1
+        assert drawn
 
     def test_subnet_spread_memory_stays_linear(self, tmp_path, traced_peak):
         # one subnet of 40 buses over 2,001 samples: the difference cube of
@@ -961,6 +1021,58 @@ class TestPlotdata:
         assert rc == 2
         assert "cannot read report" in capsys.readouterr().err
         assert not (tmp_path / "eps.csv").exists()
+
+
+def _missing_dir(tmp_path):
+    return tmp_path / "missing" / "out"
+
+
+def _a_file(tmp_path):
+    path = tmp_path / "a_file"
+    path.write_text("")
+    return path
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2, naming the path,
+    instead of a traceback and exit 1."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["inertia", "--sweep", "1", "--sweep-t-end", "0.1",
+          "--sweep-out", "{missing}.csv", "--outdir", "{tmp}"], _missing_dir),
+        (["inertia", "--sweep", "1", "--sweep-t-end", "0.1",
+          "--out", "{missing}.json", "--outdir", "{tmp}"], _missing_dir),
+        (["inertia", "--sweep", "1", "--sweep-t-end", "0.1",
+          "--outdir", "{file}"], _a_file),
+        (["simulate", "--case", CASE, "--t-end", "0.1", "--outdir", "{file}"],
+         _a_file),
+        (["simulate", "--case", CASE, "--t-end", "0.1", "--out",
+          "{missing}.csv", "--outdir", "{tmp}"], _missing_dir),
+        (["simulate", "--case", CASE, "--t-end", "0.1", "--gen-out",
+          "{missing}.csv", "--outdir", "{tmp}"], _missing_dir),
+        (["simulate", "--case", CASE, "--t-end", "0.1", "--manifest-out",
+          "{missing}.json", "--outdir", "{tmp}"], _missing_dir),
+        (["analyze", "--traj", "{traj}", "--case", SHED, "--outdir",
+          "{file}"], _a_file),
+        (["analyze", "--traj", "{traj}", "--case", SHED, "--out",
+          "{missing}.json", "--outdir", "{tmp}"], _missing_dir),
+        (["plotdata", "--report", "{report}", "--traj", "{traj}", "--kind",
+          "eps", "--outdir", "{file}"], _a_file),
+    ], ids=["inertia_sweep_out", "inertia_out", "inertia_outdir",
+            "simulate_outdir", "simulate_out", "simulate_gen_out",
+            "simulate_manifest_out", "analyze_outdir", "analyze_out",
+            "plotdata_outdir"])
+    def test_exits_2_naming_the_path(self, simdir, reportdir, tmp_path,
+                                     capsys, argv, bad):
+        path = bad(tmp_path)
+        fields = dict(tmp=tmp_path, missing=path, file=path,
+                      traj=simdir / "trajectory.csv",
+                      report=reportdir / "report.json")
+        rc = main([arg.format(**fields) for arg in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert str(path) in err
 
 
 class TestEstimatorInput:

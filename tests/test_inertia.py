@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsync.cf_estimator import estimate_complex_frequency
+from cfsync.dynamics import step_count, step_index
 from cfsync.inertia import (
     CapacitorBusModel,
+    CapacitorSweepResult,
     EstimationError,
     capacitor_voltage_inertia,
     estimate_frequency_inertia,
@@ -270,8 +272,107 @@ class TestCapacitorBus:
             simulate_capacitor_bus(model, [1e-3], 5.0, 1e-3)
 
     def test_blown_up_step_also_reported_as_collapse(self):
-        # a stiff combination makes the RK4 step overflow to NaN; that must
-        # surface as a collapse error, not propagate silently
+        # a steep collapse makes u = v^-2 overflow to inf within 8 ms, so v
+        # reads 0; that must surface as a collapse error, not propagate
+        # silently
         model = default_model(q_step=-1000.0)
         with pytest.raises(ValueError, match="voltage collapse"):
             simulate_capacitor_bus(model, [1e-4], 5.0, 1e-3)
+
+
+def rk4_capacitor_bus(model, h_v_values, t_end, dt):
+    """The oracle: the capacitor-bus ODE integrated by classical RK4, one
+    H_v and one grid step at a time, with the same step snapping."""
+    b = model.q_load_coeff
+    q0 = b * model.v0 ** 2
+    n = step_count(t_end, dt)
+    times = np.arange(n + 1) * dt
+    i_step = step_index(model.t_step, dt)
+    v_out = np.empty((n + 1, len(h_v_values)))
+    eps_out = np.empty_like(v_out)
+    for j, h_v in enumerate(h_v_values):
+        gain = 1.0 / (2.0 * model.s_base * h_v)
+
+        def f(v: float, q: float) -> float:
+            return v * (q - b * v * v) * gain
+
+        v = model.v0
+        for i in range(n + 1):
+            q = q0 + (model.q_step if i >= i_step else 0.0)
+            assert v > 0.0, f"the oracle collapses at t={times[i]}"
+            v_out[i, j] = v
+            eps_out[i, j] = (q - b * v * v) * gain
+            if i < n:
+                k1 = f(v, q)
+                k2 = f(v + 0.5 * dt * k1, q)
+                k3 = f(v + 0.5 * dt * k2, q)
+                k4 = f(v + dt * k3, q)
+                v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return CapacitorSweepResult(times=times, h_v_values=list(h_v_values),
+                                v=v_out, eps=eps_out)
+
+
+# The largest gaps between the closed form and the RK4 oracle over the
+# cases below were 1.5e-14 relative in v and 7.1e-15 absolute in eps; the
+# bounds are twice those.
+V_REL = 3e-14
+EPS_ABS = 1.5e-14
+
+SWEEP_CASES = {
+    # scripts/run_hv_sweep.py's defaults
+    "script": (CapacitorBusModel(s_base=1.0, v0=1.0, q_step=0.1, t_step=0.0,
+                                 q_load_coeff=1.0), [0.5, 1, 2, 4, 8], 5.0),
+    "criterion_6": (default_model(), [1.0, 2.0, 4.0], 5.0),
+    # Q = B v0^2 + q_step = 0: inertia --sweep 1 --q-step -1
+    "q_zero": (CapacitorBusModel(s_base=1.0, v0=1.0, q_step=-1.0,
+                                 t_step=0.0, q_load_coeff=1.0), [1.0], 5.0),
+    "step_before_start": (default_model(t_step=-0.3), [0.5, 2.0], 2.0),
+    "step_after_end": (default_model(t_step=3.0), [0.5, 2.0], 2.0),
+    "deep_decay": (default_model(q_step=-200.0), [1.0], 5.0),
+    "v0_1.05": (default_model(v0=1.05), [1.0, 2.0], 5.0),
+    # 1 / sqrt(1 / 0.9^2) is not 0.9, so this shows that the step row
+    # holds v0 itself, not the closed form at s = 0
+    "v0_0.9": (default_model(v0=0.9), [1.0], 2.0),
+}
+
+
+class TestClosedFormAgainstRK4:
+    @pytest.fixture(params=list(SWEEP_CASES), scope="class")
+    def pair(self, request):
+        model, h_v_values, t_end = SWEEP_CASES[request.param]
+        return (model,
+                simulate_capacitor_bus(model, h_v_values, t_end, 1e-3),
+                rk4_capacitor_bus(model, h_v_values, t_end, 1e-3))
+
+    def test_same_grid(self, pair):
+        _, out, ref = pair
+        np.testing.assert_array_equal(out.times, ref.times)
+        assert out.h_v_values == ref.h_v_values
+        assert out.v.shape == out.eps.shape == ref.v.shape
+
+    def test_rows_to_the_step_are_bit_for_bit(self, pair):
+        model, out, ref = pair
+        k = min(max(step_index(model.t_step, 1e-3), 0), len(out.times) - 1)
+        np.testing.assert_array_equal(out.v[:k + 1], model.v0)
+        np.testing.assert_array_equal(out.v[:k + 1], ref.v[:k + 1])
+        np.testing.assert_array_equal(out.eps[:k + 1], ref.eps[:k + 1])
+
+    def test_rows_after_the_step_within_bound(self, pair):
+        _, out, ref = pair
+        np.testing.assert_allclose(out.v, ref.v, rtol=V_REL, atol=0)
+        np.testing.assert_allclose(out.eps, ref.eps, rtol=0, atol=EPS_ABS)
+
+
+class TestClosedForm:
+    def test_zero_net_supply_decays(self):
+        # Q = 0 gives u = u0 + 2 gain B s, where a B/Q form would give NaN
+        model, h_v_values, t_end = SWEEP_CASES["q_zero"]
+        out = simulate_capacitor_bus(model, h_v_values, t_end, 1e-3)
+        assert np.isfinite(out.eps).all()
+        assert out.eps[100, 0] == pytest.approx(-0.5 / 1.1, abs=1e-15)
+        assert np.all(np.diff(out.v[:, 0]) < 0)
+
+    def test_nan_h_v_rejected(self):
+        with pytest.raises(ValueError, match="h_v"):
+            simulate_capacitor_bus(default_model(), [1.0, math.nan], 1.0,
+                                   1e-3)

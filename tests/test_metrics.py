@@ -135,6 +135,29 @@ class TestFitDamping:
         fit = fit_damping(t, x, 0.0, 0.0)
         assert not fit.ok
 
+    def test_amplitude_is_the_envelope_at_the_event(self):
+        t = np.arange(0, 8, 1e-3)
+        x = 1.0 + np.where(t >= 5.0, 3.0 * np.exp(-0.5 * (t - 5.0)), 0.0)
+        fit = fit_damping(t, x, 1.0, 5.0)
+        assert fit.method == "fallback"
+        assert fit.sigma == pytest.approx(0.5, abs=1e-6)
+        assert fit.amplitude == pytest.approx(3.0, abs=1e-6)
+
+    def test_late_fast_decay_does_not_overflow(self):
+        # the envelope's intercept at t = 0 would be about e^720, past
+        # math.exp's range: it used to raise OverflowError
+        t = np.arange(20001) * 1e-3
+        s = np.clip(t - 18.0, 0.0, None)
+        x = 1.0 + np.where(t >= 18.0, np.exp(-40 * s)
+                           * np.cos(10 * np.pi * s), 0.0)
+        fit = fit_damping(t, x, 1.0, 18.0)
+        assert fit.method == "envelope"
+        assert fit.sigma == pytest.approx(40.0, rel=1e-4)
+        # the peaks of e^(-40 s) |cos(10 pi s)| lie on cos(atan(4 / pi))
+        # times e^(-40 s)
+        assert fit.amplitude == pytest.approx(
+            math.pi / math.hypot(math.pi, 4.0), rel=0.01)
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.01, max_value=5.0),
            st.floats(min_value=1e-3, max_value=10.0))
