@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 input error or an output that cannot be written,
 3 configuration error, 4 numerical
-failure. The default output directory comes from $CFSYNC_OUTDIR (cwd if
-unset).
+failure. A command that fails leaves none of its outputs. The default
+output directory comes from $CFSYNC_OUTDIR (cwd if unset); it is made on
+a command's first write.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -104,19 +106,47 @@ def _smoothing_window(args) -> int:
     return args.smoothing_window
 
 
-def _outdir(args) -> Path:
-    base = getattr(args, "outdir", None) or os.environ.get("CFSYNC_OUTDIR") \
-        or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Outputs:
+    """The files one command writes. ``dir`` is the output directory
+    (--outdir, else $CFSYNC_OUTDIR, else the cwd), made by the first
+    ``write``. ``remove`` deletes the files written so far and the
+    directories that first write made, so that a failed command leaves
+    none of its outputs."""
+
+    def __init__(self, args):
+        self.dir = Path(getattr(args, "outdir", None)
+                        or os.environ.get("CFSYNC_OUTDIR") or ".")
+        self.made: list[Path] | None = None  # deepest first
+        self.written: list[Path] = []
+
+    def write(self, path: Path, write, *args) -> None:
+        """``write(*args)``, which writes the file ``path``. If it raises,
+        its file is removed unless it was there before."""
+        if self.made is None:
+            self.made = [d for d in (self.dir, *self.dir.parents)
+                         if not d.exists()]
+            self.dir.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        try:
+            write(*args)
+        except BaseException:
+            if not existed:
+                path.unlink(missing_ok=True)
+            raise
+        self.written.append(path)
+
+    def remove(self) -> None:
+        for path in self.written:
+            path.unlink(missing_ok=True)
+        for d in self.made or []:
+            with contextlib.suppress(OSError):  # not empty: not only ours
+                d.rmdir()
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(args) -> int:
-    outdir = _outdir(args)
+def cmd_simulate(args, outputs: _Outputs) -> int:
     if args.from_manifest:
         manifest_in = _read("manifest", args.from_manifest)
         case_path = _field(manifest_in, "manifest", "case_path", str)
@@ -145,16 +175,15 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
     traj = simulate(case, config)
 
-    out = Path(args.out) if args.out else outdir / "trajectory.csv"
+    out = Path(args.out) if args.out else outputs.dir / "trajectory.csv"
     gen_out = Path(args.gen_out) if args.gen_out \
         else out.with_name(out.stem + "_gen.csv")
     manifest_out = Path(args.manifest_out) if args.manifest_out \
         else out.with_name(out.stem + "_manifest.json")
-    write_trajectory_csv(traj, out)
-    write_generator_csv(traj, gen_out)
-    write_json(build_manifest(case_path, config,
-                              outputs=[str(out), str(gen_out)]),
-               manifest_out)
+    outputs.write(out, write_trajectory_csv, traj, out)
+    outputs.write(gen_out, write_generator_csv, traj, gen_out)
+    outputs.write(manifest_out, write_json, build_manifest(
+        case_path, config, outputs=[str(out), str(gen_out)]), manifest_out)
     print(f"wrote {out}, {gen_out}, {manifest_out}")
     return EXIT_OK
 
@@ -228,8 +257,7 @@ def build_report(traj, case, config: SyncConfig, smoothing_window: int,
     }
 
 
-def cmd_analyze(args) -> int:
-    outdir = _outdir(args)
+def cmd_analyze(args, outputs: _Outputs) -> int:
     smoothing_window = _smoothing_window(args)
     case = load_case(args.case)
     traj = _read("trajectory", args.traj, read_trajectory_csv,
@@ -241,8 +269,8 @@ def cmd_analyze(args) -> int:
         raise ConfigError(str(exc)) from exc
     report = build_report(traj, case, config, smoothing_window,
                           args.n_convention, args.traj)
-    out = Path(args.out) if args.out else outdir / "report.json"
-    write_json(report, out)
+    out = Path(args.out) if args.out else outputs.dir / "report.json"
+    outputs.write(out, write_json, report, out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -277,8 +305,7 @@ def _sweep_values(text: str) -> list[float]:
     return values
 
 
-def cmd_inertia(args) -> int:
-    outdir = _outdir(args)
+def cmd_inertia(args, outputs: _Outputs) -> int:
     result: dict = {
         "tool_version": __version__,
         "m_convention": "M = 2*H*(s_machine/s_base)/omega_s",
@@ -357,9 +384,10 @@ def cmd_inertia(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         sweep_out = Path(args.sweep_out) if args.sweep_out \
-            else outdir / "hv_sweep.csv"
+            else outputs.dir / "hv_sweep.csv"
         header = ["t"] + [f"eps_hv_{format_number(h)}" for h in h_values]
-        write_csv(sweep_out, header, [sweep.times, sweep.eps])
+        outputs.write(sweep_out, write_csv, sweep_out, header,
+                      [sweep.times, sweep.eps])
         result["sweep"] = {
             "h_v_values": h_values,
             "model": model,
@@ -369,8 +397,8 @@ def cmd_inertia(args) -> int:
         }
         print(f"wrote {sweep_out}")
 
-    out = Path(args.out) if args.out else outdir / "inertia.json"
-    write_json(result, out)
+    out = Path(args.out) if args.out else outputs.dir / "inertia.json"
+    outputs.write(out, write_json, result, out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -378,8 +406,7 @@ def cmd_inertia(args) -> int:
 # ---------------------------------------------------------------------------
 # plotdata
 
-def cmd_plotdata(args) -> int:
-    outdir = _outdir(args)
+def cmd_plotdata(args, outputs: _Outputs) -> int:
     report = _read("report", args.report)
     omega_s = _field(report, "report", "config.estimator.omega_s")
     smoothing_window = _field(report, "report",
@@ -398,11 +425,11 @@ def cmd_plotdata(args) -> int:
 
     if args.kind in ("eps", "omega"):
         data = series.eps if args.kind == "eps" else series.omega
-        out = outdir / f"{args.kind}.csv"
+        out = outputs.dir / f"{args.kind}.csv"
         header = ["t"] + [f"{args.kind}_{b}" for b in series.bus_ids]
-        write_csv(out, header, [series.times, data])
+        outputs.write(out, write_csv, out, header, [series.times, data])
     elif args.kind == "subnet_spread":
-        out = outdir / "subnet_spread.csv"
+        out = outputs.dir / "subnet_spread.csv"
         subnets = _field(report, "report", "subnets", dict)
         names = sorted(subnets)
         cols = []
@@ -416,9 +443,10 @@ def cmd_plotdata(args) -> int:
             idx = [series.bus_ids.index(b) for b in members]
             cols.append(row_diameters(series.eps[:, idx]
                                       + 1j * series.omega[:, idx]))
-        write_csv(out, ["t"] + names, [series.times] + cols)
+        outputs.write(out, write_csv, out, ["t"] + names,
+                      [series.times] + cols)
     else:  # damping
-        out = outdir / "damping.csv"
+        out = outputs.dir / "damping.csv"
         # each envelope spans its fit's rows, from t_event; 0 elsewhere
         t_event = _field(report, "report", "config.sync.t_event")
         rows = window_slice(series.times, t_event)
@@ -435,7 +463,7 @@ def cmd_plotdata(args) -> int:
                     * np.exp(-_field(fit, "report fit", "sigma")
                              * (series.times[rows] - t_event))
             cols.append(envelope)
-        write_csv(out, header, cols)
+        outputs.write(out, write_csv, out, header, cols)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -534,21 +562,21 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors, --help and --version
         return exc.code
+    outputs = _Outputs(args)
     try:
         _check_finite(args)
-        return args.func(args)
+        return args.func(args, outputs)
     except (CaseError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, str(exc)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, str(exc)
     except (PowerFlowError, SimulationError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, message = EXIT_NUMERICAL, str(exc)
     except OSError as exc:  # every input is read through _read or load_case
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, f"cannot write output: {exc}"
+    outputs.remove()
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

@@ -24,10 +24,13 @@ on buffers preallocated per network state (the crossover is measured at
 ``_FLOAT_MAX_GEN``). One step loop drives both paths and both integrators,
 and both paths run one trapezoidal iteration, each over its own derivative.
 The initial state is computed on the path that steps it, so it is an exact
-fixed point of that path. The integration stores only machine states, in
-blocks of at most ``_STEP_BLOCK`` bytes, and stops a segment at a bit-exact
-fixed point (the initial state is one): the rows up to the next event repeat
-it. ``simulate`` is one walk over the run's stretches, which start at step 0
+fixed point of that path. The integration stores only machine states, each
+recorded one straight into its row of a record array laid out one machine
+state per row, (n_rec, 4, n_gen). It stops a segment at a bit-exact fixed
+point (the initial state is one) and fills the rows up to the next event
+with it. A non-finite state is reported as ``non-finite machine state``,
+with no numpy warning, by the end of its segment at the latest.
+``simulate`` is one walk over the run's stretches, which start at step 0
 and at each event's step: each network state steps its stretch with one
 ``run`` call, then records its rows, the bus voltages, electrical powers and
 the residual against the full augmented admittance matrix, by one record
@@ -72,12 +75,6 @@ _TRAP_MAX_ITER = 100  # fixed-point iterations per trapezoidal step
 # lies in (9, 12] without exciters and close to 9 with them.
 _FLOAT_MAX_GEN = 9
 _RECORD_BLOCK = 512   # rows per record-pass block: bounds its temporaries
-# Bytes of recorded rows a segment kernel holds before it stores them, at 8
-# a value in the numpy path's float64 arrays and about 32 as a Python float
-# in the float path's lists: 22 rows of 90 machines, 170 of 3. A 512-row
-# block of 90 machines raised the peak RSS of four 270-bus trips by 2.5 MB,
-# and 682 rows of 3 that of both scripts by about 0.3 MB.
-_STEP_BLOCK = 1 << 16
 # Bus voltages per residual chunk (256 KiB): its temporaries then stay in
 # cache. On the 270-bus ring (60 rows a chunk) a 512-row block took 3.3 ms,
 # against 9.7 ms in one piece (2-vCPU VM, one BLAS thread).
@@ -568,83 +565,66 @@ def _numpy_kernel(net: DynamicNetwork):
     return rk4, _trapezoidal(derivs, ng)
 
 
-def _steps(one, same, x, dt, m, due, every):
-    """Up to ``m`` steps of ``one(x, dt)`` from ``x`` (``dt`` as ``one``
-    takes it): the states of steps ``due``, ``due + every``, ... (counted
-    from 1) go into ``rows``, and a step whose result is ``same`` as its
-    input ends the loop. Each step returns a new state, so the rows need
-    no copy. Returns the steps taken, the last state, the rows and
-    whether it ended at a fixed point."""
-    rows = []
-    for j in range(1, m + 1):
-        y = one(x, dt)
-        fixed = same(y, x)
-        x = y
-        if j == due:
-            rows.append(x)
-            due += every
-        if fixed:
-            return j, x, rows, True
-    return m, x, rows, False
-
-
 def _segment_kernel(ng: int, floats: bool, rk4, trapezoidal):
     """The segment kernel ``run`` over a path's one-step RK4 and
-    trapezoidal functions, driven by ``_steps``: on the float path they
-    take a flattened state list and dt, on the numpy path a (4, ng) array
-    and dt/2, dt and dt/6 as 0-d arrays.
+    trapezoidal functions: on the float path they take a flattened state
+    list and dt, on the numpy path a (4, ng) array and dt/2, dt and dt/6
+    as 0-d arrays.
 
     ``run(state, dt, n, integrator, rec, first, every)`` advances the
-    (4, n_gen) state of step ``first`` by up to ``n`` steps. The state of
-    each step that is a multiple of ``every`` goes into row step/every of
-    ``rec``, the (4, n_rec, n_gen) record array (none without ``rec``).
-    It stops early after a step that returns its input bit for bit, and
-    returns the steps taken (that last one included) and a new array of
-    the last state. It takes at most ``_STEP_BLOCK`` bytes of recorded
-    rows per ``_steps`` call, so the rows it holds stay bounded, and
-    checks the last state of each call: a non-finite value never becomes
-    finite again in a step, so one check covers every state before it."""
+    (4, n_gen) state of step ``first`` by up to ``n`` steps, in one loop.
+    The state of each step that is a multiple of ``every`` goes straight
+    into row step/every of ``rec``, the (n_rec, 4, n_gen) record array,
+    one machine state per row (none without ``rec``); the float path
+    writes its state list into the (n_rec, 4 n_gen) view of it. After a
+    step that returns its input bit for bit, a fixed point, every later
+    step would return it again: ``run`` fills its remaining due rows with
+    it and stops. Returns the steps taken (that last one included) and a
+    new array of the last state. A non-finite value never becomes finite
+    again in a step, so one check, on that last state, covers every row
+    before it."""
     same = _same_floats if floats else _same_bits
 
     def run(state, dt, n, integrator="rk4", rec=None, first=0, every=1):
         one = rk4 if integrator == "rk4" else trapezoidal
         if floats:
             x, step_dt = state.ravel().tolist(), dt
+            rows = None if rec is None else rec.reshape(len(rec), -1)
         else:
             x, step_dt = state, (np.array(0.5 * dt), np.array(dt),
                                  np.array(dt / 6.0))
-        # recorded rows per _steps call
-        cap = max(1, _STEP_BLOCK // (4 * ng * (32 if floats else 8)))
-        taken = 0
+            rows = rec
+        # the step, counted from 1, whose state goes into the next row
+        due = every - first % every if rows is not None else n + 1
+        taken = n
         # a non-finite state raises below; numpy's overflow and invalid
         # warnings would only come before that error
         with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                due = every - (first + taken) % every if rec is not None \
-                    else n + 1
-                m = min(n - taken, due + (cap - 1) * every)
-                try:
-                    j, x, rows, fixed = _steps(one, same, x, step_dt, m, due,
-                                               every)
-                except (ValueError, OverflowError):
-                    # the float kernel's cos or sin of an infinite angle,
-                    # or abs of an overflowing phasor: numpy carries these
-                    # on as NaN instead, which no trapezoidal iteration
-                    # converges from
-                    if integrator == "trapezoidal":
-                        raise _unconverged(math.nan, dt) from None
-                    raise SimulationError(
-                        "non-finite machine state") from None
-                last = np.array(x).reshape(4, ng)
-                if not np.isfinite(last).all():
-                    raise SimulationError("non-finite machine state")
-                if rows:
-                    block = np.reshape(rows, (-1, 4, ng)).transpose(1, 0, 2)
-                    row = (first + taken + due) // every
-                    rec[:, row:row + block.shape[1]] = block
-                taken += j
-                if fixed or taken == n:
-                    return taken, last
+            try:
+                for j in range(1, n + 1):
+                    y = one(x, step_dt)
+                    fixed = same(y, x)
+                    x = y
+                    if j == due:
+                        rows[(first + j) // every] = x
+                        due += every
+                    if fixed:
+                        if rows is not None:
+                            rows[(first + j) // every + 1:
+                                 (first + n) // every + 1] = x
+                        taken = j
+                        break
+            except (ValueError, OverflowError):
+                # the float kernel's cos or sin of an infinite angle, or
+                # abs of an overflowing phasor: numpy carries these on as
+                # NaN instead, which no trapezoidal iteration converges from
+                if integrator == "trapezoidal":
+                    raise _unconverged(math.nan, dt) from None
+                raise SimulationError("non-finite machine state") from None
+        last = np.array(x).reshape(4, ng)
+        if not np.isfinite(last).all():
+            raise SimulationError("non-finite machine state")
+        return taken, last
     return run
 
 
@@ -734,15 +714,15 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
     times = np.arange(0, n_steps + 1, every) * dt
     n_rec = len(times)
     ng, nb = net.n_gen, case.n_bus
-    # the machine state's rows (delta, omega, e_q, p_m) per recorded row
-    rec = np.empty((4, n_rec, ng))
-    delta, omega, e_q, p_m = rec
+    # one machine state (delta, omega, e_q, p_m) per recorded row
+    rec = np.empty((n_rec, 4, ng))
+    delta, omega, e_q, p_m = rec.transpose(1, 0, 2)
     v, theta = np.empty((n_rec, nb)), np.empty((n_rec, nb))
     p_e, q_e = np.empty((n_rec, ng)), np.empty((n_rec, ng))
     event_times: list[float] = []
     max_res = 0.0
 
-    rec[:, 0] = state
+    rec[0] = state
     # each stretch runs from its start to the next one; the last one's end,
     # n_steps + 1, puts the row of step n_steps into it
     for i, end in zip(starts, starts[1:] + [n_steps + 1]):
@@ -751,13 +731,8 @@ def simulate(case: NetworkCase, config: SimConfig) -> Trajectory:
             net = net.apply_event(ev)
             event_times.append(i * dt)
         if i < stop:
-            taken, state = net.run(state, dt, stop - i, config.integrator,
-                                   rec, i, every)
-            if i + taken < stop:
-                # a fixed point (the initial state is one): every step up to
-                # the next event returns it again, so its rows repeat it
-                rec[:, (i + taken) // every + 1:stop // every + 1] = \
-                    state[:, None]
+            state = net.run(state, dt, stop - i, config.integrator, rec, i,
+                            every)[1]
         # this stretch's rows: up to the next stretch's first row
         rows = slice((i + every - 1) // every, (end + every - 1) // every)
         max_res = max(max_res, _record_pass(

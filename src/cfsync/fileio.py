@@ -674,9 +674,11 @@ def sha256_file(path: str | Path) -> str:
 
 def build_manifest(case_path: str | Path, sim_config,
                    outputs: list[str] | None = None) -> dict:
+    """The manifest of a run of the case at ``case_path``, recorded as its
+    resolved path so that the run replays from any working directory."""
     return {
         "tool_version": __version__,
-        "case_path": str(case_path),
+        "case_path": str(Path(case_path).resolve()),
         "case_sha256": sha256_file(case_path),
         "sim_config": _jsonable(sim_config),
         "outputs": outputs or [],

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import errno
 import functools
 import itertools
 import json
@@ -116,6 +117,24 @@ class TestSimulate:
                      "--outdir", str(tmp_path)]) == 0
         assert (tmp_path / "trajectory.csv").read_bytes() == \
             (simdir / "trajectory.csv").read_bytes()
+
+    def test_replay_from_another_directory(self, tmp_path, monkeypatch):
+        # the manifest records the case as its resolved path, so a run
+        # made with a relative --case replays from anywhere
+        run1, run2 = tmp_path / "run1", tmp_path / "run2"
+        run1.mkdir()
+        (run1 / "wscc9.json").write_text(Path(CASE).read_text())
+        monkeypatch.chdir(run1)
+        assert main(["simulate", "--case", "wscc9.json", "--t-end", "0.5",
+                     "--outdir", "."]) == 0
+        manifest = json.loads((run1 / "trajectory_manifest.json").read_text())
+        assert manifest["case_path"] == str((run1 / "wscc9.json").resolve())
+        run2.mkdir()
+        monkeypatch.chdir(run2)
+        assert main(["simulate", "--from-manifest",
+                     "../run1/trajectory_manifest.json", "--outdir", "."]) == 0
+        assert (run2 / "trajectory.csv").read_bytes() == \
+            (run1 / "trajectory.csv").read_bytes()
 
     def test_replay_of_an_edited_case_exits_2(self, tmp_path, capsys):
         case_path = tmp_path / "case.json"
@@ -1073,6 +1092,66 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ")
         assert str(path) in err
+
+
+class TestFailedRunLeavesNoOutputs:
+    """A command that exits 2 after it has started writing removes what
+    it wrote, and the output directory it made; the output directory is
+    made only by a command's first write."""
+
+    @pytest.mark.parametrize("outdir_exists", [False, True])
+    def test_simulate_with_an_unwritable_manifest(self, tmp_path, capsys,
+                                                  outdir_exists):
+        outdir = tmp_path / "partial"
+        if outdir_exists:
+            outdir.mkdir()
+            (outdir / "keep.txt").write_text("not an output")
+        rc = main(["simulate", "--case", CASE, "--t-end", "0.1",
+                   "--outdir", str(outdir), "--manifest-out",
+                   str(outdir / "missing" / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write output: ")
+        if outdir_exists:
+            assert [p.name for p in outdir.iterdir()] == ["keep.txt"]
+        else:
+            assert not outdir.exists()
+
+    def test_inertia_sweep_with_an_unwritable_report(self, tmp_path):
+        outdir = tmp_path / "sw"
+        rc = main(["inertia", "--sweep", "1,2", "--sweep-t-end", "0.1",
+                   "--outdir", str(outdir),
+                   "--out", str(outdir / "missing" / "i.json")])
+        assert rc == 2
+        assert not outdir.exists()
+
+    def test_an_overwritten_output_is_removed(self, simdir, tmp_path):
+        # a rerun into a directory of an earlier run: its new trajectory
+        # would not match the earlier manifest, so it does not stay
+        for name in ("trajectory.csv", "trajectory_gen.csv"):
+            (tmp_path / name).write_bytes((simdir / name).read_bytes())
+        rc = main(["simulate", "--case", CASE, "--t-end", "0.1",
+                   "--outdir", str(tmp_path), "--manifest-out",
+                   str(tmp_path / "missing" / "m.json")])
+        assert rc == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_a_partly_written_output_is_removed(self, tmp_path,
+                                                monkeypatch):
+        def full_disk(traj, path):
+            Path(path).write_text("t,delta_1")
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(cli, "write_generator_csv", full_disk)
+        rc = main(["simulate", "--case", CASE, "--t-end", "0.1",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_analyze_of_a_missing_trajectory_makes_no_outdir(self, tmp_path):
+        rc = main(["analyze", "--traj", str(tmp_path / "missing.csv"),
+                   "--case", SHED, "--outdir", str(tmp_path / "new")])
+        assert rc == 2
+        assert not (tmp_path / "new").exists()
 
 
 class TestEstimatorInput:

@@ -737,11 +737,9 @@ class TestRecordPass:
             "two_in_one_interval", "last_step_every_4"])
     def test_matches_per_row_oracle(self, wscc9, monkeypatch, events,
                                     record_every):
-        # small blocks, of the record pass and of the kernel's recorded
-        # rows, so that each segment spans several blocks and ends in a
-        # short one
+        # small record-pass blocks, so that each segment spans several
+        # blocks and ends in a short one
         monkeypatch.setattr(dynamics, "_RECORD_BLOCK", 7)
-        monkeypatch.setattr(dynamics, "_STEP_BLOCK", 7 * 4 * 3 * 32)
         case = dataclasses.replace(wscc9, events=events)
         config = SimConfig(t_end=0.2, dt=1e-3, record_every=record_every)
         traj = simulate(case, config)
@@ -836,11 +834,9 @@ class TestSegmentKernel:
                                                       monkeypatch,
                                                       kernel_steps,
                                                       integrator):
-        # six machines, three with exciters, on the numpy path; two events
-        # (one between recorded rows) and blocks of 7 rows, so segments
-        # end inside and at the edge of a block
+        # six machines, three with exciters, on the numpy path; two events,
+        # one between recorded rows
         monkeypatch.setattr(dynamics, "_FLOAT_MAX_GEN", 0)
-        monkeypatch.setattr(dynamics, "_STEP_BLOCK", 7 * 4 * 6 * 8)
         case = dataclasses.replace(two_area_case(wscc9), events=[
             Event(0.05, "line_trip", TRIP),
             Event(0.1005, "load_scale", SHED)])
@@ -893,16 +889,14 @@ class TestSegmentKernel:
                         (event, n, integrator)
 
     def test_non_finite_state_inside_a_segment(self, wscc9_loadshed,
-                                               each_path, monkeypatch):
+                                               each_path):
         # H scaled by 1/1000: at dt = 20 ms RK4 blows up 82 steps after
-        # the shed at step 100, in the middle of the 200-step segment and
-        # of a 7-row block; no numpy warning precedes the error
+        # the shed at step 100, in the middle of the 200-step segment; no
+        # numpy warning precedes the error
         case = dataclasses.replace(wscc9_loadshed, generators=[
             dataclasses.replace(g, h=1e-3 * g.h)
             for g in wscc9_loadshed.generators])
         for path in each_path():
-            monkeypatch.setattr(dynamics, "_STEP_BLOCK", 7 * 4 * 3 * (
-                32 if path == "floats" else 8))
             state, net = initialize_dynamics(case, solve_power_flow(case))
             net = net.apply_event(case.events[0])
             for _ in range(81):
@@ -915,6 +909,51 @@ class TestSegmentKernel:
                 with pytest.raises(SimulationError,
                                    match="^non-finite machine state$"):
                     simulate(case, SimConfig(t_end=6.0, dt=0.02))
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_run_rows_match_stepping_every_step(self, wscc9, each_path,
+                                                integrator):
+        # p_m of one machine off its fixed point by 1e-14: at dt = 10 ms
+        # both paths' steps return their input bit for bit 21 steps on,
+        # at step 26, off the record grid. From step 5, every 3rd step's
+        # state goes into its row; the rows after the fixed point, to
+        # step 95, repeat it, and the others stay NaN
+        first, n, every, dt = 5, 90, 3, 1e-2
+        for path in each_path():
+            state, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
+            state[3, 1] += 1e-14
+            want = np.full((40, 4, net.n_gen), np.nan)
+            x, fixed_at = state, None
+            for j in range(1, n + 1):
+                y = step(x, net, dt, integrator)
+                if fixed_at is None and y.tobytes() == x.tobytes():
+                    fixed_at = j
+                x = y
+                if (first + j) % every == 0:
+                    want[(first + j) // every] = x
+            assert 1 < fixed_at < n, path
+            rec = np.full_like(want, np.nan)
+            taken, last = net.run(state, dt, n, integrator, rec, first, every)
+            assert taken == fixed_at, path
+            assert last.tobytes() == x.tobytes(), path
+            assert rec.tobytes() == want.tobytes(), path
+
+    def test_simulate_memory_beyond_outputs(self, wscc9_loadshed, each_path,
+                                            traced_peak):
+        # the load shed at 5 s and 20 s: the traced peak beyond the
+        # outputs measured 0.42-0.44 MiB on both paths and both lengths
+        for path in each_path():
+            excess = []
+            for t_end in (5.0, 20.0):
+                traj, peak = traced_peak(lambda: simulate(
+                    wscc9_loadshed, SimConfig(t_end=t_end, dt=1e-3)))
+                out = [traj.times, traj.v, traj.theta, traj.p_e, traj.q_e]
+                excess.append(peak - sum(a.nbytes for a in out)
+                              - 4 * traj.delta.nbytes)
+                del traj
+            assert max(excess) < 0.5 * 2**20, (path, excess)
+            # 4x the rows: the memory beyond the outputs stays put
+            assert excess[1] < excess[0] + 65536, (path, excess)
 
     def test_returned_state_is_a_new_array(self, wscc9_loadshed, each_path):
         case = wscc9_loadshed
