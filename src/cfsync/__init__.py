@@ -58,7 +58,6 @@ from .inertia import (  # noqa: F401
     CapacitorBusModel,
     CapacitorSweepResult,
     EstimationError,
-    capacitor_voltage_inertia,
     estimate_frequency_inertia,
     estimate_voltage_inertia,
     generalized_inertia_series,

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,15 @@ def _field(doc, what: str, path: str, kind=_NUMBER):
     if isinstance(doc, bool) or not isinstance(doc, kind):
         raise InputError(f"{what} field {path} has the wrong type: {doc!r}")
     return doc
+
+
+def _number(doc, what: str, path: str) -> float:
+    """``_field``'s number at ``path``; an InputError naming it unless it
+    is finite (json reads NaN and Infinity)."""
+    x = _field(doc, what, path)
+    if not math.isfinite(x):
+        raise InputError(f"{what} field {path} is not a finite number: {x!r}")
+    return x
 
 
 def _estimate(traj, smoothing_window: int, source):
@@ -183,7 +193,8 @@ def cmd_simulate(args, outputs: _Outputs) -> int:
     outputs.write(out, write_trajectory_csv, traj, out)
     outputs.write(gen_out, write_generator_csv, traj, gen_out)
     outputs.write(manifest_out, write_json, build_manifest(
-        case_path, config, outputs=[str(out), str(gen_out)]), manifest_out)
+        case_path, config, [str(out.resolve()), str(gen_out.resolve())]),
+        manifest_out)
     print(f"wrote {out}, {gen_out}, {manifest_out}")
     return EXIT_OK
 
@@ -408,7 +419,7 @@ def cmd_inertia(args, outputs: _Outputs) -> int:
 
 def cmd_plotdata(args, outputs: _Outputs) -> int:
     report = _read("report", args.report)
-    omega_s = _field(report, "report", "config.estimator.omega_s")
+    omega_s = _number(report, "report", "config.estimator.omega_s")
     smoothing_window = _field(report, "report",
                               "config.estimator.smoothing_window", int)
     if smoothing_window < 1:
@@ -448,20 +459,22 @@ def cmd_plotdata(args, outputs: _Outputs) -> int:
     else:  # damping
         out = outputs.dir / "damping.csv"
         # each envelope spans its fit's rows, from t_event; 0 elsewhere
-        t_event = _field(report, "report", "config.sync.t_event")
+        t_event = _number(report, "report", "config.sync.t_event")
         rows = window_slice(series.times, t_event)
         header, cols = ["t"], [series.times]
         for b in series.bus_ids:
-            limit = _field(report, "report", f"nodes.{b}.coarse.eps")
-            fit = _field(report, "report", f"node_metrics.{b}.fit_eps",
-                         (dict, type(None))) or {}
+            fit_path = f"node_metrics.{b}.fit_eps"
+            limit = _number(report, "report", f"nodes.{b}.coarse.eps")
+            fit = _field(report, "report", fit_path, (dict, type(None))) or {}
             header += [f"dev_eps_{b}", f"fit_eps_{b}"]
             cols.append(np.abs(series.node(b)[0] - limit))
             envelope = np.zeros_like(series.times)
             if fit.get("sigma") not in ("inf", None):
-                envelope[rows] = _field(fit, "report fit", "amplitude") \
-                    * np.exp(-_field(fit, "report fit", "sigma")
-                             * (series.times[rows] - t_event))
+                amplitude, sigma = (
+                    _number(report, "report", f"{fit_path}.{key}")
+                    for key in ("amplitude", "sigma"))
+                envelope[rows] = amplitude * np.exp(
+                    -sigma * (series.times[rows] - t_event))
             cols.append(envelope)
         outputs.write(out, write_csv, out, header, cols)
     print(f"wrote {out}")
@@ -557,6 +570,24 @@ def _check_finite(args) -> None:
                                   f"finite number, got {x!r}")
 
 
+def _warn_in_one_line() -> None:
+    """Print each UserWarning of this package as one ``warning:`` line on
+    stderr; other warnings keep their filters and their format. Call it
+    inside ``warnings.catch_warnings``, which undoes it."""
+    warnings.filterwarnings("always", category=UserWarning,
+                            module=r"cfsync\.")
+    show = warnings.showwarning
+
+    def one_line(message, category, filename, *rest):
+        if issubclass(category, UserWarning) \
+                and Path(filename).parent == Path(__file__).parent:
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, *rest)
+
+    warnings.showwarning = one_line
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -564,8 +595,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     outputs = _Outputs(args)
     try:
-        _check_finite(args)
-        return args.func(args, outputs)
+        with warnings.catch_warnings():
+            _warn_in_one_line()
+            _check_finite(args)
+            return args.func(args, outputs)
     except (CaseError, InputError) as exc:
         code, message = EXIT_INPUT, str(exc)
     except ConfigError as exc:

@@ -32,13 +32,14 @@ read are kept in memory as one read-only array each, keyed by the file's
 size and the SHA-256 of its bytes. A written file's array is the one its
 rows were laid out in, kept when all its values are finite, with the bytes
 hashed as ``write_csv`` writes them; a read file's array is the one parsed
-from it. Every read hashes the file, streamed: if the size and digest are
-those of the kind's entry, the kept array itself is returned; otherwise
-the file is parsed once and its array replaces the entry. A kept array
-written by this process gives the doubles parsing would, because every
-finite double round-trips through ``%.17g``. Either way the arrays read
-back are read-only: an in-place write raises ValueError, so no caller can
-change what a later read returns.
+from it, kept once every value in it is found finite (a non-finite value
+is an error). Every read hashes the file, streamed: if the size and
+digest are those of the kind's entry, the kept array itself is returned;
+otherwise the file is parsed once and its array replaces the entry. A
+kept array written by this process gives the doubles parsing would,
+because every finite double round-trips through ``%.17g``. Either way the
+arrays read back are read-only: an in-place write raises ValueError, so
+no caller can change what a later read returns.
 """
 from __future__ import annotations
 
@@ -525,17 +526,33 @@ def _write_series(kind: str, traj: Trajectory, ids: list[int],
                             data)
 
 
+def _check_parsed(path: Path, names: list[str], data: np.ndarray) -> None:
+    """A ValueError, naming the file, unless the rows parsed from it have a
+    value under each of the column ``names`` and every value is finite."""
+    if len(data) and data.shape[1] != len(names):
+        raise ValueError(f"{path}: {data.shape[1]} values a row under "
+                         f"{len(names)} column names")
+    # nan and infinities reach the min or the max: no full-size mask
+    if not np.isfinite([data.min(initial=0.0), data.max(initial=0.0)]).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        where = f"t = {float(data[row, 0])!r} s" if col \
+            else f"data row {row + 1}"
+        raise ValueError(f"{path}: non-finite value "
+                         f"{float(data[row, col])!r} under {names[col]} at "
+                         f"{where}")
+
+
 def _read_series(kind: str, path: str | Path, comment: str | None = None
                  ) -> tuple[str | None, list[int], np.ndarray, dict]:
     """The text after a leading ``# comment`` line (None without one), the
     bus ids, the times and each series by its Trajectory field, of a
     ``kind`` CSV. Raises ValueError, naming the file, unless the header is
     exactly ``t`` then the ``_SERIES`` columns of each bus, every row has a
-    value under each name and the time grid is uniform. The times and
-    series are read-only views of one array: the kind's kept one if the
-    file has its size and SHA-256, else the parsed one, which replaces it
-    in ``_kept``. The file is hashed once, through the binary buffer of
-    the handle it is then read from."""
+    finite value under each name and the time grid is uniform. The times
+    and series are read-only views of one array: the kind's kept one if
+    the file has its size and SHA-256, else the parsed one, which replaces
+    it in ``_kept`` once it passes ``_check_parsed``. The file is hashed
+    once, through the binary buffer of the handle it is then read from."""
     path = Path(path)
     series = _SERIES[kind]
     with path.open() as f:
@@ -564,14 +581,12 @@ def _read_series(kind: str, path: str | Path, comment: str | None = None
                     "ignore", "loadtxt: input contained no data",
                     UserWarning)
                 data = np.loadtxt(f, delimiter=",", ndmin=2)
+            _check_parsed(path, names, data)
             data.flags.writeable = False
             # a file written to while it was read may not hold the bytes
             # that were hashed
             if _stamp(f) == stamp:
                 _kept[kind] = _Kept(size, digest, data)
-    if len(data) and data.shape[1] != len(names):
-        raise ValueError(f"{path}: {data.shape[1]} values a row under "
-                         f"{len(names)} column names")
     try:
         uniform_step(data[:, 0])
     except ValueError as exc:
@@ -673,13 +688,14 @@ def sha256_file(path: str | Path) -> str:
 
 
 def build_manifest(case_path: str | Path, sim_config,
-                   outputs: list[str] | None = None) -> dict:
-    """The manifest of a run of the case at ``case_path``, recorded as its
-    resolved path so that the run replays from any working directory."""
+                   outputs: list[str]) -> dict:
+    """The manifest of a run of the case at ``case_path`` that wrote
+    ``outputs``. The case is recorded as its resolved path, so that the
+    run replays from any working directory."""
     return {
         "tool_version": __version__,
         "case_path": str(Path(case_path).resolve()),
         "case_sha256": sha256_file(case_path),
         "sim_config": _jsonable(sim_config),
-        "outputs": outputs or [],
+        "outputs": outputs,
     }

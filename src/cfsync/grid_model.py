@@ -294,9 +294,11 @@ def _check_connected(case: NetworkCase, y: np.ndarray) -> None:
         raise PowerFlowError(f"bus {unreached} is disconnected from the slack")
 
 
-def solve_power_flow(
-    case: NetworkCase, tol: float = 1e-8, max_iter: int = 20
-) -> PowerFlowSolution:
+_PF_TOL = 1e-8  # largest bus mismatch, p.u., of a converged power flow
+_PF_MAX_ITER = 20
+
+
+def solve_power_flow(case: NetworkCase) -> PowerFlowSolution:
     """Newton-Raphson power flow on polar mismatch equations, flat start."""
     case.validate()
     y = build_ybus(case)
@@ -324,7 +326,7 @@ def solve_power_flow(
     npvpq = len(pvpq)
     diag = np.diag_indices(n)
     max_mis = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PF_MAX_ITER + 1):
         vc = vm * np.exp(1j * va)
         ibus = y @ vc
         s = vc * np.conj(ibus)
@@ -332,7 +334,7 @@ def solve_power_flow(
         dq = s.imag - q_spec
         f = np.concatenate([dp[pvpq], dq[pq]])
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
-        if max_mis < tol:
+        if max_mis < _PF_TOL:
             return PowerFlowSolution(
                 v=vm.copy(), theta=va.copy(),
                 p_inj=s.real.copy(), q_inj=s.imag.copy(),
@@ -359,7 +361,7 @@ def solve_power_flow(
         vm[pq] += dx[npvpq:npvpq + npq]
 
     raise PowerFlowError(
-        f"power flow did not converge after {max_iter} iterations "
+        f"power flow did not converge after {_PF_MAX_ITER} iterations "
         f"(max mismatch {max_mis:.3e} p.u.)"
     )
 

@@ -53,13 +53,6 @@ class CapacitorSweepResult:
     eps: np.ndarray  # (n_samples, n_hv)
 
 
-def capacitor_voltage_inertia(v: float, c_eq: float, s_base: float) -> float:
-    """Voltage inertia of an equivalent capacitance: v^2 * c_eq / (2 s_base)."""
-    if v <= 0 or c_eq <= 0 or s_base <= 0:
-        raise ValueError("v, c_eq, s_base must be > 0")
-    return v * v * c_eq / (2.0 * s_base)
-
-
 def _omega_dot(times, omega: np.ndarray, error: type[ValueError]):
     """domega/dt on the step of the uniform grid ``times``; ``error`` if
     there are fewer than the 3 samples its stencils take."""

@@ -14,7 +14,6 @@ import numpy as np
 from .cf_estimator import window_slice
 from .sync_detector import NodeVerdict, SyncConfig
 
-FIT_QUALITY_FLOOR = 0.8  # below this R^2 a damping fit is flagged as unfit
 _ZERO_DEV = 1e-12
 
 
@@ -24,14 +23,6 @@ class DampingFit:
     amplitude: float
     r_squared: float
     method: str        # "envelope" | "fallback" | "fully_damped"
-
-    @property
-    def fully_damped(self) -> bool:
-        return math.isinf(self.sigma)
-
-    @property
-    def ok(self) -> bool:
-        return self.fully_damped or self.r_squared >= FIT_QUALITY_FLOOR
 
 
 @dataclass

@@ -43,7 +43,6 @@ from .cf_estimator import (
 # layout.
 _BRUTE_FORCE_MAX = 192
 _LEAF = 16  # most entries per leaf block of _tree_max
-_PAIR_BLOCK = 1 << 16  # distances per chunk of measured leaf pairs
 # A row keeping more than this many block pairs per bit of its length on a
 # level of the time-order tree is rerun on its k-d layout, so it measures
 # at most 4,096 ceil(log2 w) distances in time order. Settling final
@@ -295,7 +294,7 @@ def _tree_max(zb: np.ndarray, budget: float) -> np.ndarray:
         over |= np.bincount(node[keep], minlength=n) > budget
         keep &= ~over[node]
         node, i, j = node[keep], i[keep], j[keep]
-    per_chunk = max(1, _PAIR_BLOCK // leaf ** 2)
+    per_chunk = block_len(leaf ** 2)
     for k in range(0, len(node), per_chunk):
         c = slice(k, k + per_chunk)
         d = np.abs(zb[node[c], i[c]][:, :, None]
@@ -317,9 +316,9 @@ def row_diameters(z: np.ndarray) -> np.ndarray:
     bit, in O(n * w) memory. A row of fewer than two points has diameter 0.
 
     Rows of up to _BRUTE_FORCE_MAX points are measured all-pairs, in
-    blocks of rows of at most _PAIR_BLOCK differences. Longer rows go
-    through ``_tree_max`` together in time order, where a settling
-    window's blocks are short arcs and most block pairs prune. A
+    blocks of rows of at most ``cf_estimator._BLOCK_VALUES`` differences.
+    Longer rows go through ``_tree_max`` together in time order, where a
+    settling window's blocks are short arcs and most block pairs prune. A
     row that keeps more than _PRUNE_LIMIT * ceil(log2 w) block pairs on a
     level (an unstructured cloud) is rerun alone on its ``_kd_layout``,
     with no budget. Time is about O(w log w) on settling windows and
@@ -332,7 +331,7 @@ def row_diameters(z: np.ndarray) -> np.ndarray:
         return np.zeros(n)
     if w <= _BRUTE_FORCE_MAX:
         out = np.empty(n)
-        rows = max(1, _PAIR_BLOCK // (w * w))
+        rows = block_len(w * w)
         for start in range(0, n, rows):
             zb = z[start:start + rows]
             out[start:start + rows] = np.abs(

@@ -136,6 +136,43 @@ class TestSimulate:
         assert (run2 / "trajectory.csv").read_bytes() == \
             (run1 / "trajectory.csv").read_bytes()
 
+    def test_manifest_outputs_resolve_from_another_directory(
+            self, tmp_path, monkeypatch):
+        # outputs used to be recorded relative to the run's directory, as
+        # ["w/trajectory.csv", ...], which resolve from neither w/ nor
+        # anywhere else
+        run, other = tmp_path / "run", tmp_path / "other"
+        run.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["simulate", "--case", CASE, "--t-end", "0.1",
+                     "--outdir", "w"]) == 0
+        manifest = json.loads((run / "w" / "trajectory_manifest.json")
+                              .read_text())
+        monkeypatch.chdir(other)
+        assert [Path(p).is_file() for p in manifest["outputs"]] == [True] * 2
+        assert [Path(p).name for p in manifest["outputs"]] == [
+            "trajectory.csv", "trajectory_gen.csv"]
+
+    def test_a_warning_is_one_line(self, tmp_path, capsys):
+        # it used to print the module's path, line number and the source
+        # line "warnings.warn(" too
+        rc = main(["simulate", "--case", SHED, "--t-end", "0.1",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: event at t=2.0 s is beyond t_end=0.1 s; ignored\n")
+
+    def test_other_warnings_keep_their_filters(self, tmp_path, monkeypatch):
+        # the suite turns warnings into errors; a numpy warning inside a
+        # command still is one
+        def overflow(args, outputs):
+            return int(np.exp(np.array([1e3]))[0] > 0)
+
+        monkeypatch.setattr(cli, "cmd_simulate", overflow)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(["simulate", "--case", SHED, "--outdir", str(tmp_path)])
+
     def test_replay_of_an_edited_case_exits_2(self, tmp_path, capsys):
         case_path = tmp_path / "case.json"
         case_path.write_text(Path(CASE).read_text())
@@ -1009,10 +1046,32 @@ class TestPlotdata:
         ("eps", lambda r: r["config"]["estimator"].update(
             smoothing_window=0),
          "smoothing_window must be >= 1"),
+        # json reads NaN and Infinity: a NaN omega_s used to exit 0 with an
+        # all-nan omega.csv
+        ("omega", lambda r: r["config"]["estimator"].update(
+            omega_s=float("nan")),
+         "report field config.estimator.omega_s is not a finite number: "
+         "nan"),
+        ("damping", lambda r: r["config"]["sync"].update(
+            t_event=float("inf")),
+         "report field config.sync.t_event is not a finite number: inf"),
+        ("damping", lambda r: r["nodes"]["4"]["coarse"].update(
+            eps=float("nan")),
+         "report field nodes.4.coarse.eps is not a finite number: nan"),
+        ("damping", lambda r: r["node_metrics"]["4"]["fit_eps"].update(
+            amplitude=float("-inf")),
+         "report field node_metrics.4.fit_eps.amplitude is not a finite "
+         "number: -inf"),
+        ("damping", lambda r: r["node_metrics"]["4"]["fit_eps"].update(
+            sigma=float("nan")),
+         "report field node_metrics.4.fit_eps.sigma is not a finite "
+         "number: nan"),
     ], ids=["wrong_type", "nodes_not_an_object", "missing_nested",
             "fit_not_an_object", "subnet_without_members",
             "subnet_with_unknown_bus", "subnet_with_no_members",
-            "bus_sets_differ", "zero_smoothing_window"])
+            "bus_sets_differ", "zero_smoothing_window", "nan_omega_s",
+            "infinite_t_event", "nan_limit", "infinite_amplitude",
+            "nan_sigma"])
     def test_malformed_report_exits_2(self, simdir, reportdir, tmp_path,
                                       capsys, kind, edit, message):
         report = json.loads((reportdir / "report.json").read_text())
@@ -1227,6 +1286,55 @@ class TestEstimatorInput:
             "at least two samples\n")
 
 
+def _set_value(src: Path, dst: Path, column: str, t: float, value: str):
+    """Copy the CSV ``src`` to ``dst`` with ``value`` under ``column`` in
+    the row at time ``t``."""
+    lines = src.read_text().splitlines()
+    top = 1 + lines[0].startswith("#")  # the first data row
+    j = lines[top - 1].split(",").index(column)
+    i = next(i for i in range(top, len(lines))
+             if float(lines[i].partition(",")[0]) == pytest.approx(t))
+    cells = lines[i].split(",")
+    cells[j] = value
+    lines[i] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+class TestNonFiniteRecordedRun:
+    """A nan or infinity in a recorded run is an input error, exit 2,
+    naming the file, the column and the time, with no output left; it used
+    to be read as data."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_analyze(self, simdir, tmp_path, capsys, value):
+        # a nan voltage used to exit 0 with bus 2's coarse eps null, its
+        # eps fit "fully_damped" and bus 2 out of disturbed_eps
+        traj = tmp_path / "trajectory.csv"
+        _set_value(simdir / "trajectory.csv", traj, "v_2", 1.498, value)
+        rc = main(["analyze", "--traj", str(traj), "--case", SHED,
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read trajectory: {traj}: non-finite value "
+            f"{value} under v_2 at t = 1.498 s\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_inertia(self, simdir, tmp_path, capsys):
+        # used to end in a traceback: "h_v and m must be finite", exit 1
+        shutil.copy(simdir / "trajectory.csv", tmp_path)
+        gen = tmp_path / "trajectory_gen.csv"
+        _set_value(simdir / "trajectory_gen.csv", gen, "omega_1", 2.099,
+                   "nan")
+        rc = main(["inertia", "--traj", str(tmp_path / "trajectory.csv"),
+                   "--case", SHED, "--window", "2.005", "2.3",
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read generator series: {gen}: non-finite value "
+            "nan under omega_1 at t = 2.099 s\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedRecordedRun:
     """No edit of a recorded run makes a command raise: each one that reads
     it exits 0, 2 or 3."""
@@ -1300,9 +1408,7 @@ class TestMalformedCase:
     an error and no trajectory, and it exits 2 on a non-finite number, a
     value of another type, a duplicated bus id or a misspelled spec key."""
 
-    # 3 s, so that the load shed's event at 2 s is applied; an edited
-    # event time may fall beyond that, which warns
-    @pytest.mark.filterwarnings("ignore:event at t=.* is beyond t_end")
+    # 3 s, so that the load shed's event at 2 s is applied
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())

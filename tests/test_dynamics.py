@@ -34,7 +34,8 @@ from cfsync.grid_model import (
 )
 
 
-def smib_case(x_line=0.5, h=3.0, d=0.0, xdp=0.3, p_set=0.0):
+def smib_case(x_line=0.5, h=3.0, d=0.0, xdp=0.3, p_set=0.0, h_inf=1e8,
+              xdp_inf=0.01):
     """Single machine against a near-infinite bus (huge-inertia machine)."""
     return NetworkCase(
         s_base=100.0, f_nominal=60.0,
@@ -44,7 +45,7 @@ def smib_case(x_line=0.5, h=3.0, d=0.0, xdp=0.3, p_set=0.0):
         ],
         lines=[LineSpec(1, 2, 0.0, x_line, 0.0)],
         generators=[
-            GeneratorSpec(1, h=1e8, d=0.0, xdp=0.01, s_machine=100.0),
+            GeneratorSpec(1, h=h_inf, d=0.0, xdp=xdp_inf, s_machine=100.0),
             GeneratorSpec(2, h=h, d=d, xdp=xdp, s_machine=100.0,
                           p_set=p_set),
         ],
@@ -416,6 +417,90 @@ def outcome(stepper, *args):
         return stepper(*args).tobytes()
     except SimulationError as exc:
         return str(exc)
+
+
+T_FAULT = 0.5  # s
+FAULT_DQ = 1e6  # p.u.: a shunt that holds the faulted bus at about 0 V
+
+
+def fault_case(duration: float) -> NetworkCase:
+    """One machine (H = 3 s, D = 0, x'd = 0.2, P_m = 0.8) against an
+    infinite bus (H = 1e6 s, x'd = 1e-6) over a line of x = 0.3, with a
+    bolted fault at the machine's bus from T_FAULT for ``duration`` s."""
+    return dataclasses.replace(
+        smib_case(x_line=0.3, h=3.0, xdp=0.2, p_set=0.8, h_inf=1e6,
+                  xdp_inf=1e-6),
+        events=[Event(T_FAULT, "q_injection_step",
+                      {"bus": 2, "dq": -FAULT_DQ}),
+                Event(T_FAULT + duration, "q_injection_step",
+                      {"bus": 2, "dq": FAULT_DQ})])
+
+
+class TestOneMachineInfiniteBus:
+    """The simulated transient against the closed forms of one machine
+    swinging against an infinite bus, M delta'' = P_m - P_max sin(delta):
+    the swing frequency of small oscillations and the equal-area critical
+    clearing time of a fault that takes P_e to 0. Both take P_max and
+    delta0 from the case's power flow."""
+
+    @pytest.fixture(scope="class")
+    def closed_form(self):
+        case = fault_case(0.0)
+        pf = solve_power_flow(case)
+        v = pf.v * np.exp(1j * pf.theta)
+        xdp = np.array([g.xdp for g in case.generators])  # buses 1, 2
+        e = v + 1j * xdp * np.conj((pf.p_inj + 1j * pf.q_inj) / v)
+        p_max = abs(e[0]) * abs(e[1]) / (xdp.sum() + case.lines[0].x)
+        delta0 = float(np.angle(e[1] / e[0]))
+        p_m = case.generators[1].p_set
+        m = 2.0 * case.generators[1].h / case.omega_s
+        delta_cr = math.acos(p_m * (math.pi - 2 * delta0) / p_max
+                             - math.cos(delta0))
+        return {"delta0": delta0,
+                "omega_n": math.sqrt(p_max * math.cos(delta0) / m),
+                "t_cr": math.sqrt(2 * m * (delta_cr - delta0) / p_m)}
+
+    # measured: omega_n 10.933532 rad/s against 10.933474 from rk4
+    # (-5.3e-6 relative) and 10.933365 from trapezoidal (-1.5e-5, of which
+    # its phase error (omega_n dt)^2 / 12 is 1.0e-5), on both paths
+    @pytest.mark.parametrize("integrator, rel", [("rk4", 1e-5),
+                                                 ("trapezoidal", 2e-5)])
+    def test_swing_frequency(self, closed_form, each_path, integrator, rel):
+        # a 2 ms fault rings down at 9.2e-3 rad, undamped: the upward
+        # crossings of delta0 are whole periods apart
+        for path in each_path():
+            traj = simulate(fault_case(2e-3), SimConfig(
+                t_end=4.0, dt=1e-3, integrator=integrator))
+            after = traj.times > T_FAULT + 0.01
+            t = traj.times[after]
+            x = (traj.delta[after, 1] - traj.delta[after, 0]
+                 - closed_form["delta0"])
+            up = np.flatnonzero((x[:-1] < 0) & (x[1:] >= 0))
+            frac = x[up] / (x[up] - x[up + 1])
+            crossing = t[up] + frac * (t[up + 1] - t[up])
+            periods = len(crossing) - 1
+            assert periods >= 4, path
+            omega = 2 * math.pi * periods / (crossing[-1] - crossing[0])
+            assert omega == pytest.approx(closed_form["omega_n"],
+                                          rel=rel), path
+
+    @pytest.mark.parametrize("dt", [1e-3, 5e-4])
+    def test_critical_clearing_time(self, closed_form, each_path, dt):
+        # Events take effect on the step grid, so the simulated critical
+        # clearing time is a bracket [a, a + dt): a fault cleared after a
+        # seconds leaves the machine in step, one cleared a step later
+        # makes it slip a pole. The machine holds for every shorter fault
+        # and slips for every longer one, so t_cr lies within one dt of
+        # the bracket exactly when it holds at k - 1 steps and slips at
+        # k + 2, k = floor(t_cr / dt). Measured: t_cr = 0.217179 s against
+        # [0.217, 0.218) at 1 ms and [0.217, 0.2175) at 0.5 ms.
+        k = math.floor(closed_form["t_cr"] / dt)
+        for path in each_path():
+            for steps, slips in ((k - 1, False), (k + 2, True)):
+                traj = simulate(fault_case(steps * dt),
+                                SimConfig(t_end=1.5, dt=dt))
+                angle = traj.delta[:, 1] - traj.delta[:, 0]
+                assert (angle.max() > math.pi) == slips, (path, steps)
 
 
 class TestFloatPath:

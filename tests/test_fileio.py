@@ -394,8 +394,32 @@ class TestReadBack:
         traj.v[2, 1] = np.nan
         write_trajectory_csv(traj, tmp_path / "t.csv")
         assert fileio._kept == {}
-        back = read_trajectory_csv(tmp_path / "t.csv", omega_s=377.0)
-        assert np.isnan(back.v[2, 1])
+        # nor read: the parse is rejected before it could be kept, so a
+        # second read of the same bytes parses and rejects it again
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"t\.csv: non-finite value "
+                               r"nan under v_7 at t = 0\.002 s"):
+                read_trajectory_csv(tmp_path / "t.csv", omega_s=377.0)
+            assert fileio._kept == {}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_are_rejected_by_name(self, tmp_path,
+                                                    kept_reads, value):
+        out = tmp_path / "g.csv"
+        write_csv(out, ["t", "delta_3", "omega_3", "eq_3", "pm_3", "pe_3",
+                        "qe_3"], [np.arange(4) * 0.5, np.ones((4, 6))])
+        lines = out.read_text().splitlines()
+        lines[3] = lines[3].replace(",1,1,", f",1,{value},", 1)  # omega_3
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"g\\.csv: non-finite value "
+                           f"{value} under omega_3 at t = 1\\.0 s"):
+            read_generator_csv(out)
+        lines[3] = lines[3].replace("1", value, 1)  # the time itself
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"non-finite value {value} "
+                           "under t at data row 3"):
+            read_generator_csv(out)
+        assert fileio._kept == {}
 
     def test_read_back_without_hashlib_file_digest(self, tmp_path,
                                                    kept_reads, monkeypatch):
@@ -508,7 +532,6 @@ class TestReadBack:
         spec.loader.exec_module(script)
 
         def run(where):
-            # the same relative --outdir, so the manifests agree too
             (tmp_path / where).mkdir()
             monkeypatch.chdir(tmp_path / where)
             monkeypatch.setattr(sys, "argv", ["run_load_shed.py",
@@ -529,8 +552,12 @@ class TestReadBack:
         parsed = run("parsed")
         assert kept_reads[7:] == [False] * 7
         assert sorted(parsed) == sorted(kept)
+        # the manifests name their outputs by absolute path
+        kept_dir, parsed_dir = (str((tmp_path / where).resolve()).encode()
+                                for where in ("kept", "parsed"))
         for name in kept:
-            assert parsed[name] == kept[name], name
+            assert parsed[name] == kept[name].replace(kept_dir, parsed_dir), \
+                name
 
 
 # save_case's text for GOLDEN_CASE: every field that may be None is None

@@ -184,7 +184,7 @@ class TestPowerFlow:
         assert sol.iterations == 1
 
     def test_wscc_converges_and_matches_oracle(self, wscc9):
-        sol = solve_power_flow(wscc9, tol=1e-8)
+        sol = solve_power_flow(wscc9)
         assert sol.iterations <= 6
         assert sol.max_mismatch < 1e-8
         raw = json.loads(bundled_case_path("wscc9").read_text())
@@ -207,7 +207,7 @@ class TestPowerFlow:
             solve_power_flow(case)
 
     def test_residual_reproduces_specified_injections(self, wscc9):
-        sol = solve_power_flow(wscc9, tol=1e-8)
+        sol = solve_power_flow(wscc9)
         y = build_ybus(wscc9)
         vc = sol.v * np.exp(1j * sol.theta)
         s = vc * np.conj(y @ vc)

@@ -11,7 +11,6 @@ from cfsync.inertia import (
     CapacitorBusModel,
     CapacitorSweepResult,
     EstimationError,
-    capacitor_voltage_inertia,
     estimate_frequency_inertia,
     estimate_voltage_inertia,
     generalized_inertia_series,
@@ -27,29 +26,6 @@ def stretched_grid():
 
 
 NON_UNIFORM = r"non-uniform time grid: step 0\.002\d* at t = 0\.5 "
-
-
-class TestCapacitorVoltageInertia:
-    def test_reference_value(self):
-        assert capacitor_voltage_inertia(1.0, 2.0, 100.0) == pytest.approx(
-            0.01)
-
-    def test_quadratic_in_voltage(self):
-        base = capacitor_voltage_inertia(1.0, 2.0, 100.0)
-        assert capacitor_voltage_inertia(2.0, 2.0,
-                                         100.0) == pytest.approx(4 * base)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(min_value=0.1, max_value=10),
-           st.floats(min_value=0.1, max_value=10),
-           st.floats(min_value=1, max_value=1000))
-    def test_linear_in_capacitance(self, v, c, s):
-        assert capacitor_voltage_inertia(v, 2 * c, s) == pytest.approx(
-            2 * capacitor_voltage_inertia(v, c, s), rel=1e-12)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            capacitor_voltage_inertia(-1.0, 2.0, 100.0)
 
 
 class TestFrequencyInertia:
