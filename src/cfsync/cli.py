@@ -402,7 +402,7 @@ def cmd_inertia(args, outputs: _Outputs) -> int:
         result["sweep"] = {
             "h_v_values": h_values,
             "model": model,
-            "csv": str(sweep_out),
+            "csv": str(sweep_out.resolve()),
             "peak_abs_eps": [float(np.abs(sweep.eps[:, j]).max())
                              for j in range(len(h_values))],
         }

@@ -52,12 +52,12 @@ from operator import add, mul
 import numpy as np
 
 from .grid_model import (
-    CaseError,
     Event,
     NetworkCase,
     PowerFlowSolution,
     apply_event,
     build_ybus,
+    check_event,
     load_admittances,
     solve_power_flow,
 )
@@ -250,15 +250,9 @@ class DynamicNetwork:
 
     def apply_event(self, event: Event) -> DynamicNetwork:
         """The network state after ``event``: bound to this state's
-        operating point and on its path. This state is left as it was."""
-        tripped = self.tripped
-        if event.kind == "line_trip":
-            line = frozenset((event.params["from"], event.params["to"]))
-            if line in tripped:
-                raise CaseError(
-                    f"line ({event.params['from']}, {event.params['to']}) "
-                    "is already tripped")
-            tripped = tripped | {line}
+        operating point and on its path. This state is left as it was;
+        ``check_event`` refuses a bad event, or a line this path tripped."""
+        tripped = check_event(self.case, event, self.tripped)
         ybus, load_adm = apply_event(self.ybus, self.load_adm, event,
                                      self.case)
         nxt = DynamicNetwork(self.case, ybus, load_adm, tripped)

@@ -606,14 +606,22 @@ def read_trajectory_csv(path: str | Path, omega_s: float) -> Trajectory:
     """The Trajectory of a CSV from ``write_trajectory_csv``, with no
     generator series. Its times, v and theta are read-only views of one
     array: the one kept from writing or reading that file in this process,
-    if its bytes are unchanged, else the parsed one."""
+    if its bytes are unchanged, else the parsed one. A ValueError names the
+    file and its ``# events:`` line unless each comma-separated entry there
+    is a finite number (an empty line has none)."""
     events, bus_ids, times, series = _read_series("trajectory", path,
                                                   comment="events:")
+    try:
+        event_times = [float(x) for x in events.split(",")] if events else []
+    except ValueError:  # not a number: refused as a non-finite one
+        event_times = [math.nan]
+    if not all(map(math.isfinite, event_times)):
+        raise ValueError(f"{path}: malformed '# events: {events}' line "
+                         "(need finite times, comma-separated)")
     return Trajectory(
         times=times, bus_ids=bus_ids, **series, gen_buses=[],
         **dict.fromkeys(_SERIES["generator"].values()),
-        event_times=[float(x) for x in events.split(",")] if events else [],
-        omega_s=omega_s)
+        event_times=event_times, omega_s=omega_s)
 
 
 def write_generator_csv(traj: Trajectory, path: str | Path) -> None:

@@ -195,40 +195,46 @@ class NetworkCase:
         if covered != known:
             missing = sorted(known - covered)
             raise CaseError(f"subnets do not cover buses {missing}")
-        line_keys = {frozenset(ln.key) for ln in self.lines}
-        in_service = {frozenset(ln.key) for ln in self.lines if ln.in_service}
-        tripped: set[frozenset] = set()
+        tripped: frozenset[frozenset[int]] = frozenset()
         for ev in self.events:
-            if ev.time < 0:
-                raise CaseError("event time must be >= 0")
-            if ev.kind not in EVENT_PARAMS:
-                raise CaseError(f"unknown event kind {ev.kind!r}")
-            for name in EVENT_PARAMS[ev.kind]:
-                value = ev.params.get(name)
-                if not is_finite_number(value):
-                    raise CaseError(
-                        f"{ev.kind} event at t={ev.time}: param {name!r} "
-                        + ("is missing" if name not in ev.params
-                           else f"must be a finite number, not {value!r}"))
-            if ev.kind in ("load_scale", "q_injection_step"):
-                if ev.params["bus"] not in known:
-                    raise CaseError(f"event at unknown bus {ev.params['bus']}")
-            elif ev.kind == "line_trip":
-                k = frozenset((ev.params["from"], ev.params["to"]))
-                if k not in line_keys:
-                    raise CaseError(
-                        f"event references unknown line "
-                        f"({ev.params['from']}, {ev.params['to']})"
-                    )
-                if k not in in_service:
-                    raise CaseError(
-                        f"event trips line ({ev.params['from']}, "
-                        f"{ev.params['to']}), which is out of service")
-                if k in tripped:
-                    raise CaseError(
-                        f"line ({ev.params['from']}, {ev.params['to']}) "
-                        "is tripped twice")
-                tripped.add(k)
+            tripped = check_event(self, ev, tripped)
+
+
+def check_event(case: NetworkCase, event: Event,
+                tripped: frozenset[frozenset[int]] = frozenset()
+                ) -> frozenset[frozenset[int]]:
+    """The trip history ``tripped`` (each line as the set of its two bus
+    ids) with ``event`` added; a CaseError unless the event has a finite
+    time >= 0, a kind in ``EVENT_PARAMS`` and each of its params as a
+    finite number, and names a known bus or a known in-service line that
+    is not in ``tripped``."""
+    if not (is_finite_number(event.time) and event.time >= 0):
+        raise CaseError(
+            f"event time must be >= 0 and finite, not {event.time!r}")
+    if event.kind not in EVENT_PARAMS:
+        raise CaseError(f"unknown event kind {event.kind!r}")
+    params, names = event.params, EVENT_PARAMS[event.kind]
+    for name in names:
+        value = params.get(name)
+        if not is_finite_number(value):
+            raise CaseError(
+                f"{event.kind} event at t={event.time}: param {name!r} "
+                + ("is missing" if name not in params
+                   else f"must be a finite number, not {value!r}"))
+    if "bus" in names and params["bus"] not in case.bus_index():
+        raise CaseError(f"event at unknown bus {params['bus']}")
+    if event.kind != "line_trip":
+        return tripped
+    ends = (params["from"], params["to"])
+    line = frozenset(ends)
+    if all(frozenset(ln.key) != line for ln in case.lines):
+        raise CaseError(f"event references unknown line {ends}")
+    if all(frozenset(ln.key) != line for ln in case.lines if ln.in_service):
+        raise CaseError(
+            f"event trips line {ends}, which is out of service")
+    if line in tripped:
+        raise CaseError(f"line {ends} is tripped twice")
+    return tripped | {line}
 
 
 def _stamp_line(y: np.ndarray, ln: LineSpec, i: int, j: int,
@@ -385,36 +391,27 @@ def apply_event(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply a timed event, returning updated (Y-bus, per-bus load admittance).
 
-    Inputs are not mutated. q_injection_step adds a shunt reactive injection
-    evaluated at 1 p.u. voltage.
+    Inputs are not mutated. The event is checked by ``check_event`` against
+    the case alone: the lines tripped before it are held by the network
+    state (``DynamicNetwork.tripped``), which checks them too.
+    q_injection_step adds a shunt reactive injection evaluated at 1 p.u.
+    voltage.
     """
+    check_event(case, event)
     idx = case.bus_index()
+    params = event.params
     y_new = ybus.copy()
     adm = load_adm.copy()
     if event.kind == "load_scale":
-        bus = event.params["bus"]
-        if bus not in idx:
-            raise CaseError(f"unknown bus {bus}")
-        i = idx[bus]
-        adm[i] = (adm[i].real * event.params["p_factor"]
-                  + 1j * adm[i].imag * event.params["q_factor"])
+        i = idx[params["bus"]]
+        adm[i] = (adm[i].real * params["p_factor"]
+                  + 1j * adm[i].imag * params["q_factor"])
     elif event.kind == "line_trip":
-        fb, tb = event.params["from"], event.params["to"]
-        match = None
-        for ln in case.lines:
-            if {ln.from_bus, ln.to_bus} == {fb, tb} and ln.in_service:
-                match = ln
-                break
-        if match is None:
-            raise CaseError(f"unknown line ({fb}, {tb})")
-        _stamp_line(y_new, match, idx[match.from_bus],
-                    idx[match.to_bus], remove=True)
-    elif event.kind == "q_injection_step":
-        bus = event.params["bus"]
-        if bus not in idx:
-            raise CaseError(f"unknown bus {bus}")
+        ends = {params["from"], params["to"]}
+        ln = next(ln for ln in case.lines
+                  if ln.in_service and {ln.from_bus, ln.to_bus} == ends)
+        _stamp_line(y_new, ln, idx[ln.from_bus], idx[ln.to_bus], remove=True)
+    else:  # q_injection_step
         # injecting dq lowers consumed reactive power: y -> y + j*dq at v = 1
-        adm[idx[bus]] += 1j * event.params["dq"]
-    else:
-        raise CaseError(f"unknown event kind {event.kind!r}")
+        adm[idx[params["bus"]]] += 1j * params["dq"]
     return y_new, adm

@@ -694,6 +694,22 @@ class TestInertia:
         header = (tmp_path / "hv_sweep.csv").read_text().splitlines()[0]
         assert len(header.split(",")) == 4
 
+    def test_sweep_csv_resolves_from_another_directory(self, tmp_path,
+                                                       monkeypatch):
+        # the csv used to be recorded relative to the run's directory, as
+        # "w/hv_sweep.csv", which resolves from neither w/ nor anywhere else
+        run, other = tmp_path / "run", tmp_path / "other"
+        run.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["inertia", "--sweep", "1,2", "--sweep-t-end", "0.1",
+                     "--outdir", "w"]) == 0
+        csv = json.loads((run / "w" / "inertia.json").read_text())[
+            "sweep"]["csv"]
+        monkeypatch.chdir(other)
+        assert Path(csv).is_file()
+        assert Path(csv).name == "hv_sweep.csv"
+
     def test_estimates_from_trajectory(self, simdir, tmp_path):
         rc = main(["inertia", "--case", SHED,
                    "--traj", str(simdir / "trajectory.csv"),
@@ -1332,6 +1348,36 @@ class TestNonFiniteRecordedRun:
         assert capsys.readouterr().err == (
             f"error: cannot read generator series: {gen}: non-finite value "
             "nan under omega_1 at t = 2.099 s\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["analyze", "--case", SHED], id="analyze"),
+        pytest.param(["analyze", "--case", SHED, "--t-event", "2.0"],
+                     id="analyze_t_event"),
+        pytest.param(["plotdata", "--report", "REPORT", "--kind", "eps"],
+                     id="plotdata"),
+        pytest.param(["inertia", "--case", SHED], id="inertia"),
+        pytest.param(["inertia", "--case", SHED, "--t-event", "2.0"],
+                     id="inertia_t_event"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+    def test_events_line(self, short_run, tmp_path, capsys, argv, value):
+        # nan and inf used to exit 3 with "t_event nan leaves no sample in
+        # [t_event, t_end = 3.0]", and abc exit 2 naming neither the file
+        # nor the line
+        traj = tmp_path / "trajectory.csv"
+        lines = (short_run / "trajectory.csv").read_text().splitlines(True)
+        assert lines[0] == "# events: 2\n"
+        traj.write_text(f"# events: {value}\n" + "".join(lines[1:]))
+        shutil.copy(short_run / "trajectory_gen.csv", tmp_path)
+        argv = [str(short_run / "report.json") if a == "REPORT" else a
+                for a in argv]
+        rc = main(argv + ["--traj", str(traj),
+                          "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read trajectory: {traj}: malformed "
+            f"'# events: {value}' line (need finite times, comma-separated)\n")
         assert not (tmp_path / "out").exists()
 
 

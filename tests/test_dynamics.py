@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import functools
 import math
+import re
 import warnings
 from cmath import rect
 from operator import add, mul, sub
@@ -84,6 +85,13 @@ class TestConfigValidation:
     def test_dt_out_of_range(self, wscc9):
         with pytest.raises(ValueError, match="dt out of range"):
             simulate(wscc9, SimConfig(t_end=1.0, dt=0.05))
+
+    def test_nan_event_time_is_a_case_error(self, wscc9):
+        case = dataclasses.replace(wscc9, events=[
+            Event(math.nan, "q_injection_step", {"bus": 5, "dq": 0.1})])
+        with pytest.raises(CaseError, match="event time must be >= 0 and "
+                                            "finite, not nan"):
+            simulate(case, SimConfig(t_end=1.0))
 
     def test_bad_integrator(self):
         with pytest.raises(ValueError, match="integrator"):
@@ -731,9 +739,38 @@ class TestReducedNetwork:
         _, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
         net = net.apply_event(Event(1.0, "line_trip", {"from": 5, "to": 7}))
         y_once = net.ybus.copy()
-        with pytest.raises(CaseError, match="already tripped"):
+        with pytest.raises(CaseError, match="tripped twice"):
             net.apply_event(Event(2.0, "line_trip", {"from": 7, "to": 5}))
         np.testing.assert_array_equal(net.ybus, y_once)
+
+    @pytest.mark.parametrize("event, message", [
+        pytest.param(Event(1.0, "load_scale", {"bus": 5, "p_factor": math.nan,
+                                               "q_factor": 1.0}),
+                     "param 'p_factor' must be a finite number, not nan",
+                     id="nan_p_factor"),
+        pytest.param(Event(1.0, "load_scale", {"bus": 5, "p_factor": 0.5}),
+                     "param 'q_factor' is missing", id="missing_q_factor"),
+        pytest.param(Event(1.0, "q_injection_step",
+                           {"bus": 5, "dq": math.inf}),
+                     "param 'dq' must be a finite number, not inf",
+                     id="inf_dq"),
+        pytest.param(Event(-1.0, "q_injection_step", {"bus": 5, "dq": 0.1}),
+                     "event time must be >= 0 and finite, not -1.0",
+                     id="negative_time"),
+        pytest.param(Event(1.0, "fault", {"bus": 5}),
+                     "unknown event kind 'fault'", id="unknown_kind"),
+    ])
+    def test_bad_event_is_refused(self, wscc9, event, message):
+        # refused as input, before any next state is built, and the
+        # receiver keeps its arrays
+        _, net = initialize_dynamics(wscc9, solve_power_flow(wscc9))
+        bits = {name: getattr(net, name).tobytes()
+                for name in ("ybus", "load_adm", "k_red")}
+        with pytest.raises(CaseError, match=re.escape(message)):
+            net.apply_event(event)
+        for name, b in bits.items():
+            assert getattr(net, name).tobytes() == b, name
+        assert net.tripped == frozenset()
 
     def test_event_leaves_its_receiver_as_it_was(self, wscc9_loadshed,
                                                  each_path):

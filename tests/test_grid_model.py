@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +220,40 @@ class TestPowerFlow:
             assert s.imag[i] == pytest.approx(-ld.q, abs=1e-8)
 
 
+# events that check_event refuses on WSCC-9, each with its message
+BAD_EVENTS = [
+    pytest.param(Event(0.0, "load_scale",
+                       {"bus": 99, "p_factor": 0.5, "q_factor": 0.5}),
+                 "event at unknown bus 99", id="unknown_bus"),
+    pytest.param(Event(0.0, "q_injection_step", {"bus": 99, "dq": 0.1}),
+                 "event at unknown bus 99", id="unknown_bus_q_step"),
+    pytest.param(Event(1.0, "line_trip", {"from": 1, "to": 2}),
+                 "event references unknown line (1, 2)", id="unknown_line"),
+    pytest.param(Event(1.0, "load_scale",
+                       {"bus": 5, "p_factor": math.nan, "q_factor": 1.0}),
+                 "param 'p_factor' must be a finite number, not nan",
+                 id="nan_p_factor"),
+    pytest.param(Event(1.0, "load_scale", {"bus": 5, "p_factor": 0.5}),
+                 "param 'q_factor' is missing", id="missing_q_factor"),
+    pytest.param(Event(1.0, "q_injection_step", {"bus": 5, "dq": math.inf}),
+                 "param 'dq' must be a finite number, not inf", id="inf_dq"),
+    pytest.param(Event(1.0, "line_trip", {"from": 5, "to": True}),
+                 "param 'to' must be a finite number, not True",
+                 id="bool_line_end"),
+    pytest.param(Event(-1.0, "q_injection_step", {"bus": 5, "dq": 0.1}),
+                 "event time must be >= 0 and finite, not -1.0",
+                 id="negative_time"),
+    pytest.param(Event(math.nan, "q_injection_step", {"bus": 5, "dq": 0.1}),
+                 "event time must be >= 0 and finite, not nan",
+                 id="nan_time"),
+    pytest.param(Event(math.inf, "line_trip", {"from": 5, "to": 7}),
+                 "event time must be >= 0 and finite, not inf",
+                 id="inf_time"),
+    pytest.param(Event(1.0, "fault", {"bus": 5}),
+                 "unknown event kind 'fault'", id="unknown_kind"),
+]
+
+
 class TestApplyEvent:
     def test_load_scale_halves_admittance_only(self, wscc9):
         sol = solve_power_flow(wscc9)
@@ -256,12 +292,14 @@ class TestApplyEvent:
         assert adm2[wscc9.bus_index()[5]] == 0.2j
         np.testing.assert_array_equal(y2, ybus)
 
-    def test_unknown_bus_rejected(self, wscc9):
+    @pytest.mark.parametrize("event, message", BAD_EVENTS)
+    def test_bad_event_rejected(self, wscc9, event, message):
         ybus = build_ybus(wscc9)
-        ev = Event(0.0, "load_scale",
-                   {"bus": 99, "p_factor": 0.5, "q_factor": 0.5})
-        with pytest.raises(CaseError, match="unknown bus"):
-            apply_event(ybus, np.zeros(9, complex), ev, wscc9)
+        adm = np.full(9, 0.5 - 0.2j)
+        with pytest.raises(CaseError, match=re.escape(message)):
+            apply_event(ybus, adm, event, wscc9)
+        np.testing.assert_array_equal(ybus, build_ybus(wscc9))
+        np.testing.assert_array_equal(adm, np.full(9, 0.5 - 0.2j))
 
 
 class TestValidation:
@@ -278,10 +316,10 @@ class TestValidation:
         with pytest.raises(CaseError, match="cover"):
             case.validate()
 
-    def test_event_referencing_unknown_line(self):
-        case = two_bus_case()
-        case.events = [Event(1.0, "line_trip", {"from": 1, "to": 3})]
-        with pytest.raises(CaseError, match="unknown line"):
+    @pytest.mark.parametrize("event, message", BAD_EVENTS)
+    def test_bad_event_rejected(self, wscc9, event, message):
+        case = dataclasses.replace(wscc9, events=[event])
+        with pytest.raises(CaseError, match=re.escape(message)):
             case.validate()
 
     @pytest.mark.parametrize("second", [(5, 7), (7, 5)])

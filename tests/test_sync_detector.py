@@ -43,8 +43,8 @@ WS = 2 * math.pi * 60
 def oracle_convergence_time(times, x, target, tol, window, t_event):
     """Exhaustive scan over every trailing window (independent of the
     sliding-max implementation)."""
-    dt = times[1] - times[0]
-    w = int(round(window / dt)) + 1
+    # each trailing window holds as many samples as the last one
+    w = int(np.count_nonzero(times >= times[-1] - window - 1e-9))
     for i in range(len(times)):
         if i + 1 < w or times[i] < t_event + window - 1e-9:
             continue
@@ -366,7 +366,7 @@ class TestFindConvergenceTime:
         rng = np.random.default_rng(seed)
         t, x, target = settle_signal(rng, n=800)
         tol = rng.uniform(0.01, 0.3)
-        window = rng.choice([0.5, 1.0, 2.0])
+        window = rng.choice([0.5, 1.0, 2.0, 0.507, 0.777])
         got = find_convergence_time(t, x, target, tol, window, 0.0)
         assert got == oracle_convergence_time(t, x, target, tol, window, 0.0)
 
@@ -775,7 +775,10 @@ def per_node_verdict(bus, times, eps, omega, config):
         & (times <= config.t_end + 1e-9)
     coarse = ComplexFrequencySample(float(np.mean(eps[seg])),
                                     float(np.mean(omega[seg])))
-    w = int(round(config.window / (times[1] - times[0]))) + 1
+    # each trailing window holds as many samples as the last one to t_end
+    cut = times <= config.t_end + 1e-9
+    w = int(np.count_nonzero(
+        cut & (times >= times[cut][-1] - config.window - 1e-9)))
     end = times[w - 1:]
 
     def settle(x, target, tol):
@@ -842,14 +845,24 @@ class TestEvaluateMatchesPerNodeOracle:
         # calls are the subnet and global limit spreads
         assert max(len(args[0]) for args in calls) < _BRUTE_FORCE_MAX
 
-    @pytest.mark.parametrize("record_every", [1, 5])
-    def test_two_area_trip(self, wscc9, record_every):
+    # windows of 0.507 s and 0.777 s at 10 ms samples hold 51 and 78
+    # samples, one fewer than round(window / dt) + 1
+    @pytest.mark.parametrize("record_every, window", [
+        pytest.param(1, 1.0, id="1"), pytest.param(5, 1.0, id="5"),
+        pytest.param(5, 0.507, id="5-window_0.507"),
+        pytest.param(5, 0.777, id="5-window_0.777")])
+    def test_two_area_trip(self, wscc9, record_every, window):
         case, series = two_area_trip_series(wscc9, record_every)
-        self.check(series, case.subnets, SyncConfig(t_end=5.0, t_event=1.0))
+        self.check(series, case.subnets,
+                   SyncConfig(t_end=5.0, t_event=1.0, window=window))
         # a tolerance that leaves some nodes unconverged or unsettled
         self.check(series, case.subnets,
-                   SyncConfig(t_end=5.0, t_event=1.0, tol_eps=1e-6,
-                              tol_omega=1e-5, tol_node=1e-5))
+                   SyncConfig(t_end=5.0, t_event=1.0, window=window,
+                              tol_eps=1e-6, tol_omega=1e-5, tol_node=1e-5))
+        # one loose enough for nodes to settle within the run
+        self.check(series, case.subnets,
+                   SyncConfig(t_end=5.0, t_event=1.0, window=window,
+                              tol_eps=1e-2, tol_omega=1e-1, tol_node=1e-1))
 
 
 class TestEvaluatePass:
@@ -876,8 +889,11 @@ class TestEvaluatePass:
                                               1.0, 0.5)
                        for k in range(n_bus)]
 
-    @pytest.mark.parametrize("columns", [1, 2, 3, 10**6])
-    def test_column_blocks_match_whole_columns(self, monkeypatch, columns):
+    @pytest.mark.parametrize("columns, window", [
+        pytest.param(c, 1.0, id=str(c)) for c in (1, 2, 3, 10**6)] + [
+        pytest.param(3, w, id=f"3-window_{w}") for w in (0.507, 0.777)])
+    def test_column_blocks_match_whole_columns(self, monkeypatch, columns,
+                                               window):
         # blocks of a few bus columns give each column's time, and a
         # partial last block is swept too
         rng = np.random.default_rng(columns)
@@ -885,12 +901,12 @@ class TestEvaluatePass:
         t = cols[0][0]
         x = np.column_stack([c[1] for c in cols])
         target = np.array([c[2] for c in cols])
-        w = int(round(1.0 / 0.01)) + 1
-        rows = len(t) - int(np.searchsorted(t, 0.5 + 1.0 - 1e-9)) + w - 1
+        w = int(np.count_nonzero(t >= t[-1] - window - 1e-9))
+        rows = len(t) - int(np.searchsorted(t, 0.5 + window - 1e-9)) + w - 1
         monkeypatch.setattr(cf_estimator, "_BLOCK_VALUES", columns * rows)
-        got = find_convergence_time(t, x, target, 0.1, 1.0, 0.5)
+        got = find_convergence_time(t, x, target, 0.1, window, 0.5)
         assert got == [oracle_convergence_time(t, x[:, k], target[k], 0.1,
-                                               1.0, 0.5) for k in range(7)]
+                                               window, 0.5) for k in range(7)]
         assert any(hit is not None for hit in got)
 
     def test_peak_memory_is_bounded_on_a_long_wide_series(self, traced_peak):
