@@ -88,7 +88,7 @@ def window_slice(times, t0: float = -np.inf, t1: float = np.inf) -> slice:
     holds, t0 - T_SLACK <= t <= t1 + T_SLACK, as a slice (so a view); empty
     if none, and a ValueError unless ``times`` is strictly increasing."""
     times = np.asarray(times, dtype=float)
-    if not (np.diff(times) > 0.0).all():
+    if not (times[1:] > times[:-1]).all():
         raise ValueError("times are not strictly increasing")
     lo, hi = t0 - T_SLACK, t1 + T_SLACK
     if not lo <= hi:
@@ -179,7 +179,9 @@ def estimate_complex_frequency(
     exist: their left-to-right sum from 0.0, divided by their count.
     Window 1 keeps the derivative.
     """
-    times = np.asarray(traj.times, dtype=float)
+    # the series' own grid, contiguous: a read trajectory's times are a
+    # strided column of its table, and every window cut checks the grid
+    times = np.ascontiguousarray(traj.times, dtype=float)
     v = np.asarray(traj.v, dtype=float)
     theta = np.asarray(traj.theta, dtype=float)
     if len(times) < 3:

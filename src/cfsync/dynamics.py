@@ -55,7 +55,7 @@ from .grid_model import (
     Event,
     NetworkCase,
     PowerFlowSolution,
-    apply_event,
+    _apply_checked,
     build_ybus,
     check_event,
     load_admittances,
@@ -253,8 +253,8 @@ class DynamicNetwork:
         operating point and on its path. This state is left as it was;
         ``check_event`` refuses a bad event, or a line this path tripped."""
         tripped = check_event(self.case, event, self.tripped)
-        ybus, load_adm = apply_event(self.ybus, self.load_adm, event,
-                                     self.case)
+        ybus, load_adm = _apply_checked(self.ybus, self.load_adm, event,
+                                        self.case)
         nxt = DynamicNetwork(self.case, ybus, load_adm, tripped)
         nxt.floats = self.floats
         nxt._bind_kernel(self.pm0, self.e0, self.v_ref)

@@ -13,19 +13,18 @@ the generator series (``t,delta_1,omega_1,eq_1,pm_1,pe_1,qe_1,...``).
 
 Every CSV is written by ``write_csv``, which gives each value the bytes of
 ``"%.17g" % x`` without making a Python float of it. It streams the table:
-blocks of whole rows, about 2^14 values, are gathered from the columns and
-formatted by a numpy kernel in work arrays allocated once per call, so no
-copy of the table is made. The kernel scales each |x| to 17 integer digits
-in double-double arithmetic (a table of 10^p built from Python ints on the
-first write), turns the digits into ASCII through a table of 4-digit
-groups, lays each value out in a fixed slot of 8-byte words and drops the
-slot bytes it left NUL. Values whose rounding the scaling cannot settle
-(within 1e-9 of a half, or at the 10^16 or 10^17 edge of the digits),
-non-finite values and |x| outside [1e-200, 1e201) are formatted by
-``%.17g`` itself, so the bytes never rest on how tight the scaling's error
-bound is. The work arrays are reused because a chunk's arrays are of the
-size at which malloc maps and unmaps fresh pages for each one (see
-``_Work``).
+blocks of whole rows, about 2^13 values, are gathered from the columns and
+formatted by a numpy kernel in work arrays allocated once per call, about
+1.3 MiB, so no copy of the table is made. The kernel scales each |x| to 17
+integer digits in double-double arithmetic (a table of 10^p built from
+Python ints on the first write), turns the digits into ASCII through a
+table of 4-digit groups, lays each value's text out as one run in a
+32-byte slot (four 8-byte words) and drops the NUL bytes before and after
+the run. Values whose rounding the scaling cannot settle (within 1e-9 of a
+half, or at the 10^16 or 10^17 edge of the digits), non-finite values and
+|x| outside [1e-200, 1e201) are formatted by ``%.17g`` itself, so the
+bytes never rest on how tight the scaling's error bound is. The work
+arrays are reused rather than made for each chunk (see ``_Work``).
 
 The last trajectory CSV and the last generator CSV this process wrote or
 read are kept in memory as one read-only array each, keyed by the file's
@@ -62,7 +61,13 @@ from .dynamics import Trajectory
 from .grid_model import CaseError, Event, NetworkCase, is_finite_number
 
 _FMT = "%.17g"  # 17 significant digits: every double round-trips
-_CHUNK = 1 << 14  # values formatted per step, bounding the work arrays
+# values formatted per step, bounding the work arrays (``_Work``, 172 bytes
+# a value). Both shipped scripts run 12 times in one process peaked at
+# 54.4 MiB with 2^14-value chunks, in a CSV write, and at 53.1 and 52.4 MiB
+# with 2^13 and 2^12, outside the writer. Each halving pays the kernel's
+# fixed cost per call again: an 80,001 x 19 write took 179 ms at 2^14 and
+# 204 ms at 2^13 (one BLAS thread, 2-vCPU VM)
+_CHUNK = 1 << 13
 # |x| in [_LOW, _HIGH) is scaled in double-double without overflow or
 # subnormal parts, and its decimal exponent e is within +-_E_MAX; other
 # values go through _FMT
@@ -72,6 +77,7 @@ _E_MAX = 202
 # the double-double error (about 1e-14); it goes through _FMT
 _TIE = 1e-9
 _ZEROS = 0x3030303030303030  # eight ASCII "0" in one word
+_N_E = 2 * _E_MAX + 1  # decimal exponents in the tables
 
 
 def format_number(x: float) -> str:
@@ -80,14 +86,19 @@ def format_number(x: float) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class _Tables:
-    """Lookup tables of ``_format_chunk``, indexed by e + _E_MAX unless
-    noted. Words are little-endian: the low byte is written first."""
-    pow10: tuple[np.ndarray, ...]  # 10^(16 - e): hi, hi's halves, lo
-    q: np.ndarray  # digits before the point, 0 when the prefix holds it
-    prefix: np.ndarray  # "0." and zeros, after the sign byte
-    int_masks: tuple[np.ndarray, ...]  # integer digits among 1-8, 9-16
-    exponent: np.ndarray  # "e+XX[X]", zero in fixed notation
-    frac_masks: tuple[np.ndarray, ...]  # by nd: digits 1-8, 9-16 kept
+    """Lookup tables of ``_format_chunk``. Words are little-endian, the low
+    byte first; a pair of words is digits 1-8 and 9-16 of a value, as laid
+    out from byte 8 of its slot. Indexed by k = e + _E_MAX for a decimal
+    exponent e, or by qn = 18 q + nd for q digits before the point (0 after
+    a "0.000" prefix) and nd significant digits."""
+    pow10: tuple[np.ndarray, ...]  # by k: 10^(16 - e), hi, hi's halves, lo
+    q18: np.ndarray  # by k: 18 q
+    head: np.ndarray  # by k, + _N_E if negative: sign and prefix to byte 6
+    tail: np.ndarray  # by k, + _N_E at a newline: "e+XX[X]", separator
+    stay: tuple[np.ndarray, ...]  # by qn: the digits kept in place
+    move: tuple[np.ndarray, ...]  # by qn: the digits moved a byte up
+    point: tuple[np.ndarray, ...]  # by qn: the point, where they were
+    end: np.ndarray  # by qn: 8 times the text's bytes after word 0
     digit4: np.ndarray  # by value: "0000".."9999"
 
 
@@ -109,49 +120,63 @@ def _tables() -> _Tables:
     def words(values) -> np.ndarray:
         return np.array(list(values), dtype=np.uint64)
 
-    def low(k: int) -> int:  # the k low bytes of a word, clipped to 0..8
-        return (1 << 8 * min(max(k, 0), 8)) - 1
+    def split(wide: list[int]) -> tuple[np.ndarray, ...]:
+        return words(v & (1 << 64) - 1 for v in wide), \
+            words(v >> 64 for v in wide)
+
+    def digits(first: int, last: int) -> int:  # digits first..last
+        return sum(0xFF << 8 * (i - 1) for i in range(first, last + 1))
 
     # %g: fixed notation for -4 <= e < 17, with a "0.000" prefix below 0
     q = [e + 1 if 0 <= e < 17 else 0 if -4 <= e < 0 else 1 for e in es]
+    prefix = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in es]
+    exponent = [b"" if -4 <= e < 17 else b"e%+03d" % e for e in es]
+    # after a prefix, digits 1..nd-1 follow the first in place; otherwise
+    # digits 1..q-1 stay, and a fraction's digits q..nd-1 move up a byte
+    # to make room for the point (nd = 0 does not occur)
+    qn = [(q, nd) for q in range(18) for nd in range(18)]
+    stay = [digits(1, nd - 1) if not q else digits(1, q - 1) for q, nd in qn]
+    move = [digits(q, nd - 1) if q else 0 for q, nd in qn]
+    point = [ord(".") << 8 * (q - 1) if 0 < q < nd else 0 for q, nd in qn]
+    end = [8 * max(nd - 1 if not q else max(nd, q) - 1 + (nd > q), 0)
+           for q, nd in qn]
     return _Tables(
         pow10=(hi, hi_a, hi - hi_a, np.array(lo)),
-        q=np.array(q),
-        prefix=words(int.from_bytes(b"0." + b"0" * (-e - 1), "little") << 8
-                     if -4 <= e < 0 else 0 for e in es),
-        int_masks=(words(low(k - 1) for k in q), words(low(k - 9) for k in q)),
-        exponent=words(0 if -4 <= e < 17
-                       else int.from_bytes(b"e%+03d" % e, "little")
-                       for e in es),
-        frac_masks=(words(low(n - 1) for n in range(18)),
-                    words(low(n - 9) for n in range(18))),
+        q18=18 * np.array(q),
+        tail=words(int.from_bytes(x + sep, "little")
+                   for sep in (b",", b"\n") for x in exponent),
+        head=words(int.from_bytes(t, "little") << 8 * (7 - len(t))
+                   for sign in (b"", b"-") for t in (sign + p for p in prefix)),
+        stay=split(stay), move=split(move), point=split(point),
+        end=words(end),
         digit4=np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
                              dtype="<u4").astype(np.uint64))
 
 
 class _Work:
     """The work arrays of ``_format_chunk`` for chunks of up to ``size``
-    values, allocated once per ``write_csv`` call.
+    values, allocated once per ``write_csv`` call: 172 bytes a value, so
+    1.3 MiB at ``_CHUNK`` values.
 
-    At 2^14 values a chunk's float and integer arrays are 128 KiB each,
-    and its slots and their NUL mask 896 KiB each: sizes at which glibc's
-    malloc maps fresh pages for a block and unmaps them on free, until a
-    larger block has been freed. Made anew for each chunk, they fault
-    their pages in again for every chunk: in a fresh process a streamed
-    80,001 x 19 write took 98,000 minor page faults and 0.42 s that way,
-    against 1,500 and 0.28 s with the arrays reused. The compacted text,
-    about a third of the slot bytes, is the one array each chunk makes:
-    numpy's only compaction into a given buffer, ``np.compress``, first
-    builds an index array eight times its size."""
+    The slots, four words a value, and their NUL mask take the bytes of
+    the float rows, which the kernel has stopped reading by the time it
+    lays the text out. Allocated anew for each chunk, arrays of 2^14
+    values (128 KiB a row) are mapped fresh by glibc's malloc and unmapped
+    on free, until a larger block has been freed: in a fresh process a
+    streamed 80,001 x 19 write took 98,000 minor page faults and 0.42 s
+    that way, against 1,500 and 0.28 s with the arrays reused. The
+    compacted text, at most 25 bytes a value, is the one array each chunk
+    makes: numpy's only compaction into a given buffer, ``np.compress``,
+    first builds an index array eight times its size."""
 
     def __init__(self, size: int):
-        self.f = np.empty((9, size))
+        self.f = np.empty((8, size))
         self.i = np.empty((4, size), dtype=np.int64)
         self.j = np.empty((8, size), dtype=np.int32)
         self.u = np.empty((5, size), dtype=np.uint64)
         self.b = np.empty((4, size), dtype=bool)
-        self.slots = np.empty((size, 7), dtype="<u8")
-        self.keep = np.empty(size * 56, dtype=bool)
+        self.slots = self.f[:4].view("<u8").reshape(size, 4)
+        self.keep = self.f[4:].view(bool).reshape(-1)
 
 
 def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
@@ -190,26 +215,28 @@ def _scaled(a: np.ndarray, k: np.ndarray, w: np.ndarray
 
 
 def _format_chunk(x: np.ndarray, sep: np.ndarray, w: _Work) -> memoryview:
-    """The ``_FMT`` text of each value of ``x``, each followed by the top
-    byte of its ``sep`` word (a comma or a newline), concatenated.
+    """The ``_FMT`` text of each value of ``x``, each followed by its
+    separator, concatenated: a comma where ``sep`` is 0, a newline where
+    it is _N_E.
 
-    Each value gets a slot of seven 8-byte words, whose bytes in order are
-    the sign; a "0.000" prefix; the integer digits (the first digit in the
-    prefix word); the point; the fraction digits (the first in the point's
-    word); and "e+XX[X]" and the separator. Bytes a value does not use are
-    NUL, and are dropped from the chunk at the end."""
+    Each value's text is one run in a slot of four 8-byte words: word 0
+    ends with the sign, a "0.000" prefix and the first digit, in byte 7;
+    digits 1-16 follow from byte 8, those after the point moved up a byte
+    to make room for it; and "e+XX[X]" and the separator follow the last
+    digit kept. The longest text, "-1.2345678901234567e+100,", takes bytes
+    6 to 30. The NUL bytes before and after each run are dropped from the
+    chunk at the end."""
     tab = _tables()
     n = len(x)
-    ax, a, *sc = w.f[:, :n]
+    a, *sc = w.f[:, :n]
     k, d, top64, bot64 = w.i[:, :n]
     bot, top, head, d0, g3, t32, nb1, nb2 = w.j[:, :n]
-    s1, s2, t0, t1, first = w.u[:, :n]
+    s1, s2, t0, t1, carry = w.u[:, :n]
     ok, m1, m2, m3 = w.b[:, :n]
-    np.abs(x, out=ax)
-    np.greater_equal(ax, _LOW, out=ok)  # scalable, for now
-    ok &= np.less(ax, _HIGH, out=m1)
-    a.fill(1.0)
-    np.copyto(a, ax, where=ok)
+    np.abs(x, out=a)
+    np.greater_equal(a, _LOW, out=ok)  # scalable, for now
+    ok &= np.less(a, _HIGH, out=m1)
+    np.copyto(a, 1.0, where=np.logical_not(ok, out=m1))
     lg = np.log10(a, out=sc[0])
     k[...] = np.floor(lg, out=lg)
     k += _E_MAX
@@ -239,7 +266,7 @@ def _format_chunk(x: np.ndarray, sep: np.ndarray, w: _Work) -> memoryview:
     ok &= np.logical_or(m1, m2, out=m1)
     skip = np.logical_not(ok, out=m2)
     alone = np.flatnonzero(np.logical_and(
-        skip, np.not_equal(ax, 0.0, out=m1), out=m1))
+        skip, np.not_equal(x, 0.0, out=m1), out=m1))
     np.copyto(d, 0, where=skip)  # zero, and in range for the fallback rows
 
     np.floor_divide(d, 10 ** 8, out=top64)
@@ -272,37 +299,57 @@ def _format_chunk(x: np.ndarray, sep: np.ndarray, w: _Work) -> memoryview:
     nd += 1
     np.maximum(nd, nb2, out=nd)
 
-    q = top64
-    _take(tab.q, k, q)
-    pre = np.equal(q, 0, out=m3)
-    not_pre = np.logical_not(pre, out=m2)
-    first[...] = d0
-    first += 48
-    first <<= 56
+    qn = top64
+    _take(tab.q18, k, qn)
+    qn += nd
     slots = w.slots[:n]
-    np.multiply(np.signbit(x, out=m1), np.uint64(45), out=slots[:, 0])
-    _take(tab.prefix, k, t0)
-    slots[:, 0] |= t0
-    slots[:, 0] |= np.multiply(first, not_pre, out=t0)
-    for s, i_mask, f_mask, j in zip((s1, s2), tab.int_masks, tab.frac_masks,
-                                    (1, 2)):
-        _take(i_mask, k, t0)
-        np.bitwise_and(s, t0, out=slots[:, j])
-        _take(f_mask, nd, t1)
-        t1 &= s
-        np.bitwise_and(t1, np.invert(t0, out=t0), out=slots[:, j + 3])
-    np.multiply(np.logical_and(np.greater(nd, q, out=m1), not_pre, out=m1),
-                np.uint64(46), out=slots[:, 3])
-    slots[:, 3] |= np.multiply(first, pre, out=t0)
-    _take(tab.exponent, k, t0)
-    np.bitwise_or(t0, sep, out=slots[:, 6])
+    # word 0: the sign and a "0.000" prefix ending at byte 6, and the first
+    # digit in byte 7
+    signed = bot64
+    np.right_shift(x.view(np.int64), 63, out=signed)  # -1 if negative
+    signed &= _N_E
+    signed += k
+    _take(tab.head, signed, t0)
+    t1[...] = d0
+    t1 += 48
+    t1 <<= 56
+    np.bitwise_or(t0, t1, out=slots[:, 0])
+    # words 1-2: digits 1-16 from byte 8, those after the point moved one
+    # byte up past it, and the point; word 3: the byte moved out of word 2
+    for s, move, stay, point in zip((s1, s2), tab.move, tab.stay,
+                                    tab.point):
+        _take(move, qn, t0)
+        t0 &= s
+        _take(stay, qn, t1)
+        s &= t1
+        _take(point, qn, t1)
+        s |= t1
+        s |= np.left_shift(t0, 8, out=t1)
+        if s is s2:
+            s |= carry
+        np.right_shift(t0, 56, out=carry)
+    # "e+XX[X]" and the separator, ``end`` bits into word 1: words 1-3
+    # each take their share by shifts of their own, which give 0 at a
+    # count of 64 or more (so does a negative count, wrapped unsigned)
+    k += sep
+    tail, end = t0, t1
+    _take(tab.tail, k, tail)
+    _take(tab.end, qn, end)
+    np.left_shift(tail, end, out=slots[:, 1])
+    slots[:, 1] |= s1
+    for word, j in ((s2, 2), (carry, 3)):
+        end -= 64
+        word |= np.left_shift(tail, end, out=s1)
+        word |= np.right_shift(tail, np.negative(end, out=s1), out=s1)
+        slots[:, j] = word
     text = slots.view(np.uint8)
     if alone.size:
-        width = text.shape[1] - 1
-        alone_text = "".join([(_FMT % v).ljust(width, "\0")
-                              for v in x[alone].tolist()])
-        text[alone, :width] = np.frombuffer(alone_text.encode("ascii"),
-                                            dtype=np.uint8).reshape(-1, width)
+        width = text.shape[1]
+        alone_text = "".join([(_FMT % v + ",\n"[c]).ljust(width, "\0")
+                              for v, c in zip(x[alone].tolist(),
+                                              (sep[alone] > 0).tolist())])
+        text[alone] = np.frombuffer(alone_text.encode("ascii"),
+                                    dtype=np.uint8).reshape(-1, width)
     text = text.reshape(-1)
     return memoryview(text[np.not_equal(text, 0, out=w.keep[:text.size])])
 
@@ -320,8 +367,8 @@ def write_csv(path: str | Path, header: list[str],
     it, byte for byte, but formatted in numpy by ``_format_chunk``.
     Blocks of whole rows, about ``_CHUNK`` values, are gathered from the
     columns into one array and formatted in work arrays allocated once
-    per call, so the writer holds a few MB however many rows and columns
-    there are, and no copy of the table. The work arrays are reused
+    per call, so the writer holds under 2 MiB however many rows and
+    columns there are, and no copy of the table. The work arrays are reused
     because malloc would map and fault in fresh pages for each chunk's
     (see ``_Work``). Values the vectorised rounding cannot settle,
     non-finite values and |x| outside [1e-200, 1e201) are formatted by
@@ -334,8 +381,8 @@ def write_csv(path: str | Path, header: list[str],
     n_cols = sum(c.shape[1] for c in cols)
     rows = max(1, _CHUNK // max(1, n_cols))
     block = np.empty((rows, n_cols))
-    sep = np.full((rows, n_cols), np.uint64(ord(",") << 56))
-    sep[:, -1:] = np.uint64(ord("\n") << 56)
+    sep = np.zeros((rows, n_cols), dtype=np.int64)
+    sep[:, -1] = _N_E
     work = _Work(block.size)
     with Path(path).open("wb") as f:
         def write(text) -> None:
@@ -511,11 +558,11 @@ def _write_series(kind: str, traj: Trajectory, ids: list[int],
     is finite (only then does the text round-trip bit for bit), with the
     size and SHA-256 of the bytes written."""
     series = _SERIES[kind]
+    _kept.pop(kind, None)  # before the new rows are laid out beside it
     data = np.empty((len(traj.times), 1 + len(series) * len(ids)))
     data[:, 0] = traj.times
     for j, field in enumerate(series.values()):
         data[:, 1 + j::len(series)] = getattr(traj, field)
-    _kept.pop(kind, None)
     digest = hashlib.sha256()
     write_csv(path, ["t"] + [f"{p}_{b}" for b in ids for p in series],
               [data], comment=comment, digest=digest)

@@ -393,11 +393,21 @@ def apply_event(
 
     Inputs are not mutated. The event is checked by ``check_event`` against
     the case alone: the lines tripped before it are held by the network
-    state (``DynamicNetwork.tripped``), which checks them too.
-    q_injection_step adds a shunt reactive injection evaluated at 1 p.u.
-    voltage.
+    state (``DynamicNetwork.tripped``), which checks them itself and then
+    calls ``_apply_checked``. q_injection_step adds a shunt reactive
+    injection evaluated at 1 p.u. voltage.
     """
     check_event(case, event)
+    return _apply_checked(ybus, load_adm, event, case)
+
+
+def _apply_checked(
+    ybus: np.ndarray,
+    load_adm: np.ndarray,
+    event: Event,
+    case: NetworkCase,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_event`` for an event ``check_event`` has passed."""
     idx = case.bus_index()
     params = event.params
     y_new = ybus.copy()

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from cfsync import cf_estimator
 from cfsync.cf_estimator import (
     T_SLACK,
+    ComplexFrequencySeries,
     estimate_complex_frequency,
     uniform_step,
     window_slice,
 )
 from cfsync.dynamics import Trajectory
+from cfsync.metrics import fit_damping, overshoot
+from cfsync.sync_detector import SyncConfig, evaluate, find_convergence_time
 
 WS = 2 * math.pi * 60
 
@@ -246,6 +249,35 @@ class TestWindowSlice:
     def test_non_increasing_times_raise(self, times):
         with pytest.raises(ValueError, match="not strictly increasing"):
             window_slice(np.array(times), 0.0, 1.0)
+
+    NOT_INCREASING = "^times are not strictly increasing$"
+    NON_UNIFORM = "^non-uniform time grid: step "
+
+    @pytest.mark.parametrize("kind", ["repeat", "step_back"])
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda t: window_slice(t, 1.0, 2.0), NOT_INCREASING,
+                     id="window_slice"),
+        pytest.param(uniform_step, NON_UNIFORM, id="uniform_step"),
+        pytest.param(lambda t: overshoot(t, np.sin(t), 1.0, 2.0),
+                     NOT_INCREASING, id="overshoot"),
+        pytest.param(lambda t: fit_damping(t, np.exp(-t), 0.0, 1.0),
+                     NOT_INCREASING, id="fit_damping"),
+        pytest.param(lambda t: find_convergence_time(t, np.exp(-t), 0.0,
+                                                     1e-3, 0.5, 1.0),
+                     NON_UNIFORM, id="find_convergence_time"),
+        pytest.param(lambda t: evaluate(
+            ComplexFrequencySeries(t, [1], np.zeros((len(t), 1)),
+                                   np.zeros((len(t), 1))),
+            {"all": [1]}, SyncConfig(t_end=4.0)), NOT_INCREASING,
+            id="evaluate"),
+    ])
+    def test_every_caller_refuses_a_non_increasing_grid(self, call, message,
+                                                        kind):
+        # a sample repeated or stepping back mid-series of a 5 s grid
+        t = np.arange(501) * 0.01
+        t[250] = t[249] if kind == "repeat" else t[248]
+        with pytest.raises(ValueError, match=message):
+            call(t)
 
 
 def same_bits(a, b):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfsync import bundled_case_path, dynamics
+from cfsync import bundled_case_path, dynamics, grid_model
 from cfsync.dynamics import (
     INTEGRATORS,
     SimConfig,
@@ -771,6 +771,25 @@ class TestReducedNetwork:
         for name, b in bits.items():
             assert getattr(net, name).tobytes() == b, name
         assert net.tripped == frozenset()
+
+    def test_each_event_is_checked_once(self, wscc9_loadshed, monkeypatch):
+        # the network state checks an event with its trip history and then
+        # updates the matrices, with no second check against the case
+        calls = []
+        check = grid_model.check_event
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return check(*args, **kwargs)
+
+        case = wscc9_loadshed
+        _, net = initialize_dynamics(case, solve_power_flow(case))
+        for owner in (grid_model, dynamics):
+            monkeypatch.setattr(owner, "check_event", counting)
+        events = [*case.events, Event(0.0, "line_trip", TRIP)]
+        for event in events:
+            net = net.apply_event(event)
+        assert calls == events
 
     def test_event_leaves_its_receiver_as_it_was(self, wscc9_loadshed,
                                                  each_path):

@@ -40,7 +40,14 @@ from cfsync.grid_model import (
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_load_shed.py"
 
-SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
+# -0 and nan around the longest text of each notation, then a tie that
+# takes the fallback: side by side in each column, the last of which puts
+# a newline after each (the nearest double to -1234567890123456.8 is
+# itself a tie at 17 digits; -1234567890123456.5 is not)
+SPECIALS = [0.0, -0.0, -0.00012345678901234567, -1234567890123456.8,
+            -1234567890123456.5, -1.2345678901234566e-99,
+            -1.2345678901234567e+100, -1.2345678901234567e-100, np.nan,
+            -(2.0 ** 50 + 0.25), np.inf, -np.inf, 5e-324, -5e-324, 1e300,
             -1e300, 2.2250738585072014e-308, 0.1, 1 / 3, 377.0, 2.0 ** 53]
 
 
@@ -185,12 +192,14 @@ class TestWriteCsv:
         # the trajectory shape of the 270-bus ring (20.6 MiB of values):
         # formatting whole rows of Python floats and strings at once took
         # 170 MB here, and a copy of the table before formatting 25.4 MiB;
-        # row blocks and their work arrays take 6.0 MiB
+        # row blocks and their work arrays take 1.6 MiB; the lookup tables
+        # are built once per process, before the write
+        fileio._tables()
         data = np.random.default_rng(3).normal(size=(5001, 541))
         _, peak = traced_peak(
             lambda: write_csv(tmp_path / "w.csv", ["c"] * 541,
                               [data[:, 0], data[:, 1:]]))
-        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("columns", [
         [np.zeros(4), np.zeros(5)], [np.zeros(4), np.zeros((3, 2))],
