@@ -275,7 +275,9 @@ def cmd_analyze(args, outputs: _Outputs) -> int:
                  omega_s=case.omega_s)
     config = _sync_config_from_args(args, traj)
     try:
-        config.validate(traj.times)
+        # on the contiguous grid the estimator takes: a read trajectory's
+        # times are a strided column, where each window cut scans slower
+        config.validate(np.ascontiguousarray(traj.times))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = build_report(traj, case, config, smoothing_window,

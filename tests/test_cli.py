@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import operator
+import platform
 import random
 import shutil
 import warnings
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfsync import bundled_case_path, cli
+from cfsync import SimConfig, SyncConfig, bundled_case_path, cli
 from cfsync.cf_estimator import estimate_complex_frequency, window_slice
 from cfsync.cli import main
 from cfsync.fileio import (
+    build_manifest,
     load_case,
     read_generator_csv,
     read_trajectory_csv,
@@ -153,6 +155,37 @@ class TestSimulate:
         assert [Path(p).is_file() for p in manifest["outputs"]] == [True] * 2
         assert [Path(p).name for p in manifest["outputs"]] == [
             "trajectory.csv", "trajectory_gen.csv"]
+
+    def test_manifest_records_the_numerical_environment(self, tmp_path,
+                                                        monkeypatch):
+        # what a run's bits rest on beyond its case and config; a replay
+        # reads none of it and still writes the same bytes (criterion 10)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run1, run2 = tmp_path / "run1", tmp_path / "run2"
+        assert main(["simulate", "--case", SHED, "--t-end", "1.0",
+                     "--outdir", str(run1)]) == 0
+        manifest = json.loads((run1 / "trajectory_manifest.json")
+                              .read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                        "MKL_NUM_THREADS": None}}
+        assert main(["simulate", "--from-manifest",
+                     str(run1 / "trajectory_manifest.json"),
+                     "--outdir", str(run2)]) == 0
+        assert (run2 / "trajectory.csv").read_bytes() == \
+            (run1 / "trajectory.csv").read_bytes()
+
+    def test_manifest_blas_is_unknown_without_show_config_mode(
+            self, monkeypatch):
+        # numpy before 1.26 has show_config() alone
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        env = build_manifest(SHED, SimConfig(t_end=1.0), [])["environment"]
+        assert env["blas"] == {"name": "unknown", "version": "unknown"}
 
     def test_a_warning_is_one_line(self, tmp_path, capsys):
         # it used to print the module's path, line number and the source
@@ -424,6 +457,27 @@ class TestAnalyze:
                    "--outdir", str(tmp_path)])
         assert rc == 3
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rc, checks", [
+        ([], 0, 2), (["--window", "10.0"], 3, 1)], ids=["ok", "exit_3"])
+    def test_config_is_checked_on_the_contiguous_grid(
+            self, simdir, tmp_path, monkeypatch, argv, rc, checks):
+        # a read trajectory's times are a strided column of its table, on
+        # which each window cut of the check scans more than 10x slower
+        traj = read_trajectory_csv(simdir / "trajectory.csv",
+                                   omega_s=load_case(SHED).omega_s)
+        assert not traj.times.flags.c_contiguous
+        seen = []
+        validate = SyncConfig.validate
+
+        def spy(config, times):
+            seen.append(times.flags.c_contiguous)
+            return validate(config, times)
+
+        monkeypatch.setattr(SyncConfig, "validate", spy)
+        assert main(["analyze", "--traj", str(simdir / "trajectory.csv"),
+                     "--case", SHED, *argv, "--outdir", str(tmp_path)]) == rc
+        assert seen == [True] * checks
 
     @pytest.mark.parametrize("argv, message", [
         (["--t-end", "30"], "t_end 30.0 must be <= the series' last "

@@ -865,6 +865,19 @@ class TestEvaluateMatchesPerNodeOracle:
                               tol_eps=1e-2, tol_omega=1e-1, tol_node=1e-1))
 
 
+def trip_shaped_series(n_bus):
+    """5,001 samples of n_bus damped swings at 2 ms: at 270 buses, the
+    shape of one 270-bus line trip's series."""
+    rng = np.random.default_rng(0)
+    t = np.arange(5001) * 2e-3
+    phase = rng.uniform(0, 2 * np.pi, n_bus)
+    decay = np.exp(-np.outer(t, 1.0 + 0.1 * phase))
+    return ComplexFrequencySeries(
+        times=t, bus_ids=list(range(n_bus)),
+        eps=1e-3 * decay * np.sin(30 * t[:, None] + phase),
+        omega=WS + 0.1 * decay * np.cos(30 * t[:, None] + phase))
+
+
 class TestEvaluatePass:
     def test_one_convergence_sweep_per_component(self, monkeypatch):
         sweeps = record_calls(monkeypatch, "find_convergence_time")
@@ -909,23 +922,75 @@ class TestEvaluatePass:
                                                window, 0.5) for k in range(7)]
         assert any(hit is not None for hit in got)
 
+    @pytest.mark.parametrize("limit_mode", ["endpoint", "window_mean"])
+    @pytest.mark.parametrize("buses_per_block", range(1, 8))
+    def test_verdict_blocks_match_whole_arrays(self, monkeypatch,
+                                               buses_per_block, limit_mode):
+        # 11 buses, which no block of 2 to 7 divides, and a NaN in bus 4's
+        # final window. The block size is set so that the coarse segment
+        # (601 rows), the final window (201 rows, so the tree path of
+        # row_diameters) and its complex values (402 doubles a bus) each
+        # go in blocks of buses_per_block buses in turn
+        rng = np.random.default_rng(buses_per_block)
+        t = np.arange(801) * 5e-3
+        decay = np.exp(-t)[:, None]
+        eps = rng.normal(0, 1e-3, (801, 11)) * decay
+        omega = WS + rng.normal(0, 1e-2, (801, 11)) * decay
+        eps[-50, 4] = np.nan
+        series = ComplexFrequencySeries(times=t, bus_ids=list(range(11)),
+                                        eps=eps, omega=omega)
+        config = SyncConfig(t_end=4.0, t_event=1.0, limit_mode=limit_mode)
+        seg, final = window_slice(t, 1.0, 4.0), window_slice(t, 3.0, 4.0)
+        assert (seg.stop - seg.start, final.stop - final.start) == (601, 201)
+
+        def means(x):  # the whole-array formula
+            return np.ascontiguousarray(x.T).mean(axis=1)
+
+        want = [means(eps[seg]), means(omega[seg]),
+                *((means(eps[final]), means(omega[final]))
+                  if limit_mode == "window_mean" else (eps[-1], omega[-1])),
+                row_diameters(np.ascontiguousarray(
+                    (eps[final] + 1j * omega[final]).T))]
+        assert np.isnan(want[-1]).tolist() == [k == 4 for k in range(11)]
+        for rows in (601, 201, 402):
+            monkeypatch.setattr(cf_estimator, "_BLOCK_VALUES",
+                                buses_per_block * rows)
+            nodes = evaluate(series, {"A": list(range(11))},
+                             config).nodes.values()
+            got = [[v.coarse.eps for v in nodes],
+                   [v.coarse.omega for v in nodes],
+                   [v.limit.eps for v in nodes],
+                   [v.limit.omega for v in nodes],
+                   [v.fluctuation for v in nodes]]
+            assert [np.array(g).tobytes() for g in got] == \
+                [np.asarray(w, dtype=float).tobytes() for w in want], rows
+
     def test_peak_memory_is_bounded_on_a_long_wide_series(self, traced_peak):
         # 5,001 x 270, one 270-bus line trip's shape: the whole-array
         # convergence sweep held three 10.3 MiB deviation arrays (27.8 MiB
-        # in all); the final windows and coarse segment stay
-        rng = np.random.default_rng(0)
-        t = np.arange(5001) * 2e-3
-        phase = rng.uniform(0, 2 * np.pi, 270)
-        decay = np.exp(-np.outer(t, 1.0 + 0.1 * phase))
-        series = ComplexFrequencySeries(
-            times=t, bus_ids=list(range(270)),
-            eps=1e-3 * decay * np.sin(30 * t[:, None] + phase),
-            omega=WS + 0.1 * decay * np.cos(30 * t[:, None] + phase))
+        # in all)
+        series = trip_shaped_series(270)
         report, peak = traced_peak(lambda: evaluate(
             series, {"A": list(range(270))},
             SyncConfig(t_end=10.0, t_event=1.0)))
         assert len(report.nodes) == 270
         assert peak < series.eps.nbytes, f"{peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_does_not_grow_with_buses(self, traced_peak):
+        # the coarse segment and the final windows go a block of bus
+        # columns at a time: copied whole, they and their complex values
+        # took 7.9 MiB at 270 buses and 31.7 MiB at 1,080
+        peaks = []
+        for n_bus in (270, 1080):
+            series = trip_shaped_series(n_bus)
+            config = SyncConfig(t_end=10.0, t_event=1.0)
+            _, peak = traced_peak(lambda: evaluate(
+                series, {"A": series.bus_ids}, config))
+            peaks.append(peak)
+        assert peaks[0] < 3 * 2**20, f"{peaks[0] / 2**20:.2f} MiB"
+        # what grows is the per-bus results held at the peak, about 130
+        # bytes a bus
+        assert peaks[1] < peaks[0] + 2**18, [p / 2**20 for p in peaks]
 
     def test_peak_memory_is_linear_in_buses_times_window(self, traced_peak):
         # damped spirals, one per bus; (buses, dt) grows the series 4x
